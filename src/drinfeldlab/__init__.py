@@ -41,7 +41,6 @@ from .drinfeld import (
 from .fields import (
     FieldCtx,
     FqElement,
-    arith,
     enumerate_elements,
     is_square,
     make_field,
@@ -76,7 +75,6 @@ from .polys import (
     irreducible_count,
     is_irreducible,
     parse_poly,
-    poly_arith,
     poly_to_text,
     valuation,
 )
@@ -86,7 +84,6 @@ from .residues import (
     is_square_mod_prime,
     norm_to_base,
     quadratic_is_irreducible,
-    residue_arith,
     residue_inv,
 )
 from .skew import (
@@ -110,8 +107,7 @@ __all__ = [
     "carlitz_det_module", "carlitz_module", "carlitz_twist_witness", "e_phi",
     "j_invariant", "newton_polygon", "phi_of", "reduce_module",
     "reduction_height", "reduction_type", "valuation_of_j",
-    "FieldCtx", "FqElement", "arith", "enumerate_elements", "is_square",
-    "make_field",
+    "FieldCtx", "FqElement", "enumerate_elements", "is_square", "make_field",
     "FrobCharpoly", "det_generation_check", "det_level_check",
     "euler_poincare_oracle", "frob_deg1", "frob_general",
     "frob_identity_check",
@@ -119,10 +115,10 @@ __all__ = [
     "pink_rutsche_level2", "sl2_group", "verify_lemma_A1",
     "NEG_INF", "POS_INF", "Poly", "PrimeIdeal",
     "enumerate_monic_irreducibles", "eval_at", "factor", "gcd",
-    "irreducible_count", "is_irreducible", "parse_poly", "poly_arith",
-    "poly_to_text", "valuation",
+    "irreducible_count", "is_irreducible", "parse_poly", "poly_to_text",
+    "valuation",
     "ResidueElement", "ResidueRing", "is_square_mod_prime", "norm_to_base",
-    "quadratic_is_irreducible", "residue_arith", "residue_inv",
+    "quadratic_is_irreducible", "residue_inv",
     "FieldCoefficients", "PolyCoefficients", "ResidueCoefficients",
     "SkewPoly", "as_linearized", "ht_deg", "linear_solve_left", "skew_mul",
 ]

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import BruteCapExceeded, ParamsOutOfRange
 from .fields import FieldCtx, FqElement
-from .polys import Poly, eval_at
+from .polys import Poly, eval_at, polys_below
 
 DEFAULT_BRUTE_CAP = 1_000_000
 
@@ -78,9 +78,7 @@ def valid_congruence_classes(ctx: FieldCtx, c1: FqElement, c2: FqElement):
         if beta.val != 0:
             b1s.append(l1 * beta)
     b2s = []
-    q = ctx.q
-    for idx in range(q * q):
-        e = Poly(ctx, [idx % q, idx // q])
+    for e in polys_below(ctx, 2):
         if eval_at(e, c1).is_zero() or eval_at(e, c2).is_zero():
             continue
         b2s.append(l2 * e)
@@ -90,18 +88,6 @@ def valid_congruence_classes(ctx: FieldCtx, c1: FqElement, c2: FqElement):
 def default_congruence_class(ctx: FieldCtx, c1: FqElement, c2: FqElement):
     """The lexicographically first valid (b1, b2) pair."""
     return valid_congruence_classes(ctx, c1, c2)[0]
-
-
-def _all_polys_below(ctx: FieldCtx, deg_bound: int):
-    """Every polynomial of degree < deg_bound (including zero)."""
-    q = ctx.q
-    for idx in range(q ** deg_bound):
-        coeffs = []
-        v = idx
-        for _ in range(deg_bound):
-            coeffs.append(v % q)
-            v //= q
-        yield Poly(ctx, coeffs)
 
 
 def count_W(params: CensusParams, mode: str = "formula",
@@ -116,8 +102,8 @@ def count_W(params: CensusParams, mode: str = "formula",
     if q ** n1 * q ** n2 > cap:
         raise BruteCapExceeded(f"{q}^{n1 + n2} pairs exceed cap {cap}")
     count = 0
-    for g1 in _all_polys_below(params.ctx, n1):
-        for g2 in _all_polys_below(params.ctx, n2):
+    for g1 in polys_below(params.ctx, n1):
+        for g2 in polys_below(params.ctx, n2):
             if not g2.is_zero():
                 count += 1
     return count
@@ -162,6 +148,8 @@ def count_S(params: CensusParams, mode: str = "formula",
         # coefficient slots for deg(g2) strictly below the rational bound
         n2 = int(n2_frac) if n2_frac.denominator == 1 else int(n2_frac) + 1
     else:
+        if g2_deg_bound < 0:
+            raise ParamsOutOfRange("g2_deg_bound must be >= 0")
         n2 = g2_deg_bound
     if q ** n1 * q ** n2 > cap:
         raise BruteCapExceeded(f"{q}^{n1 + n2} pairs exceed cap {cap}")
@@ -170,8 +158,8 @@ def count_S(params: CensusParams, mode: str = "formula",
     m2 = l1 * l2 * l2
     classes = ([(params.b1, params.b2)] if not all_classes
                else valid_congruence_classes(ctx, params.c1, params.c2))
-    g1_pool = list(_all_polys_below(ctx, n1))
-    g2_pool = list(_all_polys_below(ctx, n2))
+    g1_pool = list(polys_below(ctx, n1))
+    g2_pool = list(polys_below(ctx, n2))
     total = 0
     for b1, b2 in classes:
         r1 = b1 % m1

@@ -2,7 +2,9 @@
 
 Every run streams machine-readable records (JSON lines by default) and is
 byte-identical across reruns with the same flags.  Exit codes: 0 success,
-1 verification failure, 2 usage error.
+1 verification failure, 2 usage error, 3 internal inconsistency (two
+computations that must agree disagreed: a bug in drinfeldlab, not in the
+input).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from . import census as census_mod
 from . import criteria, frobenius, groups
 from .drinfeld import DrinfeldModule, newton_polygon, reduction_height
-from .errors import DrinfeldLabError
+from .errors import DrinfeldLabError, InternalInconsistency
 from .fields import enumerate_elements, is_square, make_field
 from .polys import (
     Poly,
@@ -377,6 +379,9 @@ def main(argv=None) -> int:
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalInconsistency as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (DrinfeldLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+from .census import valid_congruence_classes
 from .drinfeld import DrinfeldModule, carlitz_det_module
 from .errors import (
     ContextMismatch,
@@ -29,6 +30,7 @@ from .polys import (
     eval_at,
     parse_poly,
     poly_to_text,
+    polys_below,
     valuation,
 )
 from .residues import ResidueRing, is_square_mod_prime, quadratic_is_irreducible
@@ -259,23 +261,6 @@ def theorem1_verify(g1: Poly, g2: Poly, p: PrimeIdeal, c1: FqElement,
     )
 
 
-def _polys_up_to_degree(ctx: FieldCtx, max_deg: int):
-    """All polynomials of degree <= max_deg (including zero), ascending
-    encoded order (constant coefficient fastest)."""
-    if max_deg < 0:
-        return [Poly.zero(ctx)]
-    q = ctx.q
-    out = []
-    for idx in range(q ** (max_deg + 1)):
-        coeffs = []
-        v = idx
-        for _ in range(max_deg + 1):
-            coeffs.append(v % q)
-            v //= q
-        out.append(Poly(ctx, coeffs))
-    return out
-
-
 def theorem1_search(p: PrimeIdeal, max_deg: int, limit: int,
                     cap: int = DEFAULT_ENUMERATION_CAP):
     """Verified certificates from the congruence parametrization
@@ -295,8 +280,8 @@ def theorem1_search(p: PrimeIdeal, max_deg: int, limit: int,
         if not is_square_mod_prime(
                 ring.element(Poly.constant(ctx, c1) - Poly.T(ctx))):
             witnesses.append(c1)
-    a1_pool = _polys_up_to_degree(ctx, max_deg - 2)
-    a2_pool = _polys_up_to_degree(ctx, max_deg - 3)
+    a1_pool = list(polys_below(ctx, max_deg - 1))
+    a2_pool = list(polys_below(ctx, max_deg - 2))
     for c1 in witnesses:
         lam1_gen = Poly.T(ctx) - Poly.constant(ctx, c1)
         for c2 in elements:
@@ -307,27 +292,20 @@ def theorem1_search(p: PrimeIdeal, max_deg: int, limit: int,
                 continue
             m1 = lam1_gen * lam2_gen
             m2 = lam1_gen * lam2_gen * lam2_gen
-            b1_pool = [lam1_gen * beta for beta in elements if beta.val != 0]
-            b2_pool = []
-            for e in _polys_up_to_degree(ctx, 1):
-                if eval_at(e, c1).is_zero() or eval_at(e, c2).is_zero():
-                    continue
-                b2_pool.append(lam2_gen * e)
-            for b1 in b1_pool:
-                for b2 in b2_pool:
-                    for a1 in a1_pool:
-                        g1 = b1 + a1 * m1
-                        if len(g1.coeffs) - 1 > max_deg:
+            for b1, b2 in valid_congruence_classes(ctx, c1, c2):
+                for a1 in a1_pool:
+                    g1 = b1 + a1 * m1
+                    if len(g1.coeffs) - 1 > max_deg:
+                        continue
+                    for a2 in a2_pool:
+                        g2 = b2 + a2 * m2
+                        if len(g2.coeffs) - 1 > max_deg:
                             continue
-                        for a2 in a2_pool:
-                            g2 = b2 + a2 * m2
-                            if len(g2.coeffs) - 1 > max_deg:
-                                continue
-                            cert = theorem1_verify(g1, g2, p, c1, c2)
-                            if cert.verified:
-                                certs.append(cert)
-                                if len(certs) >= limit:
-                                    return certs
+                        cert = theorem1_verify(g1, g2, p, c1, c2)
+                        if cert.verified:
+                            certs.append(cert)
+                            if len(certs) >= limit:
+                                return certs
     return certs
 
 

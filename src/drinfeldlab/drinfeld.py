@@ -91,19 +91,23 @@ def carlitz_det_module(ctx: FieldCtx, g1: Poly, g2: Poly) -> DrinfeldModule:
     return DrinfeldModule(ctx, [g1, lead])
 
 
-def phi_of(phi: DrinfeldModule, a) -> SkewPoly:
-    """phi_a over A by Horner on the coefficients of a."""
-    ctx = phi.ctx
+def _horner(ctx: FieldCtx, phi_t: SkewPoly, a) -> SkewPoly:
+    """phi_a = sum a_i phi_T^i over the coefficient ring of phi_t, by Horner
+    on the coefficients of a (a Poly over ctx, or a constant)."""
     if not isinstance(a, Poly):
         a = Poly.constant(ctx, a)
-    ring = PolyCoefficients(ctx)
+    ring = phi_t.ring
     if a.is_zero():
         return SkewPoly.zero(ring)
-    phi_t = phi.phi_T()
     acc = SkewPoly.constant(ring, a.coefficient(len(a.coeffs) - 1))
     for i in range(len(a.coeffs) - 2, -1, -1):
         acc = skew_mul(acc, phi_t) + SkewPoly.constant(ring, a.coefficient(i))
     return acc
+
+
+def phi_of(phi: DrinfeldModule, a) -> SkewPoly:
+    """phi_a over A by Horner on the coefficients of a."""
+    return _horner(phi.ctx, phi.phi_T(), a)
 
 
 class ReducedModule:
@@ -126,16 +130,8 @@ class ReducedModule:
         return SkewPoly(self.rc, self.coeffs)
 
     def of(self, a) -> SkewPoly:
-        if not isinstance(a, Poly):
-            a = Poly.constant(self.ring.ctx, a)
-        if a.is_zero():
-            return SkewPoly.zero(self.rc)
-        phi_t = self.phi_T()
-        acc = SkewPoly.constant(self.rc, a.coefficient(len(a.coeffs) - 1))
-        for i in range(len(a.coeffs) - 2, -1, -1):
-            acc = skew_mul(acc, phi_t) + SkewPoly.constant(
-                self.rc, a.coefficient(i))
-        return acc
+        """phi_a over the residue field, by Horner."""
+        return _horner(self.ring.ctx, self.phi_T(), a)
 
     def act(self, a: Poly, x):
         """Evaluate the linearized polynomial phi_a at a residue x."""

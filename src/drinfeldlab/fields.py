@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 
+from . import kernel
 from .errors import (
     ContextMismatch,
     DivisionByZero,
@@ -33,103 +34,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-# -- raw polynomial helpers over Z/p (lists of ints, ascending degree) --
-# These exist so modulus validation does not depend on the poly module.
-
-
-def _vtrim(v):
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
-def _vmulmod(a, b, mod, p):
-    if not a or not b:
-        return []
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    dm = len(mod) - 1
-    while len(res) > dm:
-        lead = res.pop()
-        if lead:
-            off = len(res) - dm
-            for k in range(dm):
-                res[off + k] = (res[off + k] - lead * mod[k]) % p
-    return _vtrim(res)
-
-
-def _vpowmod(a, e, mod, p):
-    result = [1]
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _vmulmod(result, base, mod, p)
-        e >>= 1
-        if e:
-            base = _vmulmod(base, base, mod, p)
-    return result
-
-
-def _vmod(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and a:
-        lead = a.pop()
-        if lead:
-            c = lead * inv % p
-            off = len(a) - db
-            for k in range(db):
-                a[off + k] = (a[off + k] - c * b[k]) % p
-        _vtrim(a)
-    return a
-
-
-def _vgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _vmod(a, b, p)
-    return a
-
-
-def _modulus_irreducible(mod, p) -> bool:
-    """Distinct-degree irreducibility test for a monic modulus over Z/p."""
-    m = len(mod) - 1
-    if m < 1:
-        return False
-    if m == 1:
-        return True
-    x = [0, 1]
-    if _vpowmod(x, p ** m, mod, p) != x:
-        return False
-    for ell in _prime_divisors(m):
-        h = _vpowmod(x, p ** (m // ell), mod, p)
-        diff = [((h[i] if i < len(h) else 0) - (x[i] if i < len(x) else 0)) % p
-                for i in range(max(len(h), len(x)))]
-        _vtrim(diff)
-        g = _vgcd(list(mod), diff, p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
-
-
 _MODULUS_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
@@ -143,7 +47,7 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     if key not in _MODULUS_CACHE:
         for tail in itertools.product(range(p), repeat=m):
             cand = [tail[m - 1 - i] for i in range(m)] + [1]
-            if _modulus_irreducible(cand, p):
+            if kernel.rabin(kernel.Zp(p), cand):
                 _MODULUS_CACHE[key] = tuple(cand)
                 break
     return _MODULUS_CACHE[key]
@@ -180,7 +84,7 @@ class FieldCtx:
                 if len(mod) != m + 1 or mod[-1] != 1:
                     raise NotIrreducibleModulus(
                         f"modulus must be monic of degree {m}")
-                if not _modulus_irreducible(list(mod), p):
+                if not kernel.rabin(kernel.Zp(p), mod):
                     raise NotIrreducibleModulus(
                         f"modulus {mod} is reducible over F_{p}")
             self.modulus = mod
@@ -296,10 +200,6 @@ class FieldCtx:
             return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
 
-    def qpow(self, a: int, k: int = 1) -> int:
-        """a^(q^k): the k-fold q-power Frobenius (identity on this field)."""
-        return a  # every element of F_q is fixed by x -> x^q
-
     @property
     def zero(self) -> int:
         return 0
@@ -362,8 +262,7 @@ class FqElement:
     @property
     def coeffs(self) -> tuple:
         """Canonical coefficient vector of length m over Z/p."""
-        c = self.ctx.decode(self.val)
-        return c if self.ctx.m > 1 else (self.val,)
+        return self.ctx.decode(self.val)
 
     def _check(self, other) -> "FqElement":
         if not isinstance(other, FqElement):
@@ -434,19 +333,6 @@ class FqElement:
 def make_field(p: int, m: int = 1, modulus=None) -> FieldCtx:
     """Validated field context; deterministic built-in modulus when omitted."""
     return FieldCtx(p, m, modulus)
-
-
-def arith(op: str, x: FqElement, y: FqElement) -> FqElement:
-    """Dispatch one of {add, sub, mul, div} on two elements."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
 
 
 def is_square(x: FqElement) -> bool:

@@ -1,0 +1,212 @@
+"""Dense polynomial arithmetic over F_q on lists of encoded field values.
+
+A vector is a sequence of encoded coefficients, ascending degree; results
+come back as lists with no trailing zeros.  Over a prime field the loops
+reduce inline mod p (accumulating first where that is safe, since Python
+ints do not overflow); over F_{p^m} they call the FieldCtx ops.  The choice
+follows ctx.m alone.  Sums, products, division, gcd, powers modulo a
+polynomial and the Rabin test of `polys` and `fields` all run here, so each
+arithmetic decision lives in one place.
+
+The prime-field loops read only ctx.p, ctx.q and ctx.m, so the kernel also
+runs over the bare `Zp` context that modulus validation needs.
+"""
+
+from __future__ import annotations
+
+from .errors import DivisionByZero
+
+
+class Zp:
+    """Z/p as the kernel sees it, for any prime p.  FieldCtx refuses q < 5,
+    but F_9 must still validate its modulus over Z/3."""
+
+    __slots__ = ("p", "q", "m")
+
+    def __init__(self, p: int):
+        self.p = self.q = p
+        self.m = 1
+
+
+def _trim(v):
+    while v and v[-1] == 0:
+        v.pop()
+    return v
+
+
+def vadd(ctx, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    if ctx.m == 1:
+        p = ctx.p
+        for i, c in enumerate(b):
+            out[i] = (out[i] + c) % p
+    else:
+        add = ctx.add
+        for i, c in enumerate(b):
+            out[i] = add(out[i], c)
+    return _trim(out)
+
+
+def vscale(ctx, a, c):
+    """c * a for a scalar c."""
+    if ctx.m == 1:
+        p = ctx.p
+        return _trim([x * c % p for x in a])
+    mul = ctx.mul
+    return _trim([mul(x, c) for x in a])
+
+
+def vsub(ctx, a, b):
+    # p - 1 encodes the constant -1 in every F_{p^m}
+    return vadd(ctx, a, vscale(ctx, b, ctx.p - 1))
+
+
+def _inv(ctx, c):
+    return pow(c, ctx.p - 2, ctx.p) if ctx.m == 1 else ctx.inv(c)
+
+
+def vmonic(ctx, a):
+    """The monic associate of a (a itself when zero or already monic)."""
+    if not a or a[-1] == 1:
+        return a
+    return vscale(ctx, a, _inv(ctx, a[-1]))
+
+
+def _product(a, b):
+    """Coefficients of a * b over Z, for a prime field to reduce once."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def vmul(ctx, a, b):
+    if not a or not b:
+        return []
+    if ctx.m == 1:
+        p = ctx.p
+        return _trim([c % p for c in _product(a, b)])
+    out = [0] * (len(a) + len(b) - 1)
+    add, mul = ctx.add, ctx.mul
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = add(out[i + j], mul(ai, bj))
+    return _trim(out)
+
+
+def vdivmod(ctx, a, b):
+    """(quotient, remainder) of a by a nonzero b."""
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    db = len(b) - 1
+    n = len(a) - db
+    if n <= 0:
+        return [], list(a)
+    r = list(a)
+    quo = [0] * n
+    inv = _inv(ctx, b[-1])
+    if ctx.m == 1:
+        p = ctx.p
+        for off in range(n - 1, -1, -1):
+            c = r[off + db] * inv % p
+            if c:
+                quo[off] = c
+                for k in range(db):
+                    r[off + k] -= c * b[k]
+        return quo, _trim([c % p for c in r[:db]])
+    add, mul = ctx.add, ctx.mul
+    for off in range(n - 1, -1, -1):
+        c = mul(r[off + db], inv)
+        if c:
+            quo[off] = c
+            neg_c = ctx.neg(c)
+            for k in range(db):
+                r[off + k] = add(r[off + k], mul(neg_c, b[k]))
+    return quo, _trim(r[:db])
+
+
+def vmod(ctx, a, b):
+    return vdivmod(ctx, a, b)[1]
+
+
+def _vmulmod(ctx, a, b, mod):
+    """a * b mod a monic `mod`.  Over a prime field the product is reduced
+    in place and mod p only at the end: the powmod loop runs on this."""
+    if ctx.m != 1:
+        return vmod(ctx, vmul(ctx, a, b), mod)
+    if not a or not b:
+        return []
+    p = ctx.p
+    dm = len(mod) - 1
+    res = _product(a, b)
+    while len(res) > dm:
+        lead = res.pop() % p
+        if lead:
+            off = len(res) - dm
+            for k in range(dm):
+                res[off + k] -= lead * mod[k]
+    return _trim([c % p for c in res])
+
+
+def vpowmod(ctx, a, e, mod):
+    """a^e mod `mod`, left-to-right square-and-multiply: every multiply is
+    by a mod `mod`, which costs one row when a is T (the Rabin test).
+
+    Reduces by the monic associate of `mod`, which has the same remainders.
+    """
+    if e < 0:
+        raise ValueError("negative exponent in powmod")
+    base = list(a) if len(a) < len(mod) else vmod(ctx, a, mod)
+    if e == 0:
+        return [1]
+    mod = vmonic(ctx, mod)
+    result = base
+    for bit in bin(e)[3:]:
+        result = _vmulmod(ctx, result, result, mod)
+        if bit == "1":
+            result = _vmulmod(ctx, result, base, mod)
+    return result
+
+
+def vgcd(ctx, a, b):
+    """Monic gcd; zero when both inputs are zero."""
+    while b:
+        a, b = b, vmod(ctx, a, b)
+    return vmonic(ctx, a)
+
+
+def prime_divisors(n: int):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def rabin(ctx, f) -> bool:
+    """Rabin's irreducibility test for a monic f of degree >= 1 over F_q,
+    q = ctx.q: T^(q^n) = T mod f and gcd(f, T^(q^(n/l)) - T) = 1 for every
+    prime l dividing n = deg f."""
+    n = len(f) - 1
+    if n == 1:
+        return True
+    q = ctx.q
+    x = [0, 1]
+    if vpowmod(ctx, x, q ** n, f) != x:
+        return False
+    for ell in prime_divisors(n):
+        h = vpowmod(ctx, x, q ** (n // ell), f)
+        if len(vgcd(ctx, f, vsub(ctx, h, x))) > 1:
+            return False
+    return True

@@ -4,8 +4,9 @@ Polynomials are dense tuples of encoded field values, ascending degree, no
 trailing zeros.  The zero polynomial has degree NEG_INF (a sentinel, never a
 number); valuation of the zero polynomial is POS_INF.
 
-For prime base fields the hot routines (powmod, gcd, irreducibility) run on
-raw int lists, which keeps the degree-4 scans over q = 11 in seconds.
+Every coefficient loop of the ring arithmetic (sums, products, division, gcd,
+powmod, the Rabin test) runs in `kernel`, over prime and extension fields
+alike.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from .errors import (
     ContextMismatch,
     DegreeCapExceeded,
     DegreeZeroInput,
-    DivisionByZero,
     EnumerationCapExceeded,
     NotIrreducibleModulus,
     ZeroPolynomial,
 )
-from .fields import FieldCtx, FqElement, _vgcd, _vpowmod, _vtrim
+from . import kernel
+from .fields import FieldCtx, FqElement
 
 
 class _NegInfType:
@@ -82,6 +83,8 @@ POS_INF = _PosInfType()
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 DEFAULT_FACTOR_DEGREE_CAP = 512
+# parse_poly builds a dense coefficient list, so T^k costs memory linear in k.
+PARSE_DEGREE_CAP = DEFAULT_FACTOR_DEGREE_CAP
 
 _FACTOR_SEED = 20240801  # fixed stream: reproducible factorizations
 
@@ -169,48 +172,23 @@ class Poly:
 
     def __add__(self, other):
         other = self._same(other)
-        ctx = self.ctx
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = ctx.add(out[i], c)
-        return Poly(ctx, out)
+        return Poly(self.ctx, kernel.vadd(self.ctx, self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        ctx = self.ctx
-        return Poly(ctx, [ctx.neg(c) for c in self.coeffs])
+        return Poly(self.ctx, kernel.vsub(self.ctx, (), self.coeffs))
 
     def __sub__(self, other):
-        return self + (-self._same(other))
+        other = self._same(other)
+        return Poly(self.ctx, kernel.vsub(self.ctx, self.coeffs, other.coeffs))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         other = self._same(other)
-        ctx = self.ctx
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(ctx)
-        if ctx.m == 1:
-            p = ctx.p
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] = (out[i + j] + ai * bj) % p
-        else:
-            out = [0] * (len(a) + len(b) - 1)
-            add, mul = ctx.add, ctx.mul
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] = add(out[i + j], mul(ai, bj))
-        return Poly(ctx, out)
+        return Poly(self.ctx, kernel.vmul(self.ctx, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -229,29 +207,8 @@ class Poly:
 
     def __divmod__(self, other):
         other = self._same(other)
-        if other.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        ctx = self.ctx
-        a = list(self.coeffs)
-        b = other.coeffs
-        db = len(b) - 1
-        inv_lead = ctx.inv(b[-1])
-        q = [0] * max(len(a) - db, 0)
-        while len(a) - 1 >= db and a:
-            lead = a[-1]
-            if lead:
-                c = ctx.mul(lead, inv_lead)
-                off = len(a) - 1 - db
-                q[off] = c
-                for k in range(db + 1):
-                    a[off + k] = ctx.sub(a[off + k], ctx.mul(c, b[k]))
-            else:
-                a.pop()
-                continue
-            a.pop()
-            while a and a[-1] == 0:
-                a.pop()
-        return Poly(ctx, q), Poly(ctx, a)
+        quo, rem = kernel.vdivmod(self.ctx, self.coeffs, other.coeffs)
+        return Poly(self.ctx, quo), Poly(self.ctx, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -260,13 +217,9 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if self.is_zero() or self.is_monic():
             return self
-        if self.is_monic():
-            return self
-        ctx = self.ctx
-        inv = ctx.inv(self.coeffs[-1])
-        return Poly(ctx, [ctx.mul(c, inv) for c in self.coeffs])
+        return Poly(self.ctx, kernel.vmonic(self.ctx, self.coeffs))
 
     def derivative(self) -> "Poly":
         ctx = self.ctx
@@ -339,17 +292,6 @@ class PrimeIdeal:
 # -- ring and number-theory operations --
 
 
-def poly_arith(op: str, f: Poly, g: Poly) -> Poly:
-    """Dispatch one of {add, sub, mul} on two polynomials."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
-
-
 def eval_at(f: Poly, c) -> FqElement:
     """f(c) by Horner; equals the remainder of f mod (T - c)."""
     ctx = f.ctx
@@ -369,100 +311,45 @@ def gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd (zero if both inputs are zero)."""
     if f.ctx != g.ctx:
         raise ContextMismatch("gcd over different fields")
-    ctx = f.ctx
-    if ctx.m == 1:
-        a, b = list(f.coeffs), list(g.coeffs)
-        g_ = _vgcd(a, b, ctx.p)
-        return Poly(ctx, g_).monic()
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return Poly(f.ctx, kernel.vgcd(f.ctx, f.coeffs, g.coeffs))
 
 
 def powmod(f: Poly, e: int, mod: Poly) -> Poly:
     """f^e mod `mod` by square-and-multiply."""
     if f.ctx != mod.ctx:
         raise ContextMismatch("powmod over different fields")
-    ctx = f.ctx
-    if ctx.m == 1:
-        out = _vpowmod(list((f % mod).coeffs), e, list(mod.coeffs), ctx.p)
-        return Poly(ctx, out)
-    result = Poly.one(ctx)
-    base = f % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        e >>= 1
-        if e:
-            base = (base * base) % mod
-    return result
+    return Poly(f.ctx, kernel.vpowmod(f.ctx, f.coeffs, e, mod.coeffs))
 
 
 def is_irreducible(f: Poly) -> bool:
     """Rabin's test: gcd conditions against T^(q^d) - T."""
-    n = len(f.coeffs) - 1
-    if n < 1:
+    if len(f.coeffs) < 2:
         raise DegreeZeroInput("irreducibility needs degree >= 1")
-    if n == 1:
-        return True
-    ctx = f.ctx
+    return kernel.rabin(f.ctx, kernel.vmonic(f.ctx, f.coeffs))
+
+
+def poly_from_index(ctx: FieldCtx, idx: int) -> Poly:
+    """The polynomial whose coefficients are the base-q digits of idx,
+    constant digit first."""
     q = ctx.q
-    fm = f.monic()
-    if ctx.m == 1:
-        return _irreducible_fast(list(fm.coeffs), q, ctx.p)
-    x = Poly.T(ctx)
-    if powmod(x, q ** n, fm) != x % fm:
-        return False
-    for ell in _prime_divisors(n):
-        h = powmod(x, q ** (n // ell), fm)
-        if gcd(h - x, fm).degree >= 1:
-            return False
-    return True
+    coeffs = []
+    while idx:
+        idx, c = divmod(idx, q)
+        coeffs.append(c)
+    return Poly(ctx, coeffs)
 
 
-def _irreducible_fast(fv, q, p) -> bool:
-    n = len(fv) - 1
-    x = [0, 1]
-    if _vpowmod(x, q ** n, fv, p) != x:
-        return False
-    for ell in _prime_divisors(n):
-        h = _vpowmod(x, q ** (n // ell), fv, p)
-        diff = [((h[i] if i < len(h) else 0) - (x[i] if i < len(x) else 0)) % p
-                for i in range(max(len(h), len(x)))]
-        _vtrim(diff)
-        g = _vgcd(list(fv), diff, p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
-
-
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def polys_below(ctx: FieldCtx, degree: int):
+    """Every polynomial of degree < `degree`, zero included, in index order;
+    a negative bound counts as 0 and yields only zero."""
+    return (poly_from_index(ctx, idx) for idx in range(ctx.q ** max(degree, 0)))
 
 
 def monic_polys(ctx: FieldCtx, degree: int):
     """Monic degree-d polynomials in lexicographic coefficient order
     (leading-side coefficients most significant)."""
-    q = ctx.q
-    total = q ** degree
-    for idx in range(total):
-        coeffs = [0] * degree + [1]
-        v = idx
-        for pos in range(degree):
-            coeffs[pos] = v % q
-            v //= q
-        yield Poly(ctx, coeffs)
+    top = ctx.q ** degree
+    return (poly_from_index(ctx, top + idx) for idx in range(top))
 
 
 def enumerate_monic_irreducibles(ctx: FieldCtx, degree: int,
@@ -552,13 +439,11 @@ def _factor_monic(f: Poly, outer_mult: int, found: dict, rng) -> None:
         return
     deriv = f.derivative()
     if deriv.is_zero():
-        # f = g(T^p) with p-th-power coefficients
+        # f = g(T^p) with p-th-power coefficients; c -> c^(p^(m-1)) is the
+        # p-th root in F_{p^m}
         p = ctx.p
-        root_coeffs = []
-        e_root = ctx.p ** (ctx.m - 1) if ctx.m > 1 else 1
-        for i in range(0, len(f.coeffs), p):
-            c = f.coeffs[i]
-            root_coeffs.append(ctx.pow(c, e_root) if ctx.m > 1 else c)
+        e_root = p ** (ctx.m - 1)
+        root_coeffs = [ctx.pow(c, e_root) for c in f.coeffs[::p]]
         _factor_monic(Poly(ctx, root_coeffs), outer_mult * p, found, rng)
         return
     w = gcd(f, deriv)
@@ -633,6 +518,7 @@ def parse_poly(ctx: FieldCtx, text: str) -> Poly:
 
     Coefficients run over 0..p-1; a leading `-` on a term is accepted as an
     input convenience and negates it mod p (canonical output never uses it).
+    Exponents above PARSE_DEGREE_CAP raise DegreeCapExceeded.
     """
     if ctx.m != 1:
         raise ContextMismatch("text grammar is defined for prime fields only")
@@ -663,6 +549,9 @@ def parse_poly(ctx: FieldCtx, text: str) -> Poly:
             c, k = int(m.group("c3")), 0
         else:
             c, k = 1, 1
+        if k > PARSE_DEGREE_CAP:
+            raise DegreeCapExceeded(
+                f"exponent {k} exceeds cap {PARSE_DEGREE_CAP}")
         if c >= ctx.p:
             raise ValueError(
                 f"coefficient {c} out of range 0..{ctx.p - 1}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import NotAField, NotInvertible, RingMismatch
 from .fields import FieldCtx, FqElement
-from .polys import Poly, gcd, is_irreducible, powmod
+from .polys import Poly, gcd, is_irreducible, poly_from_index, powmod
 
 
 class ResidueRing:
@@ -61,12 +61,9 @@ class ResidueRing:
         return [self.from_index(i) for i in range(self.cardinality)]
 
     def from_index(self, idx: int) -> "ResidueElement":
-        q, n = self.ctx.q, self.degree
-        coeffs = []
-        for _ in range(n):
-            coeffs.append(idx % q)
-            idx //= q
-        return ResidueElement(self, Poly(self.ctx, coeffs))
+        """The residue numbered idx mod cardinality; inverts index_of."""
+        return ResidueElement(self,
+                              poly_from_index(self.ctx, idx % self.cardinality))
 
     def index_of(self, x: "ResidueElement") -> int:
         q = self.ctx.q
@@ -167,17 +164,6 @@ class ResidueElement:
 
     def __repr__(self):
         return f"[{self.rep!r}]"
-
-
-def residue_arith(op: str, x: ResidueElement, y: ResidueElement) -> ResidueElement:
-    """Dispatch one of {add, sub, mul} on two residues."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown op {op!r}")
 
 
 def residue_inv(x: ResidueElement) -> ResidueElement:

@@ -1,8 +1,11 @@
 """The twisted polynomial ring K{tau} with tau*c = c^q*tau.
 
-Coefficients live in one of three tagged rings: A = F_q[T], a residue ring
-A/(f), or a finite field carrying a designated twist subfield.  Products
-follow (a*tau^i)(b*tau^j) = a*b^(q^i)*tau^(i+j) extended bilinearly.
+Coefficients live in one of three rings: A = F_q[T], a residue ring A/(f),
+or a finite field carrying a designated twist subfield.  Products follow
+(a*tau^i)(b*tau^j) = a*b^(q^i)*tau^(i+j) extended bilinearly.  Coefficients
+are added, multiplied and tested for zero by their own operators; a ring
+adapter supplies only what differs between the rings: the twist, coercion,
+zero and one, and the F_q-coordinate vectors for linear solving.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ class PolyCoefficients:
     """Coefficient ring A = F_q[T]; twisting spreads exponents, since the
     base-field coefficients are Frobenius-fixed."""
 
-    tag = "poly"
     __slots__ = ("ctx",)
 
     def __init__(self, ctx: FieldCtx):
@@ -43,21 +45,6 @@ class PolyCoefficients:
         if isinstance(value, (int, FqElement)):
             return Poly.constant(self.ctx, value)
         raise TypeError(f"cannot coerce {type(value)} into A")
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
 
     def twist(self, a: Poly, k: int) -> Poly:
         if k == 0 or a.is_zero():
@@ -91,7 +78,6 @@ class PolyCoefficients:
 class ResidueCoefficients:
     """Coefficient ring A/(f)."""
 
-    tag = "residue"
     __slots__ = ("ring",)
 
     def __init__(self, ring: ResidueRing):
@@ -111,21 +97,6 @@ class ResidueCoefficients:
 
     def coerce(self, value) -> ResidueElement:
         return self.ring.element(value)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
 
     def twist(self, a: ResidueElement, k: int) -> ResidueElement:
         if k == 0 or a.is_zero():
@@ -160,7 +131,6 @@ class FieldCoefficients:
     over q = 5.
     """
 
-    tag = "field"
     __slots__ = ("ctx", "twist_q")
 
     def __init__(self, ctx: FieldCtx, twist_q: int | None = None):
@@ -192,21 +162,6 @@ class FieldCoefficients:
     def coerce(self, value) -> FqElement:
         return self.ctx.element(value)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a) -> bool:
-        return a.val == 0
-
     def twist(self, a: FqElement, k: int) -> FqElement:
         if k == 0 or a.val == 0:
             return a
@@ -237,14 +192,14 @@ class FieldCoefficients:
 
 
 class SkewPoly:
-    """Twisted polynomial sum c_i tau^i over a tagged coefficient ring."""
+    """Twisted polynomial sum c_i tau^i over a coefficient ring adapter."""
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
         cs = list(coeffs)
-        while cs and ring.is_zero(cs[-1]):
+        while cs and cs[-1].is_zero():
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -293,11 +248,11 @@ class SkewPoly:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = ring.add(out[i], c)
+            out[i] += c
         return SkewPoly(ring, out)
 
     def __neg__(self):
-        return SkewPoly(self.ring, [self.ring.neg(c) for c in self.coeffs])
+        return SkewPoly(self.ring, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-self._same(other))
@@ -321,8 +276,7 @@ class SkewPoly:
     def scale(self, value) -> "SkewPoly":
         """Left-multiply by a coefficient (no twisting)."""
         c = self.ring.coerce(value)
-        return SkewPoly(self.ring,
-                        [self.ring.mul(c, x) for x in self.coeffs])
+        return SkewPoly(self.ring, [c * x for x in self.coeffs])
 
     def __eq__(self, other):
         return (isinstance(other, SkewPoly) and self.ring == other.ring
@@ -349,13 +303,12 @@ def skew_mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
         return SkewPoly.zero(ring)
     out = [ring.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
     for i, a in enumerate(f.coeffs):
-        if ring.is_zero(a):
+        if a.is_zero():
             continue
         for j, b in enumerate(g.coeffs):
-            if ring.is_zero(b):
+            if b.is_zero():
                 continue
-            term = ring.mul(a, ring.twist(b, i))
-            out[i + j] = ring.add(out[i + j], term)
+            out[i + j] += a * ring.twist(b, i)
     return SkewPoly(ring, out)
 
 
@@ -364,7 +317,7 @@ def ht_deg(f: SkewPoly) -> tuple[int, int]:
     if f.is_zero():
         raise ZeroPolynomial("ht/deg undefined for the zero skew polynomial")
     ht = 0
-    while f.ring.is_zero(f.coeffs[ht]):
+    while f.coeffs[ht].is_zero():
         ht += 1
     return ht, len(f.coeffs) - 1
 
@@ -374,7 +327,7 @@ def as_linearized(f: SkewPoly):
     pairs with strictly increasing exponents."""
     q = f.ring.q
     return tuple((q ** i, c) for i, c in enumerate(f.coeffs)
-                 if not f.ring.is_zero(c))
+                 if not c.is_zero())
 
 
 def linear_solve_left(target: SkewPoly, basis) -> tuple:

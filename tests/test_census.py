@@ -115,6 +115,8 @@ def test_count_s_slot_bound_override():
     p = _params(3, 12, 1)
     assert count_S(p, "brute", g2_deg_bound=3) == 5
     assert count_S(p, "brute", g2_deg_bound=4) == 25
+    with pytest.raises(ParamsOutOfRange):
+        count_S(p, "brute", g2_deg_bound=-1)
 
 
 def test_density_bounded_by_q_minus_5():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from drinfeldlab import frobenius
 from drinfeldlab.cli import main
 
 
@@ -134,6 +135,19 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2  # malformed term
     code, _, err = run(capsys, "primes", "--q", "5")
     assert code == 2
+    code, out, err = run(capsys, "omega", "--q", "5", "--prime",
+                         "T^1000000000")
+    assert code == 2  # exponent above the parse cap, rejected before work
+    assert out == "" and "exceeds cap" in err
+
+
+def test_internal_inconsistency_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(frobenius, "frob_identity_check",
+                        lambda phi, cp: False)
+    code, out, err = run(capsys, "frob", "--q", "5", "--g1", "1", "--g2",
+                         "4", "--prime", "T^2+2")
+    assert code == 3
+    assert out == "" and "bug" in err
 
 
 def test_minus_convenience_matches_worked_example(capsys):

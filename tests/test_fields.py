@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import drinfeldlab
 from drinfeldlab.errors import (
     ContextMismatch,
     DivisionByZero,
@@ -10,7 +11,6 @@ from drinfeldlab.errors import (
     NotPrime,
 )
 from drinfeldlab.fields import (
-    arith,
     enumerate_elements,
     is_square,
     make_field,
@@ -64,20 +64,22 @@ def test_default_modulus_is_deterministic():
 def test_arith_examples():
     f5 = make_field(5)
     two, three = f5.element(2), f5.element(3)
-    assert arith("mul", two, three) == f5.element(1)
-    assert arith("div", f5.element(1), two) == three
+    assert two * three == f5.element(1)
+    assert f5.element(1) / two == three
+    assert two + three == f5.element(0)
+    assert two - three == f5.element(4)
     f25 = make_field(5, 2, modulus=(2, 0, 1))
     x = f25.element([0, 1])
-    assert arith("mul", x, x) == f25.element(3)  # x^2 = -2 = 3
+    assert x * x == f25.element(3)  # x^2 = -2 = 3
 
 
 def test_arith_errors():
     f5 = make_field(5)
     f7 = make_field(7)
     with pytest.raises(DivisionByZero):
-        arith("div", f5.element(1), f5.element(0))
+        f5.element(1) / f5.element(0)
     with pytest.raises(ContextMismatch):
-        arith("add", f5.element(1), f7.element(1))
+        f5.element(1) + f7.element(1)
 
 
 def test_is_square_f5():
@@ -157,3 +159,8 @@ def test_char3_extension_allowed():
     assert len(elems) == 9
     nonsquares = [e for e in elems if not is_square(e)]
     assert len(nonsquares) == 4
+
+
+def test_public_names_resolve():
+    for name in drinfeldlab.__all__:
+        assert getattr(drinfeldlab, name) is not None, name

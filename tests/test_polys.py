@@ -3,6 +3,7 @@ import random
 import pytest
 
 from drinfeldlab.errors import (
+    DegreeCapExceeded,
     DegreeZeroInput,
     DivisionByZero,
     EnumerationCapExceeded,
@@ -23,12 +24,13 @@ from drinfeldlab.polys import (
     is_irreducible,
     monic_polys,
     parse_poly,
-    poly_arith,
     poly_to_text,
+    powmod,
     valuation,
 )
 
 F5 = make_field(5)
+F25 = make_field(5, 2)
 
 
 def P(text):
@@ -38,10 +40,12 @@ def P(text):
 def test_poly_arith_examples():
     t_plus = P("T+1")
     t_minus = P("T+4")  # T - 1
-    assert poly_arith("mul", t_plus, t_minus) == P("T^2+4")
+    assert t_plus * t_minus == P("T^2+4")
     f = P("3*T^2+1")
-    assert poly_arith("add", f, Poly.zero(F5)) == f
-    assert poly_arith("mul", P("2*T"), P("3*T")) == P("T^2")
+    assert f + Poly.zero(F5) == f
+    assert f - f == Poly.zero(F5)
+    assert t_plus - t_minus == P("2")
+    assert P("2*T") * P("3*T") == P("T^2")
 
 
 def test_degree_sentinel():
@@ -71,7 +75,7 @@ def test_divmod_by_zero():
 
 def test_divmod_round_trip_random():
     rng = random.Random(42)
-    for ctx in (F5, make_field(7)):
+    for ctx in (F5, make_field(7), F25):
         for _ in range(300):
             f = Poly(ctx, [rng.randrange(ctx.q) for _ in range(rng.randrange(0, 9))])
             g = Poly(ctx, [rng.randrange(ctx.q) for _ in range(rng.randrange(1, 6))])
@@ -130,6 +134,10 @@ def test_prime_counts_match_necklace():
         for d in range(1, 5):
             primes = enumerate_monic_irreducibles(ctx, d)
             assert len(primes) == irreducible_count(q, d)
+    for d in (1, 2):
+        primes = enumerate_monic_irreducibles(F25, d)
+        assert len(primes) == irreducible_count(25, d)
+    assert irreducible_count(25, 2) == 300
     assert len(enumerate_monic_irreducibles(F5, 5)) == 624
     assert len(enumerate_monic_irreducibles(F5, 6)) == irreducible_count(5, 6)
     assert len(enumerate_monic_irreducibles(make_field(7), 5)) == 3360
@@ -214,6 +222,14 @@ def test_gcd_monic():
     g = P("T+1") * P("T+3")
     assert gcd(f, g) == P("T+1")
     assert gcd(Poly.zero(F5), f) == f.monic()
+    x = F25.element([0, 1])
+    one = F25.element(1)
+    lin = Poly.from_coeffs(F25, [x, one])  # T + x
+    f = lin * Poly.from_coeffs(F25, [one, x])  # (T + x)(x T + 1)
+    g = lin * Poly.from_coeffs(F25, [x, x, one]) * x
+    d = gcd(f, g)
+    assert d.is_monic() and d == lin
+    assert gcd(Poly.zero(F25), g) == g.monic()
 
 
 def test_text_grammar_round_trip():
@@ -231,28 +247,50 @@ def test_text_grammar_round_trip():
         parse_poly(F5, "T^^2")
 
 
-def test_powmod_matches_naive():
-    from drinfeldlab.polys import powmod
+def test_parse_exponent_cap():
+    assert parse_poly(F5, "T^12").degree == 12
+    with pytest.raises(DegreeCapExceeded):
+        parse_poly(F5, "T^1000000000")
+    with pytest.raises(DegreeCapExceeded):
+        parse_poly(F5, "T+3*T^600")
 
+
+def test_powmod_matches_naive():
     rng = random.Random(17)
-    for ctx in (F5, make_field(5, 2)):
-        for _ in range(60):
-            f = Poly(ctx, [rng.randrange(ctx.q) for _ in range(3)])
-            mod = Poly(ctx, [rng.randrange(ctx.q) for _ in range(3)] + [1])
-            e = rng.randrange(0, 40)
-            want = Poly.one(ctx)
-            for _ in range(e):
-                want = (want * f) % mod
-            assert powmod(f, e, mod) == want
+    for ctx in (F5, F25):
+        for lead in (1, 2, 3):  # monic and non-monic moduli
+            for _ in range(60):
+                f = Poly(ctx, [rng.randrange(ctx.q) for _ in range(3)])
+                mod = Poly(ctx, [rng.randrange(ctx.q) for _ in range(3)]
+                           + [lead])
+                e = rng.randrange(0, 40)
+                want = Poly.one(ctx)
+                for _ in range(e):
+                    want = (want * f) % mod
+                assert powmod(f, e, mod) == want
+    assert powmod(P("T"), 3, P("2*T^2+1")) == P("2*T")
+
+
+def test_modulus_validation_agrees_with_is_irreducible():
+    # field moduli and polynomial irreducibility share one Rabin test
+    for p in (5, 7):
+        fp = make_field(p)
+        for d in (2, 3):
+            for f in monic_polys(fp, d):
+                try:
+                    make_field(p, d, f.coeffs)
+                    accepted = True
+                except NotIrreducibleModulus:
+                    accepted = False
+                assert accepted == is_irreducible(Poly(fp, f.coeffs))
 
 
 def test_extension_field_polys():
-    f25 = make_field(5, 2)
-    x = f25.element([0, 1])
-    f = Poly.from_coeffs(f25, [x, f25.element(1)])  # T + x
-    g = Poly.from_coeffs(f25, [-x, f25.element(1)])  # T - x
+    x = F25.element([0, 1])
+    f = Poly.from_coeffs(F25, [x, F25.element(1)])  # T + x
+    g = Poly.from_coeffs(F25, [-x, F25.element(1)])  # T - x
     prod = f * g
     # (T+x)(T-x) = T^2 - x^2 = T^2 - 3 = T^2 + 2x^0... x^2 = 3 in F_25
-    assert prod == Poly.from_coeffs(f25, [f25.element(-3), f25.element(0),
-                                          f25.element(1)])
-    assert is_irreducible(Poly.from_coeffs(f25, [x, f25.element(1)]))
+    assert prod == Poly.from_coeffs(F25, [F25.element(-3), F25.element(0),
+                                          F25.element(1)])
+    assert is_irreducible(Poly.from_coeffs(F25, [x, F25.element(1)]))
