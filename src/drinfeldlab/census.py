@@ -118,7 +118,7 @@ def _s_degree_bounds(params: CensusParams):
 
 
 def count_S(params: CensusParams, mode: str = "formula",
-            cap: int = DEFAULT_BRUTE_CAP, all_classes: bool = False,
+            all_classes: bool = False,
             g2_deg_bound: int | None = None) -> int:
     """#S(X) = q^(d1 X + d2 X/(q-1) - 5) for one congruence class.
 
@@ -151,8 +151,9 @@ def count_S(params: CensusParams, mode: str = "formula",
         if g2_deg_bound < 0:
             raise ParamsOutOfRange("g2_deg_bound must be >= 0")
         n2 = g2_deg_bound
-    if q ** n1 * q ** n2 > cap:
-        raise BruteCapExceeded(f"{q}^{n1 + n2} pairs exceed cap {cap}")
+    if q ** n1 * q ** n2 > DEFAULT_BRUTE_CAP:
+        raise BruteCapExceeded(
+            f"{q}^{n1 + n2} pairs exceed cap {DEFAULT_BRUTE_CAP}")
     l1, l2 = _lin(ctx, params.c1), _lin(ctx, params.c2)
     m1 = l1 * l2
     m2 = l1 * l2 * l2

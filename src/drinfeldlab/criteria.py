@@ -22,7 +22,6 @@ from .errors import (
 from .fields import FieldCtx, FqElement, enumerate_elements, make_field
 from .frobenius import frob_deg1
 from .polys import (
-    DEFAULT_ENUMERATION_CAP,
     POS_INF,
     Poly,
     PrimeIdeal,
@@ -74,7 +73,7 @@ def _val_entry(v):
 def in_omega_tilde(p: PrimeIdeal) -> Certificate:
     """Scan c_1 in field order for c_1 - T a non-square mod p."""
     ctx = p.ctx
-    ring = ResidueRing(p.gen)
+    ring = ResidueRing(p)
     witness = None
     tested = 0
     for c1 in enumerate_elements(ctx):
@@ -104,7 +103,7 @@ def in_lambda_set(l: PrimeIdeal, g1: Poly, c: FqElement) -> Certificate:
     ctx = l.ctx
     if g1.ctx != ctx or c.ctx != ctx:
         raise ContextMismatch("triple components over different fields")
-    ring = ResidueRing(l.gen)
+    ring = ResidueRing(l)
     nu = valuation(g1, l)
     g1_outside = (nu == 0)
     r1 = eval_at(g1, c)
@@ -160,8 +159,8 @@ class LambdaScanReport:
         }
 
 
-def lambda_scan(ctx: FieldCtx, max_deg: int, mode: str = "affirm",
-                cap: int = DEFAULT_ENUMERATION_CAP) -> LambdaScanReport:
+def lambda_scan(ctx: FieldCtx, max_deg: int,
+                mode: str = "affirm") -> LambdaScanReport:
     """For each monic irreducible l (degree <= max_deg, or exactly max_deg in
     find_counterexample mode) decide whether some (c, r1) in F_q^2 makes
     X^2 - r1 X + (T - c) irreducible mod l.
@@ -178,8 +177,8 @@ def lambda_scan(ctx: FieldCtx, max_deg: int, mode: str = "affirm",
     records = []
     counterexamples = []
     for deg in degrees:
-        for l in enumerate_monic_irreducibles(ctx, deg, cap):
-            ring = ResidueRing(l.gen)
+        for l in enumerate_monic_irreducibles(ctx, deg):
+            ring = ResidueRing(l)
             witness = None
             for c in elements:
                 s = ring.element(Poly.T(ctx) - Poly.constant(ctx, c))
@@ -215,7 +214,7 @@ def theorem1_verify(g1: Poly, g2: Poly, p: PrimeIdeal, c1: FqElement,
     lam2_gen = Poly.T(ctx) - Poly.constant(ctx, c2)
     lam1 = PrimeIdeal(lam1_gen, _trusted=True)
     lam2 = PrimeIdeal(lam2_gen, _trusted=True)
-    ring = ResidueRing(p.gen)
+    ring = ResidueRing(p)
     witness_ok = not is_square_mod_prime(
         ring.element(Poly.constant(ctx, c1) - Poly.T(ctx)))
     distinct = (c1 != c2)
@@ -261,25 +260,20 @@ def theorem1_verify(g1: Poly, g2: Poly, p: PrimeIdeal, c1: FqElement,
     )
 
 
-def theorem1_search(p: PrimeIdeal, max_deg: int, limit: int,
-                    cap: int = DEFAULT_ENUMERATION_CAP):
+def theorem1_search(p: PrimeIdeal, max_deg: int, limit: int):
     """Verified certificates from the congruence parametrization
     g1 = b1 + a1 (T-c1)(T-c2), g2 = b2 + a2 (T-c1)(T-c2)^2, enumerated
     lexicographically in (c1, c2, b1, b2, a1, a2)."""
     ctx = p.ctx
-    base = in_omega_tilde(p)
-    if not base.verified:
+    elements = enumerate_elements(ctx)
+    ring = ResidueRing(p)
+    witnesses = [c1 for c1 in elements if not is_square_mod_prime(
+        ring.element(Poly.constant(ctx, c1) - Poly.T(ctx)))]
+    if not witnesses:
         raise NotInOmegaTilde(f"{p!r} admits no non-square witness")
     if limit <= 0:
         return []
     certs = []
-    elements = enumerate_elements(ctx)
-    witnesses = []
-    ring = ResidueRing(p.gen)
-    for c1 in elements:
-        if not is_square_mod_prime(
-                ring.element(Poly.constant(ctx, c1) - Poly.T(ctx))):
-            witnesses.append(c1)
     a1_pool = list(polys_below(ctx, max_deg - 1))
     a2_pool = list(polys_below(ctx, max_deg - 2))
     for c1 in witnesses:
@@ -365,7 +359,7 @@ def reducibility_obstruction(phi: DrinfeldModule, p: PrimeIdeal,
     if len(lams) < 2:
         raise InsufficientPrimes("the contradiction needs at least 2 primes")
     ctx = p.ctx
-    ring = ResidueRing(p.gen)
+    ring = ResidueRing(p)
     traces = []
     for lam in lams:
         if lam.degree != 1:

@@ -117,7 +117,7 @@ class ReducedModule:
 
     def __init__(self, phi: DrinfeldModule, prime: PrimeIdeal):
         self.prime = prime
-        self.ring = ResidueRing(prime.gen)
+        self.ring = ResidueRing(prime)
         self.rc = ResidueCoefficients(self.ring)
         self.coeffs = tuple(self.ring.element(g) for g in
                             (Poly.T(phi.ctx),) + phi.coeffs)
@@ -269,38 +269,21 @@ class NewtonPolygonReport:
 
 
 def newton_polygon(phi: DrinfeldModule, p: PrimeIdeal) -> NewtonPolygonReport:
-    """Valuations of the p-torsion: hull of (q^i - 1, nu_p(c_i)) for the
-    coefficients c_i of phi_p; slopes are reported negated (root valuations),
-    in hull order."""
-    red = reduce_module(phi, p)
-    if not red.is_good:
-        raise NotGoodReduction(f"bad reduction at {p!r}")
+    """Valuations of the p-torsion: the lower hull of (q^i - 1, nu_p(c_i))
+    for the coefficients c_i of phi_p, slopes negated (root valuations).
+
+    With good reduction the hull is fixed by the height h: c_0 = p has
+    valuation 1, c_i is divisible by p exactly while its reduction vanishes
+    (i < h deg p), and the leading coefficient is a p-unit.  So the torsion
+    has n = q^(h deg p) - 1 roots of valuation 1/n and the rest are units.
+    """
     q = phi.ctx.q
-    f = phi_of(phi, p.gen)
-    points = []
-    for i, c in enumerate(f.coeffs):
-        if not c.is_zero():
-            points.append((q ** i - 1, valuation(c, p)))
-    hull = _lower_hull(points)
-    segments = []
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-        slope = Fraction(y1 - y0, x1 - x0)
-        segments.append((-slope, x1 - x0))
+    n = q ** (reduction_height(phi, p) * p.degree) - 1
+    total = q ** (phi.rank * p.degree) - 1
+    segments = [(Fraction(1, n), n)]
+    if n < total:
+        segments.append((0, total - n))
     return NewtonPolygonReport(p, segments)
-
-
-def _lower_hull(points):
-    hull = []
-    for pt in points:
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            # pop if the middle point is not strictly below the chord
-            if (y1 - y0) * (pt[0] - x1) >= (pt[1] - y1) * (x1 - x0):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return hull
 
 
 def carlitz_twist_witness(h: Poly):

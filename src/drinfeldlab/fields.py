@@ -19,9 +19,6 @@ from .errors import (
     NotPrime,
 )
 
-# Extension fields up to this order get dense add/mul lookup tables.
-_TABLE_CAP = 128
-
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -56,8 +53,7 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
 class FieldCtx:
     """The field F_{p^m} with its modulus; owns encoded-int arithmetic."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_red", "_mul_table", "_add_table",
-                 "_dec")
+    __slots__ = ("p", "m", "q", "modulus", "_red", "_dec")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
         if not isinstance(p, int) or not _is_prime(p):
@@ -92,8 +88,6 @@ class FieldCtx:
 
     def _init_tables(self):
         p, m, q = self.p, self.m, self.q
-        self._mul_table = None
-        self._add_table = None
         self._dec = None
         self._red = None
         if m == 1:
@@ -111,11 +105,6 @@ class FieldCtx:
             red.append(tuple(nxt))
             prev = nxt
         self._red = red
-        if q <= _TABLE_CAP:
-            self._add_table = [
-                [self._add_slow(a, b) for b in range(q)] for a in range(q)]
-            self._mul_table = [
-                [self._mul_slow(a, b) for b in range(q)] for a in range(q)]
 
     # -- encoding --
 
@@ -136,11 +125,6 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_slow(a, b)
-
-    def _add_slow(self, a, b):
         p = self.p
         da, db = self._dec[a], self._dec[b]
         return self.encode([(x + y) % p for x, y in zip(da, db)])
@@ -157,11 +141,6 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_slow(a, b)
-
-    def _mul_slow(self, a, b):
         p, m = self.p, self.m
         da, db = self._dec[a], self._dec[b]
         conv = [0] * (2 * m - 1)

@@ -20,7 +20,6 @@ from .errors import (
 )
 from .fields import FqElement
 from .polys import (
-    DEFAULT_ENUMERATION_CAP,
     Poly,
     PrimeIdeal,
     enumerate_monic_irreducibles,
@@ -130,8 +129,7 @@ def frob_identity_check(phi: DrinfeldModule, cp: FrobCharpoly) -> bool:
     return lhs.is_zero()
 
 
-def euler_poincare_oracle(phi: DrinfeldModule, lam: PrimeIdeal,
-                          cap: int = DEFAULT_BRUTE_CAP) -> Poly:
+def euler_poincare_oracle(phi: DrinfeldModule, lam: PrimeIdeal) -> Poly:
     """Characteristic ideal of the induced A-module structure on the residue
     field: the characteristic polynomial of the F_q-linear T-action.
 
@@ -140,7 +138,7 @@ def euler_poincare_oracle(phi: DrinfeldModule, lam: PrimeIdeal,
     """
     ctx = phi.ctx
     m = lam.degree
-    if ctx.q ** m > cap:
+    if ctx.q ** m > DEFAULT_BRUTE_CAP:
         raise BruteCapExceeded(f"residue field of size {ctx.q}^{m} over cap")
     red = reduce_module(phi, lam)
     if not red.is_good:
@@ -195,8 +193,7 @@ def det_level_check(phi: DrinfeldModule, lam: PrimeIdeal, a_mod: Poly) -> bool:
     return ((cp.b - lam.gen) % a_mod).is_zero()
 
 
-def det_generation_check(p: PrimeIdeal, level: int, max_deg: int,
-                         cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
+def det_generation_check(p: PrimeIdeal, level: int, max_deg: int) -> bool:
     """Whether the primes of degree <= max_deg away from p generate the whole
     unit group of A/p^level (the finite shadow of determinant surjectivity)."""
     if level not in (1, 2):
@@ -205,7 +202,7 @@ def det_generation_check(p: PrimeIdeal, level: int, max_deg: int,
     ring = ResidueRing(p.gen ** level)
     generators = []
     for d in range(1, max_deg + 1):
-        for lam in enumerate_monic_irreducibles(ctx, d, cap):
+        for lam in enumerate_monic_irreducibles(ctx, d):
             if lam != p:
                 generators.append(ring.element(lam.gen))
     d = p.degree

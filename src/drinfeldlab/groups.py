@@ -205,12 +205,12 @@ def _sl2_generators(ring: ResidueRing):
     return gens
 
 
-def sl2_group(ring: ResidueRing, cap: int = DEFAULT_CLOSURE_CAP) -> set:
+def sl2_group(ring: ResidueRing) -> set:
     """SL_2 of the residue field as an explicit unipotent closure."""
-    return closure(_sl2_generators(ring), cap)
+    return closure(_sl2_generators(ring))
 
 
-def contains_sl2(H, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
+def contains_sl2(H) -> bool:
     """Whether H contains the closure of the two standard unipotents."""
     H = set(H)
     if not H:
@@ -218,7 +218,7 @@ def contains_sl2(H, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
     ring = next(iter(H)).ring
     if not ring.is_prime:
         raise NotAField("SL_2 containment check needs a field")
-    return sl2_group(ring, cap) <= H
+    return sl2_group(ring) <= H
 
 
 def _find_unit_generator(ring: ResidueRing):
@@ -267,8 +267,7 @@ def _nonsplit_cartan(ring: ResidueRing) -> set:
     return out
 
 
-def verify_lemma_A1(ring: ResidueRing, samples: int, seed: int,
-                    cap: int = DEFAULT_CLOSURE_CAP) -> dict:
+def verify_lemma_A1(ring: ResidueRing, samples: int, seed: int) -> dict:
     """Sampled check of the SL_2 criterion: any subgroup with a subgroup of
     order #F acting irreducibly must contain SL_2(F).
 
@@ -284,7 +283,8 @@ def verify_lemma_A1(ring: ResidueRing, samples: int, seed: int,
     g = _find_unit_generator(ring)
 
     def enc_closure(mats):
-        return tab.closure([tab.encode(m) for m in mats], cap)
+        return tab.closure([tab.encode(m) for m in mats],
+                           DEFAULT_CLOSURE_CAP)
 
     forced = {
         "borel": enc_closure([Mat2(ring, ((g, 0), (0, 1))),
@@ -350,8 +350,7 @@ def _random_invertible(rng, ring: ResidueRing) -> Mat2:
             return m
 
 
-def pink_rutsche_level2(p: PrimeIdeal, samples: int, seed: int,
-                        cap: int = DEFAULT_CLOSURE_CAP) -> dict:
+def pink_rutsche_level2(p: PrimeIdeal, samples: int, seed: int) -> dict:
     """Finite shadow of the full-group criterion in GL_2(A/p^2): any sampled
     subgroup with full determinant image, full mod-p image, and a non-scalar
     element congruent to the identity mod p must be all of GL_2(A/p^2)."""
@@ -360,11 +359,11 @@ def pink_rutsche_level2(p: PrimeIdeal, samples: int, seed: int,
     ctx = p.ctx
     q = ctx.q
     full_order = (q * q - 1) * (q * q - q) * q ** 4
-    if full_order > cap:
-        raise CapExceeded(
-            f"GL_2(A/p^2) order {full_order} exceeds closure cap {cap}")
+    if full_order > DEFAULT_CLOSURE_CAP:
+        raise CapExceeded(f"GL_2(A/p^2) order {full_order} exceeds closure "
+                          f"cap {DEFAULT_CLOSURE_CAP}")
     ring2 = ResidueRing(p.gen ** 2)
-    ring1 = ResidueRing(p.gen)
+    ring1 = ResidueRing(p)
     tab2 = _tables(ring2)
     unit_count = q * q - q
     gl2_modp_order = (q * q - 1) * (q * q - q)
@@ -431,12 +430,14 @@ def pink_rutsche_level2(p: PrimeIdeal, samples: int, seed: int,
     forced_records = []
     sample_records = []
     for name, gens in forced_sets.items():
-        enc = tab2.closure([tab2.encode(m) for m in gens], cap)
+        enc = tab2.closure([tab2.encode(m) for m in gens],
+                           DEFAULT_CLOSURE_CAP)
         forced_records.append(examine(name, enc))
     for i in range(samples):
         k = rng.choice((2, 2, 3))
         gens = [_random_invertible(rng, ring2) for _ in range(k)]
-        enc = tab2.closure([tab2.encode(m) for m in gens], cap)
+        enc = tab2.closure([tab2.encode(m) for m in gens],
+                           DEFAULT_CLOSURE_CAP)
         sample_records.append(examine(f"sample_{i}", enc))
     filtered_out = sum(1 for r in forced_records + sample_records
                        if not r["hypotheses_met"])

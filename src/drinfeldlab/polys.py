@@ -414,7 +414,7 @@ def valuation(f: Poly, lam: PrimeIdeal):
         cur = qt
 
 
-def factor(f: Poly, cap: int = DEFAULT_FACTOR_DEGREE_CAP):
+def factor(f: Poly):
     """Complete factorization into monic irreducibles.
 
     Returns a list of (PrimeIdeal, multiplicity) sorted by (degree, coeffs);
@@ -423,8 +423,9 @@ def factor(f: Poly, cap: int = DEFAULT_FACTOR_DEGREE_CAP):
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    if len(f.coeffs) - 1 > cap:
-        raise DegreeCapExceeded(f"degree {len(f.coeffs) - 1} exceeds cap {cap}")
+    if len(f.coeffs) - 1 > DEFAULT_FACTOR_DEGREE_CAP:
+        raise DegreeCapExceeded(f"degree {len(f.coeffs) - 1} exceeds cap "
+                                f"{DEFAULT_FACTOR_DEGREE_CAP}")
     rng = random.Random(_FACTOR_SEED)
     found: dict[tuple, int] = {}
     _factor_monic(f.monic(), 1, found, rng)

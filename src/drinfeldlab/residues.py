@@ -10,19 +10,30 @@ from __future__ import annotations
 
 from .errors import NotAField, NotInvertible, RingMismatch
 from .fields import FieldCtx, FqElement
-from .polys import Poly, gcd, is_irreducible, poly_from_index, powmod
+from .polys import (
+    Poly,
+    PrimeIdeal,
+    gcd,
+    is_irreducible,
+    poly_from_index,
+    powmod,
+)
 
 
 class ResidueRing:
-    """A/(modulus) for a monic modulus of degree >= 1."""
+    """A/(modulus) for a monic modulus of degree >= 1, or A/p for a
+    PrimeIdeal p, whose primality is not tested again."""
 
     __slots__ = ("modulus", "is_prime", "cardinality")
 
-    def __init__(self, modulus: Poly):
-        if not modulus.is_monic() or len(modulus.coeffs) - 1 < 1:
+    def __init__(self, modulus: Poly | PrimeIdeal):
+        if isinstance(modulus, PrimeIdeal):
+            modulus, self.is_prime = modulus.gen, True
+        elif not modulus.is_monic() or len(modulus.coeffs) - 1 < 1:
             raise ValueError("modulus must be monic of degree >= 1")
+        else:
+            self.is_prime = is_irreducible(modulus)
         self.modulus = modulus
-        self.is_prime = is_irreducible(modulus)
         self.cardinality = modulus.ctx.q ** (len(modulus.coeffs) - 1)
 
     @property

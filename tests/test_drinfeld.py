@@ -24,7 +24,14 @@ from drinfeldlab.errors import (
     ZeroPolynomial,
 )
 from drinfeldlab.fields import make_field
-from drinfeldlab.polys import POS_INF, Poly, PrimeIdeal, parse_poly
+from drinfeldlab.polys import (
+    POS_INF,
+    Poly,
+    PrimeIdeal,
+    enumerate_monic_irreducibles,
+    parse_poly,
+    valuation,
+)
 from drinfeldlab.skew import SkewPoly, skew_mul
 
 F5 = make_field(5)
@@ -193,6 +200,53 @@ def test_newton_polygon_family_property():
         if len(rep.segments) > 1:
             assert rep.segments[1] == (Fraction(0), q ** 2 - n_p)
         count += 1
+
+
+def _newton_over_A(phi, p):
+    """Oracle: lower hull of (q^i - 1, nu_p(c_i)) over the coefficients c_i
+    of phi_p computed over A, as (root valuation, length) segments."""
+    q = phi.ctx.q
+    hull = []
+    for i, c in enumerate(phi_of(phi, p.gen).coeffs):
+        if c.is_zero():
+            continue
+        x, y = q ** i - 1, valuation(c, p)
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            # keep (x1, y1) only if it lies strictly below the chord
+            if (y1 - y0) * (x - x1) < (y - y1) * (x1 - x0):
+                break
+            hull.pop()
+        hull.append((x, y))
+    return tuple((Fraction(y0 - y1, x1 - x0), x1 - x0)
+                 for (x0, y0), (x1, y1) in zip(hull, hull[1:]))
+
+
+def test_newton_polygon_matches_hull_over_A():
+    rng = random.Random(31)
+    by_kind = {}  # (rank, height) -> cases
+    for q in (5, 7):
+        ctx = make_field(q)
+        primes = [p for d in (1, 2, 3)
+                  for p in enumerate_monic_irreducibles(ctx, d)]
+        cases = 0
+        while cases < 120:
+            p = rng.choice(primes)
+            rank = rng.choice((1, 2))
+            gs = [Poly(ctx, [rng.randrange(q) for _ in range(3)])
+                  for _ in range(rank)]
+            if rank == 2 and rng.randrange(3) == 0:
+                # g1 in p: supersingular (height 2) at odd-degree primes
+                gs[0] = gs[0] * p.gen
+            if gs[-1].is_zero() or (gs[-1] % p.gen).is_zero():
+                continue
+            phi = DrinfeldModule(ctx, gs)
+            assert newton_polygon(phi, p).segments == _newton_over_A(phi, p)
+            key = (rank, reduction_height(phi, p))
+            by_kind[key] = by_kind.get(key, 0) + 1
+            cases += 1
+    assert by_kind[(1, 1)] + by_kind[(2, 2)] >= 50
+    assert min(by_kind[(1, 1)], by_kind[(2, 1)], by_kind[(2, 2)]) >= 20
 
 
 def test_newton_polygon_requires_good():

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from drinfeldlab import residues
+from drinfeldlab.criteria import in_omega_tilde
+from drinfeldlab.drinfeld import DrinfeldModule, reduce_module
 from drinfeldlab.errors import NotAField, NotInvertible, RingMismatch
 from drinfeldlab.fields import make_field
-from drinfeldlab.polys import Poly, parse_poly
+from drinfeldlab.polys import Poly, PrimeIdeal, parse_poly
 from drinfeldlab.residues import (
     ResidueRing,
     is_square_mod_prime,
@@ -31,6 +34,25 @@ def test_ring_flags():
     ring2 = R("T^2")
     assert not ring2.is_prime
     assert ring2.cardinality == 25
+
+
+def test_ring_of_prime_ideal_takes_primality(monkeypatch):
+    p = PrimeIdeal(P("T^2+2"))
+    plain = ResidueRing(p.gen)
+    tested = []
+    rabin = residues.is_irreducible
+    monkeypatch.setattr(residues, "is_irreducible",
+                        lambda f: tested.append(f) or rabin(f))
+    ring = ResidueRing(p)
+    reduce_module(DrinfeldModule(F5, [P("T"), P("1")]), p)
+    assert in_omega_tilde(p).verified
+    assert tested == []
+    assert ring.is_prime
+    assert ring == plain and hash(ring) == hash(plain)
+    assert not R("T^2").is_prime
+    assert tested == [P("T^2")]
+    with pytest.raises(ValueError):
+        R("2*T+1")
 
 
 def test_residue_arith_examples():
