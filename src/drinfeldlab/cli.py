@@ -16,12 +16,13 @@ from fractions import Fraction
 
 from . import census as census_mod
 from . import criteria, frobenius, groups
-from .drinfeld import DrinfeldModule, newton_polygon, reduction_height
+from .drinfeld import DrinfeldModule, newton_polygon
 from .errors import DrinfeldLabError, InternalInconsistency
 from .fields import enumerate_elements, is_square, make_field
 from .polys import (
     Poly,
     PrimeIdeal,
+    check_enumeration_cap,
     enumerate_monic_irreducibles,
     parse_poly,
     poly_to_text,
@@ -49,6 +50,7 @@ def _primes(args):
     if args.exact_deg is not None:
         degrees = [args.exact_deg]
     else:
+        check_enumeration_cap(ctx, args.max_deg)
         degrees = list(range(1, args.max_deg + 1))
     records = []
     for d in degrees:
@@ -159,15 +161,14 @@ def _newton(args):
     phi = _module_from_args(ctx, args)
     p = PrimeIdeal(parse_poly(ctx, args.prime))
     rep = newton_polygon(phi, p)
-    height = reduction_height(phi, p)
     rec = {
         "op": "newton",
         "q": ctx.q,
         "prime": poly_to_text(p.gen),
         "g1": poly_to_text(phi.g1),
         "g2": poly_to_text(phi.g2),
-        "height": height,
-        "n_p": ctx.q ** (height * p.degree),
+        "height": rep.height,
+        "n_p": ctx.q ** (rep.height * p.degree),
         "segments": [[str(s), l] for s, l in rep.segments],
         "total_length": rep.total_length,
     }

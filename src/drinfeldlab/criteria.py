@@ -25,6 +25,7 @@ from .polys import (
     POS_INF,
     Poly,
     PrimeIdeal,
+    check_enumeration_cap,
     enumerate_monic_irreducibles,
     eval_at,
     parse_poly,
@@ -171,6 +172,7 @@ def lambda_scan(ctx: FieldCtx, max_deg: int,
     """
     if mode not in ("affirm", "find_counterexample"):
         raise ValueError(f"unknown mode {mode!r}")
+    check_enumeration_cap(ctx, max_deg)
     degrees = (range(1, max_deg + 1) if mode == "affirm"
                else range(max_deg, max_deg + 1))
     elements = enumerate_elements(ctx)

@@ -62,9 +62,6 @@ class DrinfeldModule:
         return (isinstance(other, DrinfeldModule) and self.ctx == other.ctx
                 and self.coeffs == other.coeffs)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.ctx, self.coeffs))
 
@@ -101,7 +98,10 @@ def _horner(ctx: FieldCtx, phi_t: SkewPoly, a) -> SkewPoly:
         return SkewPoly.zero(ring)
     acc = SkewPoly.constant(ring, a.coefficient(len(a.coeffs) - 1))
     for i in range(len(a.coeffs) - 2, -1, -1):
-        acc = skew_mul(acc, phi_t) + SkewPoly.constant(ring, a.coefficient(i))
+        # acc and phi_t both lie in F_q[phi_t], so they commute; multiplying
+        # on the left twists acc's coefficients by at most q^2, where
+        # acc * phi_t would twist phi_t's by q^i for every tau-degree i of acc
+        acc = skew_mul(phi_t, acc) + SkewPoly.constant(ring, a.coefficient(i))
     return acc
 
 
@@ -247,13 +247,15 @@ def e_phi(phi: DrinfeldModule, lam: PrimeIdeal, a: Poly) -> int:
 
 
 class NewtonPolygonReport:
-    """Lower-hull segments of phi_p(x)/x as (root valuation, length) pairs."""
+    """Lower-hull segments of phi_p(x)/x as (root valuation, length) pairs,
+    with the reduction height that fixes them."""
 
-    __slots__ = ("prime", "segments")
+    __slots__ = ("prime", "segments", "height")
 
-    def __init__(self, prime: PrimeIdeal, segments):
+    def __init__(self, prime: PrimeIdeal, segments, height: int):
         self.segments = tuple((Fraction(s), int(l)) for s, l in segments)
         self.prime = prime
+        self.height = height
 
     @property
     def total_length(self) -> int:
@@ -278,12 +280,13 @@ def newton_polygon(phi: DrinfeldModule, p: PrimeIdeal) -> NewtonPolygonReport:
     has n = q^(h deg p) - 1 roots of valuation 1/n and the rest are units.
     """
     q = phi.ctx.q
-    n = q ** (reduction_height(phi, p) * p.degree) - 1
+    height = reduction_height(phi, p)
+    n = q ** (height * p.degree) - 1
     total = q ** (phi.rank * p.degree) - 1
     segments = [(Fraction(1, n), n)]
     if n < total:
         segments.append((0, total - n))
-    return NewtonPolygonReport(p, segments)
+    return NewtonPolygonReport(p, segments, height)
 
 
 def carlitz_twist_witness(h: Poly):

@@ -217,9 +217,6 @@ class FieldCtx:
         return (isinstance(other, FieldCtx) and self.p == other.p
                 and self.m == other.m and self.modulus == other.modulus)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.p, self.m, self.modulus))
 
@@ -296,9 +293,6 @@ class FqElement:
                 self.val < self.ctx.p)
         return (isinstance(other, FqElement) and self.ctx == other.ctx
                 and self.val == other.val)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash((self.ctx.p, self.ctx.m, self.ctx.modulus, self.val))

@@ -50,9 +50,6 @@ class Mat2:
         return (isinstance(other, Mat2) and self.ring == other.ring
                 and self.entries == other.entries)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.ring, self.entries))
 

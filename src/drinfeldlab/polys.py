@@ -228,12 +228,6 @@ class Poly:
             out.append(ctx.mul(i % ctx.p, self.coeffs[i]))
         return Poly(ctx, out)
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by T^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.ctx, (0,) * k + self.coeffs)
-
     def __call__(self, c):
         return eval_at(self, c)
 
@@ -243,12 +237,6 @@ class Poly:
         if isinstance(other, (int, FqElement)):
             return self == Poly.constant(self.ctx, other)
         return NotImplemented
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
 
     def __hash__(self):
         return hash((self.ctx, self.coeffs))
@@ -278,9 +266,6 @@ class PrimeIdeal:
 
     def __eq__(self, other):
         return isinstance(other, PrimeIdeal) and self.gen == other.gen
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash(("prime", self.gen))
@@ -352,15 +337,22 @@ def monic_polys(ctx: FieldCtx, degree: int):
     return (poly_from_index(ctx, top + idx) for idx in range(top))
 
 
+def check_enumeration_cap(ctx: FieldCtx, degree: int,
+                          cap: int = DEFAULT_ENUMERATION_CAP):
+    """Raise EnumerationCapExceeded if degree has more than cap monic
+    candidates; a scan over degrees 1..d checks d before any work."""
+    if ctx.q ** degree > cap:
+        raise EnumerationCapExceeded(
+            f"{ctx.q}^{degree} candidates exceed cap {cap}")
+
+
 def enumerate_monic_irreducibles(ctx: FieldCtx, degree: int,
                                  cap: int = DEFAULT_ENUMERATION_CAP):
     """All monic irreducibles of exactly the given degree, in the same
     lexicographic order as monic_polys."""
     if degree < 1:
         raise DegreeZeroInput("degree must be >= 1")
-    if ctx.q ** degree > cap:
-        raise EnumerationCapExceeded(
-            f"{ctx.q}^{degree} candidates exceed cap {cap}")
+    check_enumeration_cap(ctx, degree, cap)
     out = []
     if degree == 1:
         for f in monic_polys(ctx, 1):

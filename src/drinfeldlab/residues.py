@@ -89,9 +89,6 @@ class ResidueRing:
     def __eq__(self, other):
         return isinstance(other, ResidueRing) and self.modulus == other.modulus
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash(("ring", self.modulus))
 
@@ -166,9 +163,6 @@ class ResidueElement:
                 return False
         return (isinstance(other, ResidueElement) and self.ring == other.ring
                 and self.rep == other.rep)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash(("residue", self.ring.modulus, self.rep))

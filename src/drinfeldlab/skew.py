@@ -282,9 +282,6 @@ class SkewPoly:
         return (isinstance(other, SkewPoly) and self.ring == other.ring
                 and self.coeffs == other.coeffs)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.ring, self.coeffs))
 

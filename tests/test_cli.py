@@ -2,8 +2,11 @@ import json
 
 import pytest
 
-from drinfeldlab import frobenius
+from drinfeldlab import frobenius, kernel
 from drinfeldlab.cli import main
+from drinfeldlab.errors import EnumerationCapExceeded
+from drinfeldlab.fields import make_field
+from drinfeldlab.polys import PrimeIdeal, parse_poly
 
 
 def run(capsys, *argv):
@@ -142,12 +145,28 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_internal_inconsistency_exit_3(capsys, monkeypatch):
-    monkeypatch.setattr(frobenius, "frob_identity_check",
-                        lambda phi, cp: False)
+    # a wrong nonzero norm makes the identity check inside frob_general fail
+    norm = frobenius.norm_to_base
+    monkeypatch.setattr(frobenius, "norm_to_base", lambda x: norm(x) * 2)
     code, out, err = run(capsys, "frob", "--q", "5", "--g1", "1", "--g2",
                          "4", "--prime", "T^2+2")
     assert code == 3
     assert out == "" and "bug" in err
+
+
+def test_enumeration_cap_checked_before_work(capsys, monkeypatch):
+    def no_rabin(*args):
+        raise AssertionError("Rabin test ran before the cap check")
+
+    F11 = make_field(11)
+    p = PrimeIdeal(parse_poly(F11, "T"))  # validated before the patch
+    monkeypatch.setattr(kernel, "rabin", no_rabin)
+    for cmd in ("primes", "lambda-scan"):
+        code, out, err = run(capsys, cmd, "--q", "11", "--max-deg", "7")
+        assert code == 2
+        assert out == "" and "11^7 candidates exceed cap" in err
+    with pytest.raises(EnumerationCapExceeded):
+        frobenius.det_generation_check(p, 1, 7)
 
 
 def test_minus_convenience_matches_worked_example(capsys):

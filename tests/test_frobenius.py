@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from drinfeldlab.drinfeld import DrinfeldModule, carlitz_det_module, carlitz_module
+from drinfeldlab.drinfeld import (
+    DrinfeldModule,
+    carlitz_det_module,
+    carlitz_module,
+    reduce_module,
+)
 from drinfeldlab.errors import (
     NotCoprime,
     NotGoodReduction,
@@ -20,7 +25,14 @@ from drinfeldlab.frobenius import (
     frob_identity_check,
 )
 from drinfeldlab.fields import make_field
-from drinfeldlab.polys import Poly, PrimeIdeal, eval_at, parse_poly
+from drinfeldlab.polys import (
+    Poly,
+    PrimeIdeal,
+    eval_at,
+    is_irreducible,
+    parse_poly,
+)
+from drinfeldlab.skew import SkewPoly, linear_solve_left
 
 F5 = make_field(5)
 
@@ -141,6 +153,45 @@ def test_frob_general_deg4_cap_boundary():
 
     with pytest.raises(BruteCapExceeded):
         euler_poincare_oracle(phi, PI("T^5+4*T+1"))
+
+
+def _random_prime(rng, ctx, degree):
+    while True:
+        gen = Poly(ctx, [rng.randrange(ctx.q) for _ in range(degree)] + [1])
+        if is_irreducible(gen):
+            return PrimeIdeal(gen, _trusted=True)
+
+
+def _trace_by_linear_solve(phi, lam, b):
+    """The trace a of degree <= m/2 with tau^{2m} + phi_b = phi_a tau^m,
+    by an F_q-linear solve against the basis phi_T^i tau^m."""
+    red = reduce_module(phi, lam)
+    m = lam.degree
+    phi_t = red.phi_T()
+    tau_m = SkewPoly.tau(red.rc, m)
+    phi_b = SkewPoly.zero(red.rc)
+    for i, c in enumerate(b.coeffs):
+        phi_b = phi_b + (phi_t ** i).scale(c)
+    target = SkewPoly.tau(red.rc, 2 * m) + phi_b
+    basis = [phi_t ** i * tau_m for i in range(m // 2 + 1)]
+    alphas = linear_solve_left(target, basis)
+    return Poly.from_coeffs(phi.ctx, [al.val for al in alphas])
+
+
+def test_frob_general_matches_linear_solve():
+    # the linear solve powers phi_T by right multiplication, so it shares no
+    # Horner code with frob_general
+    rng = random.Random(35)
+    F7 = make_field(7)
+    for degree in range(1, 9):
+        for k in range(25):
+            ctx = (F5, F7)[k % 2]
+            lam = _random_prime(rng, ctx, degree)
+            phi = _random_module(rng, ctx=ctx)
+            while (phi.g2 % lam.gen).is_zero():
+                phi = _random_module(rng, ctx=ctx)
+            cp = frob_general(phi, lam)
+            assert _trace_by_linear_solve(phi, lam, cp.b) == cp.a
 
 
 def test_det_level_check_deg2_lambda():
