@@ -15,6 +15,13 @@ from .fields import FieldCtx, FqElement
 from .polys import Poly, eval_at, polys_below
 
 DEFAULT_BRUTE_CAP = 1_000_000
+X_CAP = 100
+
+
+def check_box_size(X: int) -> None:
+    """Reject a box size X outside 1..X_CAP."""
+    if not 1 <= X <= X_CAP:
+        raise ParamsOutOfRange(f"X must be in 1..{X_CAP}")
 
 
 class CensusParams:
@@ -27,8 +34,7 @@ class CensusParams:
                  b1: Poly | None = None, b2: Poly | None = None):
         if d1 < 1 or d2 < 1:
             raise ParamsOutOfRange("height weights must be positive")
-        if X < 1:
-            raise ParamsOutOfRange("X must be a positive integer")
+        check_box_size(X)
         self.ctx = ctx
         self.d1 = d1
         self.d2 = d2

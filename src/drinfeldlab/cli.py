@@ -206,6 +206,7 @@ def _det_gen(args):
 
 
 def _lemma_a1(args):
+    groups.check_samples(args.samples)
     ctx = make_field(args.q)
     from .residues import ResidueRing
 
@@ -215,6 +216,7 @@ def _lemma_a1(args):
 
 
 def _pr_level2(args):
+    groups.check_samples(args.samples)
     ctx = make_field(args.q)
     p = PrimeIdeal(parse_poly(ctx, args.prime))
     report = groups.pink_rutsche_level2(p, args.samples, args.seed)
@@ -222,6 +224,7 @@ def _pr_level2(args):
 
 
 def _density(args):
+    census_mod.check_box_size(args.x)
     ctx = make_field(args.q)
     c1 = ctx.element(args.c1 if args.c1 is not None else 0)
     c2 = ctx.element(args.c2 if args.c2 is not None else 1)

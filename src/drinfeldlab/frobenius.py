@@ -8,6 +8,8 @@ the induced T-action on the residue field) cross-validate every output.
 
 from __future__ import annotations
 
+import operator
+
 from .drinfeld import DrinfeldModule, ReducedModule, reduce_module
 from .errors import (
     BruteCapExceeded,
@@ -27,7 +29,7 @@ from .polys import (
     eval_at,
     gcd,
 )
-from .residues import ResidueRing, norm_to_base
+from .residues import ResidueRing, abelian_span, norm_to_base
 from .skew import SkewPoly
 
 DEFAULT_BRUTE_CAP = 5 ** 4
@@ -193,26 +195,20 @@ def det_level_check(phi: DrinfeldModule, lam: PrimeIdeal, a_mod: Poly) -> bool:
 
 def det_generation_check(p: PrimeIdeal, level: int, max_deg: int) -> bool:
     """Whether the primes of degree <= max_deg away from p generate the whole
-    unit group of A/p^level (the finite shadow of determinant surjectivity)."""
+    unit group of A/p^level (the finite shadow of determinant surjectivity).
+
+    The unit group is abelian, so the generated subgroup grows one coset at
+    a time (abelian_span); primes are enumerated degree by degree and none
+    is drawn once the whole unit group is reached.
+    """
     if level not in (1, 2):
         raise ParamsOutOfRange(f"level {level} unsupported (use 1 or 2)")
     ctx = p.ctx
     check_enumeration_cap(ctx, max_deg)
     ring = ResidueRing(p.gen ** level)
-    generators = []
-    for d in range(1, max_deg + 1):
-        for lam in enumerate_monic_irreducibles(ctx, d):
-            if lam != p:
-                generators.append(ring.element(lam.gen))
+    generators = (ring.element(lam.gen) for d in range(1, max_deg + 1)
+                  for lam in enumerate_monic_irreducibles(ctx, d) if lam != p)
     d = p.degree
     unit_count = ctx.q ** (level * d) - ctx.q ** ((level - 1) * d)
-    seen = {ring.one}
-    frontier = [ring.one]
-    while frontier:
-        x = frontier.pop()
-        for g in generators:
-            y = x * g
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == unit_count
+    span = abelian_span(ring.one, generators, operator.mul, unit_count)
+    return len(span) == unit_count

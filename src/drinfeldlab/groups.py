@@ -1,9 +1,10 @@
-"""Brute-force verification lab for the group-theoretic ingredients.
+"""Verification lab for the group-theoretic ingredients.
 
-Everything runs on explicit element sets: subgroup closure in GL_2 of a
-residue ring, irreducibility of the line action, SL_2 containment, and the
-two sampled suites (the SL_2-criterion lemma over small fields and the
-level-two full-group criterion in GL_2(A/p^2)).
+Subgroup closure in GL_2 of a residue ring, irreducibility of the line
+action, SL_2 containment and the SL_2-criterion lemma suite run on explicit
+element sets.  The level-two full-group suite never materialises a subgroup
+H of GL_2(A/p^2): it closes the image of H in GL_2(A/p) and reads H's
+intersection with the congruence kernel off Schreier generators.
 
 Closures run on matrices encoded as 4-tuples of residue indices with dense
 add/mul lookup tables; the public Mat2 type stays ResidueElement-based.
@@ -15,10 +16,17 @@ import random
 
 from .errors import CapExceeded, NotAField, NotInvertible, ParamsOutOfRange
 from .polys import PrimeIdeal, poly_to_text
-from .residues import ResidueRing
+from .residues import ResidueRing, abelian_span
 
 DEFAULT_CLOSURE_CAP = 400_000
+SAMPLE_CAP = 10_000
 _TABLE_RING_CAP = 256
+
+
+def check_samples(samples: int) -> None:
+    """Reject a sample count outside 0..SAMPLE_CAP."""
+    if not 0 <= samples <= SAMPLE_CAP:
+        raise ParamsOutOfRange(f"samples must be in 0..{SAMPLE_CAP}")
 
 
 class Mat2:
@@ -77,6 +85,8 @@ class _Tables:
         self.mul = [[ring.index_of(x * y) for y in elems] for x in elems]
         self.neg = [ring.index_of(-x) for x in elems]
         self.units = {i for i, x in enumerate(elems) if x.is_unit()}
+        one = ring.index_of(ring.one)
+        self.inv = {i: self.mul[i].index(one) for i in self.units}
 
     def encode(self, m: Mat2):
         idx = self.ring.index_of
@@ -98,6 +108,12 @@ class _Tables:
         a, b, c, d = x
         return self.add[self.mul[a][d]][self.neg[self.mul[b][c]]]
 
+    def mat_inv(self, x):
+        a, b, c, d = x
+        MUL, NEG = self.mul, self.neg
+        s = MUL[self.inv[self.mat_det(x)]]
+        return (s[d], NEG[s[b]], NEG[s[c]], s[a])
+
     def closure(self, gens, cap: int):
         """BFS product closure of encoded generators from the identity."""
         one = self.ring.index_of(self.ring.one)
@@ -113,9 +129,9 @@ class _Tables:
                     y = mat_mul(x, g)
                     if y not in seen:
                         seen.add(y)
+                        if len(seen) > cap:
+                            raise CapExceeded(f"closure exceeded cap {cap}")
                         nxt.append(y)
-            if len(seen) > cap:
-                raise CapExceeded(f"closure exceeded cap {cap}")
             frontier = nxt
         return seen
 
@@ -271,6 +287,7 @@ def verify_lemma_A1(ring: ResidueRing, samples: int, seed: int) -> dict:
     Forced taxonomy cases (Borel, split/non-split Cartan, SL_2, GL_2) run
     before the seeded random generator sets.  Expected violations: none.
     """
+    check_samples(samples)
     if not ring.is_prime:
         raise NotAField("the lemma lab works over a field")
     N = ring.cardinality
@@ -347,58 +364,118 @@ def _random_invertible(rng, ring: ResidueRing) -> Mat2:
             return m
 
 
+def _fp_basis(vectors, p: int, dim: int) -> list:
+    """Echelon basis of the F_p-span of length-dim vectors over 0..p-1,
+    stopping as soon as it spans all of F_p^dim."""
+    rows = {}
+    for v in vectors:
+        for i in range(dim):
+            c = v[i]
+            if not c:
+                continue
+            row = rows.get(i)
+            if row is None:
+                inv = pow(c, -1, p)
+                rows[i] = [x * inv % p for x in v]
+                break
+            v = [(x - c * y) % p for x, y in zip(v, row)]
+        if len(rows) == dim:
+            break
+    return list(rows.values())
+
+
+class _Level2:
+    """GL_2(A/p^2) at a degree-1 prime p, sized through the congruence
+    kernel K = I + pM_2 ~ (M_2(A/p), +) without listing any subgroup.
+
+    For H = <gens>, the exact sequence 1 -> H n K -> H -> Hbar -> 1 gives
+    |H| = |Hbar| p^rank: Hbar is closed in GL_2(A/p) keeping one lift r_x
+    per element, the Schreier generators r_x g r_{xg}^-1 generate H n K
+    (Seress, Permutation Group Algorithms, ch. 4), and their pi-digit
+    matrices span it over F_p.  det(H) is generated by the determinants of
+    the generators.
+    """
+
+    def __init__(self, p: PrimeIdeal):
+        ctx = p.ctx
+        self.char, self.m, self.unit_count = ctx.p, ctx.m, ctx.q ** 2 - ctx.q
+        self.ring2, self.ring1 = ResidueRing(p.gen ** 2), ResidueRing(p)
+        self.tab = _tables(self.ring2)
+        # the mod-p projection and the F_p digits of the pi-digit of each
+        # residue (a field element encodes its F_p coordinates base p)
+        index1 = self.ring1.index_of
+        self.proj, self.digits = [], []
+        for x in self.ring2.elements():
+            low = self.ring1.element(x.rep)
+            pi_digit = index1(self.ring1.element((x.rep - low.rep) // p.gen))
+            self.proj.append(index1(low))
+            self.digits.append(tuple(pi_digit // self.char ** j % self.char
+                                     for j in range(self.m)))
+        self.one = self.ring2.index_of(self.ring2.one)
+        zero = self.ring2.index_of(self.ring2.zero)
+        self.ident = (self.one, zero, zero, self.one)
+
+    def facts(self, mats):
+        """(|H|, det(H) full, |Hbar|, H n K not scalar) for H = <mats>."""
+        tab, proj, digits, m = self.tab, self.proj, self.digits, self.m
+        mat_mul, MUL = tab.mat_mul, tab.mul
+
+        def bar(x):
+            return (proj[x[0]], proj[x[1]], proj[x[2]], proj[x[3]])
+
+        gens = [tab.encode(g) for g in mats]
+        lifts = {bar(self.ident): self.ident}
+        frontier = [self.ident]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = mat_mul(x, g)
+                    key = bar(y)
+                    if key not in lifts:
+                        lifts[key] = y
+                        nxt.append(y)
+            frontier = nxt
+        inv_lift = {key: tab.mat_inv(r) for key, r in lifts.items()}
+
+        def schreier_digits():
+            for r in lifts.values():
+                for g in gens:
+                    y = mat_mul(r, g)
+                    s = mat_mul(y, inv_lift[bar(y)])
+                    yield sum((digits[e] for e in s), ())
+
+        basis = _fp_basis(schreier_digits(), self.char, 4 * m)
+        dets = abelian_span(self.one, [tab.mat_det(g) for g in gens],
+                            lambda x, y: MUL[x][y], self.unit_count)
+        return (len(lifts) * self.char ** len(basis),
+                len(dets) == self.unit_count, len(lifts),
+                any(any(v[m:3 * m]) or v[:m] != v[3 * m:] for v in basis))
+
+
 def pink_rutsche_level2(p: PrimeIdeal, samples: int, seed: int) -> dict:
     """Finite shadow of the full-group criterion in GL_2(A/p^2): any sampled
     subgroup with full determinant image, full mod-p image, and a non-scalar
-    element congruent to the identity mod p must be all of GL_2(A/p^2)."""
+    element congruent to the identity mod p must be all of GL_2(A/p^2).
+
+    Each subgroup is sized through the congruence kernel (see _Level2), so
+    only its image in GL_2(A/p) is materialised.
+    """
+    check_samples(samples)
     if p.degree != 1:
-        raise ParamsOutOfRange("materialized level-2 lab needs deg(p) = 1")
-    ctx = p.ctx
-    q = ctx.q
+        raise ParamsOutOfRange("level-2 lab needs deg(p) = 1")
+    q = p.ctx.q
     full_order = (q * q - 1) * (q * q - q) * q ** 4
-    if full_order > DEFAULT_CLOSURE_CAP:
-        raise CapExceeded(f"GL_2(A/p^2) order {full_order} exceeds closure "
-                          f"cap {DEFAULT_CLOSURE_CAP}")
-    ring2 = ResidueRing(p.gen ** 2)
-    ring1 = ResidueRing(p)
-    tab2 = _tables(ring2)
-    unit_count = q * q - q
     gl2_modp_order = (q * q - 1) * (q * q - q)
+    if gl2_modp_order > DEFAULT_CLOSURE_CAP:
+        raise CapExceeded(f"GL_2(A/p) order {gl2_modp_order} exceeds closure "
+                          f"cap {DEFAULT_CLOSURE_CAP}")
+    lab = _Level2(p)
+    ring1, ring2 = lab.ring1, lab.ring2
 
-    # index maps for the mod-p projection and the pi-digit of each residue
-    proj = []
-    pi_digit = []
-    for i in range(ring2.cardinality):
-        x = ring2.from_index(i)
-        proj.append(ring1.index_of(ring1.element(x.rep)))
-        digit = (x.rep - (x.rep % p.gen)) // p.gen
-        pi_digit.append(ring1.index_of(ring1.element(digit)))
-
-    one1 = ring1.index_of(ring1.one)
-    zero1 = ring1.index_of(ring1.zero)
-
-    def mod_p_image(H_enc):
-        return {(proj[a], proj[b], proj[c], proj[d]) for a, b, c, d in H_enc}
-
-    def det_image(H_enc):
-        return {tab2.mat_det(x) for x in H_enc}
-
-    def has_level1_nonscalar(H_enc):
-        for a, b, c, d in H_enc:
-            if (proj[a], proj[b], proj[c], proj[d]) != (one1, zero1, zero1,
-                                                        one1):
-                continue
-            n00, n01, n10, n11 = (pi_digit[a], pi_digit[b], pi_digit[c],
-                                  pi_digit[d])
-            if n01 != zero1 or n10 != zero1 or n00 != n11:
-                return True
-        return False
-
-    def examine(name, H_enc):
-        order = len(H_enc)
-        det_full = len(det_image(H_enc)) == unit_count
-        modp_full = len(mod_p_image(H_enc)) == gl2_modp_order
-        nonscalar = has_level1_nonscalar(H_enc)
+    def examine(name, mats):
+        order, det_full, modp_order, nonscalar = lab.facts(mats)
+        modp_full = modp_order == gl2_modp_order
         hypotheses = det_full and modp_full and nonscalar
         record = {"case": name, "order": order, "det_full": det_full,
                   "mod_p_full": modp_full,
@@ -427,15 +504,11 @@ def pink_rutsche_level2(p: PrimeIdeal, samples: int, seed: int) -> dict:
     forced_records = []
     sample_records = []
     for name, gens in forced_sets.items():
-        enc = tab2.closure([tab2.encode(m) for m in gens],
-                           DEFAULT_CLOSURE_CAP)
-        forced_records.append(examine(name, enc))
+        forced_records.append(examine(name, gens))
     for i in range(samples):
         k = rng.choice((2, 2, 3))
         gens = [_random_invertible(rng, ring2) for _ in range(k)]
-        enc = tab2.closure([tab2.encode(m) for m in gens],
-                           DEFAULT_CLOSURE_CAP)
-        sample_records.append(examine(f"sample_{i}", enc))
+        sample_records.append(examine(f"sample_{i}", gens))
     filtered_out = sum(1 for r in forced_records + sample_records
                        if not r["hypotheses_met"])
     return {

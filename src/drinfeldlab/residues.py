@@ -197,6 +197,26 @@ def _xgcd(a: Poly, b: Poly):
     return r0 * lead_inv, s0 * lead_inv, t0 * lead_inv
 
 
+def abelian_span(one, gens, mul, order: int) -> set:
+    """The subgroup of a finite abelian group of the given order generated
+    by gens, grown one coset at a time: H<g> is the union of H g^i for i
+    below the order of g modulo H, about |H<g>| - |H| products.
+    Stops drawing generators once the whole group is reached."""
+    H = [one]
+    seen = {one}
+    for g in gens:
+        base = list(H)
+        y = g
+        while y not in seen:
+            coset = [mul(h, y) for h in base]
+            H.extend(coset)
+            seen.update(coset)
+            y = mul(y, g)
+        if len(H) == order:
+            break
+    return seen
+
+
 def norm_to_base(x: ResidueElement) -> FqElement:
     """Field norm F_{q^n} -> F_q: the product of the q-power conjugates."""
     ring = x.ring

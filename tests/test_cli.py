@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from drinfeldlab import frobenius, kernel
+from drinfeldlab import cli, frobenius, kernel
 from drinfeldlab.cli import main
 from drinfeldlab.errors import EnumerationCapExceeded
 from drinfeldlab.fields import make_field
@@ -198,3 +198,39 @@ def test_obstruction_records_revalidate(capsys):
     rec = records(out)[0]
     assert rec["verified"]
     assert revalidate(rec)
+
+
+def test_sample_and_box_bounds_checked_before_work(capsys, monkeypatch):
+    def no_field(*args, **kwargs):
+        raise AssertionError("work started before the bound check")
+
+    monkeypatch.setattr(cli, "make_field", no_field)
+    for argv in (["lemma-a1", "--q", "5", "--prime", "T", "--samples", "-3",
+                  "--seed", "1"],
+                 ["pr-level2", "--q", "5", "--prime", "T", "--samples", "-2",
+                  "--seed", "1"],
+                 ["pr-level2", "--q", "5", "--prime", "T", "--samples",
+                  "10001", "--seed", "1"],
+                 ["density", "--q", "5", "--d1", "3", "--d2", "12",
+                  "--x", "0"],
+                 ["density", "--q", "5", "--d1", "3", "--d2", "12",
+                  "--x", "-4"],
+                 ["density", "--q", "5", "--d1", "3", "--d2", "12",
+                  "--x", "101"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "must be in" in err
+
+
+def test_pr_level2_q7(capsys):
+    # |GL_2(A/p^2)| = 4,840,416 is over the 400,000 closure cap; only
+    # GL_2(A/p), of order 2016, is materialised
+    code, out, _ = run(capsys, "pr-level2", "--q", "7", "--prime", "T",
+                       "--samples", "2", "--seed", "1")
+    assert code == 0
+    rec = records(out)[0]
+    assert rec["full_order"] == 4_840_416
+    assert rec["violations"] == []
+    cases = {c["case"]: c for c in rec["forced_cases"]}
+    assert cases["full_group"]["order"] == 4_840_416
+    assert cases["teichmuller_lift"]["order"] == 2016

@@ -28,10 +28,12 @@ from drinfeldlab.fields import make_field
 from drinfeldlab.polys import (
     Poly,
     PrimeIdeal,
+    enumerate_monic_irreducibles,
     eval_at,
     is_irreducible,
     parse_poly,
 )
+from drinfeldlab.residues import ResidueRing
 from drinfeldlab.skew import SkewPoly, linear_solve_left
 
 F5 = make_field(5)
@@ -284,6 +286,43 @@ def test_det_generation_examples():
     assert det_generation_check(PI("T"), 2, 2)
     with pytest.raises(ParamsOutOfRange):
         det_generation_check(PI("T"), 3, 2)
+
+
+def _bfs_det_generation_check(p, level, max_deg):
+    """Every unit times every prime generator until nothing new appears:
+    the oracle for the coset-extension route."""
+    ctx = p.ctx
+    ring = ResidueRing(p.gen ** level)
+    generators = [ring.element(lam.gen) for d in range(1, max_deg + 1)
+                  for lam in enumerate_monic_irreducibles(ctx, d) if lam != p]
+    d = p.degree
+    unit_count = ctx.q ** (level * d) - ctx.q ** ((level - 1) * d)
+    seen = {ring.one}
+    frontier = [ring.one]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = x * g
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return len(seen) == unit_count
+
+
+def test_det_generation_matches_bfs_oracle():
+    rng = random.Random(55)
+    verdicts = set()
+    for q in (5, 7):
+        ctx = make_field(q)
+        for deg in (1, 2):
+            primes = enumerate_monic_irreducibles(ctx, deg)
+            for p in rng.sample(primes, 3):
+                for level in (1, 2):
+                    for max_deg in (0, 1, 2):
+                        want = _bfs_det_generation_check(p, level, max_deg)
+                        assert det_generation_check(p, level, max_deg) == want
+                        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_det_generation_insufficient_generators():

@@ -1,19 +1,31 @@
+import itertools
+import json
+import random
+
 import pytest
 
 from drinfeldlab.errors import CapExceeded, NotAField, NotInvertible, ParamsOutOfRange
 from drinfeldlab.fields import make_field
 from drinfeldlab.groups import (
+    DEFAULT_CLOSURE_CAP,
+    SAMPLE_CAP,
     Mat2,
     acts_irreducibly,
+    check_samples,
     closure,
     contains_sl2,
     identity,
     pink_rutsche_level2,
     sl2_group,
     verify_lemma_A1,
+    _Level2,
+    _find_unit_generator,
+    _fp_basis,
     _nonsplit_cartan,
+    _random_invertible,
+    _tables,
 )
-from drinfeldlab.polys import PrimeIdeal, parse_poly
+from drinfeldlab.polys import PrimeIdeal, parse_poly, poly_to_text
 from drinfeldlab.residues import ResidueRing
 
 F5 = make_field(5)
@@ -48,6 +60,18 @@ def test_closure_cap():
     gens = [Mat2(RING5, ((1, 1), (0, 1))), Mat2(RING5, ((1, 0), (1, 1)))]
     with pytest.raises(CapExceeded):
         closure(gens, cap=50)
+
+
+def test_closure_cap_checked_at_insertion():
+    # SL_2(F_5) has 120 elements; the BFS must stop at the first element
+    # past the cap, not at the end of a frontier level
+    gens = [Mat2(RING5, ((1, 1), (0, 1))), Mat2(RING5, ((1, 0), (1, 1)))]
+    for cap in (1, 7, 50, 119):
+        tab = _tables(RING5)
+        with pytest.raises(CapExceeded) as exc:
+            tab.closure([tab.encode(g) for g in gens], cap)
+        assert len(exc.traceback[-1].locals["seen"]) == cap + 1
+    assert len(closure(gens, cap=120)) == 120
 
 
 def test_acts_irreducibly():
@@ -185,3 +209,175 @@ def test_pink_rutsche_nontrivial_prime():
     assert report["violations"] == []
     assert {c["case"]: c for c in report["forced_cases"]}[
         "full_group"]["is_full_group"]
+
+
+# (modulus, encoded generators) -> facts of the BFS closure, so the
+# forced cases close once per prime
+_BFS_FACTS = {}
+
+
+def _bfs_facts(p, mats):
+    """(|H|, det(H) full, |H mod p|, H has a non-scalar element that is
+    the identity mod p) for H = <mats>, by explicit BFS closure of H inside
+    GL_2(A/p^2): the oracle for the congruence-kernel route."""
+    q = p.ctx.q
+    ring2 = ResidueRing(p.gen ** 2)
+    tab2 = _tables(ring2)
+    key = (ring2.modulus, tuple(tab2.encode(m) for m in mats))
+    if key in _BFS_FACTS:
+        return _BFS_FACTS[key]
+    ring1 = ResidueRing(p)
+    proj = []
+    pi_digit = []
+    for i in range(ring2.cardinality):
+        x = ring2.from_index(i)
+        proj.append(ring1.index_of(ring1.element(x.rep)))
+        digit = (x.rep - (x.rep % p.gen)) // p.gen
+        pi_digit.append(ring1.index_of(ring1.element(digit)))
+    one1 = ring1.index_of(ring1.one)
+    zero1 = ring1.index_of(ring1.zero)
+
+    def has_level1_nonscalar(H_enc):
+        for a, b, c, d in H_enc:
+            if (proj[a], proj[b], proj[c], proj[d]) != (one1, zero1, zero1,
+                                                        one1):
+                continue
+            n00, n01, n10, n11 = (pi_digit[a], pi_digit[b], pi_digit[c],
+                                  pi_digit[d])
+            if n01 != zero1 or n10 != zero1 or n00 != n11:
+                return True
+        return False
+
+    H_enc = tab2.closure(list(key[1]), DEFAULT_CLOSURE_CAP)
+    facts = (len(H_enc),
+             len({tab2.mat_det(x) for x in H_enc}) == q * q - q,
+             len({(proj[a], proj[b], proj[c], proj[d])
+                  for a, b, c, d in H_enc}),
+             has_level1_nonscalar(H_enc))
+    _BFS_FACTS[key] = facts
+    return facts
+
+
+def _bfs_pink_rutsche_level2(p, samples, seed):
+    """The level-2 lab report with every subgroup closed by BFS."""
+    q = p.ctx.q
+    full_order = (q * q - 1) * (q * q - q) * q ** 4
+    ring2 = ResidueRing(p.gen ** 2)
+    ring1 = ResidueRing(p)
+
+    def examine(name, gens):
+        order, det_full, modp_order, nonscalar = _bfs_facts(p, gens)
+        modp_full = modp_order == (q * q - 1) * (q * q - q)
+        hypotheses = det_full and modp_full and nonscalar
+        record = {"case": name, "order": order, "det_full": det_full,
+                  "mod_p_full": modp_full,
+                  "level1_nonscalar": nonscalar,
+                  "hypotheses_met": hypotheses,
+                  "is_full_group": order == full_order}
+        if hypotheses and order != full_order:
+            violations.append(record)
+        return record
+
+    g2 = _find_unit_generator(ring2)
+    pi = ring2.element(p.gen)
+    forced_sets = {
+        "full_group": [Mat2(ring2, ((1, 1), (0, 1))),
+                       Mat2(ring2, ((1, 0), (1, 1))),
+                       Mat2(ring2, ((ring2.one, pi), (0, 1))),
+                       Mat2(ring2, ((1, 0), (pi, ring2.one))),
+                       Mat2(ring2, ((g2, 0), (0, 1)))],
+        "teichmuller_lift": [Mat2(ring2, ((1, 1), (0, 1))),
+                             Mat2(ring2, ((1, 0), (1, 1))),
+                             Mat2(ring2, ((_find_unit_generator(ring1).rep, 0),
+                                          (0, 1)))],
+    }
+    rng = random.Random(seed)
+    violations = []
+    forced_records = [examine(name, gens)
+                      for name, gens in forced_sets.items()]
+    sample_records = []
+    for i in range(samples):
+        k = rng.choice((2, 2, 3))
+        gens = [_random_invertible(rng, ring2) for _ in range(k)]
+        sample_records.append(examine(f"sample_{i}", gens))
+    filtered_out = sum(1 for r in forced_records + sample_records
+                       if not r["hypotheses_met"])
+    return {
+        "op": "pink_rutsche_level2",
+        "ring": poly_to_text(ring2.modulus),
+        "prime": poly_to_text(p.gen),
+        "seed": seed,
+        "samples": samples,
+        "full_order": full_order,
+        "filtered_out": filtered_out,
+        "violations": violations,
+        "forced_cases": forced_records,
+        "sample_cases": sample_records,
+    }
+
+
+def test_level2_facts_match_bfs_on_structured_subgroups():
+    # the constant matrices GL_2(F_5) plus one level-1 element: the kernel
+    # part is the scalars (rank 1), sl_2 (rank 3) or all of M_2 (rank 4);
+    # diagonal constants plus diag(1+T, 1): the kernel part is diag(*, 0)
+    p = PrimeIdeal(parse_poly(F5, "T"))
+    ring2 = ResidueRing(p.gen ** 2)
+    t = ring2.t
+    constants = [Mat2(ring2, ((1, 1), (0, 1))), Mat2(ring2, ((1, 0), (1, 1))),
+                 Mat2(ring2, ((2, 0), (0, 1)))]
+    diagonal = [Mat2(ring2, ((2, 0), (0, 1))), Mat2(ring2, ((1, 0), (0, 2)))]
+    cases = [
+        (constants + [Mat2(ring2, ((1 + t, 0), (0, 1 + t)))],
+         (2400, True, 480, False)),
+        (constants + [Mat2(ring2, ((1, t), (0, 1)))],
+         (60000, False, 480, True)),
+        (constants + [Mat2(ring2, ((1 + t, 0), (0, 1)))],
+         (300000, True, 480, True)),
+        (constants, (480, False, 480, False)),
+        (diagonal + [Mat2(ring2, ((1 + t, 0), (0, 1)))],
+         (80, True, 16, True)),
+    ]
+    lab = _Level2(p)
+    for mats, want in cases:
+        assert lab.facts(mats) == want
+        assert _bfs_facts(p, mats) == want
+
+
+@pytest.mark.parametrize("prime", ["T", "T+2"])
+def test_pink_rutsche_matches_bfs_oracle(prime):
+    p = PrimeIdeal(parse_poly(F5, prime))
+    for seed in range(1, 6):
+        want = _bfs_pink_rutsche_level2(p, samples=3, seed=seed)
+        got = pink_rutsche_level2(p, samples=3, seed=seed)
+        assert json.dumps(got) == json.dumps(want)
+
+
+def test_fp_basis_rank_matches_span_enumeration():
+    rng = random.Random(2024)
+    for p, dim in ((2, 4), (3, 4), (5, 4), (5, 3), (3, 6)):
+        for _ in range(12):
+            vectors = [tuple(rng.randrange(p) for _ in range(dim))
+                       for _ in range(rng.randrange(5))]
+            if vectors and rng.random() < 0.5:
+                # force a dependent vector
+                a, b = rng.randrange(p), rng.randrange(p)
+                vectors.append(tuple((a * x + b * y) % p for x, y in
+                                     zip(vectors[0], vectors[-1])))
+            span = {tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) % p
+                          for i in range(dim))
+                    for coeffs in itertools.product(range(p),
+                                                    repeat=len(vectors))}
+            basis = _fp_basis(vectors, p, dim)
+            assert p ** len(basis) == len(span)
+            assert all(tuple(v) in span for v in basis)
+
+
+def test_sample_counts_bounded():
+    for ok in (0, 20, 500, SAMPLE_CAP):
+        check_samples(ok)
+    p = PrimeIdeal(parse_poly(F5, "T"))
+    for bad in (-1, -3, SAMPLE_CAP + 1):
+        with pytest.raises(ParamsOutOfRange):
+            pink_rutsche_level2(p, samples=bad, seed=1)
+        with pytest.raises(ParamsOutOfRange):
+            verify_lemma_A1(RING5, samples=bad, seed=1)
