@@ -16,12 +16,26 @@ from .polys import Poly, eval_at, polys_below
 
 DEFAULT_BRUTE_CAP = 1_000_000
 X_CAP = 100
+# Counts are written as decimal text, and Python refuses to convert an int
+# of more than 4,300 digits (about 14,284 bits).
+COUNT_BITS_CAP = 14_000
 
 
 def check_box_size(X: int) -> None:
     """Reject a box size X outside 1..X_CAP."""
     if not 1 <= X <= X_CAP:
         raise ParamsOutOfRange(f"X must be in 1..{X_CAP}")
+
+
+def check_weights(q: int, d1: int, d2: int, X: int) -> None:
+    """Reject height weights that are not positive, or whose box counts
+    could pass COUNT_BITS_CAP bits: every count is below
+    q^((d1 + d2) X) < 2^((d1 + d2) X bits(q))."""
+    if d1 < 1 or d2 < 1:
+        raise ParamsOutOfRange("height weights must be positive")
+    if (d1 + d2) * X * q.bit_length() > COUNT_BITS_CAP:
+        raise ParamsOutOfRange(
+            f"(d1 + d2) * X * bits(q) must be at most {COUNT_BITS_CAP}")
 
 
 class CensusParams:
@@ -32,9 +46,8 @@ class CensusParams:
     def __init__(self, ctx: FieldCtx, d1: int, d2: int, X: int,
                  c1: FqElement | None = None, c2: FqElement | None = None,
                  b1: Poly | None = None, b2: Poly | None = None):
-        if d1 < 1 or d2 < 1:
-            raise ParamsOutOfRange("height weights must be positive")
         check_box_size(X)
+        check_weights(ctx.q, d1, d2, X)
         self.ctx = ctx
         self.d1 = d1
         self.d2 = d2

@@ -4,7 +4,8 @@ Every run streams machine-readable records (JSON lines by default) and is
 byte-identical across reruns with the same flags.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 internal inconsistency (two
 computations that must agree disagreed: a bug in drinfeldlab, not in the
-input).
+input), 141 stdout closed before the records were written (a reader such as
+`head` exited; 141 is what a shell reports for SIGPIPE).
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .polys import (
     parse_poly,
     poly_to_text,
 )
+
+EXIT_CLOSED_PIPE = 141
+
 
 def _field(args):
     ctx = make_field(args.q)
@@ -226,6 +230,7 @@ def _pr_level2(args):
 def _density(args):
     census_mod.check_box_size(args.x)
     ctx = make_field(args.q)
+    census_mod.check_weights(ctx.q, args.d1, args.d2, args.x)
     c1 = ctx.element(args.c1 if args.c1 is not None else 0)
     c2 = ctx.element(args.c2 if args.c2 is not None else 1)
     b1, b2 = census_mod.default_congruence_class(ctx, c1, c2)
@@ -389,7 +394,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     output = args.output_override or args.output
-    _emit(records, output, sys.stdout)
+    try:
+        _emit(records, output, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        return EXIT_CLOSED_PIPE
     return code
 
 

@@ -265,8 +265,13 @@ def theorem1_verify(g1: Poly, g2: Poly, p: PrimeIdeal, c1: FqElement,
 def theorem1_search(p: PrimeIdeal, max_deg: int, limit: int):
     """Verified certificates from the congruence parametrization
     g1 = b1 + a1 (T-c1)(T-c2), g2 = b2 + a2 (T-c1)(T-c2)^2, enumerated
-    lexicographically in (c1, c2, b1, b2, a1, a2)."""
+    lexicographically in (c1, c2, b1, b2, a1, a2).  The a1, a2 pools hold
+    up to q^(max_deg - 1) polynomials, so max_deg is checked against the
+    enumeration cap before any work."""
     ctx = p.ctx
+    if limit < 0:
+        raise ParamsOutOfRange("limit must be >= 0")
+    check_enumeration_cap(ctx, max_deg)
     elements = enumerate_elements(ctx)
     ring = ResidueRing(p)
     witnesses = [c1 for c1 in elements if not is_square_mod_prime(

@@ -4,6 +4,11 @@ Elements are encoded as integers in [0, q): the base-p digits of the encoded
 value are the coefficients of the canonical representative, constant digit
 first.  FieldCtx owns the encoded-integer primitives; FqElement is a thin
 value wrapper around (ctx, encoded value).
+
+Over a prime field the primitives are `% p` one-liners.  For m > 1 they
+decode both operands to their digit vectors and run the `kernel` over
+`kernel.Zp(p)` modulo the field's monic modulus, the same code that does
+arithmetic in A/(f).
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
 class FieldCtx:
     """The field F_{p^m} with its modulus; owns encoded-int arithmetic."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_red", "_dec")
+    __slots__ = ("p", "m", "q", "modulus", "_dec", "_zp")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
         if not isinstance(p, int) or not _is_prime(p):
@@ -65,6 +70,7 @@ class FieldCtx:
         self.p = p
         self.m = m
         self.q = p ** m
+        self._zp = kernel.Zp(p)
         if m == 1:
             if modulus is not None:
                 mod = tuple(int(c) % p for c in modulus)
@@ -80,31 +86,12 @@ class FieldCtx:
                 if len(mod) != m + 1 or mod[-1] != 1:
                     raise NotIrreducibleModulus(
                         f"modulus must be monic of degree {m}")
-                if not kernel.rabin(kernel.Zp(p), mod):
+                if not kernel.rabin(self._zp, mod):
                     raise NotIrreducibleModulus(
                         f"modulus {mod} is reducible over F_{p}")
             self.modulus = mod
-        self._init_tables()
-
-    def _init_tables(self):
-        p, m, q = self.p, self.m, self.q
-        self._dec = None
-        self._red = None
-        if m == 1:
-            return
-        self._dec = [tuple((v // p ** i) % p for i in range(m))
-                     for v in range(q)]
-        # x^k mod modulus for k in [m, 2m-2], as coefficient tuples
-        red = []
-        prev = [(-c) % p for c in self.modulus[:-1]]
-        red.append(tuple(prev))
-        for _ in range(m - 2):
-            shifted = [0] + prev[:-1]
-            lead = prev[-1]
-            nxt = [(shifted[i] + lead * red[0][i]) % p for i in range(m)]
-            red.append(tuple(nxt))
-            prev = nxt
-        self._red = red
+        self._dec = None if m == 1 else [
+            tuple((v // p ** i) % p for i in range(m)) for v in range(self.q)]
 
     # -- encoding --
 
@@ -125,9 +112,7 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
-        p = self.p
-        da, db = self._dec[a], self._dec[b]
-        return self.encode([(x + y) % p for x, y in zip(da, db)])
+        return self.encode(kernel.vadd(self._zp, self._dec[a], self._dec[b]))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -135,42 +120,21 @@ class FieldCtx:
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
-        p = self.p
-        return self.encode([(-x) % p for x in self._dec[a]])
+        return self.encode(kernel.vsub(self._zp, (), self._dec[a]))
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
-        p, m = self.p, self.m
-        da, db = self._dec[a], self._dec[b]
-        conv = [0] * (2 * m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] = (conv[i + j] + x * y) % p
-        out = list(conv[:m])
-        for k in range(m, 2 * m - 1):
-            c = conv[k]
-            if c:
-                row = self._red[k - m]
-                for i in range(m):
-                    out[i] = (out[i] + c * row[i]) % p
-        return self.encode(out)
+        return self.encode(kernel.vmulmod(self._zp, self._dec[a],
+                                          self._dec[b], self.modulus))
 
     def pow(self, a: int, e: int) -> int:
         if self.m == 1:
             return pow(a, e, self.p) if e >= 0 else pow(self.inv(a), -e, self.p)
         if e < 0:
             a, e = self.inv(a), -e
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return result
+        return self.encode(kernel.vpowmod(self._zp, self._dec[a], e,
+                                          self.modulus))
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -12,6 +12,7 @@ add/mul lookup tables; the public Mat2 type stays ResidueElement-based.
 
 from __future__ import annotations
 
+import operator
 import random
 
 from .errors import CapExceeded, NotAField, NotInvertible, ParamsOutOfRange
@@ -235,19 +236,12 @@ def contains_sl2(H) -> bool:
 
 
 def _find_unit_generator(ring: ResidueRing):
-    """Element generating the unit group (cyclic for the rings used here)."""
-    target = len(ring.units())
-    for x in ring.elements():
-        if not x.is_unit():
-            continue
-        order = 1
-        y = x
-        while y != ring.one:
-            y = y * x
-            order += 1
-            if order > target:
-                break
-        if order == target:
+    """Element generating the unit group (cyclic for the rings used here):
+    the first unit whose cyclic span is the whole unit group."""
+    units = ring.units()
+    order = len(units)
+    for x in units:
+        if len(abelian_span(ring.one, [x], operator.mul, order)) == order:
             return x
     raise ValueError("unit group has no single generator")
 

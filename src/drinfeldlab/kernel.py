@@ -4,12 +4,14 @@ A vector is a sequence of encoded coefficients, ascending degree; results
 come back as lists with no trailing zeros.  Over a prime field the loops
 reduce inline mod p (accumulating first where that is safe, since Python
 ints do not overflow); over F_{p^m} they call the FieldCtx ops.  The choice
-follows ctx.m alone.  Sums, products, division, gcd, powers modulo a
-polynomial and the Rabin test of `polys` and `fields` all run here, so each
-arithmetic decision lives in one place.
+follows ctx.m alone.  Sums, products, division, gcd, inverses and powers
+modulo a polynomial and the Rabin test all run here, so each arithmetic
+decision lives in one place.  That covers every quotient of a polynomial
+ring by a monic modulus: F_{p^m} itself (digits over `Zp(p)` modulo the
+field's modulus) and the residue rings A/(f) of `residues`.
 
 The prime-field loops read only ctx.p, ctx.q and ctx.m, so the kernel also
-runs over the bare `Zp` context that modulus validation needs.
+runs over the bare `Zp` context.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from .errors import DivisionByZero
 
 
 class Zp:
-    """Z/p as the kernel sees it, for any prime p.  FieldCtx refuses q < 5,
-    but F_9 must still validate its modulus over Z/3."""
+    """Z/p as the kernel sees it, for any prime p: the coefficient ring of
+    every F_{p^m}, whose FieldCtx multiplies digit vectors over it.  FieldCtx
+    refuses q < 5, but F_9 must still validate its modulus over Z/3."""
 
     __slots__ = ("p", "q", "m")
 
@@ -134,7 +137,7 @@ def vmod(ctx, a, b):
     return vdivmod(ctx, a, b)[1]
 
 
-def _vmulmod(ctx, a, b, mod):
+def vmulmod(ctx, a, b, mod):
     """a * b mod a monic `mod`.  Over a prime field the product is reduced
     in place and mod p only at the end: the powmod loop runs on this."""
     if ctx.m != 1:
@@ -167,9 +170,9 @@ def vpowmod(ctx, a, e, mod):
     mod = vmonic(ctx, mod)
     result = base
     for bit in bin(e)[3:]:
-        result = _vmulmod(ctx, result, result, mod)
+        result = vmulmod(ctx, result, result, mod)
         if bit == "1":
-            result = _vmulmod(ctx, result, base, mod)
+            result = vmulmod(ctx, result, base, mod)
     return result
 
 
@@ -178,6 +181,22 @@ def vgcd(ctx, a, b):
     while b:
         a, b = b, vmod(ctx, a, b)
     return vmonic(ctx, a)
+
+
+def vxgcd(ctx, a, b):
+    """Monic g = gcd(a, b) and u with u * a = g mod b, by extended Euclid
+    (b's cofactor is never needed, so it is not built).  g is zero when
+    both inputs are zero."""
+    r0, r1 = list(a), list(b)
+    u0, u1 = [1], []
+    while r1:
+        quo, rem = vdivmod(ctx, r0, r1)
+        r0, r1 = r1, rem
+        u0, u1 = u1, vsub(ctx, u0, vmul(ctx, quo, u1))
+    if not r0:
+        return r0, u0
+    inv = _inv(ctx, r0[-1])
+    return vscale(ctx, r0, inv), vscale(ctx, u0, inv)
 
 
 def prime_divisors(n: int):

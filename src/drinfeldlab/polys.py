@@ -11,6 +11,7 @@ alike.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 
@@ -20,6 +21,7 @@ from .errors import (
     DegreeZeroInput,
     EnumerationCapExceeded,
     NotIrreducibleModulus,
+    ParamsOutOfRange,
     ZeroPolynomial,
 )
 from . import kernel
@@ -340,7 +342,10 @@ def monic_polys(ctx: FieldCtx, degree: int):
 def check_enumeration_cap(ctx: FieldCtx, degree: int,
                           cap: int = DEFAULT_ENUMERATION_CAP):
     """Raise EnumerationCapExceeded if degree has more than cap monic
-    candidates; a scan over degrees 1..d checks d before any work."""
+    candidates, ParamsOutOfRange if it is negative; a scan over degrees
+    1..d checks d before any work."""
+    if degree < 0:
+        raise ParamsOutOfRange(f"degree bound {degree} is negative")
     if ctx.q ** degree > cap:
         raise EnumerationCapExceeded(
             f"{ctx.q}^{degree} candidates exceed cap {cap}")
@@ -369,25 +374,10 @@ def irreducible_count(q: int, n: int) -> int:
     total = 0
     for d in range(1, n + 1):
         if n % d == 0:
-            mu = _moebius(d)
-            if mu:
-                total += mu * q ** (n // d)
+            primes = kernel.prime_divisors(d)
+            if math.prod(primes) == d:  # squarefree: mu(d) = (-1)^#primes
+                total += (-1) ** len(primes) * q ** (n // d)
     return total // n
-
-
-def _moebius(n: int) -> int:
-    mu = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
-        mu = -mu
-    return mu
 
 
 def valuation(f: Poly, lam: PrimeIdeal):

@@ -4,10 +4,15 @@ When the modulus is irreducible the ring is the field F_{q^n} and carries the
 Euler-criterion square test, the norm down to F_q, and the quadratic
 irreducibility test that drives the certificate machinery.  Non-prime moduli
 (level p^2 work) support arithmetic only.
+
+Elements keep their fully reduced representative.  Products, powers and
+inverses run in `kernel` modulo the monic modulus, as F_{p^m} arithmetic
+does; sums need no reduction.
 """
 
 from __future__ import annotations
 
+from . import kernel
 from .errors import NotAField, NotInvertible, RingMismatch
 from .fields import FieldCtx, FqElement
 from .polys import (
@@ -114,28 +119,29 @@ class ResidueElement:
             return self.ring.element(other)
         raise TypeError(f"cannot combine ResidueElement with {type(other)}")
 
+    # sums and negations of reduced representatives are already reduced
     def __add__(self, other):
         other = self._same(other)
-        return ResidueElement(self.ring,
-                              (self.rep + other.rep) % self.ring.modulus)
+        return ResidueElement(self.ring, self.rep + other.rep)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ResidueElement(self.ring, (-self.rep) % self.ring.modulus)
+        return ResidueElement(self.ring, -self.rep)
 
     def __sub__(self, other):
         other = self._same(other)
-        return ResidueElement(self.ring,
-                              (self.rep - other.rep) % self.ring.modulus)
+        return ResidueElement(self.ring, self.rep - other.rep)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         other = self._same(other)
-        return ResidueElement(self.ring,
-                              (self.rep * other.rep) % self.ring.modulus)
+        ctx = self.ring.ctx
+        return ResidueElement(self.ring, Poly(ctx, kernel.vmulmod(
+            ctx, self.rep.coeffs, other.rep.coeffs,
+            self.ring.modulus.coeffs)))
 
     __rmul__ = __mul__
 
@@ -173,28 +179,13 @@ class ResidueElement:
 
 def residue_inv(x: ResidueElement) -> ResidueElement:
     """Multiplicative inverse; NotInvertible carries the offending gcd."""
-    g, u, _ = _xgcd(x.rep, x.ring.modulus)
-    if not g.is_one():
+    ring = x.ring
+    g, u = kernel.vxgcd(ring.ctx, x.rep.coeffs, ring.modulus.coeffs)
+    if g != [1]:
+        g = Poly(ring.ctx, g)
         raise NotInvertible(f"{x!r} shares the factor {g!r} with the modulus",
                             gcd=g)
-    return ResidueElement(x.ring, u % x.ring.modulus)
-
-
-def _xgcd(a: Poly, b: Poly):
-    """Extended Euclid: returns monic g and u, v with u*a + v*b = g."""
-    ctx = a.ctx
-    r0, r1 = a, b
-    s0, s1 = Poly.one(ctx), Poly.zero(ctx)
-    t0, t1 = Poly.zero(ctx), Poly.one(ctx)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lead_inv = r0.lead().inverse()
-    return r0 * lead_inv, s0 * lead_inv, t0 * lead_inv
+    return ResidueElement(ring, Poly(ring.ctx, u))
 
 
 def abelian_span(one, gens, mul, order: int) -> set:

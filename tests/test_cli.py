@@ -1,8 +1,14 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from drinfeldlab import cli, frobenius, kernel
+import drinfeldlab
+from drinfeldlab import census, cli, criteria, frobenius, groups, kernel
 from drinfeldlab.cli import main
 from drinfeldlab.errors import EnumerationCapExceeded
 from drinfeldlab.fields import make_field
@@ -234,3 +240,116 @@ def test_pr_level2_q7(capsys):
     cases = {c["case"]: c for c in rec["forced_cases"]}
     assert cases["full_group"]["order"] == 4_840_416
     assert cases["teichmuller_lift"]["order"] == 2016
+
+
+def test_density_counts_bounded_before_work(capsys, monkeypatch):
+    # count_W = 13^(170 * 100) would have about 19,000 digits, past
+    # Python's int-to-text limit; no count may be computed
+    def no_count(*args, **kwargs):
+        raise AssertionError("counted before the bound check")
+
+    monkeypatch.setattr(census, "count_W", no_count)
+    code, out, err = run(capsys, "density", "--q", "13", "--d1", "50",
+                         "--d2", "120", "--x", "100")
+    assert code == 2
+    assert out == "" and "must be at most" in err
+
+
+def test_thm1_search_bounds_checked_before_work(capsys, monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("pools built before the bound check")
+
+    monkeypatch.setattr(criteria, "polys_below", no_pool)
+    base = ["thm1-search", "--q", "5", "--prime", "T^2+3"]
+    code, out, err = run(capsys, *base, "--max-deg", "3", "--limit", "-1")
+    assert code == 2 and out == "" and "limit" in err
+    code, out, err = run(capsys, *base, "--max-deg", "11", "--limit", "1")
+    assert code == 2 and out == "" and "5^11 candidates exceed cap" in err
+
+
+class _ClosedStdout:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_exits_141(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = main(["lambda-scan", "--q", "5", "--max-deg", "3"])
+    assert code == cli.EXIT_CLOSED_PIPE == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_in_a_process_exits_141_silently():
+    src = str(Path(drinfeldlab.__file__).resolve().parents[1])
+    # block-buffered stdout: the records reach the pipe only when main
+    # flushes, which must happen inside its BrokenPipeError handler
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "drinfeldlab.cli", "lambda-scan", "--q", "5",
+         "--max-deg", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # no reader is left before the first write
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_cli_edge_values_fuzz(capsys, monkeypatch):
+    """Negative, 0, cap and past-cap values exit with their documented
+    code: 0 for an admitted run, 2 for a usage error (never 1)."""
+    rng = random.Random(2024)
+    neg = -rng.randrange(1, 10 ** 6)
+    far = rng.randrange(2, 10 ** 6)
+    cases = []
+    for cmd in ("lemma-a1", "pr-level2"):
+        for samples, want in ((neg, 2), (-1, 2), (0, 0),
+                              (groups.SAMPLE_CAP + 1, 2),
+                              (groups.SAMPLE_CAP + far, 2)):
+            cases.append(([cmd, "--q", "5", "--prime", "T", "--samples",
+                           str(samples), "--seed", "1"], want))
+    for x, want in ((neg, 2), (-1, 2), (0, 2), (census.X_CAP, 0),
+                    (census.X_CAP + 1, 2), (census.X_CAP + far, 2)):
+        cases.append((["density", "--q", "5", "--d1", "3", "--d2", "12",
+                       "--x", str(x)], want))
+    # at q = 5, X = 1 the weights may sum to COUNT_BITS_CAP // 3 = 4,666;
+    # d2 = 4,660 keeps d2 X / (q - 1) integral for the formula
+    assert (6 + 4660) * 3 <= census.COUNT_BITS_CAP < (7 + 4660) * 3
+    for d1, d2, want in ((neg, 4, 2), (0, 4, 2), (-1, 4, 2), (4, neg, 2),
+                         (4, 0, 2), (4, -1, 2), (6, 4660, 0), (7, 4660, 2),
+                         (6, 4661, 2), (6 + far, 4660, 2)):
+        cases.append((["density", "--q", "5", "--d1", str(d1), "--d2",
+                       str(d2), "--x", "1"], want))
+    thm1 = ["thm1-search", "--q", "5", "--prime", "T^2+3"]
+    for limit, want in ((neg, 2), (-1, 2), (0, 0), (1, 0), (2, 0)):
+        cases.append((thm1 + ["--max-deg", "3", "--limit", str(limit)], want))
+    # 5^10 <= 10^7 < 5^11; --limit 0 stops before the a1, a2 pools
+    for max_deg, want in ((neg, 2), (-1, 2), (0, 0), (10, 0), (11, 2),
+                          (11 + far, 2)):
+        cases.append((thm1 + ["--max-deg", str(max_deg), "--limit", "0"],
+                      want))
+    for cmd in (["primes", "--q", "5"], ["lambda-scan", "--q", "5"],
+                ["det-gen", "--q", "5", "--prime", "T", "--level", "1"]):
+        for max_deg in (neg, -1, 11, 11 + far):
+            cases.append((cmd + ["--max-deg", str(max_deg)], 2))
+    for argv, want in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, "Traceback" in err) == (want, False), argv
+        if want == 2:
+            assert out == "" and err.startswith("error: "), argv
+    # the sample cap itself: the bound admits it (the labs are stubbed, a
+    # real run of 10,000 samples takes seconds)
+    monkeypatch.setattr(groups, "verify_lemma_A1",
+                        lambda ring, samples, seed: {"violations": []})
+    monkeypatch.setattr(groups, "pink_rutsche_level2",
+                        lambda p, samples, seed: {"violations": []})
+    for cmd in ("lemma-a1", "pr-level2"):
+        code, out, err = run(capsys, cmd, "--q", "5", "--prime", "T",
+                             "--samples", str(groups.SAMPLE_CAP),
+                             "--seed", "1")
+        assert (code, err) == (0, "")

@@ -164,3 +164,75 @@ def test_char3_extension_allowed():
 def test_public_names_resolve():
     for name in drinfeldlab.__all__:
         assert getattr(drinfeldlab, name) is not None, name
+
+
+def _oracle_mul(ctx, a, b):
+    """F_{p^m} product without the kernel: convolve the digit vectors, then
+    fold each digit of degree k >= m back in through x^k mod the modulus."""
+    p, m = ctx.p, ctx.m
+    red = [[(-c) % p for c in ctx.modulus[:-1]]]  # x^m, x^(m+1), ...
+    for _ in range(m - 2):
+        prev = red[-1]
+        red.append([((prev[i - 1] if i else 0) + prev[-1] * red[0][i]) % p
+                    for i in range(m)])
+    da, db = ctx.decode(a), ctx.decode(b)
+    conv = [0] * (2 * m - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            conv[i + j] += x * y
+    out = conv[:m]
+    for k in range(m, 2 * m - 1):
+        for i in range(m):
+            out[i] += conv[k] * red[k - m][i]
+    return ctx.encode(out)
+
+
+def _oracle_pow(ctx, a, e):
+    result = 1
+    for _ in range(e):
+        result = _oracle_mul(ctx, result, a)
+    return result
+
+
+def _check_against_oracle(ctx, a, b, inv_a):
+    """mul, add, neg, inv and pow (negative exponents too) against the
+    digit-wise oracle; inv_a is the oracle's inverse of a (None for 0)."""
+    p = ctx.p
+    da, db = ctx.decode(a), ctx.decode(b)
+    assert ctx.mul(a, b) == _oracle_mul(ctx, a, b)
+    assert ctx.add(a, b) == ctx.encode([x + y for x, y in zip(da, db)])
+    assert ctx.neg(a) == ctx.encode([-x for x in da])
+    assert ctx.sub(a, b) == ctx.encode([x - y for x, y in zip(da, db)])
+    e = b % (ctx.q + 2)
+    assert ctx.pow(a, e) == _oracle_pow(ctx, a, e)
+    if inv_a is None:
+        with pytest.raises(DivisionByZero):
+            ctx.inv(a)
+        return
+    assert ctx.inv(a) == inv_a
+    assert ctx.pow(a, -e) == _oracle_pow(ctx, inv_a, e)
+
+
+@pytest.mark.parametrize("p,m,modulus", [(3, 2, None), (5, 2, None),
+                                         (5, 2, (2, 0, 1)), (5, 2, (2, 1, 1)),
+                                         (3, 3, None)])
+def test_extension_ops_match_oracle_on_every_pair(p, m, modulus):
+    ctx = make_field(p, m, modulus)
+    inverses = {a: b for a in range(1, ctx.q) for b in range(1, ctx.q)
+                if _oracle_mul(ctx, a, b) == 1}
+    assert len(inverses) == ctx.q - 1
+    for a in range(ctx.q):
+        for b in range(ctx.q):
+            _check_against_oracle(ctx, a, b, inverses.get(a))
+
+
+@pytest.mark.parametrize("p", [11, 5])
+def test_extension_ops_match_oracle_seeded(p):
+    ctx = make_field(p, 2 if p == 11 else 3)  # F_121, F_125
+    rng = random.Random(p)
+    for _ in range(400):
+        a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
+        inv_a = _oracle_pow(ctx, a, ctx.q - 2) if a else None
+        if a:
+            assert _oracle_mul(ctx, a, inv_a) == 1
+        _check_against_oracle(ctx, a, b, inv_a)

@@ -25,7 +25,7 @@ from drinfeldlab.groups import (
     _random_invertible,
     _tables,
 )
-from drinfeldlab.polys import PrimeIdeal, parse_poly, poly_to_text
+from drinfeldlab.polys import Poly, PrimeIdeal, parse_poly, poly_to_text
 from drinfeldlab.residues import ResidueRing
 
 F5 = make_field(5)
@@ -381,3 +381,30 @@ def test_sample_counts_bounded():
             pink_rutsche_level2(p, samples=bad, seed=1)
         with pytest.raises(ParamsOutOfRange):
             verify_lemma_A1(RING5, samples=bad, seed=1)
+
+
+def _first_generator_by_order(ring):
+    """The first unit whose multiplicative order is the unit count."""
+    target = len(ring.units())
+    for x in ring.units():
+        order, y = 1, x
+        while y != ring.one:
+            y, order = y * x, order + 1
+        if order == target:
+            return x
+    return None
+
+
+def test_unit_generator_matches_order_loop():
+    # the rings of verify_lemma_A1 (q^n <= 25) and of pink_rutsche_level2
+    # (A/p and A/p^2 at deg p = 1)
+    rings = [ResidueRing(parse_poly(F5, "T^2+2")),
+             ResidueRing(parse_poly(F5, "T^2+4*T+2")),
+             ResidueRing(Poly.T(make_field(5, 2)))]
+    for q in (5, 7, 11, 13):
+        ctx = make_field(q)
+        for text in ("T", "T+1", "T+3"):
+            p = parse_poly(ctx, text)
+            rings += [ResidueRing(p), ResidueRing(p * p)]
+    for ring in rings:
+        assert _find_unit_generator(ring) == _first_generator_by_order(ring)

@@ -10,6 +10,7 @@ from drinfeldlab.errors import (
     NotIrreducibleModulus,
     ZeroPolynomial,
 )
+from drinfeldlab import kernel
 from drinfeldlab.fields import make_field
 from drinfeldlab.polys import (
     NEG_INF,
@@ -143,6 +144,28 @@ def test_prime_counts_match_necklace():
     assert len(enumerate_monic_irreducibles(make_field(7), 5)) == 3360
 
 
+def _moebius(n):
+    """mu(n) by trial division."""
+    mu = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if n > 1 else mu
+
+
+def test_irreducible_count_matches_moebius_trial_division():
+    for q in (5, 7, 9, 25):
+        for n in range(1, 41):
+            want = sum(_moebius(d) * q ** (n // d)
+                       for d in range(1, n + 1) if n % d == 0) // n
+            assert irreducible_count(q, n) == want
+
+
 def test_enumeration_order_and_cap():
     primes = enumerate_monic_irreducibles(F5, 1)
     assert [poly_to_text(p.gen) for p in primes] == [
@@ -247,6 +270,31 @@ def test_text_grammar_round_trip():
         parse_poly(F5, "T^^2")
 
 
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_text_round_trip_fuzz(p):
+    ctx = make_field(p)
+    rng = random.Random(1000 + p)
+    for _ in range(200):
+        deg = rng.randrange(-1, 41)
+        f = Poly(ctx, [rng.randrange(p) for _ in range(deg)]
+                 + ([rng.randrange(1, p)] if deg >= 0 else []))
+        text = poly_to_text(f)
+        assert parse_poly(ctx, text) == f
+        if f.is_zero():
+            continue
+        # the same terms in shuffled order, some written as -((p - c) T^k)
+        terms = []
+        for k, c in enumerate(f.coeffs):
+            if c:
+                neg = rng.random() < 0.5
+                mono = poly_to_text(Poly(ctx, [0] * k + [p - c if neg else c]))
+                terms.append(("-" if neg else "+") + mono)
+        rng.shuffle(terms)
+        shuffled = "".join(terms).lstrip("+")
+        assert parse_poly(ctx, shuffled) == f
+        assert poly_to_text(parse_poly(ctx, shuffled)) == text
+
+
 def test_parse_exponent_cap():
     assert parse_poly(F5, "T^12").degree == 12
     with pytest.raises(DegreeCapExceeded):
@@ -269,6 +317,28 @@ def test_powmod_matches_naive():
                     want = (want * f) % mod
                 assert powmod(f, e, mod) == want
     assert powmod(P("T"), 3, P("2*T^2+1")) == P("2*T")
+
+
+def test_vxgcd_cofactor():
+    rng = random.Random(29)
+    for ctx in (F5, F25):
+        for _ in range(300):
+            a = kernel._trim([rng.randrange(ctx.q)
+                              for _ in range(rng.randrange(7))])
+            b = kernel._trim([rng.randrange(ctx.q)
+                              for _ in range(rng.randrange(7))])
+            if rng.random() < 0.3:  # force a common factor
+                c = [rng.randrange(ctx.q), 1]
+                a, b = kernel.vmul(ctx, a, c), kernel.vmul(ctx, b, c)
+            g, u = kernel.vxgcd(ctx, a, b)
+            assert g == kernel.vgcd(ctx, a, b)
+            ua_minus_g = kernel.vsub(ctx, kernel.vmul(ctx, u, a), g)
+            if b:
+                assert kernel.vmod(ctx, ua_minus_g, b) == []
+            else:
+                assert ua_minus_g == []
+            if len(b) > 1 and a:
+                assert len(u) < len(b)  # u is already reduced mod b
 
 
 def test_modulus_validation_agrees_with_is_irreducible():

@@ -7,7 +7,7 @@ from drinfeldlab.criteria import in_omega_tilde
 from drinfeldlab.drinfeld import DrinfeldModule, reduce_module
 from drinfeldlab.errors import NotAField, NotInvertible, RingMismatch
 from drinfeldlab.fields import make_field
-from drinfeldlab.polys import Poly, PrimeIdeal, parse_poly
+from drinfeldlab.polys import Poly, PrimeIdeal, gcd, parse_poly
 from drinfeldlab.residues import (
     ResidueRing,
     is_square_mod_prime,
@@ -179,3 +179,47 @@ def test_index_round_trip():
     ring = R("T^2+2")
     for i in range(ring.cardinality):
         assert ring.index_of(ring.from_index(i)) == i
+
+
+def test_residue_ops_match_poly_reduction():
+    # sums are not reduced again and products run in the kernel; both must
+    # equal the Poly-level result reduced by a full division
+    rng = random.Random(61)
+    for ctx, modtext in ((F5, "T^2+T"), (F5, "T^3+T+1"),
+                         (make_field(7), "T^4+3")):
+        ring = ResidueRing(parse_poly(ctx, modtext))
+        for _ in range(200):
+            x = ring.from_index(rng.randrange(ring.cardinality))
+            y = ring.from_index(rng.randrange(ring.cardinality))
+            mod = ring.modulus
+            assert (x + y).rep == (x.rep + y.rep) % mod
+            assert (x - y).rep == (x.rep - y.rep) % mod
+            assert (-x).rep == (-x.rep) % mod
+            assert (x * y).rep == (x.rep * y.rep) % mod
+
+
+@pytest.mark.parametrize("q,lin,quad", [(5, "T+2", "T^2+2"),
+                                        (7, "T+3", "T^2+1")])
+def test_residue_inv_every_unit(q, lin, quad):
+    ctx = make_field(q)
+    for text in (lin, quad):
+        p = parse_poly(ctx, text)
+        for ring in (ResidueRing(p), ResidueRing(p * p)):
+            units = ring.units()
+            n = ring.cardinality
+            assert len(units) == n - n // q ** p.degree  # p | non-units
+            for x in units:
+                inv = residue_inv(x)
+                assert x * inv == ring.one
+                assert (x.rep * inv.rep) % ring.modulus == Poly.one(ctx)
+
+
+def test_residue_inv_non_units_carry_gcd():
+    ring = R("T^2+T")
+    non_units = [x for x in ring.elements() if not x.is_unit()]
+    assert len(non_units) == 25 - 16
+    for x in non_units:
+        with pytest.raises(NotInvertible) as exc:
+            residue_inv(x)
+        assert exc.value.gcd == gcd(x.rep, ring.modulus)
+        assert exc.value.gcd.degree >= 1
