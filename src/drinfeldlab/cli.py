@@ -6,6 +6,11 @@ byte-identical across reruns with the same flags.  Exit codes: 0 success,
 computations that must agree disagreed: a bug in drinfeldlab, not in the
 input), 141 stdout closed before the records were written (a reader such as
 `head` exited; 141 is what a shell reports for SIGPIPE).
+
+`COMMANDS` maps each subcommand to its handler and flags.  A call builds
+the parser of the one subcommand its argv names; only a call that names
+none (`--help`, no arguments, an unknown command) builds all of them.
+Usage, help and error text are the same either way.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .polys import (
     parse_poly,
     poly_to_text,
 )
+from .residues import ResidueRing
 
 EXIT_CLOSED_PIPE = 141
 
@@ -212,8 +218,6 @@ def _det_gen(args):
 def _lemma_a1(args):
     groups.check_samples(args.samples)
     ctx = make_field(args.q)
-    from .residues import ResidueRing
-
     ring = ResidueRing(parse_poly(ctx, args.prime))
     report = groups.verify_lemma_A1(ring, args.samples, args.seed)
     return (0 if not report["violations"] else 1), [report]
@@ -267,79 +271,80 @@ class _Usage(Exception):
     pass
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_FORMATS = ("jsonl", "csv", "pretty")
+# accepted after the subcommand too; overrides the top-level flag
+_OUTPUT = ("--output", {"choices": _FORMATS, "dest": "output_override",
+                        "default": None})
+_DEGREES = (("--max-deg", {"type": int}), ("--exact-deg", {"type": int}))
+_POLY_FLAGS = ("--prime", "--g1", "--g2", "--l")
+_MODULE = ("--q", "--g1", "--g2", "--prime", _OUTPUT)
+_TRIPLE = ("--q", "--l", "--g1", _OUTPUT, "--c")
+_SAMPLED = ("--q", "--prime", _OUTPUT, "--samples", "--seed")
+
+# subcommand -> (handler, flags in usage order).  A bare flag is required
+# and takes an int, or a polynomial's text if it is in _POLY_FLAGS; any
+# other flag is a (flag, add_argument options) pair.
+COMMANDS = {
+    "field": (_field, ("--q", _OUTPUT)),
+    "primes": (_primes, ("--q", _OUTPUT, *_DEGREES)),
+    "omega": (_omega, ("--q", "--prime", _OUTPUT)),
+    "lambda": (_lambda, _TRIPLE),
+    "lambda-scan": (_lambda_scan, ("--q", _OUTPUT, *_DEGREES, (
+        "--find-counterexample", {"action": "store_true"}))),
+    "frob": (_frob, _MODULE),
+    "thm1-verify": (_thm1_verify, (*_MODULE, "--c1", "--c2")),
+    "thm1-search": (_thm1_search, ("--q", "--prime", _OUTPUT, "--max-deg",
+                                   "--limit")),
+    "thm2": (_thm2, _TRIPLE),
+    "newton": (_newton, _MODULE),
+    "obstruction": (_obstruction, (*_MODULE, "--c1", "--c2")),
+    "det-gen": (_det_gen, ("--q", "--prime", _OUTPUT, ("--level", {
+        "type": int, "choices": (1, 2), "required": True}), "--max-deg")),
+    "lemma-a1": (_lemma_a1, _SAMPLED),
+    "pr-level2": (_pr_level2, _SAMPLED),
+    "density": (_density, ("--q", _OUTPUT, "--d1", "--d2", "--x", (
+        "--mode", {"choices": ("formula", "brute"), "default": "formula"}),
+        ("--c1", {"type": int}), ("--c2", {"type": int}))),
+}
+
+
+def _named_command(argv):
+    """The command `argv` names if only `--output` and its value come before
+    it, so that argparse is sure to run it; otherwise None."""
+    takes_value = False
+    for tok in argv:
+        option = tok.split("=", 1)[0]
+        if takes_value:
+            takes_value = False
+        elif tok in COMMANDS:
+            return tok
+        elif len(option) > 2 and "--output".startswith(option):
+            takes_value = option == tok
+        else:
+            return None
+    return None
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The top-level parser with `command`'s subparser, or all if None."""
     top = argparse.ArgumentParser(
         prog="drinfeldlab",
         description="Exact checks, scans and certificates for rank-2 "
                     "Drinfeld modules over F_q[T].")
-    top.add_argument("--output", choices=("jsonl", "csv", "pretty"),
-                     default="jsonl")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def cmd(name, handler, **flag_specs):
+    top.add_argument("--output", choices=_FORMATS, default="jsonl")
+    # with one subparser built, the usage line still names every command
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        handler, flags = COMMANDS[name]
         p = sub.add_parser(name)
-        for flag, opts in flag_specs.items():
-            p.add_argument(flag, **opts)
-        # accepted after the subcommand too; overrides the top-level flag
-        p.add_argument("--output", choices=("jsonl", "csv", "pretty"),
-                       dest="output_override", default=None)
+        for flag in flags:
+            if isinstance(flag, tuple):
+                p.add_argument(flag[0], **flag[1])
+            else:
+                p.add_argument(flag, required=True,
+                               type=None if flag in _POLY_FLAGS else int)
         p.set_defaults(handler=handler)
-        return p
-
-    q_flag = {"type": int, "required": True}
-    poly_flag = {"type": str, "required": True}
-
-    cmd("field", _field, **{"--q": q_flag})
-    primes = cmd("primes", _primes, **{"--q": q_flag})
-    primes.add_argument("--max-deg", type=int, dest="max_deg")
-    primes.add_argument("--exact-deg", type=int, dest="exact_deg")
-    cmd("omega", _omega, **{"--q": q_flag, "--prime": poly_flag})
-    lam = cmd("lambda", _lambda, **{"--q": q_flag, "--l": poly_flag,
-                                    "--g1": poly_flag})
-    lam.add_argument("--c", type=int, required=True)
-    scan = cmd("lambda-scan", _lambda_scan, **{"--q": q_flag})
-    scan.add_argument("--max-deg", type=int, dest="max_deg")
-    scan.add_argument("--exact-deg", type=int, dest="exact_deg")
-    scan.add_argument("--find-counterexample", action="store_true",
-                      dest="find_counterexample")
-    cmd("frob", _frob, **{"--q": q_flag, "--g1": poly_flag,
-                          "--g2": poly_flag, "--prime": poly_flag})
-    t1v = cmd("thm1-verify", _thm1_verify,
-              **{"--q": q_flag, "--g1": poly_flag, "--g2": poly_flag,
-                 "--prime": poly_flag})
-    t1v.add_argument("--c1", type=int, required=True)
-    t1v.add_argument("--c2", type=int, required=True)
-    t1s = cmd("thm1-search", _thm1_search,
-              **{"--q": q_flag, "--prime": poly_flag})
-    t1s.add_argument("--max-deg", type=int, required=True, dest="max_deg")
-    t1s.add_argument("--limit", type=int, required=True)
-    t2 = cmd("thm2", _thm2, **{"--q": q_flag, "--l": poly_flag,
-                               "--g1": poly_flag})
-    t2.add_argument("--c", type=int, required=True)
-    cmd("newton", _newton, **{"--q": q_flag, "--g1": poly_flag,
-                              "--g2": poly_flag, "--prime": poly_flag})
-    obs = cmd("obstruction", _obstruction,
-              **{"--q": q_flag, "--g1": poly_flag, "--g2": poly_flag,
-                 "--prime": poly_flag})
-    obs.add_argument("--c1", type=int, required=True)
-    obs.add_argument("--c2", type=int, required=True)
-    dg = cmd("det-gen", _det_gen, **{"--q": q_flag, "--prime": poly_flag})
-    dg.add_argument("--level", type=int, choices=(1, 2), required=True)
-    dg.add_argument("--max-deg", type=int, required=True, dest="max_deg")
-    la = cmd("lemma-a1", _lemma_a1, **{"--q": q_flag, "--prime": poly_flag})
-    la.add_argument("--samples", type=int, required=True)
-    la.add_argument("--seed", type=int, required=True)
-    pr = cmd("pr-level2", _pr_level2, **{"--q": q_flag, "--prime": poly_flag})
-    pr.add_argument("--samples", type=int, required=True)
-    pr.add_argument("--seed", type=int, required=True)
-    den = cmd("density", _density, **{"--q": q_flag})
-    den.add_argument("--d1", type=int, required=True)
-    den.add_argument("--d2", type=int, required=True)
-    den.add_argument("--x", type=int, required=True)
-    den.add_argument("--mode", choices=("formula", "brute"),
-                     default="formula")
-    den.add_argument("--c1", type=int)
-    den.add_argument("--c2", type=int)
     return top
 
 
@@ -350,11 +355,7 @@ def _emit(records, output, out):
     elif output == "csv":
         if not records:
             return
-        keys = []
-        for rec in records:
-            for k in rec:
-                if k not in keys:
-                    keys.append(k)
+        keys = list(dict.fromkeys(k for rec in records for k in rec))
         out.write(",".join(keys) + "\n")
         for rec in records:
             row = []
@@ -380,17 +381,14 @@ def _emit(records, output, out):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(_named_command(argv)).parse_args(argv)
     try:
         code, records = args.handler(args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InternalInconsistency as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (DrinfeldLabError, ValueError) as exc:
+    except (_Usage, DrinfeldLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     output = args.output_override or args.output

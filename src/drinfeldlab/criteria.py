@@ -265,9 +265,9 @@ def theorem1_verify(g1: Poly, g2: Poly, p: PrimeIdeal, c1: FqElement,
 def theorem1_search(p: PrimeIdeal, max_deg: int, limit: int):
     """Verified certificates from the congruence parametrization
     g1 = b1 + a1 (T-c1)(T-c2), g2 = b2 + a2 (T-c1)(T-c2)^2, enumerated
-    lexicographically in (c1, c2, b1, b2, a1, a2).  The a1, a2 pools hold
-    up to q^(max_deg - 1) polynomials, so max_deg is checked against the
-    enumeration cap before any work."""
+    lexicographically in (c1, c2, b1, b2, a1, a2).  The a1 pool of up to
+    q^(max_deg - 1) polynomials is drawn lazily and the a2 pool is held;
+    max_deg is checked against the enumeration cap before any work."""
     ctx = p.ctx
     if limit < 0:
         raise ParamsOutOfRange("limit must be >= 0")
@@ -281,7 +281,7 @@ def theorem1_search(p: PrimeIdeal, max_deg: int, limit: int):
     if limit <= 0:
         return []
     certs = []
-    a1_pool = list(polys_below(ctx, max_deg - 1))
+    # a2 is walked once per a1, so only its pool is held in memory
     a2_pool = list(polys_below(ctx, max_deg - 2))
     for c1 in witnesses:
         lam1_gen = Poly.T(ctx) - Poly.constant(ctx, c1)
@@ -294,7 +294,7 @@ def theorem1_search(p: PrimeIdeal, max_deg: int, limit: int):
             m1 = lam1_gen * lam2_gen
             m2 = lam1_gen * lam2_gen * lam2_gen
             for b1, b2 in valid_congruence_classes(ctx, c1, c2):
-                for a1 in a1_pool:
+                for a1 in polys_below(ctx, max_deg - 1):
                     g1 = b1 + a1 * m1
                     if len(g1.coeffs) - 1 > max_deg:
                         continue

@@ -248,8 +248,10 @@ def _find_unit_generator(ring: ResidueRing):
 
 def _nonsplit_cartan(ring: ResidueRing) -> set:
     """The multiplicative group of the quadratic extension acting on itself:
-    all aI + bM, (a, b) != 0, with M the companion matrix of a quadratic
-    X^2 - rX - s irreducible over the residue field."""
+    all xI + yM, (x, y) != 0, with M the companion matrix of a quadratic
+    X^2 - rX - s irreducible over the residue field.  As xI + yM =
+    y((x/y)I + M) for y != 0, the scalars gI (g generating the units) and
+    the aI + M generate it."""
     from .residues import is_square_mod_prime
 
     companion = None
@@ -262,16 +264,10 @@ def _nonsplit_cartan(ring: ResidueRing) -> set:
             break
         if companion:
             break
-    out = set()
-    for a in ring.elements():
-        for b in ring.elements():
-            if a.is_zero() and b.is_zero():
-                continue
-            out.add(Mat2(ring, ((a + b * companion.entries[0][0],
-                                 b * companion.entries[0][1]),
-                                (b * companion.entries[1][0],
-                                 a + b * companion.entries[1][1]))))
-    return out
+    g = _find_unit_generator(ring)
+    (_, s), (_, r) = companion.entries
+    shifts = [Mat2(ring, ((a, s), (1, a + r))) for a in ring.elements()]
+    return closure([Mat2(ring, ((g, 0), (0, g)))] + shifts)
 
 
 def verify_lemma_A1(ring: ResidueRing, samples: int, seed: int) -> dict:

@@ -299,13 +299,15 @@ def skew_mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     if f.is_zero() or g.is_zero():
         return SkewPoly.zero(ring)
     out = [ring.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
+    twisted = g.coeffs  # g's coefficients raised to q^i, one step per i
     for i, a in enumerate(f.coeffs):
+        if i:
+            twisted = [ring.twist(b, 1) for b in twisted]
         if a.is_zero():
             continue
-        for j, b in enumerate(g.coeffs):
-            if b.is_zero():
-                continue
-            out[i + j] += a * ring.twist(b, i)
+        for j, b in enumerate(twisted):
+            if not b.is_zero():
+                out[i + j] += a * b
     return SkewPoly(ring, out)
 
 

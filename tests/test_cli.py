@@ -1,6 +1,10 @@
+import argparse
+import csv
+import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -353,3 +357,94 @@ def test_cli_edge_values_fuzz(capsys, monkeypatch):
                              "--samples", str(groups.SAMPLE_CAP),
                              "--seed", "1")
         assert (code, err) == (0, "")
+
+
+def run_parsed(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), argparse exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARSE_CASES = (
+    [["--help"], [], ["bogus"]]
+    + [[name, "--help"] for name in cli.COMMANDS]
+    + [[name] for name in cli.COMMANDS]
+    + [line.split() for line in (
+        "omega --q 5",
+        "omega --q 5 --prime T --bogus",
+        "--output field omega",
+        "field --q 5 --output bad",
+        "det-gen --q 5 --prime T --level 3 --max-deg 1",
+        "--output csv field --q 5",
+        "field --q 5 --output pretty",
+        "help field",
+        "-h omega",
+        "-5 omega",
+        "-- field --q 5",
+        "--o=csv field --q 5",
+    )])
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES,
+                         ids=lambda argv: " ".join(argv) or "<none>")
+def test_one_subparser_prints_what_the_whole_table_prints(capsys, monkeypatch,
+                                                          argv):
+    got = run_parsed(capsys, argv)
+    monkeypatch.setattr(cli, "_named_command", lambda argv: None)
+    assert got == run_parsed(capsys, argv)
+
+
+def test_each_call_builds_only_the_parser_it_runs(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    cases = [([name, "--help"], [name]) for name in cli.COMMANDS]
+    cases += [(["omega", "--q", "5", "--prime", "T+4"], ["omega"]),
+              (["--output", "csv", "field", "--q", "5"], ["field"]),
+              (["--help"], list(cli.COMMANDS)), ([], list(cli.COMMANDS)),
+              (["bogus"], list(cli.COMMANDS))]
+    assert len(cli.COMMANDS) == 15
+    for argv, want in cases:
+        built.clear()
+        run_parsed(capsys, argv)
+        assert built == want, argv
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines, in_sh = [], False
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("drinfeldlab "):
+            lines.append(line)
+    return lines
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_has_examples():
+    assert len(README_COMMANDS) >= 15
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_example_runs(capsys, line):
+    argv = shlex.split(line)[1:]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if "csv" in argv:
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header and rows
+        assert all(len(row) == len(header) for row in rows)
+    else:
+        assert records(out)

@@ -151,6 +151,24 @@ def test_theorem1_search_counts():
     assert theorem1_search(p, max_deg=4, limit=0) == []
 
 
+def test_theorem1_search_draws_a1_lazily(monkeypatch):
+    # the a1 pool (5^7 polynomials at max_deg 8) is never built as a whole
+    from drinfeldlab import criteria
+
+    polys_below = criteria.polys_below
+    drawn = {}
+
+    def counting(ctx, degree):
+        for poly in polys_below(ctx, degree):
+            drawn[degree] = drawn.get(degree, 0) + 1
+            yield poly
+
+    monkeypatch.setattr(criteria, "polys_below", counting)
+    certs = theorem1_search(PI("T^2+3"), max_deg=8, limit=1)
+    assert len(certs) == 1 and certs[0].verified
+    assert drawn[7] < 5 ** 7 // 100
+
+
 def test_theorem1_search_rejects_non_member():
     with pytest.raises(NotInOmegaTilde):
         theorem1_search(PI(FIRST_DEG5_COUNTEREXAMPLE), max_deg=4, limit=1)

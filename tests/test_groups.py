@@ -87,6 +87,28 @@ def test_acts_irreducibly():
     assert acts_irreducibly(cartan)
 
 
+def _nonsplit_cartan_oracle(ring):
+    """Every aI + bM with (a, b) != 0, M the companion matrix of the first
+    X^2 - rX - s irreducible over the field: the group element by element."""
+    from drinfeldlab.residues import is_square_mod_prime
+
+    r, s = next((r, s) for r in ring.elements() for s in ring.elements()
+                if not (r * r + ring.element(4) * s).is_zero()
+                and not is_square_mod_prime(r * r + ring.element(4) * s))
+    return {Mat2(ring, ((a, b * s), (b, a + b * r)))
+            for a in ring.elements() for b in ring.elements()
+            if not (a.is_zero() and b.is_zero())}
+
+
+@pytest.mark.parametrize("q, modulus", [(5, "T"), (7, "T"), (13, "T"),
+                                        (5, "T^2+2")])
+def test_nonsplit_cartan_closure_matches_enumeration(q, modulus):
+    ring = ResidueRing(parse_poly(make_field(q), modulus))
+    cartan = _nonsplit_cartan(ring)
+    assert len(cartan) == ring.cardinality ** 2 - 1
+    assert cartan == _nonsplit_cartan_oracle(ring)
+
+
 def test_acts_irreducibly_needs_field():
     ring = ResidueRing(parse_poly(F5, "T^2"))
     with pytest.raises(NotAField):

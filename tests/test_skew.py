@@ -180,3 +180,29 @@ def test_noncommutativity_witness():
         right = skew_mul(one_tau, fa)
         in_f5 = a == a ** 5
         assert (left == right) == in_f5
+
+
+def test_skew_mul_twists_one_frobenius_step_at_a_time(monkeypatch):
+    # the q^2-twist of a coefficient is the q-twist of its q-twist, so no
+    # powmod in A/(lambda) needs an exponent above q
+    from drinfeldlab import kernel
+
+    ring = ResidueRing(P("T^3+T+1"))
+    rc = ResidueCoefficients(ring)
+    phi_t = SkewPoly.from_list(rc, [P("T"), P("T^2+3"), P("4*T+1")])
+    rng = random.Random(16)
+    g = SkewPoly(rc, [rng.choice(ring.elements()) for _ in range(4)])
+    want = [rc.zero] * (len(phi_t.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(phi_t.coeffs):
+        for j, b in enumerate(g.coeffs):
+            want[i + j] += a * rc.twist(b, i)
+    exponents = []
+    vpowmod = kernel.vpowmod
+
+    def recording(ctx, a, e, mod):
+        exponents.append(e)
+        return vpowmod(ctx, a, e, mod)
+
+    monkeypatch.setattr(kernel, "vpowmod", recording)
+    assert skew_mul(phi_t, g) == SkewPoly(rc, want)
+    assert exponents and max(exponents) <= 5
