@@ -38,6 +38,14 @@ from .residues import ResidueRing
 EXIT_CLOSED_PIPE = 141
 
 
+def _element(ctx, value, flag):
+    """The element of F_q a --c, --c1 or --c2 flag names; a value outside
+    0..q-1 is a usage error, not reduced mod p."""
+    if not 0 <= value < ctx.q:
+        raise _Usage(f"{flag} {value} out of range 0..{ctx.q - 1}")
+    return ctx.element(value)
+
+
 def _field(args):
     ctx = make_field(args.q)
     elems = enumerate_elements(ctx)
@@ -78,9 +86,9 @@ def _omega(args):
 
 def _lambda(args):
     ctx = make_field(args.q)
+    c = _element(ctx, args.c, "--c")
     cert = criteria.in_lambda_set(PrimeIdeal(parse_poly(ctx, args.l)),
-                                  parse_poly(ctx, args.g1),
-                                  ctx.element(args.c))
+                                  parse_poly(ctx, args.g1), c)
     return (0 if cert.verified else 1), [cert.as_dict()]
 
 
@@ -136,11 +144,12 @@ def _frob(args):
 
 def _thm1_verify(args):
     ctx = make_field(args.q)
+    c1 = _element(ctx, args.c1, "--c1")
+    c2 = _element(ctx, args.c2, "--c2")
     cert = criteria.theorem1_verify(parse_poly(ctx, args.g1),
                                     parse_poly(ctx, args.g2),
                                     PrimeIdeal(parse_poly(ctx, args.prime)),
-                                    ctx.element(args.c1),
-                                    ctx.element(args.c2))
+                                    c1, c2)
     return (0 if cert.verified else 1), [cert.as_dict()]
 
 
@@ -156,9 +165,9 @@ def _thm1_search(args):
 
 def _thm2(args):
     ctx = make_field(args.q)
+    c = _element(ctx, args.c, "--c")
     module, cert = criteria.theorem2_build(
-        PrimeIdeal(parse_poly(ctx, args.l)), parse_poly(ctx, args.g1),
-        ctx.element(args.c))
+        PrimeIdeal(parse_poly(ctx, args.l)), parse_poly(ctx, args.g1), c)
     records = [{"op": "thm2_module", "q": ctx.q,
                 "g1": poly_to_text(module.g1),
                 "g2": poly_to_text(module.g2)},
@@ -187,12 +196,11 @@ def _newton(args):
 
 def _obstruction(args):
     ctx = make_field(args.q)
+    roots = [_element(ctx, args.c1, "--c1"), _element(ctx, args.c2, "--c2")]
     phi = _module_from_args(ctx, args)
     p = PrimeIdeal(parse_poly(ctx, args.prime))
-    lams = []
-    for cval in (args.c1, args.c2):
-        gen = Poly.T(ctx) - Poly.constant(ctx, ctx.element(cval))
-        lams.append(PrimeIdeal(gen, _trusted=True))
+    lams = [PrimeIdeal(Poly.T(ctx) - Poly.constant(ctx, c), _trusted=True)
+            for c in roots]
     cert = criteria.reducibility_obstruction(phi, p, lams)
     return (0 if cert.verified else 1), [cert.as_dict()]
 
@@ -235,8 +243,8 @@ def _density(args):
     census_mod.check_box_size(args.x)
     ctx = make_field(args.q)
     census_mod.check_weights(ctx.q, args.d1, args.d2, args.x)
-    c1 = ctx.element(args.c1 if args.c1 is not None else 0)
-    c2 = ctx.element(args.c2 if args.c2 is not None else 1)
+    c1 = _element(ctx, 0 if args.c1 is None else args.c1, "--c1")
+    c2 = _element(ctx, 1 if args.c2 is None else args.c2, "--c2")
     b1, b2 = census_mod.default_congruence_class(ctx, c1, c2)
     records = []
     for x in range(1, args.x + 1):

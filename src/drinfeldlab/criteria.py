@@ -175,23 +175,23 @@ def lambda_scan(ctx: FieldCtx, max_deg: int,
     check_enumeration_cap(ctx, max_deg)
     degrees = (range(1, max_deg + 1) if mode == "affirm"
                else range(max_deg, max_deg + 1))
-    elements = enumerate_elements(ctx)
+    # r1^2 - 4(T - c) = 4(c' - T) with c' = c + r1^2/4, and by reciprocity
+    # c' - T is a non-square mod l iff l(c') is a non-square in F_q
+    quarter = ctx.inv(4 % ctx.p)
+    pairs = [(c, r1, ctx.add(c, ctx.mul(ctx.mul(r1, r1), quarter)))
+             for c in range(ctx.q) for r1 in range(ctx.q)]
+    squares = {ctx.mul(x, x) for x in range(ctx.q)}
     records = []
     counterexamples = []
     for deg in degrees:
         for l in enumerate_monic_irreducibles(ctx, deg):
-            ring = ResidueRing(l)
+            nonsquare = [eval_at(l.gen, x).val not in squares
+                         for x in enumerate_elements(ctx)]
             witness = None
-            for c in elements:
-                s = ring.element(Poly.T(ctx) - Poly.constant(ctx, c))
-                for r1 in elements:
-                    if quadratic_is_irreducible(r1, s):
-                        g1 = (Poly.constant(ctx, r1) if r1.val != 0
-                              else Poly.T(ctx) - Poly.constant(ctx, c))
-                        witness = {"c": c.val, "r1": r1.val,
-                                   "g1": poly_to_text(g1)}
-                        break
-                if witness:
+            for c, r1, shifted in pairs:
+                if nonsquare[shifted]:
+                    g1 = Poly(ctx, (r1,) if r1 else (ctx.neg(c), 1))
+                    witness = {"c": c, "r1": r1, "g1": poly_to_text(g1)}
                     break
             rec = {"prime": poly_to_text(l.gen), "degree": deg,
                    "passes": witness is not None, "witness": witness}
@@ -265,9 +265,9 @@ def theorem1_verify(g1: Poly, g2: Poly, p: PrimeIdeal, c1: FqElement,
 def theorem1_search(p: PrimeIdeal, max_deg: int, limit: int):
     """Verified certificates from the congruence parametrization
     g1 = b1 + a1 (T-c1)(T-c2), g2 = b2 + a2 (T-c1)(T-c2)^2, enumerated
-    lexicographically in (c1, c2, b1, b2, a1, a2).  The a1 pool of up to
-    q^(max_deg - 1) polynomials is drawn lazily and the a2 pool is held;
-    max_deg is checked against the enumeration cap before any work."""
+    lexicographically in (c1, c2, b1, b2, a1, a2).  The a1 and a2 pools are
+    drawn lazily, a2 afresh for each a1, so no pool is held; max_deg is
+    checked against the enumeration cap before any work."""
     ctx = p.ctx
     if limit < 0:
         raise ParamsOutOfRange("limit must be >= 0")
@@ -281,8 +281,6 @@ def theorem1_search(p: PrimeIdeal, max_deg: int, limit: int):
     if limit <= 0:
         return []
     certs = []
-    # a2 is walked once per a1, so only its pool is held in memory
-    a2_pool = list(polys_below(ctx, max_deg - 2))
     for c1 in witnesses:
         lam1_gen = Poly.T(ctx) - Poly.constant(ctx, c1)
         for c2 in elements:
@@ -298,7 +296,7 @@ def theorem1_search(p: PrimeIdeal, max_deg: int, limit: int):
                     g1 = b1 + a1 * m1
                     if len(g1.coeffs) - 1 > max_deg:
                         continue
-                    for a2 in a2_pool:
+                    for a2 in polys_below(ctx, max_deg - 2):
                         g2 = b2 + a2 * m2
                         if len(g2.coeffs) - 1 > max_deg:
                             continue
@@ -363,8 +361,9 @@ def reducibility_obstruction(phi: DrinfeldModule, p: PrimeIdeal,
     means no zeta survives all supplied primes, so the mod-p action cannot be
     reducible."""
     lams = list(degree1_primes)
-    if len(lams) < 2:
-        raise InsufficientPrimes("the contradiction needs at least 2 primes")
+    if len(set(lams)) < 2:
+        raise InsufficientPrimes(
+            "the contradiction needs at least 2 distinct primes")
     ctx = p.ctx
     ring = ResidueRing(p)
     traces = []

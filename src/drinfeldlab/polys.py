@@ -11,7 +11,9 @@ alike.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
 import re
 
@@ -354,19 +356,25 @@ def check_enumeration_cap(ctx: FieldCtx, degree: int,
 def enumerate_monic_irreducibles(ctx: FieldCtx, degree: int,
                                  cap: int = DEFAULT_ENUMERATION_CAP):
     """All monic irreducibles of exactly the given degree, in the same
-    lexicographic order as monic_polys."""
+    lexicographic order as monic_polys.
+
+    A sieve: every product g*h of a monic irreducible g of degree
+    d <= degree/2 and a monic h of degree degree - d is marked at its base-q
+    index; the unmarked indices are the primes."""
     if degree < 1:
         raise DegreeZeroInput("degree must be >= 1")
     check_enumeration_cap(ctx, degree, cap)
-    out = []
-    if degree == 1:
-        for f in monic_polys(ctx, 1):
-            out.append(PrimeIdeal(f, _trusted=True))
-        return out
-    for f in monic_polys(ctx, degree):
-        if is_irreducible(f):
-            out.append(PrimeIdeal(f, _trusted=True))
-    return out
+    q = ctx.q
+    top = q ** degree
+    composite = bytearray(top)
+    weights = [q ** i for i in range(degree)] + [0]  # the leading 1 is implied
+    for d in range(1, degree // 2 + 1):
+        for g in enumerate_monic_irreducibles(ctx, d, cap):
+            for tail in itertools.product(range(q), repeat=degree - d):
+                prod = kernel.vmul(ctx, g.gen.coeffs, tail + (1,))
+                composite[sum(map(operator.mul, prod, weights))] = 1
+    return [PrimeIdeal(poly_from_index(ctx, top + idx), _trusted=True)
+            for idx, marked in enumerate(composite) if not marked]
 
 
 def irreducible_count(q: int, n: int) -> int:

@@ -271,6 +271,49 @@ def test_thm1_search_bounds_checked_before_work(capsys, monkeypatch):
     assert code == 2 and out == "" and "5^11 candidates exceed cap" in err
 
 
+# (argv with X for the flag under test, the flag) at q = 5
+ELEMENT_FLAG_CASES = (
+    ("lambda --q 5 --l T --g1 1 --c X", "--c"),
+    ("thm2 --q 5 --l T --g1 1 --c X", "--c"),
+    ("thm1-verify --q 5 --g1 T --g2 T+4 --prime T^2+3 --c1 X --c2 1", "--c1"),
+    ("thm1-verify --q 5 --g1 T --g2 T+4 --prime T^2+3 --c1 0 --c2 X", "--c2"),
+    ("obstruction --q 5 --g1 1 --g2 4*T^4 --prime T^2+2 --c1 X --c2 2",
+     "--c1"),
+    ("obstruction --q 5 --g1 1 --g2 4*T^4 --prime T^2+2 --c1 1 --c2 X",
+     "--c2"),
+    ("density --q 5 --d1 3 --d2 12 --x 1 --c1 X", "--c1"),
+    ("density --q 5 --d1 3 --d2 12 --x 1 --c2 X", "--c2"),
+)
+
+
+def test_field_element_flags_range_checked(capsys, monkeypatch):
+    # a value outside 0..q-1 is a usage error before any work, never
+    # reduced mod p; q - 1 is admitted
+    for template, flag in ELEMENT_FLAG_CASES:
+        code, out, err = run(capsys, *template.replace("X", "4").split())
+        assert code in (0, 1) and err == "", template
+
+    def no_work(*args):
+        raise AssertionError("work started before the range check")
+
+    monkeypatch.setattr(cli, "parse_poly", no_work)
+    monkeypatch.setattr(census, "count_S", no_work)
+    for template, flag in ELEMENT_FLAG_CASES:
+        for value in ("-1", "5", "-3", "7"):
+            argv = template.replace("X", value).split()
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: {flag} {value} out of range 0..4\n", argv
+
+
+def test_obstruction_same_prime_twice_exit_2(capsys):
+    code, out, err = run(capsys, "obstruction", "--q", "5", "--g1", "1",
+                         "--g2", "1", "--prime", "T+1", "--c1", "0",
+                         "--c2", "0")
+    assert (code, out) == (2, "")
+    assert "2 distinct primes" in err
+
+
 class _ClosedStdout:
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")

@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from drinfeldlab import kernel, residues
 from drinfeldlab.criteria import (
     in_lambda_set,
     in_omega_tilde,
@@ -14,8 +16,18 @@ from drinfeldlab.criteria import (
 )
 from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.errors import InsufficientPrimes, NotInOmegaTilde
-from drinfeldlab.fields import make_field
-from drinfeldlab.polys import Poly, PrimeIdeal, parse_poly
+from drinfeldlab.fields import enumerate_elements, is_square, make_field
+from drinfeldlab.polys import (
+    Poly,
+    PrimeIdeal,
+    enumerate_monic_irreducibles,
+    eval_at,
+    is_irreducible,
+    monic_polys,
+    parse_poly,
+    poly_to_text,
+)
+from drinfeldlab.residues import ResidueRing, quadratic_is_irreducible
 
 F5 = make_field(5)
 
@@ -122,6 +134,93 @@ def test_lambda_scan_agrees_with_omega_membership():
         assert not in_omega_tilde(PI(text)).verified
 
 
+def _euler_scan(ctx, max_deg, mode):
+    """The oracle for lambda_scan: Rabin-filtered primes, then the first
+    (c, r1) in field order whose quadratic passes the Euler criterion."""
+    degrees = (range(1, max_deg + 1) if mode == "affirm"
+               else range(max_deg, max_deg + 1))
+    elements = enumerate_elements(ctx)
+    records = []
+    for deg in degrees:
+        for gen in monic_polys(ctx, deg):
+            if not is_irreducible(gen):
+                continue
+            ring = ResidueRing(gen)
+            witness = None
+            for c in elements:
+                s = ring.element(Poly.T(ctx) - Poly.constant(ctx, c))
+                for r1 in elements:
+                    if quadratic_is_irreducible(r1, s):
+                        g1 = (Poly.constant(ctx, r1) if r1.val != 0
+                              else Poly.T(ctx) - Poly.constant(ctx, c))
+                        witness = {"c": c.val, "r1": r1.val,
+                                   "g1": poly_to_text(g1)}
+                        break
+                if witness:
+                    break
+            records.append({"prime": poly_to_text(gen), "degree": deg,
+                            "passes": witness is not None,
+                            "witness": witness})
+    return records
+
+
+@pytest.mark.parametrize("q, max_deg, mode", [
+    (5, 4, "affirm"), (5, 5, "find_counterexample"), (7, 3, "affirm"),
+    (11, 2, "affirm"), (13, 2, "affirm")])
+def test_lambda_scan_matches_euler_double_loop(q, max_deg, mode):
+    ctx = make_field(q)
+    report = lambda_scan(ctx, max_deg, mode)
+    want = _euler_scan(ctx, max_deg, mode)
+    assert report.records == want
+    failing = [r["prime"] for r in want if not r["passes"]]
+    assert report.as_dict() == {
+        "op": "lambda_scan", "q": q, "mode": mode, "max_deg": max_deg,
+        "primes_scanned": len(want), "all_pass": not failing,
+        "first_counterexample": failing[0] if failing else None,
+        "counterexamples": failing, "note": report.note}
+    assert (report.note is not None) == (mode == "affirm" and bool(failing))
+
+
+def test_primes_and_scan_run_without_exponentiation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-candidate exponentiation ran")
+
+    monkeypatch.setattr(kernel, "rabin", refuse)
+    monkeypatch.setattr(residues, "is_square_mod_prime", refuse)
+    assert len(enumerate_monic_irreducibles(F5, 4)) == 150
+    hunt = lambda_scan(F5, 5, mode="find_counterexample")
+    assert len(hunt.counterexamples) == 22
+    assert FIRST_DEG5_COUNTEREXAMPLE in hunt.counterexamples
+    assert lambda_scan(make_field(7), 3, mode="affirm").all_pass
+
+
+def _chi(x):
+    return 0 if x.is_zero() else (1 if is_square(x) else -1)
+
+
+def test_weil_bound_on_character_sums():
+    # |sum_x chi(l(x))| <= (d - 1) sqrt(q) for a prime l of degree d, so a
+    # (c, r1) witness exists whenever d < 1 + sqrt(q)
+    for q in (5, 7, 11, 13):
+        ctx = make_field(q)
+        elements = enumerate_elements(ctx)
+        for d in (1, 2, 3):
+            for l in enumerate_monic_irreducibles(ctx, d):
+                total = sum(_chi(eval_at(l.gen, x)) for x in elements)
+                assert total * total <= (d - 1) ** 2 * q, (q, l)
+    for q, max_deg in ((5, 3), (7, 3), (11, 4)):
+        assert max_deg < 1 + math.sqrt(q) < max_deg + 1
+        assert lambda_scan(make_field(q), max_deg, mode="affirm").all_pass
+
+
+def test_known_counterexamples_take_only_nonzero_square_values():
+    hunt = lambda_scan(F5, 5, mode="find_counterexample")
+    assert len(hunt.counterexamples) == 22
+    for text in hunt.counterexamples:
+        values = [eval_at(P(text), x) for x in enumerate_elements(F5)]
+        assert all(_chi(v) == 1 for v in values), text
+
+
 def test_theorem1_verify_worked_example():
     p = PI("T^2+3")
     cert = theorem1_verify(P("T"), P("T+4"), p, F5.element(0), F5.element(1))
@@ -167,6 +266,25 @@ def test_theorem1_search_draws_a1_lazily(monkeypatch):
     certs = theorem1_search(PI("T^2+3"), max_deg=8, limit=1)
     assert len(certs) == 1 and certs[0].verified
     assert drawn[7] < 5 ** 7 // 100
+
+
+def test_theorem1_search_holds_no_a2_pool(monkeypatch):
+    # a2 is drawn afresh for each a1: the 5^6 a2 polynomials at max_deg 8
+    # are never listed before the first certificate
+    from drinfeldlab import criteria
+
+    polys_below = criteria.polys_below
+    drawn = {}
+
+    def counting(ctx, degree):
+        for poly in polys_below(ctx, degree):
+            drawn[degree] = drawn.get(degree, 0) + 1
+            yield poly
+
+    monkeypatch.setattr(criteria, "polys_below", counting)
+    certs = theorem1_search(PI("T^2+3"), max_deg=8, limit=1)
+    assert len(certs) == 1 and certs[0].verified
+    assert drawn[6] < 5 ** 6 // 100
 
 
 def test_theorem1_search_rejects_non_member():
@@ -233,6 +351,15 @@ def test_obstruction_insufficient_primes():
     module, _ = theorem2_build(PI("T"), P("1"), F5.element(3))
     with pytest.raises(InsufficientPrimes):
         reducibility_obstruction(module, PI("T+1"), [PI("T+4")])
+
+
+def test_obstruction_needs_two_distinct_primes():
+    module, _ = theorem2_build(PI("T"), P("1"), F5.element(3))
+    with pytest.raises(InsufficientPrimes, match="distinct"):
+        reducibility_obstruction(module, PI("T+1"), [PI("T+4"), PI("T+4")])
+    cert = reducibility_obstruction(module, PI("T+1"),
+                                    [PI("T+4"), PI("T+3"), PI("T+4")])
+    assert cert.verified
 
 
 def test_obstruction_terminates_in_unit_count_tests():

@@ -130,6 +130,21 @@ def test_is_irreducible_vs_trial_division():
             assert is_irreducible(f) == _brute_irreducible(f)
 
 
+def _rabin_primes(ctx, degree):
+    """The oracle for the sieve: every monic candidate through Rabin's test."""
+    return [f for f in monic_polys(ctx, degree) if is_irreducible(f)]
+
+
+@pytest.mark.parametrize("p, m, max_deg", [
+    (5, 1, 5), (7, 1, 4), (11, 1, 3), (3, 2, 3), (5, 2, 2)])
+def test_sieve_matches_rabin_filter(p, m, max_deg):
+    ctx = make_field(p, m)
+    for d in range(1, max_deg + 1):
+        sieved = enumerate_monic_irreducibles(ctx, d)
+        assert [lam.gen for lam in sieved] == _rabin_primes(ctx, d), d
+        assert all(lam.degree == d for lam in sieved)
+
+
 def test_prime_counts_match_necklace():
     for q, ctx in ((5, F5), (7, make_field(7))):
         for d in range(1, 5):

@@ -6,8 +6,15 @@ from drinfeldlab import residues
 from drinfeldlab.criteria import in_omega_tilde
 from drinfeldlab.drinfeld import DrinfeldModule, reduce_module
 from drinfeldlab.errors import NotAField, NotInvertible, RingMismatch
-from drinfeldlab.fields import make_field
-from drinfeldlab.polys import Poly, PrimeIdeal, gcd, parse_poly
+from drinfeldlab.fields import is_square, make_field
+from drinfeldlab.polys import (
+    Poly,
+    PrimeIdeal,
+    eval_at,
+    gcd,
+    is_irreducible,
+    parse_poly,
+)
 from drinfeldlab.residues import (
     ResidueRing,
     is_square_mod_prime,
@@ -127,6 +134,26 @@ def test_is_square_vs_brute():
         squares = {(e * e) for e in elems}
         for e in elems:
             assert is_square_mod_prime(e) == (e in squares)
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (7, 1), (3, 2), (5, 2)])
+def test_quadratic_reciprocity_against_euler(p, m):
+    # c - T is a square mod a monic prime l iff l(c) is a square in F_q:
+    # the law behind lambda_scan, against the Euler criterion in A/(l)
+    ctx = make_field(p, m)
+    rng = random.Random(p * 100 + m)
+    for deg in (1, 2, 3, 4):
+        for _ in range(6):
+            while True:
+                gen = Poly(ctx, [rng.randrange(ctx.q) for _ in range(deg)]
+                           + [1])
+                if is_irreducible(gen):
+                    break
+            ring = ResidueRing(PrimeIdeal(gen))
+            for c in rng.sample(range(ctx.q), 3):
+                residue = ring.element(Poly(ctx, (c,)) - Poly.T(ctx))
+                assert is_square_mod_prime(residue) == is_square(
+                    eval_at(gen, ctx.from_encoded(c))), (gen, c)
 
 
 def test_quadratic_irreducible_examples():
