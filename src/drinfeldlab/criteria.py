@@ -172,6 +172,9 @@ def lambda_scan(ctx: FieldCtx, max_deg: int,
     """
     if mode not in ("affirm", "find_counterexample"):
         raise ValueError(f"unknown mode {mode!r}")
+    if ctx.m != 1:
+        raise ContextMismatch("lambda_scan records primes as text, which is "
+                              "defined over prime fields only")
     check_enumeration_cap(ctx, max_deg)
     degrees = (range(1, max_deg + 1) if mode == "affirm"
                else range(max_deg, max_deg + 1))

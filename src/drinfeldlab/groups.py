@@ -1,12 +1,14 @@
 """Verification lab for the group-theoretic ingredients.
 
-Subgroup closure in GL_2 of a residue ring, irreducibility of the line
-action, SL_2 containment and the SL_2-criterion lemma suite run on explicit
-element sets.  The level-two full-group suite never materialises a subgroup
-H of GL_2(A/p^2): it closes the image of H in GL_2(A/p) and reads H's
-intersection with the congruence kernel off Schreier generators.
+Neither sampled suite lists the subgroup it examines.  The SL_2-criterion
+suite sizes each H <= GL_2(F) by a stabiliser chain on the points of P^1(F)
+and reads irreducibility and SL_2 containment off its generators and order.
+The level-two full-group suite closes the image of H <= GL_2(A/p^2) in
+GL_2(A/p) and reads H's intersection with the congruence kernel off
+Schreier generators.  The explicit-set APIs (closure, acts_irreducibly,
+sl2_group, contains_sl2) remain as the test oracle.
 
-Closures run on matrices encoded as 4-tuples of residue indices with dense
+Both work on matrices encoded as 4-tuples of residue indices with dense
 add/mul lookup tables; the public Mat2 type stays ResidueElement-based.
 """
 
@@ -16,11 +18,13 @@ import operator
 import random
 
 from .errors import CapExceeded, NotAField, NotInvertible, ParamsOutOfRange
+from .kernel import prime_divisors
 from .polys import PrimeIdeal, poly_to_text
 from .residues import ResidueRing, abelian_span
 
 DEFAULT_CLOSURE_CAP = 400_000
 SAMPLE_CAP = 10_000
+LEMMA_FIELD_CAP = 128
 _TABLE_RING_CAP = 256
 
 
@@ -86,8 +90,9 @@ class _Tables:
         self.mul = [[ring.index_of(x * y) for y in elems] for x in elems]
         self.neg = [ring.index_of(-x) for x in elems]
         self.units = {i for i, x in enumerate(elems) if x.is_unit()}
-        one = ring.index_of(ring.one)
-        self.inv = {i: self.mul[i].index(one) for i in self.units}
+        self.zero, self.one = ring.index_of(ring.zero), ring.index_of(ring.one)
+        self.ident = (self.one, self.zero, self.zero, self.one)
+        self.inv = {i: self.mul[i].index(self.one) for i in self.units}
 
     def encode(self, m: Mat2):
         idx = self.ring.index_of
@@ -115,13 +120,19 @@ class _Tables:
         s = MUL[self.inv[self.mat_det(x)]]
         return (s[d], NEG[s[b]], NEG[s[c]], s[a])
 
+    def mat_pow(self, x, e: int):
+        out = self.ident
+        while e:
+            if e & 1:
+                out = self.mat_mul(out, x)
+            x = self.mat_mul(x, x)
+            e >>= 1
+        return out
+
     def closure(self, gens, cap: int):
         """BFS product closure of encoded generators from the identity."""
-        one = self.ring.index_of(self.ring.one)
-        zero = self.ring.index_of(self.ring.zero)
-        ident = (one, zero, zero, one)
-        seen = {ident}
-        frontier = [ident]
+        seen = {self.ident}
+        frontier = [self.ident]
         mat_mul = self.mat_mul
         while frontier:
             nxt = []
@@ -177,9 +188,7 @@ def acts_irreducibly(H) -> bool:
 
 
 def _acts_irreducibly_encoded(tab: _Tables, enc) -> bool:
-    n = tab.n
-    one = tab.ring.index_of(tab.ring.one)
-    zero = tab.ring.index_of(tab.ring.zero)
+    n, one, zero = tab.n, tab.one, tab.zero
     lines = [(one, x) for x in range(n)] + [(zero, one)]
     MUL, ADD, NEG = tab.mul, tab.add, tab.neg
     for v0, v1 in lines:
@@ -246,28 +255,79 @@ def _find_unit_generator(ring: ResidueRing):
     raise ValueError("unit group has no single generator")
 
 
-def _nonsplit_cartan(ring: ResidueRing) -> set:
-    """The multiplicative group of the quadratic extension acting on itself:
-    all xI + yM, (x, y) != 0, with M the companion matrix of a quadratic
-    X^2 - rX - s irreducible over the residue field.  As xI + yM =
-    y((x/y)I + M) for y != 0, the scalars gI (g generating the units) and
-    the aI + M generate it."""
-    from .residues import is_square_mod_prime
+def _primitive_companion(tab: _Tables):
+    """The first companion matrix [[0, s], [1, r]] of order N^2 - 1: it
+    generates the non-split Cartan, the unit group of F[M] ~ F_{N^2}."""
+    order = tab.n ** 2 - 1
+    for r in range(tab.n):
+        for s in sorted(tab.units):
+            m = (tab.zero, s, tab.one, r)
+            if tab.mat_pow(m, order) == tab.ident and all(
+                    tab.mat_pow(m, order // l) != tab.ident
+                    for l in prime_divisors(order)):
+                return m
+    raise ValueError("no primitive companion matrix")
 
-    companion = None
-    for r in ring.elements():
-        for s in ring.elements():
-            disc = r * r + ring.element(4) * s
-            if disc.is_zero() or is_square_mod_prime(disc):
-                continue
-            companion = Mat2(ring, ((ring.zero, s), (ring.one, r)))
-            break
-        if companion:
-            break
+
+def _lemma_facts(tab: _Tables, gens):
+    """(|H|, H acts irreducibly, SL_2(F) <= H) for H = <gens>, encoded over
+    a field of n elements, by a stabiliser chain on the n + 1 points of P^1
+    (Seress, Permutation Group Algorithms, ch. 4); H is never listed.
+
+    Matrices act on row vectors: the point x < n is the line of (x, 1) and
+    n is infinity, the line of (1, 0).  The orbit of infinity with its
+    transversal gives Schreier generators of H_inf, the orbit of 0 under
+    them gives those of H_inf,0, which is diagonal; so |H| = |inf^H|
+    |0^(H_inf)| |H_inf,0|, the last the span of the (a, d).  H fixes a
+    point iff every generator does, and H n SL_2 has order |H| / |det H|.
+    """
+    n, MUL, ADD, inv, mat_mul = tab.n, tab.mul, tab.add, tab.inv, tab.mat_mul
+
+    def image(x, g):
+        a, b, c, d = g
+        u, v = (a, b) if x == n else (ADD[MUL[x][a]][c], ADD[MUL[x][b]][d])
+        return n if v == tab.zero else MUL[u][inv[v]]
+
+    def level(base, gens):
+        trans = {base: tab.ident}
+        orbit = [base]
+        for x in orbit:
+            for g in gens:
+                y = image(x, g)
+                if y not in trans:
+                    trans[y] = mat_mul(trans[x], g)
+                    orbit.append(y)
+        back = {y: tab.mat_inv(r) for y, r in trans.items()}
+        schreier = {mat_mul(mat_mul(r, g), back[image(x, g)])
+                    for x, r in trans.items() for g in gens}
+        schreier.discard(tab.ident)
+        return len(orbit), schreier
+
+    top, stabiliser = level(n, gens)
+    middle, diagonal = level(tab.zero, stabiliser)
+    order = top * middle * len(abelian_span(
+        (tab.one, tab.one), [(a, d) for a, _, _, d in diagonal],
+        lambda x, y: (MUL[x[0]][y[0]], MUL[x[1]][y[1]]), (n - 1) ** 2))
+    dets = abelian_span(tab.one, [tab.mat_det(x) for x in gens],
+                        lambda x, y: MUL[x][y], n - 1)
+    return (order, _acts_irreducibly_encoded(tab, gens),
+            order // len(dets) == n * (n * n - 1))
+
+
+def _lemma_generators(ring: ResidueRing, tab: _Tables) -> dict:
+    """Encoded generators of the forced taxonomy cases of the lemma lab."""
     g = _find_unit_generator(ring)
-    (_, s), (_, r) = companion.entries
-    shifts = [Mat2(ring, ((a, s), (1, a + r))) for a in ring.elements()]
-    return closure([Mat2(ring, ((g, 0), (0, g)))] + shifts)
+
+    def encoded(*mats):
+        return [tab.encode(Mat2(ring, m)) for m in mats]
+
+    return {
+        "borel": encoded(((g, 0), (0, 1)), ((1, 0), (0, g)), ((1, 1), (0, 1))),
+        "split_cartan": encoded(((g, 0), (0, 1)), ((1, 0), (0, g))),
+        "nonsplit_cartan": [_primitive_companion(tab)],
+        "sl2": [tab.encode(m) for m in _sl2_generators(ring)],
+        "gl2": encoded(((1, 1), (0, 1)), ((1, 0), (1, 1)), ((g, 0), (0, 1))),
+    }
 
 
 def verify_lemma_A1(ring: ResidueRing, samples: int, seed: int) -> dict:
@@ -275,46 +335,29 @@ def verify_lemma_A1(ring: ResidueRing, samples: int, seed: int) -> dict:
     order #F acting irreducibly must contain SL_2(F).
 
     Forced taxonomy cases (Borel, split/non-split Cartan, SL_2, GL_2) run
-    before the seeded random generator sets.  Expected violations: none.
+    before the seeded random generator sets.  No subgroup is listed: each
+    is sized by a stabiliser chain on P^1(F) (see _lemma_facts), so the
+    field may have up to LEMMA_FIELD_CAP elements.  Expected violations:
+    none.
     """
     check_samples(samples)
     if not ring.is_prime:
         raise NotAField("the lemma lab works over a field")
     N = ring.cardinality
-    if N > 25:
-        raise CapExceeded("closure budget limits the field to q^n <= 25")
+    if N > LEMMA_FIELD_CAP:
+        raise CapExceeded(f"the lemma lab limits the field to "
+                          f"q^n <= {LEMMA_FIELD_CAP}")
     tab = _tables(ring)
-    g = _find_unit_generator(ring)
-
-    def enc_closure(mats):
-        return tab.closure([tab.encode(m) for m in mats],
-                           DEFAULT_CLOSURE_CAP)
-
-    forced = {
-        "borel": enc_closure([Mat2(ring, ((g, 0), (0, 1))),
-                              Mat2(ring, ((1, 0), (0, g))),
-                              Mat2(ring, ((1, 1), (0, 1)))]),
-        "split_cartan": enc_closure([Mat2(ring, ((g, 0), (0, 1))),
-                                     Mat2(ring, ((1, 0), (0, g)))]),
-        "nonsplit_cartan": {tab.encode(m) for m in _nonsplit_cartan(ring)},
-        "sl2": enc_closure(_sl2_generators(ring)),
-        "gl2": enc_closure([Mat2(ring, ((1, 1), (0, 1))),
-                            Mat2(ring, ((1, 0), (1, 1))),
-                            Mat2(ring, ((g, 0), (0, 1)))]),
-    }
-    sl2 = forced["sl2"]
     rng = random.Random(seed)
     violations = []
     forced_records = []
     hypothesis_hits = 0
 
-    def examine(name, H):
+    def examine(name, gens):
         nonlocal hypothesis_hits
-        order = len(H)
+        order, irreducible, contains = _lemma_facts(tab, gens)
         has_field_subgroup = (order % N == 0)
-        irreducible = _acts_irreducibly_encoded(tab, H)
         hypotheses = has_field_subgroup and irreducible
-        contains = sl2 <= H
         if hypotheses:
             hypothesis_hits += 1
             if not contains:
@@ -325,12 +368,12 @@ def verify_lemma_A1(ring: ResidueRing, samples: int, seed: int) -> dict:
                 "hypotheses_met": hypotheses,
                 "contains_sl2": contains}
 
-    for name, H in forced.items():
-        forced_records.append(examine(name, H))
+    for name, gens in _lemma_generators(ring, tab).items():
+        forced_records.append(examine(name, gens))
     for i in range(samples):
         k = rng.choice((1, 2, 3))
-        gens = [_random_invertible(rng, ring) for _ in range(k)]
-        examine(f"sample_{i}", enc_closure(gens))
+        gens = [_random_invertible(rng, tab) for _ in range(k)]
+        examine(f"sample_{i}", gens)
     return {
         "op": "verify_lemma_A1",
         "ring": poly_to_text(ring.modulus),
@@ -343,14 +386,13 @@ def verify_lemma_A1(ring: ResidueRing, samples: int, seed: int) -> dict:
     }
 
 
-def _random_invertible(rng, ring: ResidueRing) -> Mat2:
-    n = ring.cardinality
+def _random_invertible(rng, tab: _Tables):
+    """A uniform invertible matrix, encoded: four index draws per attempt."""
+    n = tab.n
     while True:
-        m = Mat2(ring, ((ring.from_index(rng.randrange(n)),
-                         ring.from_index(rng.randrange(n))),
-                        (ring.from_index(rng.randrange(n)),
-                         ring.from_index(rng.randrange(n)))))
-        if m.is_invertible():
+        m = (rng.randrange(n), rng.randrange(n), rng.randrange(n),
+             rng.randrange(n))
+        if tab.mat_det(m) in tab.units:
             return m
 
 
@@ -401,9 +443,6 @@ class _Level2:
             self.proj.append(index1(low))
             self.digits.append(tuple(pi_digit // self.char ** j % self.char
                                      for j in range(self.m)))
-        self.one = self.ring2.index_of(self.ring2.one)
-        zero = self.ring2.index_of(self.ring2.zero)
-        self.ident = (self.one, zero, zero, self.one)
 
     def facts(self, mats):
         """(|H|, det(H) full, |Hbar|, H n K not scalar) for H = <mats>."""
@@ -414,8 +453,8 @@ class _Level2:
             return (proj[x[0]], proj[x[1]], proj[x[2]], proj[x[3]])
 
         gens = [tab.encode(g) for g in mats]
-        lifts = {bar(self.ident): self.ident}
-        frontier = [self.ident]
+        lifts = {bar(tab.ident): tab.ident}
+        frontier = [tab.ident]
         while frontier:
             nxt = []
             for x in frontier:
@@ -436,7 +475,7 @@ class _Level2:
                     yield sum((digits[e] for e in s), ())
 
         basis = _fp_basis(schreier_digits(), self.char, 4 * m)
-        dets = abelian_span(self.one, [tab.mat_det(g) for g in gens],
+        dets = abelian_span(tab.one, [tab.mat_det(g) for g in gens],
                             lambda x, y: MUL[x][y], self.unit_count)
         return (len(lifts) * self.char ** len(basis),
                 len(dets) == self.unit_count, len(lifts),
@@ -497,7 +536,8 @@ def pink_rutsche_level2(p: PrimeIdeal, samples: int, seed: int) -> dict:
         forced_records.append(examine(name, gens))
     for i in range(samples):
         k = rng.choice((2, 2, 3))
-        gens = [_random_invertible(rng, ring2) for _ in range(k)]
+        gens = [lab.tab.decode(_random_invertible(rng, lab.tab))
+                for _ in range(k)]
         sample_records.append(examine(f"sample_{i}", gens))
     filtered_out = sum(1 for r in forced_records + sample_records
                        if not r["hypotheses_met"])

@@ -15,7 +15,7 @@ from drinfeldlab.criteria import (
     theorem2_build,
 )
 from drinfeldlab.drinfeld import DrinfeldModule
-from drinfeldlab.errors import InsufficientPrimes, NotInOmegaTilde
+from drinfeldlab.errors import ContextMismatch, InsufficientPrimes, NotInOmegaTilde
 from drinfeldlab.fields import enumerate_elements, is_square, make_field
 from drinfeldlab.polys import (
     Poly,
@@ -31,8 +31,9 @@ from drinfeldlab.residues import ResidueRing, quadratic_is_irreducible
 
 F5 = make_field(5)
 
-# first failing prime of the degree-5 scan, frozen from an independent
-# int-arithmetic enumeration of all 624 monic irreducible quintics
+# one failing prime of the degree-5 scan (of 22; the scan's first is
+# T^5+4*T+1), frozen from an independent int-arithmetic enumeration of all
+# 624 monic irreducible quintics
 FIRST_DEG5_COUNTEREXAMPLE = "T^5+4*T^4+3*T^3+1"
 
 
@@ -97,6 +98,19 @@ def test_lambda_scan_exact_degree_mode():
     report = lambda_scan(F5, 3, mode="find_counterexample")
     assert len(report.records) == 40  # only degree 3
     assert report.all_pass  # no counterexample below degree 5
+
+
+def test_lambda_scan_rejects_extension_fields_before_work(monkeypatch):
+    from drinfeldlab import criteria
+
+    def refuse(*args):
+        raise AssertionError("enumeration ran")
+
+    monkeypatch.setattr(criteria, "enumerate_monic_irreducibles", refuse)
+    monkeypatch.setattr(criteria, "check_enumeration_cap", refuse)
+    for mode in ("affirm", "find_counterexample"):
+        with pytest.raises(ContextMismatch, match="prime fields only"):
+            lambda_scan(make_field(3, 2), 3, mode=mode)
 
 
 def test_lambda_scan_brute_agreement():
@@ -191,6 +205,7 @@ def test_primes_and_scan_run_without_exponentiation(monkeypatch):
     hunt = lambda_scan(F5, 5, mode="find_counterexample")
     assert len(hunt.counterexamples) == 22
     assert FIRST_DEG5_COUNTEREXAMPLE in hunt.counterexamples
+    assert hunt.counterexamples[0] == "T^5+4*T+1"
     assert lambda_scan(make_field(7), 3, mode="affirm").all_pass
 
 

@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from drinfeldlab import groups
+from drinfeldlab.cli import main
 from drinfeldlab.errors import CapExceeded, NotAField, NotInvertible, ParamsOutOfRange
 from drinfeldlab.fields import make_field
 from drinfeldlab.groups import (
     DEFAULT_CLOSURE_CAP,
+    LEMMA_FIELD_CAP,
     SAMPLE_CAP,
     Mat2,
     acts_irreducibly,
@@ -19,10 +22,14 @@ from drinfeldlab.groups import (
     sl2_group,
     verify_lemma_A1,
     _Level2,
+    _acts_irreducibly_encoded,
     _find_unit_generator,
     _fp_basis,
-    _nonsplit_cartan,
+    _lemma_facts,
+    _lemma_generators,
+    _primitive_companion,
     _random_invertible,
+    _sl2_generators,
     _tables,
 )
 from drinfeldlab.polys import Poly, PrimeIdeal, parse_poly, poly_to_text
@@ -87,26 +94,50 @@ def test_acts_irreducibly():
     assert acts_irreducibly(cartan)
 
 
-def _nonsplit_cartan_oracle(ring):
-    """Every aI + bM with (a, b) != 0, M the companion matrix of the first
-    X^2 - rX - s irreducible over the field: the group element by element."""
-    from drinfeldlab.residues import is_square_mod_prime
-
-    r, s = next((r, s) for r in ring.elements() for s in ring.elements()
-                if not (r * r + ring.element(4) * s).is_zero()
-                and not is_square_mod_prime(r * r + ring.element(4) * s))
+def _companion_span(ring, r, s):
+    """Every aI + bM with (a, b) != 0, M = [[0, s], [1, r]]: the unit group
+    of F[M], the non-split Cartan when X^2 - rX - s is irreducible, listed
+    element by element."""
     return {Mat2(ring, ((a, b * s), (b, a + b * r)))
             for a in ring.elements() for b in ring.elements()
             if not (a.is_zero() and b.is_zero())}
 
 
+def _first_irreducible_companion(ring):
+    """(r, s) of the first X^2 - rX - s irreducible over the field."""
+    from drinfeldlab.residues import is_square_mod_prime
+
+    return next((r, s) for r in ring.elements() for s in ring.elements()
+                if not (r * r + ring.element(4) * s).is_zero()
+                and not is_square_mod_prime(r * r + ring.element(4) * s))
+
+
+def _nonsplit_cartan(ring):
+    """The non-split Cartan of the first irreducible companion matrix M by
+    explicit closure: as xI + yM = y((x/y)I + M) for y != 0, the scalars gI
+    (g generating the units) and the shifts aI + M generate it."""
+    r, s = _first_irreducible_companion(ring)
+    g = _find_unit_generator(ring)
+    shifts = [Mat2(ring, ((a, s), (1, a + r))) for a in ring.elements()]
+    return closure([Mat2(ring, ((g, 0), (0, g)))] + shifts)
+
+
 @pytest.mark.parametrize("q, modulus", [(5, "T"), (7, "T"), (13, "T"),
                                         (5, "T^2+2")])
 def test_nonsplit_cartan_closure_matches_enumeration(q, modulus):
+    # the lemma lab's one generator, a companion matrix of order N^2 - 1,
+    # spans the whole enumerated Cartan, as do scalars and shifts
     ring = ResidueRing(parse_poly(make_field(q), modulus))
     cartan = _nonsplit_cartan(ring)
     assert len(cartan) == ring.cardinality ** 2 - 1
-    assert cartan == _nonsplit_cartan_oracle(ring)
+    assert cartan == _companion_span(ring, *_first_irreducible_companion(ring))
+    tab = _tables(ring)
+    generator = _primitive_companion(tab)
+    _, s, _, r = generator
+    want = _companion_span(ring, ring.from_index(r), ring.from_index(s))
+    assert len(want) == ring.cardinality ** 2 - 1
+    assert closure([tab.decode(generator)]) == want
+    assert _lemma_generators(ring, tab)["nonsplit_cartan"] == [generator]
 
 
 def test_acts_irreducibly_needs_field():
@@ -177,14 +208,74 @@ def test_verify_lemma_a1_determinism():
     assert a == b
 
 
-def test_verify_lemma_a1_budget():
-    big = ResidueRing(parse_poly(F5, "T^3+T+1"))
+def test_verify_lemma_a1_budget(monkeypatch, capsys):
+    # a field of 131 > LEMMA_FIELD_CAP elements is refused before the
+    # dense tables are built; at the CLI that is a usage error
+    assert LEMMA_FIELD_CAP == 128
+
+    def refuse(ring):
+        raise AssertionError("tables built")
+
+    monkeypatch.setattr(groups, "_Tables", refuse)
+    ring = ResidueRing(parse_poly(make_field(131), "T"))
     with pytest.raises(CapExceeded):
-        verify_lemma_A1(big, samples=1, seed=1)
+        verify_lemma_A1(ring, samples=1, seed=1)
+    code = main(["lemma-a1", "--q", "131", "--prime", "T", "--samples", "1",
+                 "--seed", "1"])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("q, modulus", [(5, "T^3+T+1"), (127, "T")])
+def test_verify_lemma_a1_at_the_field_bound(capsys, q, modulus):
+    # F_125 = A/(T^3+T+1) and F_127, one sample each, through the CLI
+    code = main(["lemma-a1", "--q", str(q), "--prime", modulus,
+                 "--samples", "1", "--seed", "1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["violations"] == []
+    N = report["q_field"]
+    assert N in (125, 127)
+    cases = {c["case"]: c for c in report["forced_cases"]}
+    assert cases["gl2"]["order"] == (N * N - 1) * (N * N - N)
+    assert cases["sl2"]["order"] == N * (N * N - 1)
+    assert cases["nonsplit_cartan"]["order"] == N * N - 1
+    assert cases["gl2"]["contains_sl2"] and cases["gl2"]["hypotheses_met"]
+    assert not cases["borel"]["acts_irreducibly"]
+
+
+def _bfs_lemma_facts(tab, sl2, gens):
+    """(|H|, H acts irreducibly, SL_2 <= H) for H = <gens> from its explicit
+    BFS closure: closure, acts_irreducibly and contains_sl2 on the encoded
+    elements, so GL_2(F_25) is not decoded into 374,400 Mat2 objects."""
+    H = tab.closure(gens, DEFAULT_CLOSURE_CAP)
+    return len(H), _acts_irreducibly_encoded(tab, H), sl2 <= H
+
+
+@pytest.mark.parametrize("q, modulus, count", [(5, "T", 300), (7, "T", 300),
+                                               (5, "T^2+2", 20)])
+def test_lemma_facts_match_bfs_oracle(q, modulus, count):
+    # the stabiliser chain against BFS on the forced generator sets and on
+    # seeded subgroups with 1-3 random generators
+    ring = ResidueRing(parse_poly(make_field(q), modulus))
+    tab = _tables(ring)
+    sl2 = tab.closure([tab.encode(m) for m in _sl2_generators(ring)],
+                      DEFAULT_CLOSURE_CAP)
+    rng = random.Random(100 * q + count)
+    sets = list(_lemma_generators(ring, tab).values())
+    for _ in range(count):
+        sets.append([_random_invertible(rng, tab)
+                     for _ in range(rng.choice((1, 2, 3)))])
+    seen = set()
+    for gens in sets:
+        facts = _lemma_facts(tab, gens)
+        assert facts == _bfs_lemma_facts(tab, sl2, gens), gens
+        seen.add(facts[1:])
+    # reducible and irreducible subgroups, with and without SL_2
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_verify_lemma_a1_f25():
-    # top of the closure budget: the field F_25 = A/(T^2+2)
+    # the largest field the BFS closures reached: F_25 = A/(T^2+2)
     ring = ResidueRing(parse_poly(F5, "T^2+2"))
     report = verify_lemma_A1(ring, samples=3, seed=6)
     assert report["violations"] == []
@@ -280,6 +371,32 @@ def _bfs_facts(p, mats):
     return facts
 
 
+def _random_invertible_elements(rng, ring):
+    """The same draws as groups._random_invertible, built from residues."""
+    n = ring.cardinality
+    while True:
+        m = Mat2(ring, ((ring.from_index(rng.randrange(n)),
+                         ring.from_index(rng.randrange(n))),
+                        (ring.from_index(rng.randrange(n)),
+                         ring.from_index(rng.randrange(n)))))
+        if m.is_invertible():
+            return m
+
+
+@pytest.mark.parametrize("q, modulus", [(5, "T"), (13, "T+2"), (5, "T^2+2"),
+                                        (5, "T^2")])
+def test_random_invertible_index_draws_match_element_draws(q, modulus):
+    # the samplers of both labs draw matrices as index 4-tuples; they are
+    # the matrices that four from_index draws and is_invertible would give
+    ring = ResidueRing(parse_poly(make_field(q), modulus))
+    tab = _tables(ring)
+    fast, slow = random.Random(q), random.Random(q)
+    for _ in range(200):
+        assert (tab.decode(_random_invertible(fast, tab))
+                == _random_invertible_elements(slow, ring))
+    assert fast.random() == slow.random()
+
+
 def _bfs_pink_rutsche_level2(p, samples, seed):
     """The level-2 lab report with every subgroup closed by BFS."""
     q = p.ctx.q
@@ -320,7 +437,7 @@ def _bfs_pink_rutsche_level2(p, samples, seed):
     sample_records = []
     for i in range(samples):
         k = rng.choice((2, 2, 3))
-        gens = [_random_invertible(rng, ring2) for _ in range(k)]
+        gens = [_random_invertible_elements(rng, ring2) for _ in range(k)]
         sample_records.append(examine(f"sample_{i}", gens))
     filtered_out = sum(1 for r in forced_records + sample_records
                        if not r["hypotheses_met"])
@@ -418,7 +535,7 @@ def _first_generator_by_order(ring):
 
 
 def test_unit_generator_matches_order_loop():
-    # the rings of verify_lemma_A1 (q^n <= 25) and of pink_rutsche_level2
+    # rings of verify_lemma_A1 (here q^n <= 25) and of pink_rutsche_level2
     # (A/p and A/p^2 at deg p = 1)
     rings = [ResidueRing(parse_poly(F5, "T^2+2")),
              ResidueRing(parse_poly(F5, "T^2+4*T+2")),
