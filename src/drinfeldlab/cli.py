@@ -114,10 +114,18 @@ def _module_from_args(ctx, args):
                                 parse_poly(ctx, args.g2)])
 
 
+def _capped_prime(ctx, text):
+    """The --prime of frob and newton, its degree bounded before the
+    irreducibility test."""
+    f = parse_poly(ctx, text)
+    frobenius.check_prime_degree(f)
+    return PrimeIdeal(f)
+
+
 def _frob(args):
     ctx = make_field(args.q)
     phi = _module_from_args(ctx, args)
-    lam = PrimeIdeal(parse_poly(ctx, args.prime))
+    lam = _capped_prime(ctx, args.prime)
     # frob_general raises InternalInconsistency unless the identity holds
     cp = frobenius.frob_general(phi, lam)
     rec = {
@@ -131,6 +139,9 @@ def _frob(args):
         "unit": cp.unit.val,
         "identity_holds": True,
     }
+    # The oracle reduces phi a second time, into a ring of its own, and
+    # raises to q^i by powmod, never by the Frobenius rows frob_general
+    # twists with: the second reduction is what keeps the check independent.
     try:
         oracle = frobenius.euler_poincare_oracle(phi, lam)
         p1 = (Poly.one(ctx) - cp.a + cp.b).monic()
@@ -178,7 +189,7 @@ def _thm2(args):
 def _newton(args):
     ctx = make_field(args.q)
     phi = _module_from_args(ctx, args)
-    p = PrimeIdeal(parse_poly(ctx, args.prime))
+    p = _capped_prime(ctx, args.prime)
     rep = newton_polygon(phi, p)
     rec = {
         "op": "newton",

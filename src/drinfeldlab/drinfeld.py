@@ -135,12 +135,10 @@ class ReducedModule:
 
     def act(self, a: Poly, x):
         """Evaluate the linearized polynomial phi_a at a residue x."""
-        f = self.of(a)
-        q = self.ring.ctx.q
         acc = self.ring.zero
-        for i, c in enumerate(f.coeffs):
+        for i, c in enumerate(self.of(a).coeffs):
             if not c.is_zero():
-                acc = acc + c * x ** (q ** i)
+                acc = acc + c * x.frobenius(i)
         return acc
 
 

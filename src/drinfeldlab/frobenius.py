@@ -33,6 +33,16 @@ from .residues import ResidueRing, abelian_span, norm_to_base
 from .skew import SkewPoly
 
 DEFAULT_BRUTE_CAP = 5 ** 4
+# The largest prime degree the frob and newton commands accept, checked
+# before any work: frob_general at q = 5 takes seconds at degree 64.
+PRIME_DEG_CAP = 64
+
+
+def check_prime_degree(f: Poly) -> None:
+    """Reject a prime generator of degree above PRIME_DEG_CAP."""
+    if len(f.coeffs) - 1 > PRIME_DEG_CAP:
+        raise ParamsOutOfRange(
+            f"prime degree must be at most {PRIME_DEG_CAP}")
 
 
 class FrobCharpoly:

@@ -18,7 +18,7 @@ import operator
 import random
 
 from .errors import CapExceeded, NotAField, NotInvertible, ParamsOutOfRange
-from .kernel import prime_divisors
+from .kernel import prime_divisors, vadd, vmulmod
 from .polys import PrimeIdeal, poly_to_text
 from .residues import ResidueRing, abelian_span
 
@@ -86,8 +86,19 @@ class _Tables:
         self.n = n
         elems = ring.elements()
         self.elems = elems
-        self.add = [[ring.index_of(x + y) for y in elems] for x in elems]
-        self.mul = [[ring.index_of(x * y) for y in elems] for x in elems]
+        # sums and products straight on the digit vectors of the indices
+        ctx, mod, q = ring.ctx, ring.modulus.coeffs, ring.ctx.q
+        vecs = [x.rep.coeffs for x in elems]
+
+        def index(v):
+            idx = 0
+            for c in reversed(v):
+                idx = idx * q + c
+            return idx
+
+        self.add = [[index(vadd(ctx, a, b)) for b in vecs] for a in vecs]
+        self.mul = [[index(vmulmod(ctx, a, b, mod)) for b in vecs]
+                    for a in vecs]
         self.neg = [ring.index_of(-x) for x in elems]
         self.units = {i for i, x in enumerate(elems) if x.is_unit()}
         self.zero, self.one = ring.index_of(ring.zero), ring.index_of(ring.one)

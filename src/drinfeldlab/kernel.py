@@ -10,6 +10,12 @@ decision lives in one place.  That covers every quotient of a polynomial
 ring by a monic modulus: F_{p^m} itself (digits over `Zp(p)` modulo the
 field's modulus) and the residue rings A/(f) of `residues`.
 
+The q-power Frobenius x -> x^q of A/(f) is F_q-linear, as c^q = c on F_q.
+`frobenius_rows` builds its matrix once (the rows T^(q*i) mod f of
+Berlekamp's algorithm) and `vlincomb` applies it, so the twists of skew
+products and the conjugates of a norm cost one matrix-vector product each
+and no powmod.
+
 The prime-field loops read only ctx.p, ctx.q and ctx.m, so the kernel also
 runs over the bare `Zp` context.
 """
@@ -174,6 +180,38 @@ def vpowmod(ctx, a, e, mod):
         if bit == "1":
             result = vmulmod(ctx, result, base, mod)
     return result
+
+
+def frobenius_rows(ctx, mod):
+    """T^(q*i) mod a monic `mod` for i < deg mod, q = ctx.q: row i is the
+    image of T^i under x -> x^q.  One powmod to the exponent q, then one
+    mulmod per further row."""
+    rows = [[1]]
+    if len(mod) > 2:
+        tq = vpowmod(ctx, [0, 1], ctx.q, mod)
+        rows.append(tq)
+        for _ in range(len(mod) - 3):
+            rows.append(vmulmod(ctx, rows[-1], tq, mod))
+    return rows
+
+
+def vlincomb(ctx, v, rows):
+    """sum v[i] * rows[i]: the image of the coordinate vector v under the
+    linear map with the given rows.  Over a prime field the sum is
+    accumulated over Z and reduced mod p once, as in `_product`."""
+    if ctx.m != 1:
+        out = []
+        for c, row in zip(v, rows):
+            if c:
+                out = vadd(ctx, out, vscale(ctx, row, c))
+        return out
+    out = [0] * max(map(len, rows), default=0)
+    for c, row in zip(v, rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    p = ctx.p
+    return _trim([c % p for c in out])
 
 
 def vgcd(ctx, a, b):

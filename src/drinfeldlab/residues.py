@@ -7,7 +7,9 @@ irreducibility test that drives the certificate machinery.  Non-prime moduli
 
 Elements keep their fully reduced representative.  Products, powers and
 inverses run in `kernel` modulo the monic modulus, as F_{p^m} arithmetic
-does; sums need no reduction.
+does; sums need no reduction.  The q-power Frobenius is F_q-linear on every
+A/(f), prime or not: each ring builds its matrix (`kernel.frobenius_rows`)
+once, on first use, and twists and norms apply it in place of a powmod.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class ResidueRing:
     """A/(modulus) for a monic modulus of degree >= 1, or A/p for a
     PrimeIdeal p, whose primality is not tested again."""
 
-    __slots__ = ("modulus", "is_prime", "cardinality")
+    __slots__ = ("modulus", "is_prime", "cardinality", "_frob_rows")
 
     def __init__(self, modulus: Poly | PrimeIdeal):
         if isinstance(modulus, PrimeIdeal):
@@ -40,6 +42,7 @@ class ResidueRing:
             self.is_prime = is_irreducible(modulus)
         self.modulus = modulus
         self.cardinality = modulus.ctx.q ** (len(modulus.coeffs) - 1)
+        self._frob_rows = None
 
     @property
     def ctx(self) -> FieldCtx:
@@ -48,6 +51,13 @@ class ResidueRing:
     @property
     def degree(self) -> int:
         return len(self.modulus.coeffs) - 1
+
+    def frobenius_rows(self):
+        """The rows T^(q*i) mod the modulus of x -> x^q, built once."""
+        if self._frob_rows is None:
+            self._frob_rows = kernel.frobenius_rows(self.ctx,
+                                                    self.modulus.coeffs)
+        return self._frob_rows
 
     def element(self, value) -> "ResidueElement":
         """Reduce a Poly, FqElement or int into the ring."""
@@ -158,8 +168,10 @@ class ResidueElement:
         return gcd(self.rep, self.ring.modulus).is_one()
 
     def frobenius(self, k: int = 1) -> "ResidueElement":
-        """k-fold q-power Frobenius x -> x^(q^k)."""
-        return self ** (self.ring.ctx.q ** k)
+        """k-fold q-power Frobenius x -> x^(q^k), by the ring's rows."""
+        ring = self.ring
+        return ResidueElement(ring, Poly(ring.ctx,
+                                         _twist(ring, self.rep.coeffs, k)))
 
     def __eq__(self, other):
         if isinstance(other, (int, FqElement, Poly)):
@@ -175,6 +187,14 @@ class ResidueElement:
 
     def __repr__(self):
         return f"[{self.rep!r}]"
+
+
+def _twist(ring: ResidueRing, v, k: int):
+    """The coefficient vector v of a residue raised to q^k."""
+    ctx, rows = ring.ctx, ring.frobenius_rows()
+    for _ in range(k):
+        v = kernel.vlincomb(ctx, v, rows)
+    return v
 
 
 def residue_inv(x: ResidueElement) -> ResidueElement:
@@ -209,19 +229,22 @@ def abelian_span(one, gens, mul, order: int) -> set:
 
 
 def norm_to_base(x: ResidueElement) -> FqElement:
-    """Field norm F_{q^n} -> F_q: the product of the q-power conjugates."""
+    """Field norm F_{q^n} -> F_q: the product x * x^q * ... * x^(q^(n-1))
+    of the q-power conjugates, each one Frobenius step from the last."""
     ring = x.ring
     if not ring.is_prime:
         raise NotAField("norm needs a prime modulus")
     ctx = ring.ctx
     if x.is_zero():
         return FqElement(ctx, 0)
-    q, n = ctx.q, ring.degree
-    e = (q ** n - 1) // (q - 1)
-    nr = x ** e
-    if nr.rep.degree > 0:
+    mod = ring.modulus.coeffs
+    conj = nr = x.rep.coeffs
+    for _ in range(ring.degree - 1):
+        conj = _twist(ring, conj, 1)
+        nr = kernel.vmulmod(ctx, nr, conj, mod)
+    if len(nr) > 1:
         raise AssertionError("norm did not land in the base field")
-    return nr.rep.coefficient(0)
+    return FqElement(ctx, nr[0])
 
 
 def is_square_mod_prime(x: ResidueElement) -> bool:

@@ -14,6 +14,7 @@ import pytest
 import drinfeldlab
 from drinfeldlab import census, cli, criteria, frobenius, groups, kernel
 from drinfeldlab.cli import main
+from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.errors import EnumerationCapExceeded
 from drinfeldlab.fields import make_field
 from drinfeldlab.polys import PrimeIdeal, parse_poly
@@ -177,6 +178,26 @@ def test_enumeration_cap_checked_before_work(capsys, monkeypatch):
         assert out == "" and "11^7 candidates exceed cap" in err
     with pytest.raises(EnumerationCapExceeded):
         frobenius.det_generation_check(p, 1, 7)
+
+
+def test_prime_degree_cap_checked_before_work(capsys, monkeypatch):
+    # degree 64 is the cap and runs: frob_general at a degree-64 prime
+    F5 = make_field(5)
+    gen = parse_poly(F5, "T^64+3*T^4+T^2+T+2")
+    frobenius.check_prime_degree(gen)
+    phi = DrinfeldModule(F5, [parse_poly(F5, "T+1"), parse_poly(F5, "2*T+3")])
+    cp = frobenius.frob_general(phi, PrimeIdeal(gen))
+    assert cp.b == gen * cp.unit
+
+    def no_rabin(*args):
+        raise AssertionError("Rabin test ran before the degree check")
+
+    monkeypatch.setattr(kernel, "rabin", no_rabin)
+    for cmd in ("frob", "newton"):
+        code, out, err = run(capsys, cmd, "--q", "5", "--g1", "T+1",
+                             "--g2", "2*T+3", "--prime", "T^65+T+1")
+        assert code == 2
+        assert out == "" and "at most 64" in err
 
 
 def test_minus_convenience_matches_worked_example(capsys):

@@ -237,19 +237,43 @@ def test_euler_poincare_oracle_carlitz():
         assert oracle == Poly.from_coeffs(F5, [(-(c + 1)) % 5, 1])
 
 
-def test_oracle_agreement_random():
+def _oracle_agreement_cases():
+    """(phi, lam, monic P(1)) from frob_deg1 and frob_general, seeded."""
     rng = random.Random(32)
+    cases = []
     for _ in range(50):
         phi = _random_module(rng)
         for lam in _good_deg1_primes(phi):
             cp = frob_deg1(phi, lam)
-            p1 = Poly.one(F5) - cp.a + cp.b
-            assert euler_poincare_oracle(phi, lam) == p1.monic()
+            cases.append((phi, lam, (Poly.one(F5) - cp.a + cp.b).monic()))
         lam2 = PI("T^2+2")
         if not (phi.g2 % lam2.gen).is_zero():
             cp = frob_general(phi, lam2)
-            p1 = Poly.one(F5) - cp.a + cp.b
-            assert euler_poincare_oracle(phi, lam2) == p1.monic()
+            cases.append((phi, lam2, (Poly.one(F5) - cp.a + cp.b).monic()))
+    return cases
+
+
+def test_oracle_agreement_random():
+    for phi, lam, p1 in _oracle_agreement_cases():
+        assert euler_poincare_oracle(phi, lam) == p1
+
+
+def test_oracle_is_independent_of_the_frobenius_rows(monkeypatch):
+    # the oracle raises to q^i by powmod in a ring of its own, so it still
+    # answers, and still agrees, with the Frobenius rows unavailable
+    from drinfeldlab import kernel
+
+    cases = _oracle_agreement_cases()
+    phi2, lam2 = next((phi, lam) for phi, lam, _ in cases if lam.degree == 2)
+
+    def unavailable(ctx, mod):
+        raise AssertionError("the oracle used the Frobenius rows")
+
+    monkeypatch.setattr(kernel, "frobenius_rows", unavailable)
+    with pytest.raises(AssertionError):
+        frob_general(phi2, lam2)
+    for phi, lam, p1 in cases:
+        assert euler_poincare_oracle(phi, lam) == p1
 
 
 def test_charpoly_invariants_random():

@@ -182,20 +182,24 @@ def test_noncommutativity_witness():
         assert (left == right) == in_f5
 
 
-def test_skew_mul_twists_one_frobenius_step_at_a_time(monkeypatch):
-    # the q^2-twist of a coefficient is the q-twist of its q-twist, so no
-    # powmod in A/(lambda) needs an exponent above q
+def test_skew_mul_twists_by_the_frobenius_rows_without_powmod(monkeypatch):
+    # the product matches the one built from the powmod definition
+    # b^(q^i) of the twist, and once the ring's Frobenius rows exist no
+    # twist in A/(lambda) runs a powmod at all
     from drinfeldlab import kernel
 
     ring = ResidueRing(P("T^3+T+1"))
     rc = ResidueCoefficients(ring)
     phi_t = SkewPoly.from_list(rc, [P("T"), P("T^2+3"), P("4*T+1")])
     rng = random.Random(16)
-    g = SkewPoly(rc, [rng.choice(ring.elements()) for _ in range(4)])
-    want = [rc.zero] * (len(phi_t.coeffs) + len(g.coeffs) - 1)
-    for i, a in enumerate(phi_t.coeffs):
-        for j, b in enumerate(g.coeffs):
-            want[i + j] += a * rc.twist(b, i)
+    elems = ring.elements()
+    for _ in range(5):
+        g = SkewPoly(rc, [rng.choice(elems) for _ in range(4)])
+        want = [rc.zero] * (len(phi_t.coeffs) + len(g.coeffs) - 1)
+        for i, a in enumerate(phi_t.coeffs):
+            for j, b in enumerate(g.coeffs):
+                want[i + j] += a * b ** (5 ** i)
+        assert skew_mul(phi_t, g) == SkewPoly(rc, want)
     exponents = []
     vpowmod = kernel.vpowmod
 
@@ -204,5 +208,7 @@ def test_skew_mul_twists_one_frobenius_step_at_a_time(monkeypatch):
         return vpowmod(ctx, a, e, mod)
 
     monkeypatch.setattr(kernel, "vpowmod", recording)
-    assert skew_mul(phi_t, g) == SkewPoly(rc, want)
-    assert exponents and max(exponents) <= 5
+    assert ring.frobenius_rows()
+    prod = skew_mul(phi_t, g)
+    assert exponents == []
+    assert prod == SkewPoly(rc, want)
