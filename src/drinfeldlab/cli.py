@@ -142,14 +142,13 @@ def _frob(args):
     # The oracle reduces phi a second time, into a ring of its own, and
     # raises to q^i by powmod, never by the Frobenius rows frob_general
     # twists with: the second reduction is what keeps the check independent.
-    try:
+    # Above its residue-field bound it is skipped; any error it raises
+    # within the bound propagates.
+    rec["oracle"] = rec["oracle_matches"] = None
+    if ctx.q ** lam.degree <= frobenius.DEFAULT_BRUTE_CAP:
         oracle = frobenius.euler_poincare_oracle(phi, lam)
-        p1 = (Poly.one(ctx) - cp.a + cp.b).monic()
         rec["oracle"] = poly_to_text(oracle)
-        rec["oracle_matches"] = oracle == p1
-    except DrinfeldLabError:
-        rec["oracle"] = None
-        rec["oracle_matches"] = None
+        rec["oracle_matches"] = oracle == (Poly.one(ctx) - cp.a + cp.b).monic()
     return (0 if rec["oracle_matches"] is not False else 1), [rec]
 
 
@@ -218,17 +217,18 @@ def _obstruction(args):
 
 def _det_gen(args):
     ctx = make_field(args.q)
-    p = PrimeIdeal(parse_poly(ctx, args.prime))
+    f = parse_poly(ctx, args.prime)
+    # bounded before the irreducibility test
+    units = frobenius.check_unit_group(ctx.q, len(f.coeffs) - 1, args.level)
+    p = PrimeIdeal(f)
     generated = frobenius.det_generation_check(p, args.level, args.max_deg)
-    d = p.degree
     rec = {
         "op": "det_gen",
         "q": ctx.q,
         "prime": poly_to_text(p.gen),
         "level": args.level,
         "max_deg": args.max_deg,
-        "unit_group_order": ctx.q ** (args.level * d)
-                            - ctx.q ** ((args.level - 1) * d),
+        "unit_group_order": units,
         "generated": generated,
     }
     return (0 if generated else 1), [rec]
@@ -237,16 +237,19 @@ def _det_gen(args):
 def _lemma_a1(args):
     groups.check_samples(args.samples)
     ctx = make_field(args.q)
-    ring = ResidueRing(parse_poly(ctx, args.prime))
-    report = groups.verify_lemma_A1(ring, args.samples, args.seed)
+    f = parse_poly(ctx, args.prime)
+    groups.check_lemma_field(f)  # before the irreducibility test
+    report = groups.verify_lemma_A1(ResidueRing(f), args.samples, args.seed)
     return (0 if not report["violations"] else 1), [report]
 
 
 def _pr_level2(args):
     groups.check_samples(args.samples)
     ctx = make_field(args.q)
-    p = PrimeIdeal(parse_poly(ctx, args.prime))
-    report = groups.pink_rutsche_level2(p, args.samples, args.seed)
+    f = parse_poly(ctx, args.prime)
+    groups.check_level2_prime(f)  # before the irreducibility test
+    report = groups.pink_rutsche_level2(PrimeIdeal(f), args.samples,
+                                        args.seed)
     return (0 if not report["violations"] else 1), [report]
 
 

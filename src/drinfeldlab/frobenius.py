@@ -13,6 +13,7 @@ import operator
 from .drinfeld import DrinfeldModule, ReducedModule, reduce_module
 from .errors import (
     BruteCapExceeded,
+    CapExceeded,
     InternalInconsistency,
     NotCoprime,
     NotGoodReduction,
@@ -36,6 +37,9 @@ DEFAULT_BRUTE_CAP = 5 ** 4
 # The largest prime degree the frob and newton commands accept, checked
 # before any work: frob_general at q = 5 takes seconds at degree 64.
 PRIME_DEG_CAP = 64
+# The largest unit group det_generation_check lists; it admits the 390,000
+# units of A/(T^4+2)^2 at q = 5, which take about 120 MB as residues.
+DET_GEN_UNIT_CAP = 400_000
 
 
 def check_prime_degree(f: Poly) -> None:
@@ -43,6 +47,16 @@ def check_prime_degree(f: Poly) -> None:
     if len(f.coeffs) - 1 > PRIME_DEG_CAP:
         raise ParamsOutOfRange(
             f"prime degree must be at most {PRIME_DEG_CAP}")
+
+
+def check_unit_group(q: int, degree: int, level: int) -> int:
+    """The order of the unit group of A/p^level at a prime of the given
+    degree, rejected above DET_GEN_UNIT_CAP before any ring is built."""
+    units = q ** (level * degree) - q ** ((level - 1) * degree)
+    if units > DET_GEN_UNIT_CAP:
+        raise CapExceeded(f"unit group of order {units} exceeds cap "
+                          f"{DET_GEN_UNIT_CAP}")
+    return units
 
 
 class FrobCharpoly:
@@ -209,16 +223,16 @@ def det_generation_check(p: PrimeIdeal, level: int, max_deg: int) -> bool:
 
     The unit group is abelian, so the generated subgroup grows one coset at
     a time (abelian_span); primes are enumerated degree by degree and none
-    is drawn once the whole unit group is reached.
+    is drawn once the whole unit group is reached.  As the span may list
+    every unit, the unit count is bounded (check_unit_group) first.
     """
     if level not in (1, 2):
         raise ParamsOutOfRange(f"level {level} unsupported (use 1 or 2)")
     ctx = p.ctx
+    unit_count = check_unit_group(ctx.q, p.degree, level)
     check_enumeration_cap(ctx, max_deg)
     ring = ResidueRing(p.gen ** level)
     generators = (ring.element(lam.gen) for d in range(1, max_deg + 1)
                   for lam in enumerate_monic_irreducibles(ctx, d) if lam != p)
-    d = p.degree
-    unit_count = ctx.q ** (level * d) - ctx.q ** ((level - 1) * d)
     span = abelian_span(ring.one, generators, operator.mul, unit_count)
     return len(span) == unit_count

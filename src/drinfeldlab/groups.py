@@ -1,12 +1,13 @@
 """Verification lab for the group-theoretic ingredients.
 
-Neither sampled suite lists the subgroup it examines.  The SL_2-criterion
-suite sizes each H <= GL_2(F) by a stabiliser chain on the points of P^1(F)
-and reads irreducibility and SL_2 containment off its generators and order.
-The level-two full-group suite closes the image of H <= GL_2(A/p^2) in
-GL_2(A/p) and reads H's intersection with the congruence kernel off
-Schreier generators.  The explicit-set APIs (closure, acts_irreducibly,
-sl2_group, contains_sl2) remain as the test oracle.
+Neither sampled suite lists the subgroup it examines: both size it by a
+stabiliser chain, one Schreier level (_schreier) per base point.  The
+SL_2-criterion suite runs it on the points of P^1(F) and reads
+irreducibility and SL_2 containment off H's generators and order.  The
+level-two full-group suite runs it on P^1(A/p) and on the diagonal torus
+of GL_2(A/p), and reads H's intersection with the congruence kernel off
+the last level's Schreier generators.  The explicit-set APIs (closure,
+acts_irreducibly, sl2_group, contains_sl2) remain as the test oracle.
 
 Both work on matrices encoded as 4-tuples of residue indices with dense
 add/mul lookup tables; the public Mat2 type stays ResidueElement-based.
@@ -18,8 +19,8 @@ import operator
 import random
 
 from .errors import CapExceeded, NotAField, NotInvertible, ParamsOutOfRange
-from .kernel import prime_divisors, vadd, vmulmod
-from .polys import PrimeIdeal, poly_to_text
+from .kernel import power, prime_divisors, vadd, vindex, vmulmod
+from .polys import Poly, PrimeIdeal, poly_to_text
 from .residues import ResidueRing, abelian_span
 
 DEFAULT_CLOSURE_CAP = 400_000
@@ -32,6 +33,21 @@ def check_samples(samples: int) -> None:
     """Reject a sample count outside 0..SAMPLE_CAP."""
     if not 0 <= samples <= SAMPLE_CAP:
         raise ParamsOutOfRange(f"samples must be in 0..{SAMPLE_CAP}")
+
+
+def check_lemma_field(f: Poly) -> None:
+    """Reject a modulus f whose residue ring has more than LEMMA_FIELD_CAP
+    elements; reads q and deg f alone, so it can run before the Rabin test."""
+    if f.ctx.q ** (len(f.coeffs) - 1) > LEMMA_FIELD_CAP:
+        raise CapExceeded(f"the lemma lab limits the field to "
+                          f"q^n <= {LEMMA_FIELD_CAP}")
+
+
+def check_level2_prime(f: Poly) -> None:
+    """Reject a prime generator f of degree other than 1; reads deg f
+    alone, so it can run before the Rabin test."""
+    if len(f.coeffs) != 2:
+        raise ParamsOutOfRange("level-2 lab needs deg(p) = 1")
 
 
 class Mat2:
@@ -89,15 +105,8 @@ class _Tables:
         # sums and products straight on the digit vectors of the indices
         ctx, mod, q = ring.ctx, ring.modulus.coeffs, ring.ctx.q
         vecs = [x.rep.coeffs for x in elems]
-
-        def index(v):
-            idx = 0
-            for c in reversed(v):
-                idx = idx * q + c
-            return idx
-
-        self.add = [[index(vadd(ctx, a, b)) for b in vecs] for a in vecs]
-        self.mul = [[index(vmulmod(ctx, a, b, mod)) for b in vecs]
+        self.add = [[vindex(vadd(ctx, a, b), q) for b in vecs] for a in vecs]
+        self.mul = [[vindex(vmulmod(ctx, a, b, mod), q) for b in vecs]
                     for a in vecs]
         self.neg = [ring.index_of(-x) for x in elems]
         self.units = {i for i, x in enumerate(elems) if x.is_unit()}
@@ -130,15 +139,6 @@ class _Tables:
         MUL, NEG = self.mul, self.neg
         s = MUL[self.inv[self.mat_det(x)]]
         return (s[d], NEG[s[b]], NEG[s[c]], s[a])
-
-    def mat_pow(self, x, e: int):
-        out = self.ident
-        while e:
-            if e & 1:
-                out = self.mat_mul(out, x)
-            x = self.mat_mul(x, x)
-            e >>= 1
-        return out
 
     def closure(self, gens, cap: int):
         """BFS product closure of encoded generators from the identity."""
@@ -255,13 +255,19 @@ def contains_sl2(H) -> bool:
     return sl2_group(ring) <= H
 
 
+def _has_order(x, order: int, mul, one) -> bool:
+    """Whether x has exactly the given multiplicative order: x^order is one
+    and no x^(order/l) is, for l a prime divisor of the order."""
+    return power(x, order, mul, one) == one and all(
+        power(x, order // l, mul, one) != one for l in prime_divisors(order))
+
+
 def _find_unit_generator(ring: ResidueRing):
     """Element generating the unit group (cyclic for the rings used here):
-    the first unit whose cyclic span is the whole unit group."""
+    the first unit whose order is the order of the unit group."""
     units = ring.units()
-    order = len(units)
     for x in units:
-        if len(abelian_span(ring.one, [x], operator.mul, order)) == order:
+        if _has_order(x, len(units), operator.mul, ring.one):
             return x
     raise ValueError("unit group has no single generator")
 
@@ -269,21 +275,41 @@ def _find_unit_generator(ring: ResidueRing):
 def _primitive_companion(tab: _Tables):
     """The first companion matrix [[0, s], [1, r]] of order N^2 - 1: it
     generates the non-split Cartan, the unit group of F[M] ~ F_{N^2}."""
-    order = tab.n ** 2 - 1
     for r in range(tab.n):
         for s in sorted(tab.units):
             m = (tab.zero, s, tab.one, r)
-            if tab.mat_pow(m, order) == tab.ident and all(
-                    tab.mat_pow(m, order // l) != tab.ident
-                    for l in prime_divisors(order)):
+            if _has_order(m, tab.n ** 2 - 1, tab.mat_mul, tab.ident):
                 return m
     raise ValueError("no primitive companion matrix")
 
 
+def _schreier(tab: _Tables, base, gens, image):
+    """(|base^H|, Schreier generators of the stabiliser H_base) for
+    H = <gens>, encoded over tab, acting by image(point, generator).
+
+    The orbit keeps one transversal element r_x per point x; the products
+    r_x g r_(xg)^-1 other than the identity generate H_base (Seress,
+    Permutation Group Algorithms, ch. 4)."""
+    mat_mul = tab.mat_mul
+    trans = {base: tab.ident}
+    orbit = [base]
+    for x in orbit:
+        for g in gens:
+            y = image(x, g)
+            if y not in trans:
+                trans[y] = mat_mul(trans[x], g)
+                orbit.append(y)
+    back = {y: tab.mat_inv(r) for y, r in trans.items()}
+    schreier = {mat_mul(mat_mul(r, g), back[image(x, g)])
+                for x, r in trans.items() for g in gens}
+    schreier.discard(tab.ident)
+    return len(orbit), schreier
+
+
 def _lemma_facts(tab: _Tables, gens):
     """(|H|, H acts irreducibly, SL_2(F) <= H) for H = <gens>, encoded over
-    a field of n elements, by a stabiliser chain on the n + 1 points of P^1
-    (Seress, Permutation Group Algorithms, ch. 4); H is never listed.
+    a field of n elements, by a stabiliser chain (two _schreier levels) on
+    the n + 1 points of P^1; H is never listed.
 
     Matrices act on row vectors: the point x < n is the line of (x, 1) and
     n is infinity, the line of (1, 0).  The orbit of infinity with its
@@ -292,30 +318,15 @@ def _lemma_facts(tab: _Tables, gens):
     |0^(H_inf)| |H_inf,0|, the last the span of the (a, d).  H fixes a
     point iff every generator does, and H n SL_2 has order |H| / |det H|.
     """
-    n, MUL, ADD, inv, mat_mul = tab.n, tab.mul, tab.add, tab.inv, tab.mat_mul
+    n, MUL, ADD, inv = tab.n, tab.mul, tab.add, tab.inv
 
     def image(x, g):
         a, b, c, d = g
         u, v = (a, b) if x == n else (ADD[MUL[x][a]][c], ADD[MUL[x][b]][d])
         return n if v == tab.zero else MUL[u][inv[v]]
 
-    def level(base, gens):
-        trans = {base: tab.ident}
-        orbit = [base]
-        for x in orbit:
-            for g in gens:
-                y = image(x, g)
-                if y not in trans:
-                    trans[y] = mat_mul(trans[x], g)
-                    orbit.append(y)
-        back = {y: tab.mat_inv(r) for y, r in trans.items()}
-        schreier = {mat_mul(mat_mul(r, g), back[image(x, g)])
-                    for x, r in trans.items() for g in gens}
-        schreier.discard(tab.ident)
-        return len(orbit), schreier
-
-    top, stabiliser = level(n, gens)
-    middle, diagonal = level(tab.zero, stabiliser)
+    top, stabiliser = _schreier(tab, n, gens, image)
+    middle, diagonal = _schreier(tab, tab.zero, stabiliser, image)
     order = top * middle * len(abelian_span(
         (tab.one, tab.one), [(a, d) for a, _, _, d in diagonal],
         lambda x, y: (MUL[x[0]][y[0]], MUL[x[1]][y[1]]), (n - 1) ** 2))
@@ -328,17 +339,20 @@ def _lemma_facts(tab: _Tables, gens):
 def _lemma_generators(ring: ResidueRing, tab: _Tables) -> dict:
     """Encoded generators of the forced taxonomy cases of the lemma lab."""
     g = _find_unit_generator(ring)
-
-    def encoded(*mats):
-        return [tab.encode(Mat2(ring, m)) for m in mats]
-
     return {
-        "borel": encoded(((g, 0), (0, 1)), ((1, 0), (0, g)), ((1, 1), (0, 1))),
-        "split_cartan": encoded(((g, 0), (0, 1)), ((1, 0), (0, g))),
+        "borel": _encoded(tab, ((g, 0), (0, 1)), ((1, 0), (0, g)),
+                          ((1, 1), (0, 1))),
+        "split_cartan": _encoded(tab, ((g, 0), (0, 1)), ((1, 0), (0, g))),
         "nonsplit_cartan": [_primitive_companion(tab)],
         "sl2": [tab.encode(m) for m in _sl2_generators(ring)],
-        "gl2": encoded(((1, 1), (0, 1)), ((1, 0), (1, 1)), ((g, 0), (0, 1))),
+        "gl2": _encoded(tab, ((1, 1), (0, 1)), ((1, 0), (1, 1)),
+                        ((g, 0), (0, 1))),
     }
+
+
+def _encoded(tab: _Tables, *entries):
+    """Matrices over tab's ring, given as 2x2 entry arrays, encoded."""
+    return [tab.encode(Mat2(tab.ring, m)) for m in entries]
 
 
 def verify_lemma_A1(ring: ResidueRing, samples: int, seed: int) -> dict:
@@ -354,10 +368,8 @@ def verify_lemma_A1(ring: ResidueRing, samples: int, seed: int) -> dict:
     check_samples(samples)
     if not ring.is_prime:
         raise NotAField("the lemma lab works over a field")
+    check_lemma_field(ring.modulus)
     N = ring.cardinality
-    if N > LEMMA_FIELD_CAP:
-        raise CapExceeded(f"the lemma lab limits the field to "
-                          f"q^n <= {LEMMA_FIELD_CAP}")
     tab = _tables(ring)
     rng = random.Random(seed)
     violations = []
@@ -431,19 +443,21 @@ class _Level2:
     """GL_2(A/p^2) at a degree-1 prime p, sized through the congruence
     kernel K = I + pM_2 ~ (M_2(A/p), +) without listing any subgroup.
 
-    For H = <gens>, the exact sequence 1 -> H n K -> H -> Hbar -> 1 gives
-    |H| = |Hbar| p^rank: Hbar is closed in GL_2(A/p) keeping one lift r_x
-    per element, the Schreier generators r_x g r_{xg}^-1 generate H n K
-    (Seress, Permutation Group Algorithms, ch. 4), and their pi-digit
-    matrices span it over F_p.  det(H) is generated by the determinants of
-    the generators.
+    For H = <gens> with image Hbar in GL_2(A/p), the stabiliser chain runs
+    through the mod-p projection: the levels at infinity and 0 of P^1(A/p)
+    leave the elements of H that are diagonal mod p, and one level on the
+    diagonal torus of GL_2(A/p), based at the identity, leaves H n K.  So
+    |Hbar| is the product of the three orbit lengths, the last level's
+    Schreier generators generate H n K, and their pi-digit matrices span
+    it over F_p: |H| = |Hbar| p^rank.  det(H) is generated by the
+    determinants of the generators.
     """
 
     def __init__(self, p: PrimeIdeal):
         ctx = p.ctx
         self.char, self.m, self.unit_count = ctx.p, ctx.m, ctx.q ** 2 - ctx.q
         self.ring2, self.ring1 = ResidueRing(p.gen ** 2), ResidueRing(p)
-        self.tab = _tables(self.ring2)
+        self.tab, self.tab1 = _tables(self.ring2), _tables(self.ring1)
         # the mod-p projection and the F_p digits of the pi-digit of each
         # residue (a field element encodes its F_p coordinates base p)
         index1 = self.ring1.index_of
@@ -455,41 +469,32 @@ class _Level2:
             self.digits.append(tuple(pi_digit // self.char ** j % self.char
                                      for j in range(self.m)))
 
-    def facts(self, mats):
-        """(|H|, det(H) full, |Hbar|, H n K not scalar) for H = <mats>."""
+    def facts(self, gens):
+        """(|H|, det(H) full, |Hbar|, H n K not scalar) for H = <gens>,
+        the generators encoded over A/p^2."""
         tab, proj, digits, m = self.tab, self.proj, self.digits, self.m
-        mat_mul, MUL = tab.mat_mul, tab.mul
+        n, MUL, ADD, inv, zero = (self.tab1.n, self.tab1.mul, self.tab1.add,
+                                  self.tab1.inv, self.tab1.zero)
 
-        def bar(x):
-            return (proj[x[0]], proj[x[1]], proj[x[2]], proj[x[3]])
+        def line(x, g):
+            a, b, c, d = proj[g[0]], proj[g[1]], proj[g[2]], proj[g[3]]
+            u, v = (a, b) if x == n else (ADD[MUL[x][a]][c], ADD[MUL[x][b]][d])
+            return n if v == zero else MUL[u][inv[v]]
 
-        gens = [tab.encode(g) for g in mats]
-        lifts = {bar(tab.ident): tab.ident}
-        frontier = [tab.ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = mat_mul(x, g)
-                    key = bar(y)
-                    if key not in lifts:
-                        lifts[key] = y
-                        nxt.append(y)
-            frontier = nxt
-        inv_lift = {key: tab.mat_inv(r) for key, r in lifts.items()}
+        def torus(x, g):
+            return MUL[x[0]][proj[g[0]]], MUL[x[1]][proj[g[3]]]
 
-        def schreier_digits():
-            for r in lifts.values():
-                for g in gens:
-                    y = mat_mul(r, g)
-                    s = mat_mul(y, inv_lift[bar(y)])
-                    yield sum((digits[e] for e in s), ())
-
-        basis = _fp_basis(schreier_digits(), self.char, 4 * m)
+        top, stabiliser = _schreier(tab, n, gens, line)
+        middle, diagonal = _schreier(tab, zero, stabiliser, line)
+        one = self.tab1.one
+        bottom, congruent = _schreier(tab, (one, one), diagonal, torus)
+        basis = _fp_basis((sum((digits[e] for e in s), ()) for s in congruent),
+                          self.char, 4 * m)
         dets = abelian_span(tab.one, [tab.mat_det(g) for g in gens],
-                            lambda x, y: MUL[x][y], self.unit_count)
-        return (len(lifts) * self.char ** len(basis),
-                len(dets) == self.unit_count, len(lifts),
+                            lambda x, y: tab.mul[x][y], self.unit_count)
+        modp_order = top * middle * bottom
+        return (modp_order * self.char ** len(basis),
+                len(dets) == self.unit_count, modp_order,
                 any(any(v[m:3 * m]) or v[:m] != v[3 * m:] for v in basis))
 
 
@@ -498,23 +503,19 @@ def pink_rutsche_level2(p: PrimeIdeal, samples: int, seed: int) -> dict:
     subgroup with full determinant image, full mod-p image, and a non-scalar
     element congruent to the identity mod p must be all of GL_2(A/p^2).
 
-    Each subgroup is sized through the congruence kernel (see _Level2), so
-    only its image in GL_2(A/p) is materialised.
+    No subgroup is listed: each is sized by a stabiliser chain through its
+    mod-p image and the congruence kernel (see _Level2).
     """
     check_samples(samples)
-    if p.degree != 1:
-        raise ParamsOutOfRange("level-2 lab needs deg(p) = 1")
+    check_level2_prime(p.gen)
     q = p.ctx.q
     full_order = (q * q - 1) * (q * q - q) * q ** 4
     gl2_modp_order = (q * q - 1) * (q * q - q)
-    if gl2_modp_order > DEFAULT_CLOSURE_CAP:
-        raise CapExceeded(f"GL_2(A/p) order {gl2_modp_order} exceeds closure "
-                          f"cap {DEFAULT_CLOSURE_CAP}")
     lab = _Level2(p)
-    ring1, ring2 = lab.ring1, lab.ring2
+    tab = lab.tab
 
-    def examine(name, mats):
-        order, det_full, modp_order, nonscalar = lab.facts(mats)
+    def examine(name, gens):
+        order, det_full, modp_order, nonscalar = lab.facts(gens)
         modp_full = modp_order == gl2_modp_order
         hypotheses = det_full and modp_full and nonscalar
         record = {"case": name, "order": order, "det_full": det_full,
@@ -526,18 +527,15 @@ def pink_rutsche_level2(p: PrimeIdeal, samples: int, seed: int) -> dict:
             violations.append(record)
         return record
 
-    g2 = _find_unit_generator(ring2)
-    pi = ring2.element(p.gen)
+    g2 = _find_unit_generator(lab.ring2)
+    g1 = _find_unit_generator(lab.ring1).rep
+    pi = p.gen
     forced_sets = {
-        "full_group": [Mat2(ring2, ((1, 1), (0, 1))),
-                       Mat2(ring2, ((1, 0), (1, 1))),
-                       Mat2(ring2, ((ring2.one, pi), (0, 1))),
-                       Mat2(ring2, ((1, 0), (pi, ring2.one))),
-                       Mat2(ring2, ((g2, 0), (0, 1)))],
-        "teichmuller_lift": [Mat2(ring2, ((1, 1), (0, 1))),
-                             Mat2(ring2, ((1, 0), (1, 1))),
-                             Mat2(ring2, ((_find_unit_generator(ring1).rep, 0),
-                                          (0, 1)))],
+        "full_group": _encoded(tab, ((1, 1), (0, 1)), ((1, 0), (1, 1)),
+                               ((1, pi), (0, 1)), ((1, 0), (pi, 1)),
+                               ((g2, 0), (0, 1))),
+        "teichmuller_lift": _encoded(tab, ((1, 1), (0, 1)), ((1, 0), (1, 1)),
+                                     ((g1, 0), (0, 1))),
     }
     rng = random.Random(seed)
     violations = []
@@ -547,14 +545,13 @@ def pink_rutsche_level2(p: PrimeIdeal, samples: int, seed: int) -> dict:
         forced_records.append(examine(name, gens))
     for i in range(samples):
         k = rng.choice((2, 2, 3))
-        gens = [lab.tab.decode(_random_invertible(rng, lab.tab))
-                for _ in range(k)]
+        gens = [_random_invertible(rng, tab) for _ in range(k)]
         sample_records.append(examine(f"sample_{i}", gens))
     filtered_out = sum(1 for r in forced_records + sample_records
                        if not r["hypotheses_met"])
     return {
         "op": "pink_rutsche_level2",
-        "ring": poly_to_text(ring2.modulus),
+        "ring": poly_to_text(lab.ring2.modulus),
         "prime": poly_to_text(p.gen),
         "seed": seed,
         "samples": samples,

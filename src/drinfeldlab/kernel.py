@@ -5,10 +5,11 @@ come back as lists with no trailing zeros.  Over a prime field the loops
 reduce inline mod p (accumulating first where that is safe, since Python
 ints do not overflow); over F_{p^m} they call the FieldCtx ops.  The choice
 follows ctx.m alone.  Sums, products, division, gcd, inverses and powers
-modulo a polynomial and the Rabin test all run here, so each arithmetic
-decision lives in one place.  That covers every quotient of a polynomial
-ring by a monic modulus: F_{p^m} itself (digits over `Zp(p)` modulo the
-field's modulus) and the residue rings A/(f) of `residues`.
+modulo a polynomial and the Rabin test all run here, with the generic
+square-and-multiply `power` and the base-q index `vindex`, so each
+arithmetic decision lives in one place.  That covers every quotient of a
+polynomial ring by a monic modulus: F_{p^m} itself (digits over `Zp(p)`
+modulo the field's modulus) and the residue rings A/(f) of `residues`.
 
 The q-power Frobenius x -> x^q of A/(f) is F_q-linear, as c^q = c on F_q.
 `frobenius_rows` builds its matrix once (the rows T^(q*i) mod f of
@@ -235,6 +236,29 @@ def vxgcd(ctx, a, b):
         return r0, u0
     inv = _inv(ctx, r0[-1])
     return vscale(ctx, r0, inv), vscale(ctx, u0, inv)
+
+
+def power(x, e: int, mul, one):
+    """x^e for an integer e >= 0 by right-to-left square-and-multiply in
+    any monoid given by `mul` and `one`; the last square is skipped."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
+
+
+def vindex(v, q: int) -> int:
+    """The base-q number whose digits, least significant first, are v."""
+    idx = 0
+    for c in reversed(v):
+        idx = idx * q + c
+    return idx
 
 
 def prime_divisors(n: int):

@@ -11,6 +11,7 @@ alike.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -30,60 +31,31 @@ from . import kernel
 from .fields import FieldCtx, FqElement
 
 
-class _NegInfType:
-    """Degree of the zero polynomial; orders below every integer."""
+@functools.total_ordering
+class _Infinity:
+    """A signed infinity: NEG_INF, the degree of the zero polynomial, orders
+    below every integer and POS_INF, its valuation, above.  Each is a
+    module-level singleton, and copies and unpickled values are it again."""
 
-    _instance = None
+    __slots__ = ("sign", "name")
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return other is not self
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is self
-
-    def __repr__(self):
-        return "NEG_INF"
-
-
-class _PosInfType:
-    """Valuation of the zero polynomial; orders above every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, sign: int, name: str):
+        self.sign, self.name = sign, name
 
     def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
+        if isinstance(other, _Infinity):
+            return self.sign < other.sign
+        return self.sign < 0
 
     def __repr__(self):
-        return "POS_INF"
+        return self.name
+
+    def __reduce__(self):
+        return self.name
 
 
-NEG_INF = _NegInfType()
-POS_INF = _PosInfType()
+NEG_INF = _Infinity(-1, "NEG_INF")
+POS_INF = _Infinity(1, "POS_INF")
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 DEFAULT_FACTOR_DEGREE_CAP = 512
@@ -197,17 +169,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Poly":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.ctx)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return kernel.power(self, e, operator.mul, Poly.one(self.ctx))
 
     def __divmod__(self, other):
         other = self._same(other)

@@ -92,11 +92,7 @@ class ResidueRing:
                               poly_from_index(self.ctx, idx % self.cardinality))
 
     def index_of(self, x: "ResidueElement") -> int:
-        q = self.ctx.q
-        idx = 0
-        for i, c in enumerate(x.rep.coeffs):
-            idx += c * q ** i
-        return idx
+        return kernel.vindex(x.rep.coeffs, self.ctx.q)
 
     def units(self):
         return [x for x in self.elements() if x.is_unit()]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .errors import ContextMismatch, NoSolution, RingMismatch, ZeroPolynomial
 from .fields import FieldCtx, FqElement
+from .kernel import power
 from .polys import Poly
 from .residues import ResidueElement, ResidueRing
 
@@ -261,17 +262,7 @@ class SkewPoly:
         return skew_mul(self, other)
 
     def __pow__(self, e: int) -> "SkewPoly":
-        if e < 0:
-            raise ValueError("negative power of a skew polynomial")
-        result = SkewPoly.one(self.ring)
-        base = self
-        while e:
-            if e & 1:
-                result = skew_mul(result, base)
-            e >>= 1
-            if e:
-                base = skew_mul(base, base)
-        return result
+        return power(self, e, skew_mul, SkewPoly.one(self.ring))
 
     def scale(self, value) -> "SkewPoly":
         """Left-multiply by a coefficient (no twisting)."""

@@ -15,7 +15,11 @@ import drinfeldlab
 from drinfeldlab import census, cli, criteria, frobenius, groups, kernel
 from drinfeldlab.cli import main
 from drinfeldlab.drinfeld import DrinfeldModule
-from drinfeldlab.errors import EnumerationCapExceeded
+from drinfeldlab.errors import (
+    CapExceeded,
+    EnumerationCapExceeded,
+    InternalInconsistency,
+)
 from drinfeldlab.fields import make_field
 from drinfeldlab.polys import PrimeIdeal, parse_poly
 
@@ -200,6 +204,71 @@ def test_prime_degree_cap_checked_before_work(capsys, monkeypatch):
         assert out == "" and "at most 64" in err
 
 
+def test_lab_bounds_checked_before_work(capsys, monkeypatch):
+    # the group labs bound the --prime by its degree, and det-gen bounds the
+    # unit group of A/p^level, before the Rabin test and before any ring or
+    # table is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the bound check")
+
+    for target, name in ((kernel, "rabin"), (cli, "ResidueRing"),
+                         (cli, "PrimeIdeal"), (groups, "_Tables"),
+                         (frobenius, "ResidueRing")):
+        monkeypatch.setattr(target, name, refuse)
+    for argv, message in (
+            (["lemma-a1", "--q", "5", "--prime", "T^512+T+2", "--samples",
+              "1", "--seed", "1"], "q^n <= 128"),
+            (["lemma-a1", "--q", "131", "--prime", "T", "--samples", "1",
+              "--seed", "1"], "q^n <= 128"),
+            (["pr-level2", "--q", "5", "--prime", "T^2+2", "--samples", "1",
+              "--seed", "1"], "deg(p) = 1"),
+            (["det-gen", "--q", "5", "--prime", "T^5+T+2", "--level", "2",
+              "--max-deg", "1"], "exceeds cap 400000"),
+            (["det-gen", "--q", "7", "--prime", "T^7+T+2", "--level", "1",
+              "--max-deg", "1"], "exceeds cap 400000")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and message in err
+    p = PrimeIdeal(parse_poly(make_field(5), "T^5+4*T+1"), _trusted=True)
+    with pytest.raises(CapExceeded):
+        frobenius.det_generation_check(p, 2, 1)
+
+
+def test_det_gen_unit_budget():
+    # 5^8 - 5^4 = 390,000 units: A/(T^4+2)^2 is the largest det-gen ring at
+    # q = 5, and the budget admits it
+    assert frobenius.check_unit_group(5, 4, 2) == 390_000
+    assert frobenius.check_unit_group(7, 6, 1) == 117_648
+    with pytest.raises(CapExceeded):
+        frobenius.check_unit_group(5, 5, 2)
+
+
+def test_frob_oracle_errors_propagate(capsys, monkeypatch):
+    # an inconsistency inside the oracle is exit 3, not a null oracle
+    def broken(phi, lam):
+        raise InternalInconsistency("oracle disagrees; this is a bug")
+
+    monkeypatch.setattr(frobenius, "euler_poincare_oracle", broken)
+    code, out, err = run(capsys, "frob", "--q", "5", "--g1", "1", "--g2",
+                         "4", "--prime", "T^2+2")
+    assert code == 3
+    assert out == "" and "bug" in err
+
+
+def test_frob_oracle_skipped_above_its_bound(capsys, monkeypatch):
+    # 5^5 > DEFAULT_BRUTE_CAP residues: the oracle is never called and the
+    # record says so with nulls
+    def refuse(phi, lam):
+        raise AssertionError("oracle called above its bound")
+
+    monkeypatch.setattr(frobenius, "euler_poincare_oracle", refuse)
+    code, out, _ = run(capsys, "frob", "--q", "5", "--g1", "1", "--g2", "4",
+                       "--prime", "T^5+4*T+1")
+    rec = records(out)[0]
+    assert code == 0
+    assert rec["oracle"] is None and rec["oracle_matches"] is None
+
+
 def test_minus_convenience_matches_worked_example(capsys):
     code, out, _ = run(capsys, "omega", "--q", "5", "--prime", "T-1")
     assert code == 0
@@ -254,8 +323,8 @@ def test_sample_and_box_bounds_checked_before_work(capsys, monkeypatch):
 
 
 def test_pr_level2_q7(capsys):
-    # |GL_2(A/p^2)| = 4,840,416 is over the 400,000 closure cap; only
-    # GL_2(A/p), of order 2016, is materialised
+    # |GL_2(A/p^2)| = 4,840,416 is over the 400,000 closure cap; no
+    # subgroup is listed, each is sized by a stabiliser chain
     code, out, _ = run(capsys, "pr-level2", "--q", "7", "--prime", "T",
                        "--samples", "2", "--seed", "1")
     assert code == 0

@@ -33,7 +33,7 @@ from drinfeldlab.groups import (
     _tables,
 )
 from drinfeldlab.polys import Poly, PrimeIdeal, parse_poly, poly_to_text
-from drinfeldlab.residues import ResidueRing
+from drinfeldlab.residues import ResidueRing, abelian_span
 
 F5 = make_field(5)
 RING5 = ResidueRing(parse_poly(F5, "T"))
@@ -478,8 +478,86 @@ def test_level2_facts_match_bfs_on_structured_subgroups():
     ]
     lab = _Level2(p)
     for mats, want in cases:
-        assert lab.facts(mats) == want
+        assert lab.facts([lab.tab.encode(m) for m in mats]) == want
         assert _bfs_facts(p, mats) == want
+
+
+def _lift_bfs_facts(lab, gens):
+    """(|H|, det(H) full, |Hbar|, H n K not scalar) for H = <gens> by a BFS
+    over Hbar that keeps one lift r_x per element; the Schreier generators
+    r_x g r_(xg)^-1 generate H n K and their pi-digit matrices span it.
+    Only Hbar is listed, so this oracle reaches q = 11."""
+    tab, proj, digits, m = lab.tab, lab.proj, lab.digits, lab.m
+
+    def bar(x):
+        return tuple(proj[e] for e in x)
+
+    lifts = {bar(tab.ident): tab.ident}
+    frontier = [tab.ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = tab.mat_mul(x, g)
+                if bar(y) not in lifts:
+                    lifts[bar(y)] = y
+                    nxt.append(y)
+        frontier = nxt
+    inv_lift = {key: tab.mat_inv(r) for key, r in lifts.items()}
+    kernel = [tab.mat_mul(y, inv_lift[bar(y)])
+              for y in (tab.mat_mul(r, g) for r in lifts.values()
+                        for g in gens)]
+    basis = _fp_basis([sum((digits[e] for e in s), ()) for s in kernel],
+                      lab.char, 4 * m)
+    dets = abelian_span(tab.one, [tab.mat_det(g) for g in gens],
+                        lambda x, y: tab.mul[x][y], lab.unit_count)
+    return (len(lifts) * lab.char ** len(basis),
+            len(dets) == lab.unit_count, len(lifts),
+            any(any(v[m:3 * m]) or v[:m] != v[3 * m:] for v in basis))
+
+
+@pytest.mark.parametrize("q, prime, count", [(7, "T", 6), (7, "T+3", 6),
+                                             (11, "T", 3)])
+def test_level2_facts_match_lift_bfs(q, prime, count):
+    # the stabiliser chain against a BFS over the mod-p image, past the
+    # q = 5 reach of the full BFS oracle: seeded generator sets, each drawn
+    # from GL_2(A/p^2), from its mod-p Borel, or from its mod-p torus
+    lab = _Level2(PrimeIdeal(parse_poly(make_field(q), prime)))
+    tab = lab.tab
+    in_p = [x for x in range(tab.n) if lab.proj[x] == lab.tab1.zero]
+    rng = random.Random(q + count)
+    seen = set()
+    for shape in ("gl2", "borel", "torus") * count:
+        gens = []
+        for _ in range(rng.choice((1, 2, 3))):
+            a, b, c, d = _random_invertible(rng, tab)
+            while shape != "gl2" and lab.proj[c] != lab.tab1.zero:
+                c = rng.choice(in_p)
+            if shape == "torus":
+                b = rng.choice(in_p)
+            if tab.mat_det((a, b, c, d)) in tab.units:
+                gens.append((a, b, c, d))
+        gens = gens or [tab.ident]
+        facts = lab.facts(gens)
+        assert facts == _lift_bfs_facts(lab, gens), gens
+        seen.add(facts[1:])
+    # full and partial determinants, scalar and non-scalar kernel parts
+    assert {f[0] for f in seen} == {f[2] for f in seen} == {True, False}
+
+
+@pytest.mark.parametrize("q", [17, 29])
+def test_pink_rutsche_refuses_large_q_before_sizing(capsys, monkeypatch, q):
+    # A/p^2 has q^2 > 256 residues: too many for the dense tables, so the
+    # run is a usage error and no subgroup is sized
+    def refuse(*args):
+        raise AssertionError("a subgroup was sized")
+
+    monkeypatch.setattr(groups, "_schreier", refuse)
+    code = main(["pr-level2", "--q", str(q), "--prime", "T", "--samples",
+                 "1", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "too large" in captured.err
 
 
 @pytest.mark.parametrize("prime", ["T", "T+2"])

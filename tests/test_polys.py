@@ -1,3 +1,6 @@
+import copy
+import operator
+import pickle
 import random
 
 import pytest
@@ -55,6 +58,46 @@ def test_degree_sentinel():
     assert NEG_INF < -10
     assert not (NEG_INF > 5)
     assert P("T").degree == 1
+
+
+def test_infinities_order_and_identity():
+    for n in (-10 ** 9, -1, 0, 7, 10 ** 9):
+        assert NEG_INF < n < POS_INF and n > NEG_INF and POS_INF > n
+        assert NEG_INF <= n <= POS_INF and not (NEG_INF >= n or n >= POS_INF)
+    assert NEG_INF < POS_INF and POS_INF > NEG_INF and NEG_INF != POS_INF
+    assert NEG_INF <= NEG_INF and not (NEG_INF < NEG_INF)
+    assert POS_INF >= POS_INF and not (POS_INF > POS_INF)
+    assert max(3, POS_INF) is POS_INF and min(NEG_INF, -5) is NEG_INF
+    for inf, name in ((NEG_INF, "NEG_INF"), (POS_INF, "POS_INF")):
+        assert repr(inf) == name
+        assert copy.copy(inf) is inf and copy.deepcopy([inf])[0] is inf
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(inf, protocol)) is inf
+
+
+def test_power_matches_repeated_multiplication():
+    from drinfeldlab.groups import _tables
+    from drinfeldlab.residues import ResidueRing
+    from drinfeldlab.skew import ResidueCoefficients, SkewPoly, skew_mul
+
+    f = P("2*T^2+T+3")
+    ring = ResidueRing(P("T^2+2"))
+    rc = ResidueCoefficients(ring)
+    s = SkewPoly(rc, [ring.t, ring.one, ring.element(3)])
+    tab = _tables(ResidueRing(P("T^2")))
+    m = (tab.one, 6, 13, 2)
+    cases = ((f, operator.mul, Poly.one(F5), Poly.__pow__),
+             (s, skew_mul, SkewPoly.one(rc), SkewPoly.__pow__),
+             (m, tab.mat_mul, tab.ident, None))
+    for x, mul, one, pow_method in cases:
+        want = one
+        for e in range(9):
+            assert kernel.power(x, e, mul, one) == want
+            if pow_method is not None:
+                assert pow_method(x, e) == want
+            want = mul(want, x)
+        with pytest.raises(ValueError):
+            kernel.power(x, -1, mul, one)
 
 
 def test_divmod_examples():
