@@ -283,13 +283,9 @@ def _primitive_companion(tab: _Tables):
     raise ValueError("no primitive companion matrix")
 
 
-def _schreier(tab: _Tables, base, gens, image):
-    """(|base^H|, Schreier generators of the stabiliser H_base) for
-    H = <gens>, encoded over tab, acting by image(point, generator).
-
-    The orbit keeps one transversal element r_x per point x; the products
-    r_x g r_(xg)^-1 other than the identity generate H_base (Seress,
-    Permutation Group Algorithms, ch. 4)."""
+def _transversal(tab: _Tables, base, gens, image):
+    """The orbit of base under H = <gens>, encoded over tab, acting by
+    image(point, generator), as {x: r_x} with r_x in H taking base to x."""
     mat_mul = tab.mat_mul
     trans = {base: tab.ident}
     orbit = [base]
@@ -299,11 +295,33 @@ def _schreier(tab: _Tables, base, gens, image):
             if y not in trans:
                 trans[y] = mat_mul(trans[x], g)
                 orbit.append(y)
+    return trans
+
+
+def _schreier(tab: _Tables, base, gens, image):
+    """(|base^H|, Schreier generators of the stabiliser H_base) for
+    H = <gens>, encoded over tab, acting by image(point, generator).
+
+    The orbit keeps one transversal element r_x per point x; the products
+    r_x g r_(xg)^-1 other than the identity generate H_base (Seress,
+    Permutation Group Algorithms, ch. 4)."""
+    trans = _transversal(tab, base, gens, image)
+    return len(trans), set(_schreier_stream(tab, trans, gens, image))
+
+
+def _schreier_stream(tab: _Tables, trans, gens, image):
+    """The Schreier generators for the transversal trans, formed lazily,
+    each distinct one once and the identity never, for a caller that may
+    need only some of them."""
+    mat_mul = tab.mat_mul
     back = {y: tab.mat_inv(r) for y, r in trans.items()}
-    schreier = {mat_mul(mat_mul(r, g), back[image(x, g)])
-                for x, r in trans.items() for g in gens}
-    schreier.discard(tab.ident)
-    return len(orbit), schreier
+    seen = {tab.ident}
+    for x, r in trans.items():
+        for g in gens:
+            s = mat_mul(mat_mul(r, g), back[image(x, g)])
+            if s not in seen:
+                seen.add(s)
+                yield s
 
 
 def _lemma_facts(tab: _Tables, gens):
@@ -487,12 +505,14 @@ class _Level2:
         top, stabiliser = _schreier(tab, n, gens, line)
         middle, diagonal = _schreier(tab, zero, stabiliser, line)
         one = self.tab1.one
-        bottom, congruent = _schreier(tab, (one, one), diagonal, torus)
+        trans = _transversal(tab, (one, one), diagonal, torus)
+        # _fp_basis stops drawing this level's generators at full rank
+        congruent = _schreier_stream(tab, trans, diagonal, torus)
         basis = _fp_basis((sum((digits[e] for e in s), ()) for s in congruent),
                           self.char, 4 * m)
         dets = abelian_span(tab.one, [tab.mat_det(g) for g in gens],
                             lambda x, y: tab.mul[x][y], self.unit_count)
-        modp_order = top * middle * bottom
+        modp_order = top * middle * len(trans)
         return (modp_order * self.char ** len(basis),
                 len(dets) == self.unit_count, modp_order,
                 any(any(v[m:3 * m]) or v[:m] != v[3 * m:] for v in basis))

@@ -12,16 +12,20 @@ polynomial ring by a monic modulus: F_{p^m} itself (digits over `Zp(p)`
 modulo the field's modulus) and the residue rings A/(f) of `residues`.
 
 The q-power Frobenius x -> x^q of A/(f) is F_q-linear, as c^q = c on F_q.
-`frobenius_rows` builds its matrix once (the rows T^(q*i) mod f of
-Berlekamp's algorithm) and `vlincomb` applies it, so the twists of skew
-products and the conjugates of a norm cost one matrix-vector product each
-and no powmod.
+`FrobeniusMap` builds its matrix once (the rows T^(q*i) mod f of
+Berlekamp's algorithm), packed into one int per row over a prime field, and
+`vfrobenius` applies it.  So every twist in A/(f), of skew products, of the
+conjugates of a norm and of `vhorner` (phi_a over A/(f) on coefficient
+vectors), costs one matrix-vector product and no powmod.
 
 The prime-field loops read only ctx.p, ctx.q and ctx.m, so the kernel also
 runs over the bare `Zp` context.
 """
 
 from __future__ import annotations
+
+import operator
+import sys
 
 from .errors import DivisionByZero
 
@@ -84,13 +88,15 @@ def vmonic(ctx, a):
     return vscale(ctx, a, _inv(ctx, a[-1]))
 
 
-def _product(a, b):
-    """Coefficients of a * b over Z, for a prime field to reduce once."""
-    out = [0] * (len(a) + len(b) - 1)
+def _product(a, b, out=None):
+    """Coefficients of a * b over Z, for a prime field to reduce once;
+    added into `out`, of length at least len(a) + len(b) - 1, if given."""
+    if out is None:
+        out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
     return out
 
 
@@ -144,16 +150,10 @@ def vmod(ctx, a, b):
     return vdivmod(ctx, a, b)[1]
 
 
-def vmulmod(ctx, a, b, mod):
-    """a * b mod a monic `mod`.  Over a prime field the product is reduced
-    in place and mod p only at the end: the powmod loop runs on this."""
-    if ctx.m != 1:
-        return vmod(ctx, vmul(ctx, a, b), mod)
-    if not a or not b:
-        return []
-    p = ctx.p
+def _reduce(p, res, mod):
+    """res, integer coefficients, modulo a monic `mod` and then mod p: the
+    remainder is formed over Z and reduced mod p only at the end."""
     dm = len(mod) - 1
-    res = _product(a, b)
     while len(res) > dm:
         lead = res.pop() % p
         if lead:
@@ -161,6 +161,16 @@ def vmulmod(ctx, a, b, mod):
             for k in range(dm):
                 res[off + k] -= lead * mod[k]
     return _trim([c % p for c in res])
+
+
+def vmulmod(ctx, a, b, mod):
+    """a * b mod a monic `mod`.  Over a prime field the product is reduced
+    in place and mod p only at the end: the powmod loop runs on this."""
+    if ctx.m != 1:
+        return vmod(ctx, vmul(ctx, a, b), mod)
+    if not a or not b:
+        return []
+    return _reduce(ctx.p, _product(a, b), mod)
 
 
 def vpowmod(ctx, a, e, mod):
@@ -213,6 +223,109 @@ def vlincomb(ctx, v, rows):
                 out[j] += c * r
     p = ctx.p
     return _trim([c % p for c in out])
+
+
+# memoryview.cast formats of the packed slot widths in bytes; the packed
+# ints are little-endian, so the casts are taken only on such hosts
+_SLOT_FORMATS = ({2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little"
+                 else {})
+
+
+class FrobeniusMap:
+    """x -> x^q on F_q[T]/(mod) for a monic `mod`, built once per ring.
+
+    Over F_{p^m} `rows` are the dense rows of `frobenius_rows` (`packed`
+    is None).  Over a prime field `packed` holds each of those rows as one
+    int whose j-th `slot`-byte word is the row's j-th coefficient (`rows`
+    is None) (Kronecker substitution, von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 8).  A twist sums at most
+    n = deg mod products below p in each word, so words of 256^slot >
+    n (p - 1)^2 keep every sum exact, with no carry into the next word.
+    """
+
+    __slots__ = ("ctx", "mod", "rows", "packed", "slot", "fmt")
+
+    def __init__(self, ctx, mod):
+        self.ctx, self.mod = ctx, mod
+        rows = frobenius_rows(ctx, mod)
+        self.rows = self.packed = self.slot = self.fmt = None
+        if ctx.m != 1:
+            self.rows = rows
+            return
+        bound = (len(mod) - 1) * (ctx.p - 1) ** 2
+        slot = 2
+        while bound >> (8 * slot):
+            slot *= 2
+        self.slot, self.fmt = slot, _SLOT_FORMATS.get(slot)
+        self.packed = [int.from_bytes(b"".join(
+            c.to_bytes(slot, "little") for c in row), "little")
+            for row in rows]
+
+
+def vfrobenius(frob, v):
+    """x^q for the coefficient vector v of x in F_q[T]/(frob.mod): the one
+    twist of every A/(f).  Over a prime field it is the packed sum
+    sum v_i R_i, unpacked by one to_bytes and a cast, each word reduced
+    mod p; over F_{p^m} it is vlincomb on the dense rows."""
+    if frob.packed is None:
+        return vlincomb(frob.ctx, v, frob.rows)
+    slot = frob.slot
+    size = len(frob.packed) * slot
+    buf = sum(map(operator.mul, v, frob.packed)).to_bytes(size, "little")
+    if frob.fmt:
+        words = memoryview(buf).cast(frob.fmt)
+    else:
+        words = [int.from_bytes(buf[i:i + slot], "little")
+                 for i in range(0, size, slot)]
+    p = frob.ctx.p
+    return _trim([w % p for w in words])
+
+
+def vdotmod(ctx, pairs, mod):
+    """sum a * b mod a monic `mod` over the (a, b) pairs.  Over a prime
+    field the products are summed over Z and reduced once."""
+    if ctx.m != 1:
+        out = []
+        for a, b in pairs:
+            out = vadd(ctx, out, vmulmod(ctx, a, b, mod))
+        return out
+    res = []
+    for a, b in pairs:
+        if a and b:
+            res.extend([0] * (len(a) + len(b) - 1 - len(res)))
+            _product(a, b, res)
+    return _reduce(ctx.p, res, mod)
+
+
+def vhorner(frob, phi_t, a):
+    """The tau-coefficient vectors of phi_a = sum a_i phi_T^i over
+    F_q[T]/(frob.mod), for phi_T given by its tau-coefficient vectors and
+    a by its coefficients over F_q, by left Horner: acc <- phi_T acc + a_i.
+
+    A step twists acc's coefficients by q^k for every tau^k of phi_T, each
+    twist one vfrobenius of the last, and forms each new coefficient
+    sum_k c_k acc_(l-k)^(q^k) as one vdotmod: every product is by a short
+    c_k, and each tau-coefficient is reduced modulo `mod` once.  Trailing
+    zero coefficients are dropped (zero is []).
+    """
+    ctx, mod, r = frob.ctx, frob.mod, len(phi_t) - 1
+    acc = []
+    for c in reversed(a):
+        twisted = [acc]
+        for _ in range(r):
+            twisted.append([vfrobenius(frob, x) if x else x
+                            for x in twisted[-1]])
+        out = []
+        for l in range(len(acc) + r):
+            pairs = [(phi_t[k], twisted[k][l - k])
+                     for k in range(max(0, l - len(acc) + 1), min(l, r) + 1)]
+            if l == 0 and c:  # + a_i, as the product a_i * 1
+                pairs.append(((c,), (1,)))
+            out.append(vdotmod(ctx, pairs, mod))
+        while out and not out[-1]:
+            out.pop()
+        acc = out
+    return acc
 
 
 def vgcd(ctx, a, b):

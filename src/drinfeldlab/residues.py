@@ -8,8 +8,9 @@ irreducibility test that drives the certificate machinery.  Non-prime moduli
 Elements keep their fully reduced representative.  Products, powers and
 inverses run in `kernel` modulo the monic modulus, as F_{p^m} arithmetic
 does; sums need no reduction.  The q-power Frobenius is F_q-linear on every
-A/(f), prime or not: each ring builds its matrix (`kernel.frobenius_rows`)
-once, on first use, and twists and norms apply it in place of a powmod.
+A/(f), prime or not: each ring builds its matrix (`kernel.FrobeniusMap`,
+packed into one int per row over a prime field) once, on first use, and
+twists and norms apply it by `kernel.vfrobenius` in place of a powmod.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class ResidueRing:
     """A/(modulus) for a monic modulus of degree >= 1, or A/p for a
     PrimeIdeal p, whose primality is not tested again."""
 
-    __slots__ = ("modulus", "is_prime", "cardinality", "_frob_rows")
+    __slots__ = ("modulus", "is_prime", "cardinality", "_frob")
 
     def __init__(self, modulus: Poly | PrimeIdeal):
         if isinstance(modulus, PrimeIdeal):
@@ -42,7 +43,7 @@ class ResidueRing:
             self.is_prime = is_irreducible(modulus)
         self.modulus = modulus
         self.cardinality = modulus.ctx.q ** (len(modulus.coeffs) - 1)
-        self._frob_rows = None
+        self._frob = None
 
     @property
     def ctx(self) -> FieldCtx:
@@ -52,12 +53,11 @@ class ResidueRing:
     def degree(self) -> int:
         return len(self.modulus.coeffs) - 1
 
-    def frobenius_rows(self):
-        """The rows T^(q*i) mod the modulus of x -> x^q, built once."""
-        if self._frob_rows is None:
-            self._frob_rows = kernel.frobenius_rows(self.ctx,
-                                                    self.modulus.coeffs)
-        return self._frob_rows
+    def frobenius_map(self) -> kernel.FrobeniusMap:
+        """x -> x^q on the ring as a kernel.FrobeniusMap, built once."""
+        if self._frob is None:
+            self._frob = kernel.FrobeniusMap(self.ctx, self.modulus.coeffs)
+        return self._frob
 
     def element(self, value) -> "ResidueElement":
         """Reduce a Poly, FqElement or int into the ring."""
@@ -187,9 +187,9 @@ class ResidueElement:
 
 def _twist(ring: ResidueRing, v, k: int):
     """The coefficient vector v of a residue raised to q^k."""
-    ctx, rows = ring.ctx, ring.frobenius_rows()
+    frob = ring.frobenius_map()
     for _ in range(k):
-        v = kernel.vlincomb(ctx, v, rows)
+        v = kernel.vfrobenius(frob, v)
     return v
 
 

@@ -9,6 +9,7 @@ from drinfeldlab.drinfeld import (
     reduce_module,
 )
 from drinfeldlab.errors import (
+    InternalInconsistency,
     NotCoprime,
     NotGoodReduction,
     ParamsOutOfRange,
@@ -215,6 +216,50 @@ def test_identity_check_perturbation():
         assert frob_identity_check(phi, cp)
         bad = FrobCharpoly(lam, cp.a + Poly.one(F5), cp.b)
         assert not frob_identity_check(phi, bad)
+
+
+def _good_pair(rng, ctx, degree):
+    while True:
+        phi = _random_module(rng, ctx=ctx)
+        gen = Poly(ctx, [rng.randrange(ctx.q) for _ in range(degree)] + [1])
+        if is_irreducible(gen) and not (phi.g2 % gen).is_zero():
+            return phi, PrimeIdeal(gen, _trusted=True)
+
+
+@pytest.mark.parametrize("ctx, degree", [
+    (F5, 1), (F5, 2), (F5, 9), (make_field(7), 5), (make_field(5, 2), 3)],
+    ids=["q5-1", "q5-2", "q5-9", "q7-5", "q25-3"])
+def test_identity_check_catches_a_wrong_unit_or_trace(monkeypatch, ctx,
+                                                      degree):
+    # with b = u lambda for a wrong unit u, phi_b has tau^(2m) coefficient
+    # -2, not -1, whatever trace is read off it: frob_general must refuse
+    from drinfeldlab import frobenius
+
+    phi, lam = _good_pair(random.Random(700 + ctx.q + degree), ctx, degree)
+    cp = frob_general(phi, lam)
+    assert frob_identity_check(phi, cp)
+    one = Poly.one(ctx)
+    assert not frob_identity_check(phi, FrobCharpoly(lam, cp.a + one, cp.b))
+    assert not frob_identity_check(phi, FrobCharpoly(lam, cp.a, cp.b * 2))
+    if degree >= 2:
+        bad_a = cp.a + Poly.T(ctx)
+        assert not frob_identity_check(phi, FrobCharpoly(lam, bad_a, cp.b))
+    norm = frobenius.norm_to_base
+    monkeypatch.setattr(frobenius, "norm_to_base", lambda x: norm(x) * 2)
+    with pytest.raises(InternalInconsistency):
+        frob_general(phi, lam)
+
+
+def test_frob_exits_3_on_a_wrong_unit_at_degree_16(capsys, monkeypatch):
+    from drinfeldlab import cli, frobenius
+
+    norm = frobenius.norm_to_base
+    monkeypatch.setattr(frobenius, "norm_to_base", lambda x: norm(x) * 2)
+    code = cli.main(["frob", "--q", "5", "--g1", "1", "--g2", "4",
+                     "--prime", "T^16+T^3+3*T+2"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "" and "bug" in err
 
 
 def test_euler_poincare_oracle_deg1():

@@ -2,7 +2,9 @@
 
 Every route through `kernel.frobenius_rows` is checked on seeded inputs
 against the powmod definition it replaced: x^(q^k), the norm exponent
-(q^n - 1)/(q - 1), and whole Frobenius charpolys.
+(q^n - 1)/(q - 1), and whole Frobenius charpolys.  The packed twist
+`kernel.vfrobenius` is checked against the dense `kernel.vlincomb` and
+against powmod at every slot width.
 """
 
 import random
@@ -14,7 +16,7 @@ from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.fields import make_field
 from drinfeldlab.frobenius import frob_general
 from drinfeldlab.polys import Poly, PrimeIdeal, is_irreducible
-from drinfeldlab.residues import ResidueElement, ResidueRing, norm_to_base
+from drinfeldlab.residues import ResidueRing, norm_to_base
 
 FIELDS = [make_field(5), make_field(7), make_field(11), make_field(5, 2)]
 
@@ -63,11 +65,15 @@ def test_frobenius_rows_are_the_q_powers_of_t(ctx):
     rng = random.Random(200 + ctx.q)
     for mod in _moduli(rng, ctx):
         ring = ResidueRing(mod)
-        rows = ring.frobenius_rows()
+        rows = kernel.frobenius_rows(ctx, list(mod.coeffs))
+        frob = ring.frobenius_map()
         assert len(rows) == ring.degree
         for i, row in enumerate(rows):
-            assert Poly(ctx, row) == (ring.t ** (ctx.q * i)).rep
-        assert ring.frobenius_rows() is rows  # built once
+            want = (ring.t ** (ctx.q * i)).rep
+            assert Poly(ctx, row) == want
+            # the ring's map, packed or dense, sends T^i to the same row
+            assert Poly(ctx, kernel.vfrobenius(frob, [0] * i + [1])) == want
+        assert ring.frobenius_map() is frob  # built once
 
 
 def test_vlincomb_is_the_sum_of_scaled_rows():
@@ -80,6 +86,40 @@ def test_vlincomb_is_the_sum_of_scaled_rows():
         for c, row in zip(v, rows):
             want = kernel.vadd(ctx, want, kernel.vscale(ctx, row, c))
         assert kernel.vlincomb(ctx, v, rows) == want
+
+
+@pytest.mark.parametrize("p, degrees, slot", [
+    (5, (1, 2, 8, 16), 2), (127, (64,), 4), (2147483647, (1, 2, 4), 8),
+    (2147483647, (5, 8), 16)])
+def test_packed_twist_matches_dense_rows_and_powmod(p, degrees, slot):
+    # slots of 2, 4, 8 and 16 bytes; the last is unpacked word by word, as
+    # no memoryview format is that wide
+    ctx = make_field(p)
+    rng = random.Random(500 + p % 1000)
+    for d in degrees:
+        mod = list(_monic(rng, ctx, d).coeffs)
+        frob = kernel.FrobeniusMap(ctx, mod)
+        rows = kernel.frobenius_rows(ctx, mod)
+        assert frob.rows is None  # only the packed rows are kept
+        assert frob.slot == slot and 256 ** slot > d * (p - 1) ** 2
+        xs = [[], [1], [0, 1], [p - 1] * d]
+        xs += [kernel._trim([rng.randrange(p) for _ in range(d)])
+               for _ in range(3)]
+        for x in (x for x in xs if len(x) <= d):  # reduced mod `mod`
+            y = x
+            for k in (1, 2):
+                dense = kernel.vlincomb(ctx, y, rows)
+                y = kernel.vfrobenius(frob, y)
+                assert y == dense, (mod, x, k)
+                assert y == kernel.vpowmod(ctx, x, p ** k, mod), (mod, x, k)
+
+
+def test_extension_fields_twist_by_the_dense_rows():
+    ctx = make_field(5, 2)
+    frob = ResidueRing(_prime(random.Random(9), ctx, 3)).frobenius_map()
+    assert frob.packed is None
+    v = [3, 0, 17]
+    assert kernel.vfrobenius(frob, v) == kernel.vlincomb(ctx, v, frob.rows)
 
 
 @pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
@@ -98,8 +138,9 @@ def test_norm_matches_the_powmod_exponent(ctx):
             assert norm_to_base(x) == want.coefficient(0)
 
 
-def _powmod_frobenius(self, k=1):
-    return self ** (self.ring.ctx.q ** k)
+def _powmod_twist(frob, v):
+    """x^q by powmod modulo the ring's modulus: no packed or dense row."""
+    return kernel.vpowmod(frob.ctx, v, frob.ctx.q, frob.mod)
 
 
 def _powmod_norm(x):
@@ -124,8 +165,25 @@ def _charpolys(ctx, degrees, seed):
 
 @pytest.mark.parametrize("q, degrees", [(5, range(9, 17)), (7, range(1, 9))])
 def test_frob_general_matches_the_powmod_twist(monkeypatch, q, degrees):
+    # every twist in A/(lambda), the Horner's included, goes through
+    # kernel.vfrobenius: the fast side applies packed rows there, the
+    # oracle side raises to q by powmod and applies no row at all
     ctx = make_field(q)
+    packed = []
+    vfrobenius = kernel.vfrobenius
+
+    def recording(frob, v):
+        packed.append(frob.packed is not None)
+        return vfrobenius(frob, v)
+
+    monkeypatch.setattr(kernel, "vfrobenius", recording)
     fast = _charpolys(ctx, degrees, 400 + q)
-    monkeypatch.setattr(ResidueElement, "frobenius", _powmod_frobenius)
+    assert packed and all(packed)
+
+    def no_rows(*args):
+        raise AssertionError("the oracle applied Frobenius rows")
+
+    monkeypatch.setattr(kernel, "vfrobenius", _powmod_twist)
+    monkeypatch.setattr(kernel, "vlincomb", no_rows)
     monkeypatch.setattr(frobenius, "norm_to_base", _powmod_norm)
     assert _charpolys(ctx, degrees, 400 + q) == fast
