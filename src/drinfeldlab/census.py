@@ -8,6 +8,7 @@ enumerates and filters.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .errors import BruteCapExceeded, ParamsOutOfRange
@@ -87,26 +88,28 @@ def _validate_class(ctx, c1, c2, b1, b2):
             "b2 must be exactly divisible by T-c2 and coprime to T-c1")
 
 
-def valid_congruence_classes(ctx: FieldCtx, c1: FqElement, c2: FqElement):
-    """All (b1, b2) pairs admitted by the proof, lexicographic order."""
+def _class_factors(ctx: FieldCtx, c1: FqElement, c2: FqElement):
+    """The admitted b1 and b2, each lazily in lexicographic order: the valid
+    pairs are their product."""
     if c1 == c2:
         raise ParamsOutOfRange("c1 and c2 must differ")
     l1, l2 = _lin(ctx, c1), _lin(ctx, c2)
-    b1s = []
-    for beta in ctx.elements():
-        if beta.val != 0:
-            b1s.append(l1 * beta)
-    b2s = []
-    for e in polys_below(ctx, 2):
-        if eval_at(e, c1).is_zero() or eval_at(e, c2).is_zero():
-            continue
-        b2s.append(l2 * e)
-    return [(b1, b2) for b1 in b1s for b2 in b2s]
+    b1s = (l1 * ctx.from_encoded(v) for v in range(1, ctx.q))
+    b2s = (l2 * e for e in polys_below(ctx, 2)
+           if not (eval_at(e, c1).is_zero() or eval_at(e, c2).is_zero()))
+    return b1s, b2s
+
+
+def valid_congruence_classes(ctx: FieldCtx, c1: FqElement, c2: FqElement):
+    """All (b1, b2) pairs admitted by the proof, lexicographic order."""
+    return list(itertools.product(*_class_factors(ctx, c1, c2)))
 
 
 def default_congruence_class(ctx: FieldCtx, c1: FqElement, c2: FqElement):
-    """The lexicographically first valid (b1, b2) pair."""
-    return valid_congruence_classes(ctx, c1, c2)[0]
+    """The lexicographically first valid (b1, b2) pair, without listing
+    the others."""
+    b1s, b2s = _class_factors(ctx, c1, c2)
+    return next(b1s), next(b2s)
 
 
 def count_W(params: CensusParams, mode: str = "formula",

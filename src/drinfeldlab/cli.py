@@ -23,7 +23,12 @@ from fractions import Fraction
 from . import census as census_mod
 from . import criteria, frobenius, groups
 from .drinfeld import DrinfeldModule, newton_polygon
-from .errors import DrinfeldLabError, InternalInconsistency
+from .errors import (
+    BruteCapExceeded,
+    DrinfeldLabError,
+    InternalInconsistency,
+    ParamsOutOfRange,
+)
 from .fields import enumerate_elements, is_square, make_field
 from .polys import (
     Poly,
@@ -80,14 +85,14 @@ def _primes(args):
 
 def _omega(args):
     ctx = make_field(args.q)
-    cert = criteria.in_omega_tilde(PrimeIdeal(parse_poly(ctx, args.prime)))
+    cert = criteria.in_omega_tilde(_capped_prime(ctx, args.prime))
     return (0 if cert.verified else 1), [cert.as_dict()]
 
 
 def _lambda(args):
     ctx = make_field(args.q)
     c = _element(ctx, args.c, "--c")
-    cert = criteria.in_lambda_set(PrimeIdeal(parse_poly(ctx, args.l)),
+    cert = criteria.in_lambda_set(_capped_prime(ctx, args.l),
                                   parse_poly(ctx, args.g1), c)
     return (0 if cert.verified else 1), [cert.as_dict()]
 
@@ -115,11 +120,20 @@ def _module_from_args(ctx, args):
 
 
 def _capped_prime(ctx, text):
-    """The --prime of frob and newton, its degree bounded before the
-    irreducibility test."""
+    """The prime a --prime or --l flag names, its degree bounded by
+    PRIME_DEG_CAP before the irreducibility test."""
     f = parse_poly(ctx, text)
     frobenius.check_prime_degree(f)
     return PrimeIdeal(f)
+
+
+def _unit_capped_prime(ctx, text, level):
+    """The prime a --prime flag names and the order of the unit group of
+    A/p^level, bounded by check_unit_group before the irreducibility
+    test."""
+    f = parse_poly(ctx, text)
+    units = frobenius.check_unit_group(ctx.q, len(f.coeffs) - 1, level)
+    return PrimeIdeal(f), units
 
 
 def _frob(args):
@@ -158,14 +172,13 @@ def _thm1_verify(args):
     c2 = _element(ctx, args.c2, "--c2")
     cert = criteria.theorem1_verify(parse_poly(ctx, args.g1),
                                     parse_poly(ctx, args.g2),
-                                    PrimeIdeal(parse_poly(ctx, args.prime)),
-                                    c1, c2)
+                                    _capped_prime(ctx, args.prime), c1, c2)
     return (0 if cert.verified else 1), [cert.as_dict()]
 
 
 def _thm1_search(args):
     ctx = make_field(args.q)
-    certs = criteria.theorem1_search(PrimeIdeal(parse_poly(ctx, args.prime)),
+    certs = criteria.theorem1_search(_capped_prime(ctx, args.prime),
                                      args.max_deg, args.limit)
     records = [c.as_dict() for c in certs]
     records.append({"op": "thm1_search_summary", "q": ctx.q,
@@ -177,7 +190,7 @@ def _thm2(args):
     ctx = make_field(args.q)
     c = _element(ctx, args.c, "--c")
     module, cert = criteria.theorem2_build(
-        PrimeIdeal(parse_poly(ctx, args.l)), parse_poly(ctx, args.g1), c)
+        _capped_prime(ctx, args.l), parse_poly(ctx, args.g1), c)
     records = [{"op": "thm2_module", "q": ctx.q,
                 "g1": poly_to_text(module.g1),
                 "g2": poly_to_text(module.g2)},
@@ -208,7 +221,7 @@ def _obstruction(args):
     ctx = make_field(args.q)
     roots = [_element(ctx, args.c1, "--c1"), _element(ctx, args.c2, "--c2")]
     phi = _module_from_args(ctx, args)
-    p = PrimeIdeal(parse_poly(ctx, args.prime))
+    p, _ = _unit_capped_prime(ctx, args.prime, 1)  # every unit is scanned
     lams = [PrimeIdeal(Poly.T(ctx) - Poly.constant(ctx, c), _trusted=True)
             for c in roots]
     cert = criteria.reducibility_obstruction(phi, p, lams)
@@ -217,10 +230,7 @@ def _obstruction(args):
 
 def _det_gen(args):
     ctx = make_field(args.q)
-    f = parse_poly(ctx, args.prime)
-    # bounded before the irreducibility test
-    units = frobenius.check_unit_group(ctx.q, len(f.coeffs) - 1, args.level)
-    p = PrimeIdeal(f)
+    p, units = _unit_capped_prime(ctx, args.prime, args.level)
     generated = frobenius.det_generation_check(p, args.level, args.max_deg)
     rec = {
         "op": "det_gen",
@@ -266,13 +276,13 @@ def _density(args):
                                          b1, b2)
         try:
             s = census_mod.count_S(params, args.mode)
-        except DrinfeldLabError:
+        except (ParamsOutOfRange, BruteCapExceeded):
             continue
         w_mode = args.mode
         if args.mode == "brute":
             try:
                 w = census_mod.count_W(params, "brute")
-            except DrinfeldLabError:
+            except BruteCapExceeded:
                 # the W box can dwarf the S box; fall back to the closed form
                 w = census_mod.count_W(params, "formula")
                 w_mode = "formula"

@@ -20,7 +20,7 @@ from .errors import (
     WrongDegree,
 )
 from .fields import FieldCtx, FqElement, enumerate_elements, make_field
-from .frobenius import frob_deg1
+from .frobenius import check_unit_group, frob_deg1
 from .polys import (
     POS_INF,
     Poly,
@@ -362,12 +362,14 @@ def reducibility_obstruction(phi: DrinfeldModule, p: PrimeIdeal,
     """Scan every unit zeta of A/p for the trace congruences
     a_lambda = zeta^{-deg lambda} lambda + zeta^{deg lambda} mod p; verified
     means no zeta survives all supplied primes, so the mod-p action cannot be
-    reducible."""
+    reducible.  As the scan lists every residue, the unit count is bounded
+    (check_unit_group) first."""
     lams = list(degree1_primes)
     if len(set(lams)) < 2:
         raise InsufficientPrimes(
             "the contradiction needs at least 2 distinct primes")
     ctx = p.ctx
+    check_unit_group(ctx.q, p.degree, 1)
     ring = ResidueRing(p)
     traces = []
     for lam in lams:

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from . import kernel
 from .errors import (
+    InternalInconsistency,
     NotGoodReduction,
     WrongRank,
     ZeroJInvariant,
@@ -227,11 +228,7 @@ def reduction_type(phi: DrinfeldModule, lam: PrimeIdeal) -> ReductionData:
         return ReductionData(lam, "unstable", None)
     g1_twisted = phi.g1 if k == 0 else phi.g1 // lam.gen ** (k * (q - 1))
     rank1 = DrinfeldModule(phi.ctx, [g1_twisted])
-    red = reduce_module(rank1, lam)
-    lam_image = red.of(lam.gen)
-    ht, _ = ht_deg(lam_image)
-    height = ht // lam.degree
-    return ReductionData(lam, "stable_rank_1", height)
+    return ReductionData(lam, "stable_rank_1", reduction_height(rank1, lam))
 
 
 def reduction_height(phi: DrinfeldModule, lam: PrimeIdeal) -> int:
@@ -242,7 +239,8 @@ def reduction_height(phi: DrinfeldModule, lam: PrimeIdeal) -> int:
     image = red.of(lam.gen)
     ht, _ = ht_deg(image)
     if ht % lam.degree != 0:
-        raise AssertionError("tau-height not divisible by the prime degree")
+        raise InternalInconsistency(
+            "tau-height not divisible by the prime degree")
     return ht // lam.degree
 
 

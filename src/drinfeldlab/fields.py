@@ -25,17 +25,6 @@ from .errors import (
 )
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 _MODULUS_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
@@ -61,7 +50,7 @@ class FieldCtx:
     __slots__ = ("p", "m", "q", "modulus", "_dec", "_zp")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
-        if not isinstance(p, int) or not _is_prime(p):
+        if not isinstance(p, int) or kernel.prime_divisors(p) != [p]:
             raise NotPrime(f"p = {p!r} is not prime")
         if not isinstance(m, int) or m < 1:
             raise NotIrreducibleModulus(f"extension degree m = {m!r} invalid")

@@ -34,11 +34,13 @@ from .polys import (
 from .residues import ResidueRing, abelian_span, norm_to_base
 
 DEFAULT_BRUTE_CAP = 5 ** 4
-# The largest prime degree the frob and newton commands accept, checked
-# before any work: frob_general at q = 5 takes about 0.5 s at degree 64.
+# The largest prime degree the commands omega, lambda, frob, thm1-verify,
+# thm1-search, thm2 and newton accept, checked before any work: frob_general
+# at q = 5 takes about 0.5 s at degree 64.
 PRIME_DEG_CAP = 64
-# The largest unit group det_generation_check lists; it admits the 390,000
-# units of A/(T^4+2)^2 at q = 5, which take about 120 MB as residues.
+# The largest unit group det_generation_check (det-gen) and
+# criteria.reducibility_obstruction (obstruction) list; it admits the
+# 390,000 units of A/(T^4+2)^2 at q = 5, which take about 120 MB as residues.
 DET_GEN_UNIT_CAP = 400_000
 
 

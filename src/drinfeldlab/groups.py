@@ -19,7 +19,7 @@ import operator
 import random
 
 from .errors import CapExceeded, NotAField, NotInvertible, ParamsOutOfRange
-from .kernel import power, prime_divisors, vadd, vindex, vmulmod
+from .kernel import Zp, power, prime_divisors, vadd, vechelon, vindex, vmulmod
 from .polys import Poly, PrimeIdeal, poly_to_text
 from .residues import ResidueRing, abelian_span
 
@@ -437,26 +437,6 @@ def _random_invertible(rng, tab: _Tables):
             return m
 
 
-def _fp_basis(vectors, p: int, dim: int) -> list:
-    """Echelon basis of the F_p-span of length-dim vectors over 0..p-1,
-    stopping as soon as it spans all of F_p^dim."""
-    rows = {}
-    for v in vectors:
-        for i in range(dim):
-            c = v[i]
-            if not c:
-                continue
-            row = rows.get(i)
-            if row is None:
-                inv = pow(c, -1, p)
-                rows[i] = [x * inv % p for x in v]
-                break
-            v = [(x - c * y) % p for x, y in zip(v, row)]
-        if len(rows) == dim:
-            break
-    return list(rows.values())
-
-
 class _Level2:
     """GL_2(A/p^2) at a degree-1 prime p, sized through the congruence
     kernel K = I + pM_2 ~ (M_2(A/p), +) without listing any subgroup.
@@ -506,10 +486,13 @@ class _Level2:
         middle, diagonal = _schreier(tab, zero, stabiliser, line)
         one = self.tab1.one
         trans = _transversal(tab, (one, one), diagonal, torus)
-        # _fp_basis stops drawing this level's generators at full rank
+        # vechelon stops drawing this level's generators at full rank
         congruent = _schreier_stream(tab, trans, diagonal, torus)
-        basis = _fp_basis((sum((digits[e] for e in s), ()) for s in congruent),
-                          self.char, 4 * m)
+        rows = vechelon(Zp(self.char), (sum((digits[e] for e in s), ())
+                                        for s in congruent), 4 * m)
+        # padded back to 4m digits, or a scalar row ending in zeros would
+        # fail the scalar test
+        basis = [row + [0] * (4 * m - len(row)) for row in rows.values()]
         dets = abelian_span(tab.one, [tab.mat_det(g) for g in gens],
                             lambda x, y: tab.mul[x][y], self.unit_count)
         modp_order = top * middle * len(trans)

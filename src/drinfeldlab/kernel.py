@@ -10,6 +10,8 @@ square-and-multiply `power` and the base-q index `vindex`, so each
 arithmetic decision lives in one place.  That covers every quotient of a
 polynomial ring by a monic modulus: F_{p^m} itself (digits over `Zp(p)`
 modulo the field's modulus) and the residue rings A/(f) of `residues`.
+`vechelon` is the one Gaussian elimination: F_q-linear solving in `skew`
+and the F_p-rank of the level-2 group lab both run on it.
 
 The q-power Frobenius x -> x^q of A/(f) is F_q-linear, as c^q = c on F_q.
 `FrobeniusMap` builds its matrix once (the rows T^(q*i) mod f of
@@ -326,6 +328,22 @@ def vhorner(frob, phi_t, a):
             out.pop()
         acc = out
     return acc
+
+
+def vechelon(ctx, vectors, dim=None):
+    """{i: monic row of degree i} spanning the same F_q-space as `vectors`,
+    each vector reduced by the rows so far in input order; stops drawing
+    vectors once `dim` rows exist (the whole space, for length-dim ones)."""
+    rows = {}
+    for v in vectors:
+        v = _trim(list(v))
+        while v and len(v) - 1 in rows:
+            v = vsub(ctx, v, vscale(ctx, rows[len(v) - 1], v[-1]))
+        if v:
+            rows[len(v) - 1] = vmonic(ctx, v)
+            if len(rows) == dim:
+                break
+    return rows
 
 
 def vgcd(ctx, a, b):

@@ -16,7 +16,12 @@ twists and norms apply it by `kernel.vfrobenius` in place of a powmod.
 from __future__ import annotations
 
 from . import kernel
-from .errors import NotAField, NotInvertible, RingMismatch
+from .errors import (
+    InternalInconsistency,
+    NotAField,
+    NotInvertible,
+    RingMismatch,
+)
 from .fields import FieldCtx, FqElement
 from .polys import (
     Poly,
@@ -239,7 +244,7 @@ def norm_to_base(x: ResidueElement) -> FqElement:
         conj = _twist(ring, conj, 1)
         nr = kernel.vmulmod(ctx, nr, conj, mod)
     if len(nr) > 1:
-        raise AssertionError("norm did not land in the base field")
+        raise InternalInconsistency("norm did not land in the base field")
     return FqElement(ctx, nr[0])
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import ContextMismatch, NoSolution, RingMismatch, ZeroPolynomial
 from .fields import FieldCtx, FqElement
-from .kernel import power
+from .kernel import power, vechelon
 from .polys import Poly
 from .residues import ResidueElement, ResidueRing
 
@@ -323,9 +323,12 @@ def as_linearized(f: SkewPoly):
 def linear_solve_left(target: SkewPoly, basis) -> tuple:
     """Coefficients over F_q expressing target in the F_q-span of basis.
 
-    Equates tau-coefficients, unfolds each into its F_q-coordinate vector and
-    solves one linear system.  Raises NoSolution if target is outside the
-    span.
+    Equates tau-coefficients and unfolds each into its F_q-coordinate
+    equations, one kernel vector each: -t at index 0 and unknown j at index
+    n - j, so kernel.vechelon pivots on the earliest basis element first.
+    Back-substitution runs up the leads with free unknowns at zero; a row
+    led at index 0 is an inconsistent equation.  Raises NoSolution if
+    target is outside the span.
     """
     basis = list(basis)
     if not basis:
@@ -335,22 +338,30 @@ def linear_solve_left(target: SkewPoly, basis) -> tuple:
         if b.ring != ring:
             raise RingMismatch("basis and target over different rings")
     ctx = ring.scalar_ctx()
+    n = len(basis)
     tau_width = max([len(target.coeffs)] + [len(b.coeffs) for b in basis])
     elem_width = max(
         [1]
         + [ring.vector_width(c) for b in basis for c in b.coeffs]
         + [ring.vector_width(c) for c in target.coeffs])
-    rows = []
-    rhs = []
+    neg_target = -target
+    equations = []
     for i in range(tau_width):
-        tvec = ring.vector(target.coefficient(i), elem_width)
+        tvec = ring.vector(neg_target.coefficient(i), elem_width)
         bvecs = [ring.vector(b.coefficient(i), elem_width) for b in basis]
         for component in range(elem_width):
-            rows.append([bv[component] for bv in bvecs])
-            rhs.append(tvec[component])
-    sol = _solve_fq(ctx, rows, rhs)
-    if sol is None:
+            equations.append([tvec[component]]
+                             + [bv[component] for bv in reversed(bvecs)])
+    rows = vechelon(ctx, equations, n + 1)
+    if 0 in rows:
         raise NoSolution("target is outside the span of the basis")
+    y = [1] + [0] * n  # y[n - j] is unknown j
+    for lead in sorted(rows):
+        acc = 0
+        for c, x in zip(rows[lead][:lead], y):
+            acc = ctx.add(acc, ctx.mul(c, x))
+        y[lead] = ctx.neg(acc)
+    sol = y[:0:-1]
     # reconstruct to guard against free variables silently zeroed
     recon = SkewPoly.zero(ring)
     for c, b in zip(sol, basis):
@@ -358,37 +369,3 @@ def linear_solve_left(target: SkewPoly, basis) -> tuple:
     if recon != target:
         raise NoSolution("target is outside the span of the basis")
     return tuple(FqElement(ctx, v) for v in sol)
-
-
-def _solve_fq(ctx: FieldCtx, rows, rhs):
-    """Gaussian elimination over F_q on encoded ints; None if inconsistent.
-    Free variables are set to zero."""
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(aug)):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = ctx.inv(aug[rank][col])
-        aug[rank] = [ctx.mul(inv, v) for v in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [ctx.sub(a, ctx.mul(factor, b))
-                          for a, b in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(aug)):
-        if aug[r][ncols] != 0:
-            return None
-    sol = [0] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
-    return sol

@@ -66,6 +66,18 @@ def test_count_s_brute_all_classes():
     assert count_S(p, "brute", all_classes=True) == 5 * 64
 
 
+def test_default_class_is_the_first_listed():
+    # the first class is formed without listing the (q-1)^3 classes
+    for q in (5, 7, 11):
+        ctx = make_field(q)
+        for c1, c2 in ((0, 1), (1, 0), (q - 1, 2)):
+            c1, c2 = ctx.element(c1), ctx.element(c2)
+            first = valid_congruence_classes(ctx, c1, c2)[0]
+            assert default_congruence_class(ctx, c1, c2) == first
+    with pytest.raises(ParamsOutOfRange):
+        default_congruence_class(F5, F5.element(2), F5.element(2))
+
+
 def test_count_s_params_out_of_range():
     with pytest.raises(ParamsOutOfRange):
         count_S(_params(1, 12, 1), "formula")  # d1 X = 1 < 3

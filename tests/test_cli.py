@@ -12,7 +12,16 @@ from pathlib import Path
 import pytest
 
 import drinfeldlab
-from drinfeldlab import census, cli, criteria, frobenius, groups, kernel
+from drinfeldlab import (
+    census,
+    cli,
+    criteria,
+    drinfeld,
+    frobenius,
+    groups,
+    kernel,
+    residues,
+)
 from drinfeldlab.cli import main
 from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.errors import (
@@ -167,6 +176,49 @@ def test_internal_inconsistency_exit_3(capsys, monkeypatch):
                          "4", "--prime", "T^2+2")
     assert code == 3
     assert out == "" and "bug" in err
+
+
+def test_internal_checks_exit_3(capsys, monkeypatch):
+    # a norm outside F_q (conjugates never twisted) and a tau-height not
+    # divisible by deg p are internal inconsistencies, not tracebacks
+    monkeypatch.setattr(residues, "_twist", lambda ring, v, k: v)
+    code, out, err = run(capsys, "frob", "--q", "5", "--g1", "1", "--g2",
+                         "T+1", "--prime", "T^2+2")
+    assert code == 3
+    assert out == "" and "norm did not land" in err
+    monkeypatch.setattr(drinfeld, "ht_deg", lambda f: (1, 1))
+    code, out, err = run(capsys, "newton", "--q", "5", "--g1", "1", "--g2",
+                         "4", "--prime", "T^2+2")
+    assert code == 3
+    assert out == "" and "not divisible" in err
+
+
+def test_every_prime_flag_bounded_before_work(capsys, monkeypatch):
+    # every command taking a --prime or --l rejects a degree-256 prime with
+    # exit 2 before the Rabin test and before any residue ring is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the bound check")
+
+    monkeypatch.setattr(kernel, "rabin", refuse)
+    monkeypatch.setattr(residues.ResidueRing, "__init__", refuse)
+    values = {"--q": "5", "--prime": "T^256+T+2", "--l": "T^256+T+2",
+              "--g1": "T+1", "--g2": "2*T+3", "--c1": "0", "--c2": "1"}
+    checked = []
+    for name, (_, flags) in cli.COMMANDS.items():
+        if "--prime" not in flags and "--l" not in flags:
+            continue
+        argv = [name]
+        for flag in flags:
+            if isinstance(flag, tuple):
+                if not flag[1].get("required"):
+                    continue
+                flag = flag[0]
+            argv += [flag, values.get(flag, "1")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), (argv, err)
+        checked.append(name)
+    assert {"omega", "lambda", "thm1-verify", "thm1-search", "thm2",
+            "obstruction", "frob", "newton"} <= set(checked)
 
 
 def test_enumeration_cap_checked_before_work(capsys, monkeypatch):
@@ -347,6 +399,22 @@ def test_density_counts_bounded_before_work(capsys, monkeypatch):
                          "--d2", "120", "--x", "100")
     assert code == 2
     assert out == "" and "must be at most" in err
+
+
+def test_density_skips_only_out_of_range_boxes(capsys, monkeypatch):
+    # a box outside formula mode's range is skipped, but an internal
+    # inconsistency in a count is exit 3, not a skipped row
+    def broken(*args, **kwargs):
+        raise InternalInconsistency("count disagrees; this is a bug")
+
+    code, out, _ = run(capsys, "density", "--q", "5", "--d1", "1", "--d2",
+                       "4", "--x", "3")
+    assert code == 0 and [r["X"] for r in records(out)] == [3]
+    monkeypatch.setattr(census, "count_S", broken)
+    code, out, err = run(capsys, "density", "--q", "5", "--d1", "3", "--d2",
+                         "12", "--x", "3")
+    assert code == 3
+    assert out == "" and "bug" in err
 
 
 def test_thm1_search_bounds_checked_before_work(capsys, monkeypatch):

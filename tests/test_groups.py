@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from drinfeldlab import groups
+from drinfeldlab import groups, kernel
 from drinfeldlab.cli import main
 from drinfeldlab.errors import CapExceeded, NotAField, NotInvertible, ParamsOutOfRange
 from drinfeldlab.fields import make_field
@@ -23,8 +23,8 @@ from drinfeldlab.groups import (
     verify_lemma_A1,
     _Level2,
     _acts_irreducibly_encoded,
+    _encoded,
     _find_unit_generator,
-    _fp_basis,
     _lemma_facts,
     _lemma_generators,
     _primitive_companion,
@@ -504,11 +504,13 @@ def _lift_bfs_facts(lab, gens):
                     nxt.append(y)
         frontier = nxt
     inv_lift = {key: tab.mat_inv(r) for key, r in lifts.items()}
-    kernel = [tab.mat_mul(y, inv_lift[bar(y)])
+    congruent = [tab.mat_mul(y, inv_lift[bar(y)])
               for y in (tab.mat_mul(r, g) for r in lifts.values()
                         for g in gens)]
-    basis = _fp_basis([sum((digits[e] for e in s), ()) for s in kernel],
-                      lab.char, 4 * m)
+    rows = kernel.vechelon(kernel.Zp(lab.char),
+                           [sum((digits[e] for e in s), ()) for s in congruent],
+                           4 * m)
+    basis = [row + [0] * (4 * m - len(row)) for row in rows.values()]
     dets = abelian_span(tab.one, [tab.mat_det(g) for g in gens],
                         lambda x, y: tab.mul[x][y], lab.unit_count)
     return (len(lifts) * lab.char ** len(basis),
@@ -570,23 +572,54 @@ def test_pink_rutsche_matches_bfs_oracle(prime):
 
 
 def test_fp_basis_rank_matches_span_enumeration():
+    # kernel.vechelon against the enumerated span, over prime fields and
+    # over F_25, whose encoded values it combines through the field ops
     rng = random.Random(2024)
-    for p, dim in ((2, 4), (3, 4), (5, 4), (5, 3), (3, 6)):
+    f25 = make_field(5, 2)
+    cases = [(kernel.Zp(p), p, dim, 5) for p, dim in
+             ((2, 4), (3, 4), (5, 4), (5, 3), (3, 6))] + [(f25, 25, 3, 3)]
+    for ctx, q, dim, most in cases:
+        if q == 25:
+            add = [[f25.add(x, y) for y in range(q)] for x in range(q)]
+            mul = [[f25.mul(x, y) for y in range(q)] for x in range(q)]
+        else:
+            add = [[(x + y) % q for y in range(q)] for x in range(q)]
+            mul = [[x * y % q for y in range(q)] for x in range(q)]
+
+        def combo(coeffs, vectors):
+            out = [0] * dim
+            for c, v in zip(coeffs, vectors):
+                out = [add[o][mul[c][x]] for o, x in zip(out, v)]
+            return tuple(out)
+
         for _ in range(12):
-            vectors = [tuple(rng.randrange(p) for _ in range(dim))
-                       for _ in range(rng.randrange(5))]
+            vectors = [tuple(rng.randrange(q) for _ in range(dim))
+                       for _ in range(rng.randrange(most))]
             if vectors and rng.random() < 0.5:
                 # force a dependent vector
-                a, b = rng.randrange(p), rng.randrange(p)
-                vectors.append(tuple((a * x + b * y) % p for x, y in
-                                     zip(vectors[0], vectors[-1])))
-            span = {tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) % p
-                          for i in range(dim))
-                    for coeffs in itertools.product(range(p),
+                a, b = rng.randrange(q), rng.randrange(q)
+                vectors.append(combo((a, b), (vectors[0], vectors[-1])))
+            span = {combo(coeffs, vectors)
+                    for coeffs in itertools.product(range(q),
                                                     repeat=len(vectors))}
-            basis = _fp_basis(vectors, p, dim)
-            assert p ** len(basis) == len(span)
-            assert all(tuple(v) in span for v in basis)
+            rows = kernel.vechelon(ctx, vectors, dim)
+            assert q ** len(rows) == len(span)
+            for i, row in rows.items():
+                assert len(row) == i + 1 and row[-1] == 1
+                assert tuple(row) + (0,) * (dim - i - 1) in span
+
+
+def test_level2_scalar_test_reads_padded_rows_over_f9():
+    # over F_9 (m = 2) the pi-digits of I + pi I are (1, 0, 0, 0, 0, 0, 1, 0):
+    # its row ends in a zero, which the scalar test must not drop
+    f9 = make_field(3, 2)
+    p = PrimeIdeal(Poly.T(f9))
+    lab = _Level2(p)
+    pi, one_pi = p.gen, Poly.one(f9) + p.gen
+    (scalar,) = _encoded(lab.tab, ((one_pi, 0), (0, one_pi)))
+    (unipotent,) = _encoded(lab.tab, ((1, pi), (0, 1)))
+    assert lab.facts([scalar]) == (3, False, 1, False)
+    assert lab.facts([unipotent]) == (3, False, 1, True)
 
 
 def test_sample_counts_bounded():

@@ -82,6 +82,17 @@ def test_linear_solve_left_examples():
         linear_solve_left(SkewPoly.tau(ring), [SkewPoly.one(ring)])
 
 
+def test_linear_solve_left_answers_every_unknown():
+    # the all-zero system has one zero per unknown, and of two equal basis
+    # elements the earlier one takes the coefficient
+    ring = ResidueCoefficients(ResidueRing(P("T^2+2")))
+    zero = SkewPoly.zero(ring)
+    assert [s.val for s in linear_solve_left(zero, [zero, zero])] == [0, 0]
+    b = SkewPoly.from_list(ring, [P("T"), P("1")])
+    assert [s.val for s in linear_solve_left(b, [b, b])] == [1, 0]
+    assert [s.val for s in linear_solve_left(zero, [b, zero])] == [0, 0]
+
+
 def test_linear_solve_left_poly_ring():
     b0 = SkewPoly.from_list(A, [P("T"), P("1")])
     b1 = SkewPoly.from_list(A, [P("T^2"), P("0"), P("4")])
