@@ -7,10 +7,11 @@ computations that must agree disagreed: a bug in drinfeldlab, not in the
 input), 141 stdout closed before the records were written (a reader such as
 `head` exited; 141 is what a shell reports for SIGPIPE).
 
-`COMMANDS` maps each subcommand to its handler and flags.  A call builds
-the parser of the one subcommand its argv names; only a call that names
-none (`--help`, no arguments, an unknown command) builds all of them.
-Usage, help and error text are the same either way.
+`COMMANDS` maps each subcommand to its handler and flags.  A plain call
+(an optional `--output`, a command, then its flags spelled in full) is
+parsed straight from that table and builds no parser.  Any other argv,
+help and usage errors included, goes to the argparse parser built from the
+same table, which prints the help and error text.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ from .polys import (
 from .residues import ResidueRing
 
 EXIT_CLOSED_PIPE = 141
+# `field` lists every element of F_q and its square class in one record,
+# about 12 bytes per element: the cap keeps that record near 1 MB
+FIELD_LIST_CAP = 100_000
 
 
 def _element(ctx, value, flag):
@@ -52,6 +56,9 @@ def _element(ctx, value, flag):
 
 
 def _field(args):
+    if args.q > FIELD_LIST_CAP:
+        raise _Usage(f"field lists every element: q must be at most "
+                     f"{FIELD_LIST_CAP}")
     ctx = make_field(args.q)
     elems = enumerate_elements(ctx)
     rec = {
@@ -221,7 +228,8 @@ def _obstruction(args):
     ctx = make_field(args.q)
     roots = [_element(ctx, args.c1, "--c1"), _element(ctx, args.c2, "--c2")]
     phi = _module_from_args(ctx, args)
-    p, _ = _unit_capped_prime(ctx, args.prime, 1)  # every unit is scanned
+    # the unit bound det-gen uses, checked before the irreducibility test
+    p, _ = _unit_capped_prime(ctx, args.prime, 1)
     lams = [PrimeIdeal(Poly.T(ctx) - Poly.constant(ctx, c), _trusted=True)
             for c in roots]
     cert = criteria.reducibility_obstruction(phi, p, lams)
@@ -340,42 +348,72 @@ COMMANDS = {
 }
 
 
-def _named_command(argv):
-    """The command `argv` names if only `--output` and its value come before
-    it, so that argparse is sure to run it; otherwise None."""
-    takes_value = False
-    for tok in argv:
-        option = tok.split("=", 1)[0]
-        if takes_value:
-            takes_value = False
-        elif tok in COMMANDS:
-            return tok
-        elif len(option) > 2 and "--output".startswith(option):
-            takes_value = option == tok
+def _options(flags):
+    """(flag, add_argument options) for each entry of a COMMANDS flag tuple."""
+    for flag in flags:
+        if isinstance(flag, tuple):
+            yield flag
         else:
+            yield flag, {"required": True,
+                         "type": None if flag in _POLY_FLAGS else int}
+
+
+def _table_args(argv):
+    """The Namespace argparse returns for a plain call, read off COMMANDS:
+    an optional `--output F`, a command, then its flags, each spelled in
+    full and given once, with a value not starting with '-'.  None for any
+    other argv (help, abbreviations, `--flag=value`, a repeated or missing
+    flag, a bad value), which is left to argparse, the reference grammar."""
+    output = "jsonl"
+    if len(argv) > 1 and argv[0] == "--output" and argv[1] in _FORMATS:
+        output, argv = argv[1], argv[2:]
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, flags = COMMANDS[argv[0]]
+    options = dict(_options(flags))
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        opts = options.get(flag)
+        if opts is None or flag in given:
             return None
-    return None
+        if opts.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if opts.get("type"):
+            try:
+                value = opts["type"](value)
+            except ValueError:
+                return None
+        if value not in opts.get("choices", (value,)):
+            return None
+        given[flag] = value
+    args = argparse.Namespace(output=output, command=argv[0], handler=handler)
+    for flag, opts in options.items():
+        if flag not in given and opts.get("required"):
+            return None
+        default = (False if opts.get("action") == "store_true"
+                   else opts.get("default"))
+        setattr(args, opts.get("dest", flag[2:].replace("-", "_")),
+                given.get(flag, default))
+    return args
 
 
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The top-level parser with `command`'s subparser, or all if None."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with every command's subparser."""
     top = argparse.ArgumentParser(
         prog="drinfeldlab",
         description="Exact checks, scans and certificates for rank-2 "
                     "Drinfeld modules over F_q[T].")
     top.add_argument("--output", choices=_FORMATS, default="jsonl")
-    # with one subparser built, the usage line still names every command
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        handler, flags = COMMANDS[name]
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (handler, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        for flag in flags:
-            if isinstance(flag, tuple):
-                p.add_argument(flag[0], **flag[1])
-            else:
-                p.add_argument(flag, required=True,
-                               type=None if flag in _POLY_FLAGS else int)
+        for flag, opts in _options(flags):
+            p.add_argument(flag, **opts)
         p.set_defaults(handler=handler)
     return top
 
@@ -414,7 +452,7 @@ def _emit(records, output, out):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(_named_command(argv)).parse_args(argv)
+    args = _table_args(argv) or _build_parser().parse_args(argv)
     try:
         code, records = args.handler(args)
     except InternalInconsistency as exc:

@@ -33,7 +33,12 @@ from .polys import (
     polys_below,
     valuation,
 )
-from .residues import ResidueRing, is_square_mod_prime, quadratic_is_irreducible
+from .residues import (
+    ResidueRing,
+    is_square_mod_prime,
+    quadratic_is_irreducible,
+    residue_inv,
+)
 
 
 class Certificate:
@@ -181,8 +186,8 @@ def lambda_scan(ctx: FieldCtx, max_deg: int,
     # r1^2 - 4(T - c) = 4(c' - T) with c' = c + r1^2/4, and by reciprocity
     # c' - T is a non-square mod l iff l(c') is a non-square in F_q
     quarter = ctx.inv(4 % ctx.p)
-    pairs = [(c, r1, ctx.add(c, ctx.mul(ctx.mul(r1, r1), quarter)))
-             for c in range(ctx.q) for r1 in range(ctx.q)]
+    quarter_squares = [ctx.mul(ctx.mul(r1, r1), quarter)
+                       for r1 in range(ctx.q)]
     squares = {ctx.mul(x, x) for x in range(ctx.q)}
     records = []
     counterexamples = []
@@ -190,12 +195,14 @@ def lambda_scan(ctx: FieldCtx, max_deg: int,
         for l in enumerate_monic_irreducibles(ctx, deg):
             nonsquare = [eval_at(l.gen, x).val not in squares
                          for x in enumerate_elements(ctx)]
+            found = next(((c, r1) for c in range(ctx.q)
+                          for r1, shift in enumerate(quarter_squares)
+                          if nonsquare[ctx.add(c, shift)]), None)
             witness = None
-            for c, r1, shifted in pairs:
-                if nonsquare[shifted]:
-                    g1 = Poly(ctx, (r1,) if r1 else (ctx.neg(c), 1))
-                    witness = {"c": c, "r1": r1, "g1": poly_to_text(g1)}
-                    break
+            if found is not None:
+                c, r1 = found
+                g1 = Poly(ctx, (r1,) if r1 else (ctx.neg(c), 1))
+                witness = {"c": c, "r1": r1, "g1": poly_to_text(g1)}
             rec = {"prime": poly_to_text(l.gen), "degree": deg,
                    "passes": witness is not None, "witness": witness}
             records.append(rec)
@@ -359,10 +366,16 @@ def theorem2_build(l: PrimeIdeal, g1: Poly, c: FqElement):
 
 def reducibility_obstruction(phi: DrinfeldModule, p: PrimeIdeal,
                              degree1_primes) -> Certificate:
-    """Scan every unit zeta of A/p for the trace congruences
-    a_lambda = zeta^{-deg lambda} lambda + zeta^{deg lambda} mod p; verified
-    means no zeta survives all supplied primes, so the mod-p action cannot be
-    reducible.  As the scan lists every residue, the unit count is bounded
+    """Decide whether a unit zeta of A/p meets the trace congruences
+    a_lambda = zeta^{-1} lambda + zeta mod p at every supplied degree-1
+    prime; verified means none does, so the mod-p action cannot be reducible.
+
+    Each congruence reads zeta^2 - a_lambda zeta + lambda = 0 in the field
+    A/p.  Two of them at distinct primes lambda_1, lambda_2 subtract to
+    (a_2 - a_1) zeta = lambda_2 - lambda_1, a nonzero constant, so only
+    zeta = (lambda_2 - lambda_1)/(a_2 - a_1) can survive, none when
+    a_1 = a_2; that one root is checked against every prime.  The record
+    counts all #(A/p) - 1 units as tested, and the unit group is bounded
     (check_unit_group) first."""
     lams = list(degree1_primes)
     if len(set(lams)) < 2:
@@ -378,22 +391,16 @@ def reducibility_obstruction(phi: DrinfeldModule, p: PrimeIdeal,
         if lam.gen == p.gen:
             raise ParamsOutOfRange("supplied primes must differ from p")
         cp = frob_deg1(phi, lam)  # raises NotGoodReduction on the bad locus
-        traces.append((lam, ring.element(cp.a)))
+        traces.append((ring.element(lam.gen), ring.element(cp.a)))
+    lam1, a1 = traces[0]
+    lam2, a2 = next((lam, a) for lam, a in traces if lam != lam1)
     surviving = []
-    tested = 0
-    for zeta in ring.elements():
-        if not zeta.is_unit():
-            continue
-        tested += 1
-        zeta_inv = zeta ** (ring.cardinality - 2)
-        ok = True
-        for lam, abar in traces:
-            want = zeta_inv * ring.element(lam.gen) + zeta
-            if abar != want:
-                ok = False
-                break
-        if ok:
+    if a1 != a2:
+        zeta = (lam2 - lam1) * residue_inv(a2 - a1)
+        zeta_inv = residue_inv(zeta)
+        if all(a == zeta_inv * lam + zeta for lam, a in traces):
             surviving.append(poly_to_text(zeta.rep))
+    tested = ring.cardinality - 1
     verified = not surviving
     checks = [{
         "check": "no unit zeta satisfies every trace congruence",

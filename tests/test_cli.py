@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -65,6 +66,24 @@ def test_field_record(capsys):
     assert rec["elements"] == [0, 1, 2, 3, 4]
     assert rec["squares"] == [0, 1, 4]
     assert rec["nonsquares"] == [2, 3]
+
+
+def test_field_bounds_q_before_listing(capsys, monkeypatch):
+    reached = []
+
+    def no_field(q):
+        reached.append(q)
+        raise AssertionError("field built")
+
+    monkeypatch.setattr(cli, "make_field", no_field)
+    for q in (cli.FIELD_LIST_CAP + 1, 999999999989):
+        code, out, err = run(capsys, "field", "--q", str(q))
+        assert (code, out, reached) == (2, "", []), q
+        assert err == (f"error: field lists every element: q must be at "
+                       f"most {cli.FIELD_LIST_CAP}\n")
+    with pytest.raises(AssertionError, match="field built"):
+        main(["field", "--q", str(cli.FIELD_LIST_CAP)])
+    assert reached == [cli.FIELD_LIST_CAP]
 
 
 def test_primes_stream(capsys):
@@ -594,30 +613,43 @@ PARSE_CASES = (
                          ids=lambda argv: " ".join(argv) or "<none>")
 def test_one_subparser_prints_what_the_whole_table_prints(capsys, monkeypatch,
                                                           argv):
+    """main prints, byte for byte, what the full argparse table prints for
+    the same argv; help and usage errors never reach the table parse."""
     got = run_parsed(capsys, argv)
-    monkeypatch.setattr(cli, "_named_command", lambda argv: None)
+    monkeypatch.setattr(cli, "_table_args", lambda argv: None)
     assert got == run_parsed(capsys, argv)
 
 
-def test_each_call_builds_only_the_parser_it_runs(capsys, monkeypatch):
+def _parsers_built(monkeypatch):
+    """A list that grows by one for each ArgumentParser constructed."""
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
-    def counting(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    cases = [([name, "--help"], [name]) for name in cli.COMMANDS]
-    cases += [(["omega", "--q", "5", "--prime", "T+4"], ["omega"]),
-              (["--output", "csv", "field", "--q", "5"], ["field"]),
-              (["--help"], list(cli.COMMANDS)), ([], list(cli.COMMANDS)),
-              (["bogus"], list(cli.COMMANDS))]
-    assert len(cli.COMMANDS) == 15
-    for argv, want in cases:
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_plain_calls_build_no_parser(capsys, monkeypatch):
+    built = _parsers_built(monkeypatch)
+    plain = [["omega", "--q", "5", "--prime", "T+4"],
+             ["--output", "csv", "field", "--q", "5"],
+             ["field", "--q", "5", "--output", "pretty"],
+             ["lambda-scan", "--q", "5", "--find-counterexample",
+              "--exact-deg", "2"]]
+    for argv in plain:
+        code, out, err = run_parsed(capsys, argv)
+        assert (code in (0, 1), err, built) == (True, "", []), argv
+    full_table = 1 + len(cli.COMMANDS)
+    for argv in PARSE_CASES:
         built.clear()
         run_parsed(capsys, argv)
-        assert built == want, argv
+        want = 0 if cli._table_args(argv) else full_table
+        assert len(built) == want, argv
+    assert len(cli.COMMANDS) == 15
 
 
 def _readme_commands():
@@ -649,3 +681,79 @@ def test_readme_example_runs(capsys, line):
         assert all(len(row) == len(header) for row in rows)
     else:
         assert records(out)
+
+
+def _mutations(argv, rng):
+    """Seeded variants of a plain call: its flags reordered, which stays
+    plain, and near-misses that are no longer plain, whether or not
+    argparse accepts them."""
+    flags = [i for i, tok in enumerate(argv) if tok.startswith("--")]
+    i = rng.choice(flags)
+    flag = argv[i]
+    has_value = i + 1 < len(argv) and not argv[i + 1].startswith("--")
+    value_end = i + 2 if has_value else i + 1
+    out = [
+        argv[:i] + [flag[:-1]] + argv[i + 1:],                  # abbreviated
+        argv + argv[i:value_end],                               # repeated
+        argv[:i] + argv[value_end:],                            # dropped
+        argv[:i] + ["-h"] + argv[i:],                           # help
+        argv + ["--"],
+    ]
+    if has_value:
+        out += [
+            argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[value_end:],  # =
+            argv[:i + 1] + ["x"] + argv[value_end:],            # non-int
+            argv[:i + 1] + ["-1"] + argv[value_end:],           # dash value
+            argv[:i + 1] + ["-" + argv[i + 1]] + argv[value_end:],
+            argv[:i + 1] + ["3"] + argv[value_end:],            # choice
+        ]
+    if argv[0] in cli.COMMANDS:                                 # reordered
+        groups = []
+        for tok in argv[1:]:
+            if tok.startswith("--"):
+                groups.append([tok])
+            else:
+                groups[-1].append(tok)
+        rng.shuffle(groups)
+        out.append(argv[:1] + [tok for group in groups for tok in group])
+    return out
+
+
+def _argparse_namespace(argv):
+    """vars of the full argparse table's Namespace, or None where argparse
+    prints help or a usage error."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return vars(cli._build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def test_table_parse_matches_argparse():
+    """The table parse returns argparse's Namespace or declines (None): on
+    the README calls, every PARSE_CASES argv and seeded mutations of plain
+    calls.  Help and usage errors are always declined."""
+    rng = random.Random(14)
+    plain = [shlex.split(line)[1:] for line in README_COMMANDS]
+    plain += [["--output", "pretty", "det-gen", "--q", "7", "--prime", "T",
+               "--max-deg", "1", "--level", "1", "--output", "csv"],
+              ["density", "--q", "5", "--x", "1", "--d2", "2", "--d1", "1",
+               "--mode", "brute", "--c1", "1", "--c2", "0"]]
+    cases = list(PARSE_CASES) + plain
+    for argv in plain:
+        assert cli._table_args(argv) is not None, argv
+        for _ in range(4):
+            cases += _mutations(argv, rng)
+    declined = 0
+    for argv in cases:
+        got = cli._table_args(argv)
+        want = _argparse_namespace(argv)
+        if got is None:
+            declined += 1
+        else:
+            assert vars(got) == want, argv
+    assert declined > len(cases) // 2
+    for argv in PARSE_CASES:
+        if _argparse_namespace(argv) is None:
+            assert cli._table_args(argv) is None, argv

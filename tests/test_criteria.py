@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -15,8 +17,14 @@ from drinfeldlab.criteria import (
     theorem2_build,
 )
 from drinfeldlab.drinfeld import DrinfeldModule
-from drinfeldlab.errors import ContextMismatch, InsufficientPrimes, NotInOmegaTilde
+from drinfeldlab.errors import (
+    ContextMismatch,
+    InsufficientPrimes,
+    NotGoodReduction,
+    NotInOmegaTilde,
+)
 from drinfeldlab.fields import enumerate_elements, is_square, make_field
+from drinfeldlab.frobenius import frob_deg1
 from drinfeldlab.polys import (
     Poly,
     PrimeIdeal,
@@ -193,6 +201,19 @@ def test_lambda_scan_matches_euler_double_loop(q, max_deg, mode):
         "first_counterexample": failing[0] if failing else None,
         "counterexamples": failing, "note": report.note}
     assert (report.note is not None) == (mode == "affirm" and bool(failing))
+
+
+def test_lambda_scan_holds_no_pair_table():
+    # a table of all q^2 (c, r1) pairs peaks near 26 MB at q = 503; the scan
+    # keeps O(q) per prime
+    tracemalloc.start()
+    try:
+        report = lambda_scan(make_field(503), 1, mode="affirm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.records) == 503 and report.all_pass
+    assert peak < 2_000_000
 
 
 def test_primes_and_scan_run_without_exponentiation(monkeypatch):
@@ -398,6 +419,54 @@ def test_obstruction_negative_control():
         phi, PI("T"), [PI("T+4"), PI("T+3"), PI("T+2")])
     assert not cert3.verified
     assert cert3.witnesses["zeta_scan"]["surviving"] == ["1"]
+
+
+def _unit_scan(phi, p, lams):
+    """The oracle for reducibility_obstruction: every unit zeta of A/p,
+    inverted by a power, tried against every trace congruence; returns
+    (units tested, surviving zetas as text)."""
+    ring = ResidueRing(p)
+    traces = [(ring.element(lam.gen), ring.element(frob_deg1(phi, lam).a))
+              for lam in lams]
+    tested, surviving = 0, []
+    for zeta in ring.elements():
+        if not zeta.is_unit():
+            continue
+        tested += 1
+        zeta_inv = zeta ** (ring.cardinality - 2)
+        if all(a == zeta_inv * lam + zeta for lam, a in traces):
+            surviving.append(poly_to_text(zeta.rep))
+    return tested, surviving
+
+
+def test_obstruction_matches_unit_scan():
+    rng = random.Random(14)
+    cases = with_survivor = 0
+    for q, deg, n in ((5, 1, 80), (5, 2, 60), (5, 3, 20), (7, 1, 50),
+                      (7, 2, 40), (11, 1, 50), (11, 2, 20)):
+        ctx = make_field(q)
+        primes = list(enumerate_monic_irreducibles(ctx, deg))
+        degree1 = list(enumerate_monic_irreducibles(ctx, 1))
+        for _ in range(n):
+            p = rng.choice(primes)
+            g1 = Poly.from_coeffs(ctx, [rng.randrange(q) for _ in range(3)])
+            g2 = Poly.from_coeffs(ctx, [rng.randrange(1, q)]
+                                  + [rng.randrange(q) for _ in range(2)])
+            lams = [lam for lam in degree1 if lam != p]
+            lams = rng.sample(lams, rng.choice((2, 3)))
+            phi = DrinfeldModule(ctx, [g1, g2])
+            try:
+                cert = reducibility_obstruction(phi, p, lams)
+            except NotGoodReduction:
+                continue
+            tested, surviving = _unit_scan(phi, p, lams)
+            assert cert.witnesses["zeta_scan"] == {"tested": tested,
+                                                   "surviving": surviving}
+            assert cert.checks[0]["units_tested"] == tested
+            assert cert.verified == (not surviving)
+            cases += 1
+            with_survivor += bool(surviving)
+    assert cases >= 200 and with_survivor >= 10
 
 
 def test_obstruction_sweep_over_degree1_triples():
