@@ -126,21 +126,15 @@ def _module_from_args(ctx, args):
                                 parse_poly(ctx, args.g2)])
 
 
-def _capped_prime(ctx, text):
+def _capped_prime(ctx, text, *checks):
     """The prime a --prime or --l flag names, its degree bounded by
-    PRIME_DEG_CAP before the irreducibility test."""
-    f = parse_poly(ctx, text)
-    frobenius.check_prime_degree(f)
-    return PrimeIdeal(f)
-
-
-def _unit_capped_prime(ctx, text, level):
-    """The prime a --prime flag names and the order of the unit group of
-    A/p^level, bounded by check_unit_group before the irreducibility
+    PRIME_DEG_CAP, and by any further checks, before the irreducibility
     test."""
     f = parse_poly(ctx, text)
-    units = frobenius.check_unit_group(ctx.q, len(f.coeffs) - 1, level)
-    return PrimeIdeal(f), units
+    frobenius.check_prime_degree(f)
+    for check in checks:
+        check(f)
+    return PrimeIdeal(f)
 
 
 def _frob(args):
@@ -184,6 +178,7 @@ def _thm1_verify(args):
 
 
 def _thm1_search(args):
+    groups.check_samples(args.limit, "limit")
     ctx = make_field(args.q)
     certs = criteria.theorem1_search(_capped_prime(ctx, args.prime),
                                      args.max_deg, args.limit)
@@ -197,7 +192,8 @@ def _thm2(args):
     ctx = make_field(args.q)
     c = _element(ctx, args.c, "--c")
     module, cert = criteria.theorem2_build(
-        _capped_prime(ctx, args.l), parse_poly(ctx, args.g1), c)
+        _capped_prime(ctx, args.l, criteria.check_theorem2_prime),
+        parse_poly(ctx, args.g1), c)
     records = [{"op": "thm2_module", "q": ctx.q,
                 "g1": poly_to_text(module.g1),
                 "g2": poly_to_text(module.g2)},
@@ -228,8 +224,7 @@ def _obstruction(args):
     ctx = make_field(args.q)
     roots = [_element(ctx, args.c1, "--c1"), _element(ctx, args.c2, "--c2")]
     phi = _module_from_args(ctx, args)
-    # the unit bound det-gen uses, checked before the irreducibility test
-    p, _ = _unit_capped_prime(ctx, args.prime, 1)
+    p = _capped_prime(ctx, args.prime)
     lams = [PrimeIdeal(Poly.T(ctx) - Poly.constant(ctx, c), _trusted=True)
             for c in roots]
     cert = criteria.reducibility_obstruction(phi, p, lams)
@@ -238,7 +233,10 @@ def _obstruction(args):
 
 def _det_gen(args):
     ctx = make_field(args.q)
-    p, units = _unit_capped_prime(ctx, args.prime, args.level)
+    f = parse_poly(ctx, args.prime)
+    # the unit group of A/p^level, bounded before the irreducibility test
+    units = frobenius.check_unit_group(ctx.q, len(f.coeffs) - 1, args.level)
+    p = PrimeIdeal(f)
     generated = frobenius.det_generation_check(p, args.level, args.max_deg)
     rec = {
         "op": "det_gen",

@@ -8,8 +8,6 @@ the induced T-action on the residue field) cross-validate every output.
 
 from __future__ import annotations
 
-import operator
-
 from . import kernel
 from .drinfeld import DrinfeldModule, ReducedModule, reduce_module
 from .errors import (
@@ -31,16 +29,17 @@ from .polys import (
     eval_at,
     gcd,
 )
-from .residues import ResidueRing, abelian_span, norm_to_base
+from .residues import abelian_span, norm_to_base
 
 DEFAULT_BRUTE_CAP = 5 ** 4
 # The largest prime degree the commands omega, lambda, frob, thm1-verify,
-# thm1-search, thm2 and newton accept, checked before any work: frob_general
-# at q = 5 takes about 0.5 s at degree 64.
+# thm1-search, thm2, newton and obstruction accept, checked before any work:
+# frob_general at q = 5 takes about 0.5 s at degree 64.
 PRIME_DEG_CAP = 64
-# The largest unit group det_generation_check (det-gen) and
-# criteria.reducibility_obstruction (obstruction) list; it admits the
-# 390,000 units of A/(T^4+2)^2 at q = 5, which take about 120 MB as residues.
+# The largest unit group det_generation_check (det-gen) lists; it admits the
+# 390,000 units of A/(T^4+2)^2 at q = 5, held as coefficient tuples:
+# `det-gen --q 5 --prime T^4+2 --level 2 --max-deg 3` peaks at 86 MB RSS
+# in 3.4 s (one subprocess run, 2 vCPUs).
 DET_GEN_UNIT_CAP = 400_000
 
 
@@ -228,17 +227,21 @@ def det_generation_check(p: PrimeIdeal, level: int, max_deg: int) -> bool:
     unit group of A/p^level (the finite shadow of determinant surjectivity).
 
     The unit group is abelian, so the generated subgroup grows one coset at
-    a time (abelian_span); primes are enumerated degree by degree and none
-    is drawn once the whole unit group is reached.  As the span may list
-    every unit, the unit count is bounded (check_unit_group) first.
+    a time (abelian_span) on residues held as coefficient tuples; primes
+    are enumerated degree by degree and none is drawn once the whole unit
+    group is reached.  As the span may list every unit, the unit count is
+    bounded (check_unit_group) first.
     """
     if level not in (1, 2):
         raise ParamsOutOfRange(f"level {level} unsupported (use 1 or 2)")
     ctx = p.ctx
     unit_count = check_unit_group(ctx.q, p.degree, level)
     check_enumeration_cap(ctx, max_deg)
-    ring = ResidueRing(p.gen ** level)
-    generators = (ring.element(lam.gen) for d in range(1, max_deg + 1)
+    mod = (p.gen ** level).coeffs
+    generators = (tuple(kernel.vmod(ctx, lam.gen.coeffs, mod))
+                  for d in range(1, max_deg + 1)
                   for lam in enumerate_monic_irreducibles(ctx, d) if lam != p)
-    span = abelian_span(ring.one, generators, operator.mul, unit_count)
+    span = abelian_span((1,), generators,
+                        lambda x, y: tuple(kernel.vmulmod(ctx, x, y, mod)),
+                        unit_count)
     return len(span) == unit_count

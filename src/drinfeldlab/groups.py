@@ -6,20 +6,27 @@ SL_2-criterion suite runs it on the points of P^1(F) and reads
 irreducibility and SL_2 containment off H's generators and order.  The
 level-two full-group suite runs it on P^1(A/p) and on the diagonal torus
 of GL_2(A/p), and reads H's intersection with the congruence kernel off
-the last level's Schreier generators.  The explicit-set APIs (closure,
-acts_irreducibly, sl2_group, contains_sl2) remain as the test oracle.
+the last level's Schreier generators.
 
-Both work on matrices encoded as 4-tuples of residue indices with dense
-add/mul lookup tables; the public Mat2 type stays ResidueElement-based.
+Both compute on table indices alone, over prime base fields: a residue is
+its base-q index, a matrix a 4-tuple of indices, and every operation a
+lookup in the dense tables of _Tables, which a ResidueRing only builds.
+The explicit-set APIs (Mat2, closure, acts_irreducibly, sl2_group,
+contains_sl2) remain as the test oracle.
 """
 
 from __future__ import annotations
 
-import operator
 import random
 
-from .errors import CapExceeded, NotAField, NotInvertible, ParamsOutOfRange
-from .kernel import Zp, power, prime_divisors, vadd, vechelon, vindex, vmulmod
+from . import kernel
+from .errors import (
+    CapExceeded,
+    ContextMismatch,
+    NotAField,
+    NotInvertible,
+    ParamsOutOfRange,
+)
 from .polys import Poly, PrimeIdeal, poly_to_text
 from .residues import ResidueRing, abelian_span
 
@@ -29,10 +36,11 @@ LEMMA_FIELD_CAP = 128
 _TABLE_RING_CAP = 256
 
 
-def check_samples(samples: int) -> None:
-    """Reject a sample count outside 0..SAMPLE_CAP."""
-    if not 0 <= samples <= SAMPLE_CAP:
-        raise ParamsOutOfRange(f"samples must be in 0..{SAMPLE_CAP}")
+def check_samples(count: int, what: str = "samples") -> None:
+    """Reject a count of samples (or of what else is held in full, such as
+    certificates) outside 0..SAMPLE_CAP."""
+    if not 0 <= count <= SAMPLE_CAP:
+        raise ParamsOutOfRange(f"{what} must be in 0..{SAMPLE_CAP}")
 
 
 def check_lemma_field(f: Poly) -> None:
@@ -69,12 +77,6 @@ class Mat2:
     def is_invertible(self) -> bool:
         return self.det().is_unit()
 
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        (a, b), (c, d) = self.entries
-        (e, f), (g, h) = other.entries
-        return Mat2(self.ring, ((a * e + b * g, a * f + b * h),
-                                (c * e + d * g, c * f + d * h)))
-
     def __eq__(self, other):
         return (isinstance(other, Mat2) and self.ring == other.ring
                 and self.entries == other.entries)
@@ -92,7 +94,11 @@ def identity(ring: ResidueRing) -> Mat2:
 
 
 class _Tables:
-    """Dense index tables for one residue ring."""
+    """Dense index tables for one residue ring.  The base-q index of the
+    residue 0 is 0 and of 1 is 1; negatives, inverses and units are read
+    off the add and mul tables."""
+
+    zero, one, ident = 0, 1, (1, 0, 0, 1)
 
     def __init__(self, ring: ResidueRing):
         n = ring.cardinality
@@ -100,19 +106,17 @@ class _Tables:
             raise CapExceeded(f"ring of size {n} too large for dense tables")
         self.ring = ring
         self.n = n
-        elems = ring.elements()
-        self.elems = elems
         # sums and products straight on the digit vectors of the indices
         ctx, mod, q = ring.ctx, ring.modulus.coeffs, ring.ctx.q
-        vecs = [x.rep.coeffs for x in elems]
+        self.vecs = vecs = [x.rep.coeffs for x in ring.elements()]
+        vindex, vadd, vmulmod = kernel.vindex, kernel.vadd, kernel.vmulmod
         self.add = [[vindex(vadd(ctx, a, b), q) for b in vecs] for a in vecs]
         self.mul = [[vindex(vmulmod(ctx, a, b, mod), q) for b in vecs]
                     for a in vecs]
-        self.neg = [ring.index_of(-x) for x in elems]
-        self.units = {i for i, x in enumerate(elems) if x.is_unit()}
-        self.zero, self.one = ring.index_of(ring.zero), ring.index_of(ring.one)
-        self.ident = (self.one, self.zero, self.zero, self.one)
-        self.inv = {i: self.mul[i].index(self.one) for i in self.units}
+        self.neg = [row.index(0) for row in self.add]
+        self.inv = {i: row.index(1) for i, row in enumerate(self.mul)
+                    if 1 in row}
+        self.units = set(self.inv)
 
     def encode(self, m: Mat2):
         idx = self.ring.index_of
@@ -120,8 +124,8 @@ class _Tables:
         return (idx(a), idx(b), idx(c), idx(d))
 
     def decode(self, t) -> Mat2:
-        e = self.elems
-        return Mat2(self.ring, ((e[t[0]], e[t[1]]), (e[t[2]], e[t[3]])))
+        e = self.ring.from_index
+        return Mat2(self.ring, ((e(t[0]), e(t[1])), (e(t[2]), e(t[3]))))
 
     def mat_mul(self, x, y):
         a, b, c, d = x
@@ -163,11 +167,9 @@ _TABLE_CACHE: dict = {}
 
 
 def _tables(ring: ResidueRing) -> _Tables:
-    key = ring.modulus
-    tab = _TABLE_CACHE.get(key)
+    tab = _TABLE_CACHE.get(ring.modulus)
     if tab is None:
-        tab = _Tables(ring)
-        _TABLE_CACHE[key] = tab
+        tab = _TABLE_CACHE[ring.modulus] = _Tables(ring)
     return tab
 
 
@@ -199,8 +201,7 @@ def acts_irreducibly(H) -> bool:
 
 
 def _acts_irreducibly_encoded(tab: _Tables, enc) -> bool:
-    n, one, zero = tab.n, tab.one, tab.zero
-    lines = [(one, x) for x in range(n)] + [(zero, one)]
+    lines = [(1, x) for x in range(tab.n)] + [(0, 1)]
     MUL, ADD, NEG = tab.mul, tab.add, tab.neg
     for v0, v1 in lines:
         fixed = True
@@ -208,7 +209,7 @@ def _acts_irreducibly_encoded(tab: _Tables, enc) -> bool:
             w0 = ADD[MUL[a][v0]][MUL[b][v1]]
             w1 = ADD[MUL[c][v0]][MUL[d][v1]]
             # parallel iff v0*w1 - v1*w0 = 0
-            if ADD[MUL[v0][w1]][NEG[MUL[v1][w0]]] != zero:
+            if ADD[MUL[v0][w1]][NEG[MUL[v1][w0]]] != 0:
                 fixed = False
                 break
         if fixed:
@@ -216,32 +217,24 @@ def _acts_irreducibly_encoded(tab: _Tables, enc) -> bool:
     return True
 
 
-def _sl2_generators(ring: ResidueRing):
-    """Standard unipotents over an additive F_p-basis of the residue field.
-
-    For a prime-field ring this is exactly the two matrices [[1,1],[0,1]]
-    and [[1,0],[1,1]]; extension fields need the basis family x^i T^j, since
-    the two integer unipotents only generate SL_2 of the prime subfield.
-    """
-    ctx = ring.ctx
-    basis = []
-    for i in range(ctx.m):
-        # x^i encodes as p^i for i < m (the i-th coefficient basis vector)
-        x_power = ring.element(ctx.from_encoded(ctx.p ** i))
-        t_power = ring.one
-        for _ in range(ring.degree):
-            basis.append(x_power * t_power)
-            t_power = t_power * ring.t
+def _sl2_generators(tab: _Tables):
+    """Standard unipotents over an additive F_p-basis of the residue field,
+    encoded over tab: [[1,1],[0,1]] and [[1,0],[1,1]] over a prime field;
+    extension fields need the basis x^i T^j, of index p^i q^j (x^i encodes
+    as p^i), as the integer unipotents only generate SL_2 of F_p."""
+    ctx = tab.ring.ctx
     gens = []
-    for b in basis:
-        gens.append(Mat2(ring, ((ring.one, b), (ring.zero, ring.one))))
-        gens.append(Mat2(ring, ((ring.one, ring.zero), (b, ring.one))))
+    for i in range(ctx.m):
+        for j in range(tab.ring.degree):
+            b = ctx.p ** i * ctx.q ** j
+            gens += [(1, b, 0, 1), (1, 0, b, 1)]
     return gens
 
 
 def sl2_group(ring: ResidueRing) -> set:
     """SL_2 of the residue field as an explicit unipotent closure."""
-    return closure(_sl2_generators(ring))
+    tab = _tables(ring)
+    return closure(tab.decode(g) for g in _sl2_generators(tab))
 
 
 def contains_sl2(H) -> bool:
@@ -258,16 +251,17 @@ def contains_sl2(H) -> bool:
 def _has_order(x, order: int, mul, one) -> bool:
     """Whether x has exactly the given multiplicative order: x^order is one
     and no x^(order/l) is, for l a prime divisor of the order."""
-    return power(x, order, mul, one) == one and all(
-        power(x, order // l, mul, one) != one for l in prime_divisors(order))
+    return kernel.power(x, order, mul, one) == one and all(
+        kernel.power(x, order // l, mul, one) != one
+        for l in kernel.prime_divisors(order))
 
 
-def _find_unit_generator(ring: ResidueRing):
-    """Element generating the unit group (cyclic for the rings used here):
-    the first unit whose order is the order of the unit group."""
-    units = ring.units()
-    for x in units:
-        if _has_order(x, len(units), operator.mul, ring.one):
+def _unit_generator(tab: _Tables) -> int:
+    """The index of a generator of the unit group (cyclic for the rings
+    used here): the first unit whose order is the order of the group."""
+    MUL = tab.mul
+    for x in sorted(tab.units):
+        if _has_order(x, len(tab.units), lambda a, b: MUL[a][b], 1):
             return x
     raise ValueError("unit group has no single generator")
 
@@ -277,7 +271,7 @@ def _primitive_companion(tab: _Tables):
     generates the non-split Cartan, the unit group of F[M] ~ F_{N^2}."""
     for r in range(tab.n):
         for s in sorted(tab.units):
-            m = (tab.zero, s, tab.one, r)
+            m = (0, s, 1, r)
             if _has_order(m, tab.n ** 2 - 1, tab.mat_mul, tab.ident):
                 return m
     raise ValueError("no primitive companion matrix")
@@ -341,36 +335,29 @@ def _lemma_facts(tab: _Tables, gens):
     def image(x, g):
         a, b, c, d = g
         u, v = (a, b) if x == n else (ADD[MUL[x][a]][c], ADD[MUL[x][b]][d])
-        return n if v == tab.zero else MUL[u][inv[v]]
+        return n if v == 0 else MUL[u][inv[v]]
 
     top, stabiliser = _schreier(tab, n, gens, image)
-    middle, diagonal = _schreier(tab, tab.zero, stabiliser, image)
+    middle, diagonal = _schreier(tab, 0, stabiliser, image)
     order = top * middle * len(abelian_span(
-        (tab.one, tab.one), [(a, d) for a, _, _, d in diagonal],
+        (1, 1), [(a, d) for a, _, _, d in diagonal],
         lambda x, y: (MUL[x[0]][y[0]], MUL[x[1]][y[1]]), (n - 1) ** 2))
-    dets = abelian_span(tab.one, [tab.mat_det(x) for x in gens],
+    dets = abelian_span(1, [tab.mat_det(x) for x in gens],
                         lambda x, y: MUL[x][y], n - 1)
     return (order, _acts_irreducibly_encoded(tab, gens),
             order // len(dets) == n * (n * n - 1))
 
 
-def _lemma_generators(ring: ResidueRing, tab: _Tables) -> dict:
+def _lemma_generators(tab: _Tables) -> dict:
     """Encoded generators of the forced taxonomy cases of the lemma lab."""
-    g = _find_unit_generator(ring)
+    g = _unit_generator(tab)
     return {
-        "borel": _encoded(tab, ((g, 0), (0, 1)), ((1, 0), (0, g)),
-                          ((1, 1), (0, 1))),
-        "split_cartan": _encoded(tab, ((g, 0), (0, 1)), ((1, 0), (0, g))),
+        "borel": [(g, 0, 0, 1), (1, 0, 0, g), (1, 1, 0, 1)],
+        "split_cartan": [(g, 0, 0, 1), (1, 0, 0, g)],
         "nonsplit_cartan": [_primitive_companion(tab)],
-        "sl2": [tab.encode(m) for m in _sl2_generators(ring)],
-        "gl2": _encoded(tab, ((1, 1), (0, 1)), ((1, 0), (1, 1)),
-                        ((g, 0), (0, 1))),
+        "sl2": _sl2_generators(tab),
+        "gl2": [(1, 1, 0, 1), (1, 0, 1, 1), (g, 0, 0, 1)],
     }
-
-
-def _encoded(tab: _Tables, *entries):
-    """Matrices over tab's ring, given as 2x2 entry arrays, encoded."""
-    return [tab.encode(Mat2(tab.ring, m)) for m in entries]
 
 
 def verify_lemma_A1(ring: ResidueRing, samples: int, seed: int) -> dict:
@@ -384,6 +371,8 @@ def verify_lemma_A1(ring: ResidueRing, samples: int, seed: int) -> dict:
     none.
     """
     check_samples(samples)
+    if ring.ctx.m != 1:
+        raise ContextMismatch("the lemma lab works over a prime base field")
     if not ring.is_prime:
         raise NotAField("the lemma lab works over a field")
     check_lemma_field(ring.modulus)
@@ -391,7 +380,6 @@ def verify_lemma_A1(ring: ResidueRing, samples: int, seed: int) -> dict:
     tab = _tables(ring)
     rng = random.Random(seed)
     violations = []
-    forced_records = []
     hypothesis_hits = 0
 
     def examine(name, gens):
@@ -409,12 +397,11 @@ def verify_lemma_A1(ring: ResidueRing, samples: int, seed: int) -> dict:
                 "hypotheses_met": hypotheses,
                 "contains_sl2": contains}
 
-    for name, gens in _lemma_generators(ring, tab).items():
-        forced_records.append(examine(name, gens))
+    forced_records = [examine(name, gens)
+                      for name, gens in _lemma_generators(tab).items()]
     for i in range(samples):
-        k = rng.choice((1, 2, 3))
-        gens = [_random_invertible(rng, tab) for _ in range(k)]
-        examine(f"sample_{i}", gens)
+        examine(f"sample_{i}", [_random_invertible(rng, tab)
+                                for _ in range(rng.choice((1, 2, 3)))])
     return {
         "op": "verify_lemma_A1",
         "ring": poly_to_text(ring.modulus),
@@ -456,14 +443,13 @@ class _Level2:
         self.char, self.m, self.unit_count = ctx.p, ctx.m, ctx.q ** 2 - ctx.q
         self.ring2, self.ring1 = ResidueRing(p.gen ** 2), ResidueRing(p)
         self.tab, self.tab1 = _tables(self.ring2), _tables(self.ring1)
-        # the mod-p projection and the F_p digits of the pi-digit of each
-        # residue (a field element encodes its F_p coordinates base p)
-        index1 = self.ring1.index_of
+        # x = pi_digit * p + low: low is the mod-p projection, and the
+        # pi-digit, a constant, encodes its F_p coordinates base p
         self.proj, self.digits = [], []
-        for x in self.ring2.elements():
-            low = self.ring1.element(x.rep)
-            pi_digit = index1(self.ring1.element((x.rep - low.rep) // p.gen))
-            self.proj.append(index1(low))
+        for x in self.tab.vecs:
+            pi_digit, low = kernel.vdivmod(ctx, x, p.gen.coeffs)
+            self.proj.append(kernel.vindex(low, ctx.q))
+            pi_digit = kernel.vindex(pi_digit, ctx.q)
             self.digits.append(tuple(pi_digit // self.char ** j % self.char
                                      for j in range(self.m)))
 
@@ -471,29 +457,28 @@ class _Level2:
         """(|H|, det(H) full, |Hbar|, H n K not scalar) for H = <gens>,
         the generators encoded over A/p^2."""
         tab, proj, digits, m = self.tab, self.proj, self.digits, self.m
-        n, MUL, ADD, inv, zero = (self.tab1.n, self.tab1.mul, self.tab1.add,
-                                  self.tab1.inv, self.tab1.zero)
+        n, MUL, ADD, inv = (self.tab1.n, self.tab1.mul, self.tab1.add,
+                            self.tab1.inv)
 
         def line(x, g):
             a, b, c, d = proj[g[0]], proj[g[1]], proj[g[2]], proj[g[3]]
             u, v = (a, b) if x == n else (ADD[MUL[x][a]][c], ADD[MUL[x][b]][d])
-            return n if v == zero else MUL[u][inv[v]]
+            return n if v == 0 else MUL[u][inv[v]]
 
         def torus(x, g):
             return MUL[x[0]][proj[g[0]]], MUL[x[1]][proj[g[3]]]
 
         top, stabiliser = _schreier(tab, n, gens, line)
-        middle, diagonal = _schreier(tab, zero, stabiliser, line)
-        one = self.tab1.one
-        trans = _transversal(tab, (one, one), diagonal, torus)
+        middle, diagonal = _schreier(tab, 0, stabiliser, line)
+        trans = _transversal(tab, (1, 1), diagonal, torus)
         # vechelon stops drawing this level's generators at full rank
         congruent = _schreier_stream(tab, trans, diagonal, torus)
-        rows = vechelon(Zp(self.char), (sum((digits[e] for e in s), ())
-                                        for s in congruent), 4 * m)
+        rows = kernel.vechelon(kernel.Zp(self.char), (
+            sum((digits[e] for e in s), ()) for s in congruent), 4 * m)
         # padded back to 4m digits, or a scalar row ending in zeros would
         # fail the scalar test
         basis = [row + [0] * (4 * m - len(row)) for row in rows.values()]
-        dets = abelian_span(tab.one, [tab.mat_det(g) for g in gens],
+        dets = abelian_span(1, [tab.mat_det(g) for g in gens],
                             lambda x, y: tab.mul[x][y], self.unit_count)
         modp_order = top * middle * len(trans)
         return (modp_order * self.char ** len(basis),
@@ -510,6 +495,8 @@ def pink_rutsche_level2(p: PrimeIdeal, samples: int, seed: int) -> dict:
     mod-p image and the congruence kernel (see _Level2).
     """
     check_samples(samples)
+    if p.ctx.m != 1:
+        raise ContextMismatch("the level-2 lab works over a prime base field")
     check_level2_prime(p.gen)
     q = p.ctx.q
     full_order = (q * q - 1) * (q * q - q) * q ** 4
@@ -530,26 +517,21 @@ def pink_rutsche_level2(p: PrimeIdeal, samples: int, seed: int) -> dict:
             violations.append(record)
         return record
 
-    g2 = _find_unit_generator(lab.ring2)
-    g1 = _find_unit_generator(lab.ring1).rep
-    pi = p.gen
+    g2 = _unit_generator(tab)
+    # deg p = 1: a constant has the same index in A/p and in A/p^2
+    g1 = _unit_generator(lab.tab1)
+    pi = kernel.vindex(p.gen.coeffs, q)
     forced_sets = {
-        "full_group": _encoded(tab, ((1, 1), (0, 1)), ((1, 0), (1, 1)),
-                               ((1, pi), (0, 1)), ((1, 0), (pi, 1)),
-                               ((g2, 0), (0, 1))),
-        "teichmuller_lift": _encoded(tab, ((1, 1), (0, 1)), ((1, 0), (1, 1)),
-                                     ((g1, 0), (0, 1))),
+        "full_group": [(1, 1, 0, 1), (1, 0, 1, 1), (1, pi, 0, 1),
+                       (1, 0, pi, 1), (g2, 0, 0, 1)],
+        "teichmuller_lift": [(1, 1, 0, 1), (1, 0, 1, 1), (g1, 0, 0, 1)],
     }
     rng = random.Random(seed)
     violations = []
-    forced_records = []
-    sample_records = []
-    for name, gens in forced_sets.items():
-        forced_records.append(examine(name, gens))
-    for i in range(samples):
-        k = rng.choice((2, 2, 3))
-        gens = [_random_invertible(rng, tab) for _ in range(k)]
-        sample_records.append(examine(f"sample_{i}", gens))
+    forced_records = [examine(name, gens) for name, gens in forced_sets.items()]
+    sample_records = [examine(f"sample_{i}", [
+        _random_invertible(rng, tab) for _ in range(rng.choice((2, 2, 3)))])
+        for i in range(samples)]
     filtered_out = sum(1 for r in forced_records + sample_records
                        if not r["hypotheses_met"])
     return {

@@ -29,6 +29,7 @@ from drinfeldlab.errors import (
     CapExceeded,
     EnumerationCapExceeded,
     InternalInconsistency,
+    ParamsOutOfRange,
 )
 from drinfeldlab.fields import make_field
 from drinfeldlab.polys import PrimeIdeal, parse_poly
@@ -284,7 +285,7 @@ def test_lab_bounds_checked_before_work(capsys, monkeypatch):
 
     for target, name in ((kernel, "rabin"), (cli, "ResidueRing"),
                          (cli, "PrimeIdeal"), (groups, "_Tables"),
-                         (frobenius, "ResidueRing")):
+                         (residues.ResidueRing, "__init__")):
         monkeypatch.setattr(target, name, refuse)
     for argv, message in (
             (["lemma-a1", "--q", "5", "--prime", "T^512+T+2", "--samples",
@@ -303,6 +304,56 @@ def test_lab_bounds_checked_before_work(capsys, monkeypatch):
     p = PrimeIdeal(parse_poly(make_field(5), "T^5+4*T+1"), _trusted=True)
     with pytest.raises(CapExceeded):
         frobenius.det_generation_check(p, 2, 1)
+
+
+def test_obstruction_bounded_by_prime_degree(capsys, monkeypatch):
+    # the decision is one root whatever #(A/p) is: a degree-64 prime, with
+    # 5^64 - 1 units, certifies, and degree 65 is refused before the Rabin
+    # test
+    argv = ["obstruction", "--q", "5", "--g1", "1", "--g2", "4*T^4",
+            "--c1", "1", "--c2", "2", "--prime"]
+    code, out, err = run(capsys, *argv, "T^64+3*T^4+T^2+T+2")
+    assert code == 0, err
+    cert = records(out)[0]
+    assert cert["verified"]
+    assert cert["witnesses"]["zeta_scan"]["tested"] == 5 ** 64 - 1
+
+    def refuse(*args):
+        raise AssertionError("Rabin test ran before the degree check")
+
+    monkeypatch.setattr(kernel, "rabin", refuse)
+    code, out, err = run(capsys, *argv, "T^65+T+2")
+    assert (code, out) == (2, "") and "at most 64" in err
+
+
+def test_search_limit_and_thm2_power_bounded_before_work(capsys,
+                                                         monkeypatch):
+    # thm1-search holds every certificate, so --limit is at most
+    # SAMPLE_CAP; thm2 expands l^(q-1), so (q - 1) deg l is at most
+    # THM2_POWER_DEG_CAP; both exit 2 before the Rabin test
+    assert criteria.THM2_POWER_DEG_CAP == 4096
+    groups.check_samples(groups.SAMPLE_CAP, "limit")
+    f257 = make_field(257)
+    criteria.check_theorem2_prime(parse_poly(f257, "T^16+T+3"))
+
+    def refuse(*args):
+        raise AssertionError("Rabin test ran before the bound check")
+
+    monkeypatch.setattr(kernel, "rabin", refuse)
+    with pytest.raises(ParamsOutOfRange):
+        criteria.check_theorem2_prime(parse_poly(f257, "T^17+T+3"))
+    for argv, message in (
+            (["thm1-search", "--q", "5", "--prime", "T^2+3", "--max-deg", "3",
+              "--limit", str(groups.SAMPLE_CAP + 1)], "limit must be in"),
+            (["thm1-search", "--q", "5", "--prime", "T^2+3", "--max-deg", "3",
+              "--limit", "-1"], "limit must be in"),
+            (["thm2", "--q", "1009", "--l", "T^5+T+1", "--g1", "1", "--c",
+              "3"], "deg l <= 4096"),
+            (["thm2", "--q", "257", "--l", "T^17+T+3", "--g1", "1", "--c",
+              "3"], "deg l <= 4096")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err, err
 
 
 def test_det_gen_unit_budget():

@@ -25,6 +25,7 @@ from drinfeldlab.errors import (
 )
 from drinfeldlab.fields import enumerate_elements, is_square, make_field
 from drinfeldlab.frobenius import frob_deg1
+from drinfeldlab.groups import SAMPLE_CAP
 from drinfeldlab.polys import (
     Poly,
     PrimeIdeal,
@@ -331,13 +332,13 @@ def test_theorem1_search_rejects_non_member():
 def test_theorem1_search_exhausts_available():
     # at max_deg 1 the parametrization collapses to g1 = beta (T-c1),
     # g2 = e (T-c2): 3 witnesses x 4 c2 x 4 beta x 4 e = 192 for (T^2+3)
-    certs = theorem1_search(PI("T^2+3"), max_deg=1, limit=10 ** 6)
+    certs = theorem1_search(PI("T^2+3"), max_deg=1, limit=SAMPLE_CAP)
     assert len(certs) == 192
 
 
 def test_theorem1_search_excludes_p_as_lambda2():
     # p = (T) has witnesses {2, 3} and c2 must avoid both c1 and 0
-    certs = theorem1_search(PI("T"), max_deg=1, limit=10 ** 6)
+    certs = theorem1_search(PI("T"), max_deg=1, limit=SAMPLE_CAP)
     assert len(certs) == 96  # 2 x 3 x 4 x 4
     assert {c.inputs["c1"] for c in certs} == {2, 3}
     assert 0 not in {c.inputs["c2"] for c in certs}

@@ -34,7 +34,7 @@ from drinfeldlab.polys import (
     is_irreducible,
     parse_poly,
 )
-from drinfeldlab.residues import ResidueRing
+from drinfeldlab.residues import ResidueRing, abelian_span
 from drinfeldlab.skew import SkewPoly, linear_solve_left
 
 F5 = make_field(5)
@@ -389,6 +389,31 @@ def test_det_generation_matches_bfs_oracle():
                 for level in (1, 2):
                     for max_deg in (0, 1, 2):
                         want = _bfs_det_generation_check(p, level, max_deg)
+                        assert det_generation_check(p, level, max_deg) == want
+                        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_det_generation_matches_residue_span():
+    # the coefficient-tuple span against abelian_span over ResidueElements,
+    # on seeded primes at levels 1 and 2, q = 5 and 7
+    rng = random.Random(15)
+    verdicts = set()
+    for q in (5, 7):
+        ctx = make_field(q)
+        for deg in (1, 2):
+            for p in rng.sample(enumerate_monic_irreducibles(ctx, deg), 2):
+                for level in (1, 2):
+                    ring = ResidueRing(p.gen ** level)
+                    units = q ** (level * deg) - q ** ((level - 1) * deg)
+                    for max_deg in (0, 1, 2):
+                        gens = (ring.element(lam.gen)
+                                for d in range(1, max_deg + 1)
+                                for lam in enumerate_monic_irreducibles(ctx, d)
+                                if lam != p)
+                        span = abelian_span(ring.one, gens,
+                                            lambda x, y: x * y, units)
+                        want = len(span) == units
                         assert det_generation_check(p, level, max_deg) == want
                         verdicts.add(want)
     assert verdicts == {True, False}

@@ -4,9 +4,15 @@ import random
 
 import pytest
 
-from drinfeldlab import groups, kernel
+from drinfeldlab import frobenius, groups, kernel
 from drinfeldlab.cli import main
-from drinfeldlab.errors import CapExceeded, NotAField, NotInvertible, ParamsOutOfRange
+from drinfeldlab.errors import (
+    CapExceeded,
+    ContextMismatch,
+    NotAField,
+    NotInvertible,
+    ParamsOutOfRange,
+)
 from drinfeldlab.fields import make_field
 from drinfeldlab.groups import (
     DEFAULT_CLOSURE_CAP,
@@ -23,17 +29,16 @@ from drinfeldlab.groups import (
     verify_lemma_A1,
     _Level2,
     _acts_irreducibly_encoded,
-    _encoded,
-    _find_unit_generator,
     _lemma_facts,
     _lemma_generators,
     _primitive_companion,
     _random_invertible,
     _sl2_generators,
     _tables,
+    _unit_generator,
 )
 from drinfeldlab.polys import Poly, PrimeIdeal, parse_poly, poly_to_text
-from drinfeldlab.residues import ResidueRing, abelian_span
+from drinfeldlab.residues import ResidueElement, ResidueRing, abelian_span
 
 F5 = make_field(5)
 RING5 = ResidueRing(parse_poly(F5, "T"))
@@ -117,7 +122,7 @@ def _nonsplit_cartan(ring):
     explicit closure: as xI + yM = y((x/y)I + M) for y != 0, the scalars gI
     (g generating the units) and the shifts aI + M generate it."""
     r, s = _first_irreducible_companion(ring)
-    g = _find_unit_generator(ring)
+    g = _first_generator_by_order(ring)
     shifts = [Mat2(ring, ((a, s), (1, a + r))) for a in ring.elements()]
     return closure([Mat2(ring, ((g, 0), (0, g)))] + shifts)
 
@@ -137,7 +142,7 @@ def test_nonsplit_cartan_closure_matches_enumeration(q, modulus):
     want = _companion_span(ring, ring.from_index(r), ring.from_index(s))
     assert len(want) == ring.cardinality ** 2 - 1
     assert closure([tab.decode(generator)]) == want
-    assert _lemma_generators(ring, tab)["nonsplit_cartan"] == [generator]
+    assert _lemma_generators(tab)["nonsplit_cartan"] == [generator]
 
 
 def test_acts_irreducibly_needs_field():
@@ -258,10 +263,9 @@ def test_lemma_facts_match_bfs_oracle(q, modulus, count):
     # seeded subgroups with 1-3 random generators
     ring = ResidueRing(parse_poly(make_field(q), modulus))
     tab = _tables(ring)
-    sl2 = tab.closure([tab.encode(m) for m in _sl2_generators(ring)],
-                      DEFAULT_CLOSURE_CAP)
+    sl2 = tab.closure(_sl2_generators(tab), DEFAULT_CLOSURE_CAP)
     rng = random.Random(100 * q + count)
-    sets = list(_lemma_generators(ring, tab).values())
+    sets = list(_lemma_generators(tab).values())
     for _ in range(count):
         sets.append([_random_invertible(rng, tab)
                      for _ in range(rng.choice((1, 2, 3)))])
@@ -417,7 +421,7 @@ def _bfs_pink_rutsche_level2(p, samples, seed):
             violations.append(record)
         return record
 
-    g2 = _find_unit_generator(ring2)
+    g2 = _first_generator_by_order(ring2)
     pi = ring2.element(p.gen)
     forced_sets = {
         "full_group": [Mat2(ring2, ((1, 1), (0, 1))),
@@ -427,8 +431,8 @@ def _bfs_pink_rutsche_level2(p, samples, seed):
                        Mat2(ring2, ((g2, 0), (0, 1)))],
         "teichmuller_lift": [Mat2(ring2, ((1, 1), (0, 1))),
                              Mat2(ring2, ((1, 0), (1, 1))),
-                             Mat2(ring2, ((_find_unit_generator(ring1).rep, 0),
-                                          (0, 1)))],
+                             Mat2(ring2, ((_first_generator_by_order(ring1).rep,
+                                           0), (0, 1)))],
     }
     rng = random.Random(seed)
     violations = []
@@ -616,8 +620,8 @@ def test_level2_scalar_test_reads_padded_rows_over_f9():
     p = PrimeIdeal(Poly.T(f9))
     lab = _Level2(p)
     pi, one_pi = p.gen, Poly.one(f9) + p.gen
-    (scalar,) = _encoded(lab.tab, ((one_pi, 0), (0, one_pi)))
-    (unipotent,) = _encoded(lab.tab, ((1, pi), (0, 1)))
+    scalar = lab.tab.encode(Mat2(lab.ring2, ((one_pi, 0), (0, one_pi))))
+    unipotent = lab.tab.encode(Mat2(lab.ring2, ((1, pi), (0, 1))))
     assert lab.facts([scalar]) == (3, False, 1, False)
     assert lab.facts([unipotent]) == (3, False, 1, True)
 
@@ -657,4 +661,104 @@ def test_unit_generator_matches_order_loop():
             p = parse_poly(ctx, text)
             rings += [ResidueRing(p), ResidueRing(p * p)]
     for ring in rings:
-        assert _find_unit_generator(ring) == _first_generator_by_order(ring)
+        assert (_unit_generator(_tables(ring))
+                == ring.index_of(_first_generator_by_order(ring)))
+
+
+def test_tables_neg_units_inv_match_residue_elements():
+    # _Tables reads negatives, units and inverses off its own add and mul
+    # tables; ResidueElement negation and the gcd unit test are the oracle,
+    # on A/p and A/p^2 at q = 5 and 7, on A/(T^2+2) and over F_9
+    rings = [ResidueRing(parse_poly(F5, "T^2+2")),
+             ResidueRing(Poly.T(make_field(3, 2)))]
+    for q in (5, 7):
+        for text in ("T", "T+3"):
+            p = parse_poly(make_field(q), text)
+            rings += [ResidueRing(p), ResidueRing(p * p)]
+    for ring in rings:
+        tab = _tables(ring)
+        elems = ring.elements()
+        assert (tab.zero, tab.one) == (ring.index_of(ring.zero),
+                                       ring.index_of(ring.one))
+        assert tab.ident == (tab.one, tab.zero, tab.zero, tab.one)
+        assert tab.neg == [ring.index_of(-x) for x in elems]
+        assert tab.units == {i for i, x in enumerate(elems) if x.is_unit()}
+        assert set(tab.inv) == tab.units
+        for i, j in tab.inv.items():
+            assert elems[i] * elems[j] == ring.one
+
+
+def _unipotents_from_residues(ring):
+    """The standard unipotents over the F_p-basis x^i T^j of the residue
+    field, built from residues."""
+    ctx = ring.ctx
+    gens = []
+    for i in range(ctx.m):
+        t_power = ring.element(ctx.from_encoded(ctx.p ** i))
+        for _ in range(ring.degree):
+            gens += [Mat2(ring, ((1, t_power), (0, 1))),
+                     Mat2(ring, ((1, 0), (t_power, 1)))]
+            t_power = t_power * ring.t
+    return gens
+
+
+@pytest.mark.parametrize("ctx, modulus", [(F5, "T^2+2"), (F5, "T"),
+                                          (make_field(7, 2), None)])
+def test_sl2_generators_decode_to_the_standard_unipotents(ctx, modulus):
+    # over F_25 = A/(T^2+2), F_5 and F_49 = F_49[T]/(T): the encoded
+    # generators are the residue-built unipotents and close to SL_2
+    ring = ResidueRing(Poly.T(ctx) if modulus is None
+                       else parse_poly(ctx, modulus))
+    tab = _tables(ring)
+    gens = _sl2_generators(tab)
+    assert [tab.decode(g) for g in gens] == _unipotents_from_residues(ring)
+    N = ring.cardinality
+    assert len(tab.closure(gens, DEFAULT_CLOSURE_CAP)) == N * (N * N - 1)
+
+
+def test_lemma_lab_refuses_a_non_prime_base_field(monkeypatch):
+    # F_25 as F_25[T]/(T): refused before any table is built or sample run
+    def refuse(*args):
+        raise AssertionError("work started before the field check")
+
+    monkeypatch.setattr(groups, "_tables", refuse)
+    monkeypatch.setattr(groups, "_lemma_facts", refuse)
+    ring = ResidueRing(Poly.T(make_field(5, 2)))
+    with pytest.raises(ContextMismatch):
+        verify_lemma_A1(ring, samples=200, seed=1)
+
+
+def test_level2_lab_refuses_a_non_prime_base_field(monkeypatch):
+    # over F_9 the units of A/p^2 are not cyclic; the lab is refused before
+    # any table is built or unit generator sought
+    def refuse(*args):
+        raise AssertionError("work started before the field check")
+
+    monkeypatch.setattr(groups, "_Level2", refuse)
+    monkeypatch.setattr(groups, "_unit_generator", refuse)
+    p = PrimeIdeal(Poly.T(make_field(3, 2)))
+    with pytest.raises(ContextMismatch):
+        pink_rutsche_level2(p, samples=1, seed=1)
+
+
+def test_lab_paths_build_no_residue_or_matrix_objects(monkeypatch):
+    # run cold (no cached tables), the two labs and det_generation_check
+    # compute on table indices and coefficient tuples alone: no
+    # ResidueElement arithmetic, no Mat2
+    def refuse(*args, **kwargs):
+        raise AssertionError("object arithmetic on a lab path")
+
+    for name in ("__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__pow__", "is_unit"):
+        monkeypatch.setattr(ResidueElement, name, refuse)
+    monkeypatch.setattr(Mat2, "__init__", refuse)
+    monkeypatch.setattr(groups, "_TABLE_CACHE", {})
+    report = verify_lemma_A1(ResidueRing(parse_poly(F5, "T^2+2")),
+                             samples=3, seed=1)
+    assert report["violations"] == [] and len(report["forced_cases"]) == 5
+    report = pink_rutsche_level2(PrimeIdeal(parse_poly(make_field(7), "T+3")),
+                                 samples=2, seed=1)
+    assert report["violations"] == [] and len(report["sample_cases"]) == 2
+    p = PrimeIdeal(parse_poly(F5, "T^2+2"))
+    assert frobenius.det_generation_check(p, 2, 2)
+    assert not frobenius.det_generation_check(p, 1, 0)
