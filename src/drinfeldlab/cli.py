@@ -42,9 +42,15 @@ from .polys import (
 from .residues import ResidueRing
 
 EXIT_CLOSED_PIPE = 141
-# `field` lists every element of F_q and its square class in one record,
-# about 12 bytes per element: the cap keeps that record near 1 MB
+# The largest q any command takes, checked before make_field, whose
+# primality test is trial division: at 2^31 - 1, itself prime, it takes
+# about 6 ms (in-process, 2 vCPUs).
+Q_CAP = 2 ** 31 - 1
+# Commands that iterate over F_q also take q <= FIELD_LIST_CAP: it keeps
+# `field`'s one record, about 12 bytes per element, near 1 MB.
 FIELD_LIST_CAP = 100_000
+_LISTS_FQ = frozenset({"field", "omega", "lambda-scan", "thm1-search",
+                       "thm2"})
 
 
 def _element(ctx, value, flag):
@@ -55,10 +61,17 @@ def _element(ctx, value, flag):
     return ctx.element(value)
 
 
-def _field(args):
-    if args.q > FIELD_LIST_CAP:
-        raise _Usage(f"field lists every element: q must be at most "
+def _check_q(command, q):
+    """Reject a --q above Q_CAP, or above FIELD_LIST_CAP for a command that
+    iterates over F_q, before any field is built."""
+    if command in _LISTS_FQ and q > FIELD_LIST_CAP:
+        raise _Usage(f"{command} lists every element: q must be at most "
                      f"{FIELD_LIST_CAP}")
+    if q > Q_CAP:
+        raise _Usage(f"q must be at most {Q_CAP}")
+
+
+def _field(args):
     ctx = make_field(args.q)
     elems = enumerate_elements(ctx)
     rec = {
@@ -452,6 +465,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _table_args(argv) or _build_parser().parse_args(argv)
     try:
+        _check_q(args.command, args.q)
         code, records = args.handler(args)
     except InternalInconsistency as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -29,17 +29,17 @@ from .polys import (
     eval_at,
     gcd,
 )
-from .residues import abelian_span, norm_to_base
+from .residues import norm_to_base
 
 DEFAULT_BRUTE_CAP = 5 ** 4
 # The largest prime degree the commands omega, lambda, frob, thm1-verify,
 # thm1-search, thm2, newton and obstruction accept, checked before any work:
 # frob_general at q = 5 takes about 0.5 s at degree 64.
 PRIME_DEG_CAP = 64
-# The largest unit group det_generation_check (det-gen) lists; it admits the
-# 390,000 units of A/(T^4+2)^2 at q = 5, held as coefficient tuples:
-# `det-gen --q 5 --prime T^4+2 --level 2 --max-deg 3` peaks at 86 MB RSS
-# in 3.4 s (one subprocess run, 2 vCPUs).
+# The largest unit group det_generation_check (det-gen) admits.  It lists no
+# unit: `det-gen --q 5 --prime T^4+2 --level 2 --max-deg 3` (390,000 units)
+# takes 0.09-0.12 s at 16 MB RSS (three subprocess runs, 2 vCPUs).  Lifting
+# the bound is a capability of its own.
 DET_GEN_UNIT_CAP = 400_000
 
 
@@ -226,22 +226,42 @@ def det_generation_check(p: PrimeIdeal, level: int, max_deg: int) -> bool:
     """Whether the primes of degree <= max_deg away from p generate the whole
     unit group of A/p^level (the finite shadow of determinant surjectivity).
 
-    The unit group is abelian, so the generated subgroup grows one coset at
-    a time (abelian_span) on residues held as coefficient tuples; primes
-    are enumerated degree by degree and none is drawn once the whole unit
-    group is reached.  As the span may list every unit, the unit count is
-    bounded (check_unit_group) first.
+    Decided by the structure of the group; no unit is listed.  With
+    N = q^deg p, (A/p^level)^* = C_(N-1) x (1 + pA/p^level), of coprime
+    orders, the second factor trivial at level 1 and (A/p, +) at level 2,
+    by 1 + py -> y.  So the primes generate it iff, for each prime r
+    dividing N - 1, some lam^((N-1)/r) is not 1 mod p, and, at level 2,
+    the F_p-digit vectors of the y = (lam^(N-1) - 1)/p mod p reach rank
+    m deg p, q = p^m, as raising to N - 1 is onto the second factor.  Each
+    condition draws primes degree by degree until it holds.  The unit count
+    is still bounded (check_unit_group) first.
     """
     if level not in (1, 2):
         raise ParamsOutOfRange(f"level {level} unsupported (use 1 or 2)")
     ctx = p.ctx
-    unit_count = check_unit_group(ctx.q, p.degree, level)
+    check_unit_group(ctx.q, p.degree, level)
     check_enumeration_cap(ctx, max_deg)
-    mod = (p.gen ** level).coeffs
-    generators = (tuple(kernel.vmod(ctx, lam.gen.coeffs, mod))
-                  for d in range(1, max_deg + 1)
-                  for lam in enumerate_monic_irreducibles(ctx, d) if lam != p)
-    span = abelian_span((1,), generators,
-                        lambda x, y: tuple(kernel.vmulmod(ctx, x, y, mod)),
-                        unit_count)
-    return len(span) == unit_count
+    order = ctx.q ** p.degree - 1
+    modp, mod = p.gen.coeffs, (p.gen ** level).coeffs
+
+    def primes():
+        return (lam.gen.coeffs for d in range(1, max_deg + 1)
+                for lam in enumerate_monic_irreducibles(ctx, d) if lam != p)
+
+    missing = set(kernel.prime_divisors(order))
+    for g in primes():
+        missing -= {r for r in missing
+                    if kernel.vpowmod(ctx, g, order // r, modp) != [1]}
+        if not missing:
+            break
+    rank = (level - 1) * ctx.m * p.degree
+    if missing or not rank:
+        return not missing
+
+    def digits(g):
+        # the F_p digits of y = (lam^(N-1) - 1)/p mod p
+        y = kernel.vsub(ctx, kernel.vpowmod(ctx, g, order, mod), [1])
+        return sum(map(ctx.decode, kernel.vdivmod(ctx, y, modp)[0]), ())
+
+    rows = kernel.vechelon(kernel.Zp(ctx.p), map(digits, primes()), rank)
+    return len(rows) == rank

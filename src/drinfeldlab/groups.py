@@ -1,12 +1,12 @@
 """Verification lab for the group-theoretic ingredients.
 
-Neither sampled suite lists the subgroup it examines: both size it by a
-stabiliser chain, one Schreier level (_schreier) per base point.  The
-SL_2-criterion suite runs it on the points of P^1(F) and reads
+Neither sampled suite lists the subgroup it examines: both size it by
+Schreier levels (_schreier).  The SL_2-criterion suite runs one, at
+infinity of P^1(F), and sizes that stabiliser through the Borel; it reads
 irreducibility and SL_2 containment off H's generators and order.  The
-level-two full-group suite runs it on P^1(A/p) and on the diagonal torus
-of GL_2(A/p), and reads H's intersection with the congruence kernel off
-the last level's Schreier generators.
+level-two full-group suite runs them on P^1(A/p) and on the diagonal
+torus of GL_2(A/p), and reads H's intersection with the congruence kernel
+off the last level's Schreier generators.
 
 Both compute on table indices alone, over prime base fields: a residue is
 its base-q index, a matrix a 4-tuple of indices, and every operation a
@@ -17,6 +17,7 @@ contains_sl2) remain as the test oracle.
 
 from __future__ import annotations
 
+import math
 import random
 
 from . import kernel
@@ -320,15 +321,17 @@ def _schreier_stream(tab: _Tables, trans, gens, image):
 
 def _lemma_facts(tab: _Tables, gens):
     """(|H|, H acts irreducibly, SL_2(F) <= H) for H = <gens>, encoded over
-    a field of n elements, by a stabiliser chain (two _schreier levels) on
-    the n + 1 points of P^1; H is never listed.
+    a field of n elements, by one _schreier level on the n + 1 points of
+    P^1 and the structure of the Borel; H is never listed.
 
     Matrices act on row vectors: the point x < n is the line of (x, 1) and
-    n is infinity, the line of (1, 0).  The orbit of infinity with its
-    transversal gives Schreier generators of H_inf, the orbit of 0 under
-    them gives those of H_inf,0, which is diagonal; so |H| = |inf^H|
-    |0^(H_inf)| |H_inf,0|, the last the span of the (a, d).  H fixes a
-    point iff every generator does, and H n SL_2 has order |H| / |det H|.
+    n is infinity, the line of (1, 0).  H_inf, given by its Schreier
+    generators, lies in the lower triangular Borel T U, and the projection
+    pi_T: (a, 0, c, d) -> (a, d) has kernel U, of order n: |H_inf| =
+    |H_inf n U| |pi_T(H_inf)|.  As H_inf,0 = H_inf n T has order prime to
+    p, |H_inf n U| is the p-part gcd(|0^(H_inf)|, n) of an orbit of points
+    alone.  H fixes a point iff every generator does, and H n SL_2 has
+    order |H| / |det H|.
     """
     n, MUL, ADD, inv = tab.n, tab.mul, tab.add, tab.inv
 
@@ -338,9 +341,17 @@ def _lemma_facts(tab: _Tables, gens):
         return n if v == 0 else MUL[u][inv[v]]
 
     top, stabiliser = _schreier(tab, n, gens, image)
-    middle, diagonal = _schreier(tab, 0, stabiliser, image)
-    order = top * middle * len(abelian_span(
-        (1, 1), [(a, d) for a, _, _, d in diagonal],
+    orbit, points = {0}, [0]
+    for x in points:
+        for g in stabiliser:
+            y = image(x, g)
+            if y not in orbit:
+                orbit.add(y)
+                points.append(y)
+        if len(orbit) == n:
+            break
+    order = top * math.gcd(len(orbit), n) * len(abelian_span(
+        (1, 1), [(a, d) for a, _, _, d in stabiliser],
         lambda x, y: (MUL[x[0]][y[0]], MUL[x[1]][y[1]]), (n - 1) ** 2))
     dets = abelian_span(1, [tab.mat_det(x) for x in gens],
                         lambda x, y: MUL[x][y], n - 1)

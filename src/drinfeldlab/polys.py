@@ -310,7 +310,11 @@ def check_enumeration_cap(ctx: FieldCtx, degree: int,
     1..d checks d before any work."""
     if degree < 0:
         raise ParamsOutOfRange(f"degree bound {degree} is negative")
-    if ctx.q ** degree > cap:
+    # the largest d with q^d <= cap, multiplied up: never q ** degree
+    top, count = -1, 1
+    while count <= cap:
+        top, count = top + 1, count * ctx.q
+    if degree > top:
         raise EnumerationCapExceeded(
             f"{ctx.q}^{degree} candidates exceed cap {cap}")
 

@@ -87,6 +87,52 @@ def test_field_bounds_q_before_listing(capsys, monkeypatch):
     assert reached == [cli.FIELD_LIST_CAP]
 
 
+# one admitted call per command, its --q left for the test to fill in
+_Q_BOUND_CALLS = {
+    "field": [],
+    "primes": ["--max-deg", "1"],
+    "omega": ["--prime", "T"],
+    "lambda": ["--l", "T", "--g1", "1", "--c", "3"],
+    "lambda-scan": ["--max-deg", "1"],
+    "frob": ["--g1", "1", "--g2", "4", "--prime", "T^2+2"],
+    "thm1-verify": ["--g1", "T", "--g2", "T+4", "--prime", "T^2+3",
+                    "--c1", "0", "--c2", "1"],
+    "thm1-search": ["--prime", "T^2+3", "--max-deg", "4", "--limit", "1"],
+    "thm2": ["--l", "T", "--g1", "1", "--c", "3"],
+    "newton": ["--g1", "1", "--g2", "4", "--prime", "T"],
+    "obstruction": ["--g1", "1", "--g2", "4*T^4", "--prime", "T+1",
+                    "--c1", "1", "--c2", "2"],
+    "det-gen": ["--prime", "T", "--level", "2", "--max-deg", "2"],
+    "lemma-a1": ["--prime", "T", "--samples", "1", "--seed", "1"],
+    "pr-level2": ["--prime", "T", "--samples", "1", "--seed", "1"],
+    "density": ["--d1", "3", "--d2", "12", "--x", "3"],
+}
+
+
+def test_q_bounded_before_any_field(capsys, monkeypatch):
+    # every command takes q <= Q_CAP, and those that iterate over F_q also
+    # q <= FIELD_LIST_CAP; one past the bound exits 2 with empty stdout
+    # before a field is built or a Rabin test runs, on both parse paths,
+    # and the bound itself reaches make_field
+    def refuse(*args, **kwargs):
+        raise AssertionError("field built")
+
+    monkeypatch.setattr(cli, "make_field", refuse)
+    monkeypatch.setattr(kernel, "rabin", refuse)
+    assert set(_Q_BOUND_CALLS) == set(cli.COMMANDS)
+    assert cli._LISTS_FQ < set(cli.COMMANDS)
+    for cmd, flags in _Q_BOUND_CALLS.items():
+        bound = (cli.FIELD_LIST_CAP if cmd in cli._LISTS_FQ
+                 else cli.Q_CAP)
+        for q_flag in (["--q", str(bound + 1)], [f"--q={bound + 1}"]):
+            code, out, err = run(capsys, cmd, *q_flag, *flags)
+            assert (code, out) == (2, ""), (cmd, err)
+            assert f"q must be at most {bound}\n" in err, cmd
+        with pytest.raises(AssertionError, match="field built"):
+            main([cmd, "--q", str(bound), *flags])
+    capsys.readouterr()
+
+
 def test_primes_stream(capsys):
     code, out, _ = run(capsys, "primes", "--q", "5", "--max-deg", "2")
     assert code == 0

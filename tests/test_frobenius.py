@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from drinfeldlab import frobenius, kernel, residues
 from drinfeldlab.drinfeld import (
     DrinfeldModule,
     carlitz_det_module,
@@ -417,6 +418,56 @@ def test_det_generation_matches_residue_span():
                         assert det_generation_check(p, level, max_deg) == want
                         verdicts.add(want)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("q, m, deg, level, max_degs, count", [
+    (5, 2, 1, 1, (0, 1, 2), 2), (5, 2, 1, 2, (0, 1), 2),
+    (5, 1, 3, 2, (0, 1), 1)])
+def test_det_generation_by_structure_matches_bfs_oracle(
+        monkeypatch, q, m, deg, level, max_degs, count):
+    # over the base field F_25 the level-2 factor 1 + pA/p^2 is F_5^(m deg)
+    # = F_5^2, and at a degree-3 prime over F_5 it is F_5^3: the F_p-rank
+    # sought is m deg p, and level 1 seeks none
+    ranks = []
+    vechelon = kernel.vechelon
+
+    def recording(ctx, vectors, dim=None):
+        ranks.append(dim)
+        return vechelon(ctx, vectors, dim)
+
+    monkeypatch.setattr(kernel, "vechelon", recording)
+    ctx = make_field(q, m)
+    rng = random.Random(10 * q + m + deg)
+    verdicts = set()
+    for p in rng.sample(enumerate_monic_irreducibles(ctx, deg), count):
+        for max_deg in max_degs:
+            want = _bfs_det_generation_check(p, level, max_deg)
+            assert det_generation_check(p, level, max_deg) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+    assert set(ranks) == ({m * deg} if level == 2 else set())
+
+
+def test_det_generation_lists_no_units(monkeypatch):
+    # 390,000 units in A/(T^4+2)^2: decided with no unit span, both
+    # conditions from the degree-1 primes alone, though max-deg 3 admits
+    # more
+    def refuse(*args, **kwargs):
+        raise AssertionError("units listed")
+
+    monkeypatch.setattr(residues, "abelian_span", refuse)
+    monkeypatch.setattr(frobenius, "abelian_span", refuse, raising=False)
+    drawn = []
+    enumerate_primes = frobenius.enumerate_monic_irreducibles
+
+    def recording(ctx, degree):
+        drawn.append(degree)
+        return enumerate_primes(ctx, degree)
+
+    monkeypatch.setattr(frobenius, "enumerate_monic_irreducibles", recording)
+    p = PI("T^4+2")
+    assert det_generation_check(p, 2, 3) and drawn == [1, 1]
+    assert not det_generation_check(p, 2, 0)
 
 
 def test_det_generation_insufficient_generators():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -276,6 +277,45 @@ def test_lemma_facts_match_bfs_oracle(q, modulus, count):
         seen.add(facts[1:])
     # reducible and irreducible subgroups, with and without SL_2
     assert seen == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("modulus, seed", [("T^2+2", 25), ("T^3+T+1", 125)])
+def test_lemma_facts_p_part_on_borel_subgroups(modulus, seed):
+    # subgroups of the Borel whose unipotent part H n U is a proper F_5-
+    # subspace of F_25 or F_125: lower triangular generators with diagonal
+    # entries in F_5^* and unipotent entries in a random F_5-span of fewer
+    # than deg directions, over F_25 with a scalar of order 3 beside them,
+    # half of them conjugated off the Borel; the p-part step of the Borel
+    # projection against BFS, each closure below 2,000 elements
+    ring = ResidueRing(parse_poly(F5, modulus))
+    tab = _tables(ring)
+    n, MUL, ADD = tab.n, tab.mul, tab.add
+    rng = random.Random(seed)
+    orders = set()
+    for _ in range(40):
+        directions = [rng.randrange(1, n)
+                      for _ in range(rng.randrange(1, ring.degree))]
+        gens = []
+        for _ in range(rng.choice((1, 2, 3))):
+            c = 0
+            for u in directions:
+                c = ADD[c][MUL[rng.randrange(5)][u]]
+            gens.append((rng.randrange(1, 5), 0, c, rng.randrange(1, 5)))
+        if n == 25 and rng.random() < 0.5:
+            cube = kernel.power(_unit_generator(tab), 8,
+                                lambda x, y: MUL[x][y], 1)
+            gens.append((cube, 0, 0, cube))
+        if rng.random() < 0.5:
+            w = _random_invertible(rng, tab)
+            gens = [tab.mat_mul(tab.mat_mul(tab.mat_inv(w), g), w)
+                    for g in gens]
+        H = tab.closure(gens, 2000)
+        assert len(H) < 2000 and math.gcd(len(H), n) < n
+        assert _lemma_facts(tab, gens) == (
+            len(H), _acts_irreducibly_encoded(tab, H), False), gens
+        orders.add(len(H))
+    # H n U of order 5, and of order 25 inside F_125, is reached
+    assert 80 in orders and (n == 25 or 400 in orders)
 
 
 def test_verify_lemma_a1_f25():

@@ -1,10 +1,15 @@
 import copy
 import operator
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import drinfeldlab
 from drinfeldlab.errors import (
     DegreeCapExceeded,
     DegreeZeroInput,
@@ -20,6 +25,7 @@ from drinfeldlab.polys import (
     POS_INF,
     Poly,
     PrimeIdeal,
+    check_enumeration_cap,
     enumerate_monic_irreducibles,
     eval_at,
     factor,
@@ -230,6 +236,46 @@ def test_enumeration_order_and_cap():
         "T", "T+1", "T+2", "T+3", "T+4"]
     with pytest.raises(EnumerationCapExceeded):
         enumerate_monic_irreducibles(F5, 20, cap=10_000)
+
+
+def test_enumeration_cap_matches_power_comparison():
+    # the multiplied-up bound refuses exactly the degrees with q^d > cap,
+    # at caps on and around powers of q, and below 1
+    for ctx in (F5, make_field(127), F25):
+        q = ctx.q
+        for cap in (0, 1, q - 1, q, q + 1, q ** 3 - 1, q ** 3, 10 ** 7):
+            for degree in range(12):
+                refused = q ** degree > cap
+                try:
+                    check_enumeration_cap(ctx, degree, cap)
+                except EnumerationCapExceeded as exc:
+                    assert refused, (q, cap, degree)
+                    assert str(exc) == (f"{q}^{degree} candidates exceed "
+                                        f"cap {cap}")
+                else:
+                    assert not refused, (q, cap, degree)
+
+
+def test_enumeration_cap_refuses_a_huge_degree_at_once():
+    # run in a child process with a timeout, so a check that forms q^degree
+    # fails the test instead of hanging it
+    src = str(Path(drinfeldlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "from drinfeldlab.errors import EnumerationCapExceeded\n"
+        "from drinfeldlab.fields import make_field\n"
+        "from drinfeldlab.polys import check_enumeration_cap\n"
+        "for q in (5, 127):\n"
+        "    try:\n"
+        "        check_enumeration_cap(make_field(q), 10 ** 18)\n"
+        "    except EnumerationCapExceeded as exc:\n"
+        "        print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"{q}^{10 ** 18} candidates exceed cap 10000000" for q in (5, 127)]
 
 
 def test_prime_ideal_validation():
