@@ -35,8 +35,9 @@ from .polys import (
     Poly,
     PrimeIdeal,
     check_enumeration_cap,
-    enumerate_monic_irreducibles,
+    irreducible_indices,
     parse_poly,
+    poly_from_index,
     poly_to_text,
 )
 from .residues import ResidueRing
@@ -94,13 +95,18 @@ def _primes(args):
         degrees = [args.exact_deg]
     else:
         check_enumeration_cap(ctx, args.max_deg)
-        degrees = list(range(1, args.max_deg + 1))
-    records = []
-    for d in degrees:
-        for lam in enumerate_monic_irreducibles(ctx, d):
-            records.append({"op": "prime", "q": ctx.q, "degree": d,
-                            "prime": poly_to_text(lam.gen)})
-    return 0, records
+        degrees = range(1, args.max_deg + 1)
+    # every degree is checked now; the records stream from the sieves
+    sieves = [(d, irreducible_indices(ctx, d)) for d in degrees]
+    return 0, _prime_records(ctx, sieves)
+
+
+def _prime_records(ctx, sieves):
+    for d, indices in sieves:
+        top = ctx.q ** d
+        for idx in indices:
+            yield {"op": "prime", "q": ctx.q, "degree": d,
+                   "prime": poly_to_text(poly_from_index(ctx, top + idx))}
 
 
 def _omega(args):
@@ -434,6 +440,7 @@ def _emit(records, output, out):
         for rec in records:
             out.write(json.dumps(rec, separators=(",", ":")) + "\n")
     elif output == "csv":
+        records = list(records)  # the header needs every record's keys
         if not records:
             return
         keys = list(dict.fromkeys(k for rec in records for k in rec))

@@ -199,16 +199,21 @@ def lambda_scan(ctx: FieldCtx, max_deg: int,
                else range(max_deg, max_deg + 1))
     # r1^2 - 4(T - c) = 4(c' - T) with c' = c + r1^2/4, and by reciprocity
     # c' - T is a non-square mod l iff l(c') is a non-square in F_q
-    quarter = ctx.inv(4 % ctx.p)
-    quarter_squares = [ctx.mul(ctx.mul(r1, r1), quarter)
-                       for r1 in range(ctx.q)]
-    squares = {ctx.mul(x, x) for x in range(ctx.q)}
+    p = ctx.p
+    quarter = ctx.inv(4 % p)
+    quarter_squares = [r1 * r1 * quarter % p for r1 in range(p)]
+    squares = {x * x % p for x in range(p)}
     records = []
     counterexamples = []
     for deg in degrees:
         for l in enumerate_monic_irreducibles(ctx, deg):
-            nonsquare = [eval_at(l.gen, x).val not in squares
-                         for x in enumerate_elements(ctx)]
+            top = l.gen.coeffs[::-1]
+            nonsquare = []
+            for x in range(p):  # l(x) by Horner on ints: ctx is F_p
+                acc = 0
+                for c in top:
+                    acc = (acc * x + c) % p
+                nonsquare.append(acc not in squares)
             found = next(((c, r1) for c in range(ctx.q)
                           for r1, shift in enumerate(quarter_squares)
                           if nonsquare[ctx.add(c, shift)]), None)

@@ -21,7 +21,7 @@ from .errors import (
 from .fields import FieldCtx
 from .polys import POS_INF, Poly, PrimeIdeal, factor, gcd, valuation
 from .residues import ResidueElement, ResidueRing
-from .skew import PolyCoefficients, ResidueCoefficients, SkewPoly, ht_deg, skew_mul
+from .skew import PolyCoefficients, ResidueCoefficients, SkewPoly, skew_mul
 
 
 class DrinfeldModule:
@@ -232,12 +232,12 @@ def reduction_type(phi: DrinfeldModule, lam: PrimeIdeal) -> ReductionData:
 
 
 def reduction_height(phi: DrinfeldModule, lam: PrimeIdeal) -> int:
-    """ht_tau of the reduction of phi_lambda divided by deg(lambda)."""
+    """ht_tau of the reduction of phi_lambda divided by deg(lambda): the
+    index of its first nonzero tau-coefficient vector."""
     red = reduce_module(phi, lam)
     if not red.is_good:
         raise NotGoodReduction(f"{phi!r} has bad reduction at {lam!r}")
-    image = red.of(lam.gen)
-    ht, _ = ht_deg(image)
+    ht = next(i for i, v in enumerate(red.vectors(lam.gen)) if v)
     if ht % lam.degree != 0:
         raise InternalInconsistency(
             "tau-height not divisible by the prime degree")

@@ -36,18 +36,21 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     """
     key = (p, m)
     if key not in _MODULUS_CACHE:
+        zp = kernel.Zp(p)
         for tail in itertools.product(range(p), repeat=m):
             cand = [tail[m - 1 - i] for i in range(m)] + [1]
-            if kernel.rabin(kernel.Zp(p), cand):
+            if kernel.rabin(zp, cand, kernel.FrobeniusMap(zp, cand)):
                 _MODULUS_CACHE[key] = tuple(cand)
                 break
     return _MODULUS_CACHE[key]
 
 
 class FieldCtx:
-    """The field F_{p^m} with its modulus; owns encoded-int arithmetic."""
+    """The field F_{p^m} with its modulus; owns encoded-int arithmetic.
+    For m > 1, `_frob` is the p-power Frobenius of F_p[t]/(modulus) as a
+    kernel.FrobeniusMap, on which a given modulus's Rabin test runs."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_dec", "_zp")
+    __slots__ = ("p", "m", "q", "modulus", "_dec", "_zp", "_frob")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
         if not isinstance(p, int) or kernel.prime_divisors(p) != [p]:
@@ -66,7 +69,7 @@ class FieldCtx:
                 if len(mod) != 2 or mod[-1] != 1:
                     raise NotIrreducibleModulus(
                         "modulus for a prime field must be monic of degree 1")
-            self.modulus = None
+            self.modulus = self._frob = None
         else:
             if modulus is None:
                 mod = _default_modulus(p, m)
@@ -75,10 +78,11 @@ class FieldCtx:
                 if len(mod) != m + 1 or mod[-1] != 1:
                     raise NotIrreducibleModulus(
                         f"modulus must be monic of degree {m}")
-                if not kernel.rabin(self._zp, mod):
-                    raise NotIrreducibleModulus(
-                        f"modulus {mod} is reducible over F_{p}")
-            self.modulus = mod
+            frob = kernel.FrobeniusMap(self._zp, mod)
+            if modulus is not None and not kernel.rabin(self._zp, mod, frob):
+                raise NotIrreducibleModulus(
+                    f"modulus {mod} is reducible over F_{p}")
+            self.modulus, self._frob = mod, frob
         self._dec = None if m == 1 else [
             tuple((v // p ** i) % p for i in range(m)) for v in range(self.q)]
 
@@ -262,10 +266,20 @@ def make_field(p: int, m: int = 1, modulus=None) -> FieldCtx:
 
 
 def is_square(x: FqElement) -> bool:
-    """Euler criterion x^((q-1)/2); zero counts as a square."""
-    if x.val == 0:
+    """Euler criterion x^((q-1)/2) = 1; zero counts as a square.  Over
+    F_{p^m} it reads N(x)^((p-1)/2) = 1, as x^((q-1)/(p-1)) is the norm
+    N(x) = x x^p ... x^(p^(m-1)) down to F_p, whose conjugates are twists
+    by the field's Frobenius map: no powmod."""
+    ctx, v = x.ctx, x.val
+    if v == 0:
         return True
-    return x.ctx.pow(x.val, (x.ctx.q - 1) // 2) == 1
+    if ctx.m > 1:
+        conj = nr = ctx._dec[v]
+        for _ in range(ctx.m - 1):
+            conj = kernel.vfrobenius(ctx._frob, conj)
+            nr = kernel.vmulmod(ctx._zp, nr, conj, ctx.modulus)
+        v = nr[0]
+    return pow(v, (ctx.p - 1) // 2, ctx.p) == 1
 
 
 def enumerate_elements(ctx: FieldCtx) -> list[FqElement]:

@@ -15,10 +15,13 @@ and the F_p-rank of the level-2 group lab both run on it.
 
 The q-power Frobenius x -> x^q of A/(f) is F_q-linear, as c^q = c on F_q.
 `FrobeniusMap` builds its matrix once (the rows T^(q*i) mod f of
-Berlekamp's algorithm), packed into one int per row over a prime field, and
-`vfrobenius` applies it.  So every twist in A/(f), of skew products, of the
-conjugates of a norm and of `vhorner` (phi_a over A/(f) on coefficient
-vectors), costs one matrix-vector product and no powmod.
+Berlekamp's algorithm: one powmod for T^q, then one mulmod a row), packed
+into one int per row over a prime field, and `vfrobenius` applies it.  So
+every twist in A/(f), of skew products, of the conjugates of a norm and of
+`vhorner` (phi_a over A/(f) on coefficient vectors), costs one
+matrix-vector product and no powmod.  The Rabin test runs on the same map,
+T^(q^i) mod f being i twists of T, so a prime keeps the map its test built
+for every later twist, norm and square test.
 
 The prime-field loops read only ctx.p, ctx.q and ctx.m, so the kernel also
 runs over the bare `Zp` context.
@@ -406,19 +409,20 @@ def prime_divisors(n: int):
     return out
 
 
-def rabin(ctx, f) -> bool:
-    """Rabin's irreducibility test for a monic f of degree >= 1 over F_q,
-    q = ctx.q: T^(q^n) = T mod f and gcd(f, T^(q^(n/l)) - T) = 1 for every
-    prime l dividing n = deg f."""
+def rabin(ctx, f, frob) -> bool:
+    """Rabin's irreducibility test for a monic f of degree n >= 1 over F_q,
+    q = ctx.q, on frob, its FrobeniusMap: gcd(f, T^(q^(n/l)) - T) = 1 for
+    every prime l dividing n, and T^(q^n) = T mod f.  Each T^(q^i) is one
+    vfrobenius of T^(q^(i-1)), so the test takes n twists and no powmod
+    (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14)."""
     n = len(f) - 1
     if n == 1:
         return True
-    q = ctx.q
     x = [0, 1]
-    if vpowmod(ctx, x, q ** n, f) != x:
-        return False
-    for ell in prime_divisors(n):
-        h = vpowmod(ctx, x, q ** (n // ell), f)
-        if len(vgcd(ctx, f, vsub(ctx, h, x))) > 1:
+    checked = {n // ell for ell in prime_divisors(n)}
+    h = x
+    for i in range(1, n + 1):
+        h = vfrobenius(frob, h)
+        if i in checked and len(vgcd(ctx, f, vsub(ctx, h, x))) > 1:
             return False
-    return True
+    return h == x

@@ -214,15 +214,21 @@ class Poly:
 
 
 class PrimeIdeal:
-    """Non-zero prime of A: a monic irreducible generator plus its degree."""
+    """Non-zero prime of A: a monic irreducible generator plus its degree.
+    An untrusted generator keeps, as `frob`, the kernel.FrobeniusMap of
+    A/(gen) its Rabin test ran on (a trusted one has None), for the
+    residue ring to adopt."""
 
-    __slots__ = ("gen", "degree")
+    __slots__ = ("gen", "degree", "frob")
 
     def __init__(self, gen: Poly, _trusted: bool = False):
         if not gen.is_monic():
             raise NotIrreducibleModulus("prime generator must be monic")
-        if not _trusted and not is_irreducible(gen):
-            raise NotIrreducibleModulus(f"{gen!r} is not irreducible")
+        self.frob = None
+        if not _trusted:
+            self.frob = kernel.FrobeniusMap(gen.ctx, gen.coeffs)
+            if not is_irreducible(gen, self.frob):
+                raise NotIrreducibleModulus(f"{gen!r} is not irreducible")
         self.gen = gen
         self.degree = len(gen.coeffs) - 1
 
@@ -272,11 +278,16 @@ def powmod(f: Poly, e: int, mod: Poly) -> Poly:
     return Poly(f.ctx, kernel.vpowmod(f.ctx, f.coeffs, e, mod.coeffs))
 
 
-def is_irreducible(f: Poly) -> bool:
-    """Rabin's test: gcd conditions against T^(q^d) - T."""
+def is_irreducible(f: Poly, frob=None) -> bool:
+    """Rabin's test, gcd conditions against T^(q^i) - T, on `frob`, the
+    kernel.FrobeniusMap of A/(f) for a monic f, or on a map built here for
+    f's monic associate."""
     if len(f.coeffs) < 2:
         raise DegreeZeroInput("irreducibility needs degree >= 1")
-    return kernel.rabin(f.ctx, kernel.vmonic(f.ctx, f.coeffs))
+    mod = kernel.vmonic(f.ctx, f.coeffs)
+    if frob is None:
+        frob = kernel.FrobeniusMap(f.ctx, mod)
+    return kernel.rabin(f.ctx, mod, frob)
 
 
 def poly_from_index(ctx: FieldCtx, idx: int) -> Poly:
@@ -322,25 +333,71 @@ def check_enumeration_cap(ctx: FieldCtx, degree: int,
 def enumerate_monic_irreducibles(ctx: FieldCtx, degree: int,
                                  cap: int = DEFAULT_ENUMERATION_CAP):
     """All monic irreducibles of exactly the given degree, in the same
-    lexicographic order as monic_polys.
+    lexicographic order as monic_polys, by the index sieve of
+    `irreducible_indices`."""
+    indices = irreducible_indices(ctx, degree, cap)
+    top = ctx.q ** degree
+    return [PrimeIdeal(poly_from_index(ctx, top + idx), _trusted=True)
+            for idx in indices]
 
-    A sieve: every product g*h of a monic irreducible g of degree
-    d <= degree/2 and a monic h of degree degree - d is marked at its base-q
-    index; the unmarked indices are the primes."""
+
+def irreducible_indices(ctx: FieldCtx, degree: int,
+                        cap: int = DEFAULT_ENUMERATION_CAP):
+    """An iterator over the base-q indices, the leading 1 left out, of the
+    monic irreducibles of exactly the given degree, ascending.  The degree
+    and the cap are checked here, before any work; the sieve runs when the
+    iterator is first read."""
     if degree < 1:
         raise DegreeZeroInput("degree must be >= 1")
     check_enumeration_cap(ctx, degree, cap)
-    q = ctx.q
-    top = q ** degree
-    composite = bytearray(top)
-    weights = [q ** i for i in range(degree)] + [0]  # the leading 1 is implied
-    for d in range(1, degree // 2 + 1):
-        for g in enumerate_monic_irreducibles(ctx, d, cap):
-            for tail in itertools.product(range(q), repeat=degree - d):
-                prod = kernel.vmul(ctx, g.gen.coeffs, tail + (1,))
-                composite[sum(map(operator.mul, prod, weights))] = 1
-    return [PrimeIdeal(poly_from_index(ctx, top + idx), _trusted=True)
-            for idx, marked in enumerate(composite) if not marked]
+    return _sieve(ctx, degree)
+
+
+_UNMARKED = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _sieve(ctx: FieldCtx, n: int):
+    """Yield the indices of the monic irreducibles of degree n.
+
+    Every product g*h of a monic irreducible g of degree d <= n/2 and a
+    monic h of degree k = n - d is marked at its base-q index, and no
+    product is formed: the cofactors h are walked depth first over their
+    digits h_(k-1), ..., h_0, and a child's digits and index are its
+    parent's plus the precomputed row c*g*T^j for its digit c = h_j, which
+    touches the d + 1 digits j..j+d.  The q leaves of a parent (j = 0) are
+    summed column by column, one digit position for all c at once."""
+    q, p, add = ctx.q, ctx.p, ctx.add
+    prime = ctx.m == 1
+    composite = bytearray(q ** n)
+    weights = [q ** i for i in range(n)]  # the leading 1 is implied
+
+    def walk(j, idx):
+        lo, w = digits[j:j + d + 1], weights[j:j + d + 1]
+        base = idx - sum(map(operator.mul, lo, w))
+        if not j:  # the leaves: their indices, column by column
+            cols = [[(x + r) % p * wt for r in col] if prime
+                    else [add(x, r) * wt for r in col]
+                    for x, col, wt in zip(lo, cols_g, w)]
+            for child in map(sum, zip(*cols)):
+                composite[base + child] = 1
+            return
+        for row in rows:
+            new = ([(x + r) % p for x, r in zip(lo, row)] if prime
+                   else [add(x, r) for x, r in zip(lo, row)])
+            digits[j:j + d + 1] = new
+            walk(j - 1, base + sum(map(operator.mul, new, w)))
+        digits[j:j + d + 1] = lo
+
+    for d in range(1, n // 2 + 1):
+        k = n - d
+        for g_idx in _sieve(ctx, d):
+            g = poly_from_index(ctx, q ** d + g_idx).coeffs
+            cols_g = [[ctx.mul(c, x) for c in range(q)] for x in g]
+            rows = list(zip(*cols_g))  # rows[c] = c*g
+            digits = [0] * k + list(g)  # g*T^k, the root of the walk
+            walk(k - 1, g_idx * q ** k)
+    yield from itertools.compress(range(len(composite)),
+                                  composite.translate(_UNMARKED))
 
 
 def irreducible_count(q: int, n: int) -> int:

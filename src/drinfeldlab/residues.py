@@ -1,16 +1,20 @@
 """Arithmetic in A/(f): quotient rings of F_q[T] by a monic modulus.
 
 When the modulus is irreducible the ring is the field F_{q^n} and carries the
-Euler-criterion square test, the norm down to F_q, and the quadratic
-irreducibility test that drives the certificate machinery.  Non-prime moduli
-(level p^2 work) support arithmetic only.
+norm down to F_q, the square test read off that norm (Euler's criterion
+x^((q^n-1)/2) = N(x)^((q-1)/2)), and the quadratic irreducibility test
+that drives the certificate machinery.  Non-prime moduli (level p^2 work)
+support arithmetic only.
 
 Elements keep their fully reduced representative.  Products, powers and
 inverses run in `kernel` modulo the monic modulus, as F_{p^m} arithmetic
 does; sums need no reduction.  The q-power Frobenius is F_q-linear on every
-A/(f), prime or not: each ring builds its matrix (`kernel.FrobeniusMap`,
-packed into one int per row over a prime field) once, on first use, and
-twists and norms apply it by `kernel.vfrobenius` in place of a powmod.
+A/(f), prime or not: its matrix (`kernel.FrobeniusMap`, packed into one int
+per row over a prime field) is built once per ring, and twists, norms and
+square tests apply it by `kernel.vfrobenius` in place of a powmod.  A ring
+takes the map its modulus's Rabin test ran on: the parsed PrimeIdeal's, or
+the one its own test built; a ring of a trusted prime builds it on first
+use.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .errors import (
     NotInvertible,
     RingMismatch,
 )
-from .fields import FieldCtx, FqElement
+from .fields import FieldCtx, FqElement, is_square
 from .polys import (
     Poly,
     PrimeIdeal,
@@ -41,14 +45,15 @@ class ResidueRing:
 
     def __init__(self, modulus: Poly | PrimeIdeal):
         if isinstance(modulus, PrimeIdeal):
-            modulus, self.is_prime = modulus.gen, True
+            modulus, self._frob, self.is_prime = (modulus.gen, modulus.frob,
+                                                  True)
         elif not modulus.is_monic() or len(modulus.coeffs) - 1 < 1:
             raise ValueError("modulus must be monic of degree >= 1")
         else:
-            self.is_prime = is_irreducible(modulus)
+            self._frob = kernel.FrobeniusMap(modulus.ctx, modulus.coeffs)
+            self.is_prime = is_irreducible(modulus, self._frob)
         self.modulus = modulus
         self.cardinality = modulus.ctx.q ** (len(modulus.coeffs) - 1)
-        self._frob = None
 
     @property
     def ctx(self) -> FieldCtx:
@@ -249,14 +254,12 @@ def norm_to_base(x: ResidueElement) -> FqElement:
 
 
 def is_square_mod_prime(x: ResidueElement) -> bool:
-    """Euler criterion in F_{q^n}; zero counts as a square."""
-    ring = x.ring
-    if not ring.is_prime:
+    """Euler criterion in F_{q^n} by the norm: x^((q^n-1)/2) = N(x)^((q-1)/2),
+    so x is a square iff N(x) is one in F_q (zero counts as a square).
+    That costs n - 1 twists and n - 1 mulmods, not a powmod."""
+    if not x.ring.is_prime:
         raise NotAField("square test needs a prime modulus")
-    if x.is_zero():
-        return True
-    e = (ring.cardinality - 1) // 2
-    return (x ** e) == ring.one
+    return is_square(norm_to_base(x))
 
 
 def quadratic_is_irreducible(r: FqElement, s: ResidueElement) -> bool:

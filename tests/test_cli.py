@@ -252,7 +252,9 @@ def test_internal_checks_exit_3(capsys, monkeypatch):
                          "T+1", "--prime", "T^2+2")
     assert code == 3
     assert out == "" and "norm did not land" in err
-    monkeypatch.setattr(drinfeld, "ht_deg", lambda f: (1, 1))
+    # phi_p's first nonzero tau-coefficient vector at index 1, deg p = 2
+    monkeypatch.setattr(drinfeld.ReducedModule, "vectors",
+                        lambda red, a: [[], [1]])
     code, out, err = run(capsys, "newton", "--q", "5", "--g1", "1", "--g2",
                          "4", "--prime", "T^2+2")
     assert code == 3

@@ -306,16 +306,17 @@ def test_oracle_agreement_random():
 
 def test_oracle_is_independent_of_the_frobenius_rows(monkeypatch):
     # the oracle raises to q^i by powmod in a ring of its own, so it still
-    # answers, and still agrees, with the Frobenius rows unavailable
+    # answers, and still agrees, with the Frobenius twist unavailable; the
+    # primes carry their rows from parse, so it is the twist that is patched
     from drinfeldlab import kernel
 
     cases = _oracle_agreement_cases()
     phi2, lam2 = next((phi, lam) for phi, lam, _ in cases if lam.degree == 2)
 
-    def unavailable(ctx, mod):
+    def unavailable(frob, v):
         raise AssertionError("the oracle used the Frobenius rows")
 
-    monkeypatch.setattr(kernel, "frobenius_rows", unavailable)
+    monkeypatch.setattr(kernel, "vfrobenius", unavailable)
     with pytest.raises(AssertionError):
         frob_general(phi2, lam2)
     for phi, lam, p1 in cases:
