@@ -105,8 +105,8 @@ def _horner(ctx: FieldCtx, phi_t: SkewPoly, a) -> SkewPoly:
         # them only by phi_t's short coefficients.  acc * phi_t needs only a
         # table of phi_t's coefficients twisted by q^i, but over A/(lambda)
         # those are full size, so every product is full size by full size:
-        # in kernel.vhorner's form it took frob_general at q = 5, degree 64,
-        # 5.8 s against 0.47 s for the left form (min of 3, 2 vCPUs)
+        # frob_general at q = 5, degree 64 took 5.8 s against 0.47 s for the
+        # left form (min of 3, 2 vCPUs), now a kernel.HornerMap step (0.1 s)
         acc = skew_mul(phi_t, acc) + SkewPoly.constant(ring, a.coefficient(i))
     return acc
 
@@ -119,7 +119,7 @@ def phi_of(phi: DrinfeldModule, a) -> SkewPoly:
 class ReducedModule:
     """phi with coefficients reduced into the residue field at a prime."""
 
-    __slots__ = ("ring", "rc", "coeffs", "prime")
+    __slots__ = ("ring", "rc", "coeffs", "prime", "_step")
 
     def __init__(self, phi: DrinfeldModule, prime: PrimeIdeal):
         self.prime = prime
@@ -127,6 +127,7 @@ class ReducedModule:
         self.rc = ResidueCoefficients(self.ring)
         self.coeffs = tuple(self.ring.element(g) for g in
                             (Poly.T(phi.ctx),) + phi.coeffs)
+        self._step = None
 
     @property
     def is_good(self) -> bool:
@@ -137,12 +138,15 @@ class ReducedModule:
 
     def vectors(self, a) -> list:
         """The tau-coefficients of phi_a over the residue field as kernel
-        vectors, by kernel.vhorner (a is a Poly over ctx, or a constant)."""
+        vectors, by kernel.vhorner on the module's kernel.HornerMap, built
+        on first use (a is a Poly over ctx, or a constant)."""
         ring = self.ring
         if not isinstance(a, Poly):
             a = Poly.constant(ring.ctx, a)
-        return kernel.vhorner(ring.frobenius_map(),
-                              [c.rep.coeffs for c in self.coeffs], a.coeffs)
+        if self._step is None:
+            self._step = kernel.HornerMap(
+                ring.frobenius_map(), [c.rep.coeffs for c in self.coeffs])
+        return kernel.vhorner(self._step, a.coeffs)
 
     def of(self, a) -> SkewPoly:
         """phi_a over the residue field, by Horner."""

@@ -268,17 +268,13 @@ def make_field(p: int, m: int = 1, modulus=None) -> FieldCtx:
 def is_square(x: FqElement) -> bool:
     """Euler criterion x^((q-1)/2) = 1; zero counts as a square.  Over
     F_{p^m} it reads N(x)^((p-1)/2) = 1, as x^((q-1)/(p-1)) is the norm
-    N(x) = x x^p ... x^(p^(m-1)) down to F_p, whose conjugates are twists
-    by the field's Frobenius map: no powmod."""
+    N(x) = x x^p ... x^(p^(m-1)) down to F_p, kernel.vnorm on the field's
+    Frobenius map: no powmod."""
     ctx, v = x.ctx, x.val
     if v == 0:
         return True
     if ctx.m > 1:
-        conj = nr = ctx._dec[v]
-        for _ in range(ctx.m - 1):
-            conj = kernel.vfrobenius(ctx._frob, conj)
-            nr = kernel.vmulmod(ctx._zp, nr, conj, ctx.modulus)
-        v = nr[0]
+        v = kernel.vnorm(ctx._frob, ctx._dec[v])[0]
     return pow(v, (ctx.p - 1) // 2, ctx.p) == 1
 
 

@@ -34,7 +34,8 @@ from .residues import norm_to_base
 DEFAULT_BRUTE_CAP = 5 ** 4
 # The largest prime degree the commands omega, lambda, frob, thm1-verify,
 # thm1-search, thm2, newton and obstruction accept, checked before any work:
-# frob_general at q = 5 takes about 0.5 s at degree 64.
+# frob_general takes about 0.1 s at degree 64 for q = 5 and 0.25-0.3 s for
+# q = 127 (min of 5, in-process, 2 vCPUs).
 PRIME_DEG_CAP = 64
 # The largest unit group det_generation_check (det-gen) admits.  It lists no
 # unit: `det-gen --q 5 --prime T^4+2 --level 2 --max-deg 3` (390,000 units)

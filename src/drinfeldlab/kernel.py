@@ -17,11 +17,12 @@ The q-power Frobenius x -> x^q of A/(f) is F_q-linear, as c^q = c on F_q.
 `FrobeniusMap` builds its matrix once (the rows T^(q*i) mod f of
 Berlekamp's algorithm: one powmod for T^q, then one mulmod a row), packed
 into one int per row over a prime field, and `vfrobenius` applies it.  So
-every twist in A/(f), of skew products, of the conjugates of a norm and of
-`vhorner` (phi_a over A/(f) on coefficient vectors), costs one
-matrix-vector product and no powmod.  The Rabin test runs on the same map,
-T^(q^i) mod f being i twists of T, so a prime keeps the map its test built
-for every later twist, norm and square test.
+every twist in A/(f), of skew products and of the conjugates of a norm
+(`vnorm`), costs one matrix-vector product and no powmod.  The Rabin test
+runs on the same map, T^(q^i) mod f being i twists of T, so a prime keeps
+the map its test built for every later twist, norm and square test.  The
+Horner step of `vhorner` (phi_a over A/(f)) is F_p-linear too, and
+`HornerMap` packs it the same way, once per Drinfeld module.
 
 The prime-field loops read only ctx.p, ctx.q and ctx.m, so the kernel also
 runs over the bare `Zp` context.
@@ -30,6 +31,7 @@ runs over the bare `Zp` context.
 from __future__ import annotations
 
 import operator
+import struct
 import sys
 
 from .errors import DivisionByZero
@@ -93,11 +95,9 @@ def vmonic(ctx, a):
     return vscale(ctx, a, _inv(ctx, a[-1]))
 
 
-def _product(a, b, out=None):
-    """Coefficients of a * b over Z, for a prime field to reduce once;
-    added into `out`, of length at least len(a) + len(b) - 1, if given."""
-    if out is None:
-        out = [0] * (len(a) + len(b) - 1)
+def _product(a, b):
+    """Coefficients of a * b over Z, for a prime field to reduce once."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b, i):
@@ -230,10 +230,35 @@ def vlincomb(ctx, v, rows):
     return _trim([c % p for c in out])
 
 
-# memoryview.cast formats of the packed slot widths in bytes; the packed
-# ints are little-endian, so the casts are taken only on such hosts
-_SLOT_FORMATS = ({2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little"
-                 else {})
+# memoryview.cast formats by their native width in bytes; the packed ints
+# are little-endian, so the casts are taken only on such hosts
+_SLOT_FORMATS = ({struct.calcsize(f): f for f in "HIQ"}
+                 if sys.byteorder == "little" else {})
+
+
+def _slot(bound):
+    """The narrowest word of 2, 4, 8, ... bytes that holds `bound`."""
+    slot = 2
+    while bound >> (8 * slot):
+        slot *= 2
+    return slot
+
+
+def _pack(words, slot):
+    """The int whose j-th `slot`-byte word is words[j]."""
+    return int.from_bytes(b"".join(w.to_bytes(slot, "little")
+                                   for w in words), "little")
+
+
+def _unpack(value, count, slot):
+    """The first `count` `slot`-byte words of a packed int: one to_bytes and
+    a cast, or a slice per word where the host has no such format."""
+    buf = value.to_bytes(count * slot, "little")
+    fmt = _SLOT_FORMATS.get(slot)
+    if fmt:
+        return memoryview(buf).cast(fmt)
+    return [int.from_bytes(buf[i:i + slot], "little")
+            for i in range(0, count * slot, slot)]
 
 
 class FrobeniusMap:
@@ -248,23 +273,17 @@ class FrobeniusMap:
     n (p - 1)^2 keep every sum exact, with no carry into the next word.
     """
 
-    __slots__ = ("ctx", "mod", "rows", "packed", "slot", "fmt")
+    __slots__ = ("ctx", "mod", "rows", "packed", "slot")
 
     def __init__(self, ctx, mod):
         self.ctx, self.mod = ctx, mod
         rows = frobenius_rows(ctx, mod)
-        self.rows = self.packed = self.slot = self.fmt = None
+        self.rows = self.packed = self.slot = None
         if ctx.m != 1:
             self.rows = rows
             return
-        bound = (len(mod) - 1) * (ctx.p - 1) ** 2
-        slot = 2
-        while bound >> (8 * slot):
-            slot *= 2
-        self.slot, self.fmt = slot, _SLOT_FORMATS.get(slot)
-        self.packed = [int.from_bytes(b"".join(
-            c.to_bytes(slot, "little") for c in row), "little")
-            for row in rows]
+        self.slot = _slot((len(mod) - 1) * (ctx.p - 1) ** 2)
+        self.packed = [_pack(row, self.slot) for row in rows]
 
 
 def vfrobenius(frob, v):
@@ -274,63 +293,77 @@ def vfrobenius(frob, v):
     mod p; over F_{p^m} it is vlincomb on the dense rows."""
     if frob.packed is None:
         return vlincomb(frob.ctx, v, frob.rows)
-    slot = frob.slot
-    size = len(frob.packed) * slot
-    buf = sum(map(operator.mul, v, frob.packed)).to_bytes(size, "little")
-    if frob.fmt:
-        words = memoryview(buf).cast(frob.fmt)
-    else:
-        words = [int.from_bytes(buf[i:i + slot], "little")
-                 for i in range(0, size, slot)]
     p = frob.ctx.p
+    words = _unpack(sum(map(operator.mul, v, frob.packed)),
+                    len(frob.packed), frob.slot)
     return _trim([w % p for w in words])
 
 
-def vdotmod(ctx, pairs, mod):
-    """sum a * b mod a monic `mod` over the (a, b) pairs.  Over a prime
-    field the products are summed over Z and reduced once."""
-    if ctx.m != 1:
-        out = []
-        for a, b in pairs:
-            out = vadd(ctx, out, vmulmod(ctx, a, b, mod))
-        return out
-    res = []
-    for a, b in pairs:
-        if a and b:
-            res.extend([0] * (len(a) + len(b) - 1 - len(res)))
-            _product(a, b, res)
-    return _reduce(ctx.p, res, mod)
+def vnorm(frob, v):
+    """v v^q ... v^(q^(d-1)) in F_q[T]/(frob.mod), d = deg mod, by the
+    doubling chain N_2k = N_k N_k^(q^k), N_(k+1) = v N_k^q over the bits
+    of d: d - 1 twists and about 2 log2(d) mulmods."""
+    ctx, mod = frob.ctx, frob.mod
+    nr, k = _trim(list(v)), 1
+    for bit in bin(len(mod) - 1)[3:]:
+        conj = nr
+        for _ in range(k):
+            conj = vfrobenius(frob, conj)
+        nr, k = vmulmod(ctx, nr, conj, mod), 2 * k
+        if bit == "1":
+            nr, k = vmulmod(ctx, v, vfrobenius(frob, nr), mod), k + 1
+    return nr
 
 
-def vhorner(frob, phi_t, a):
-    """The tau-coefficient vectors of phi_a = sum a_i phi_T^i over
-    F_q[T]/(frob.mod), for phi_T given by its tau-coefficient vectors and
-    a by its coefficients over F_q, by left Horner: acc <- phi_T acc + a_i.
+class HornerMap:
+    """acc -> phi_T acc on tau-coefficient vectors over F_q[T]/(frob.mod),
+    phi_T = c_0 + ... + c_r tau^r, as one F_p-linear map.  Row j packs the
+    digits of c_k e_j^(q^k), k = 0..r, as r + 1 blocks of n `slot`-byte
+    words, e_j = x^t T^i the F_p-basis (n = m deg mod, q = p^m).  A step's
+    word sums at most (r + 1) n products below p^2 and one digit."""
 
-    A step twists acc's coefficients by q^k for every tau^k of phi_T, each
-    twist one vfrobenius of the last, and forms each new coefficient
-    sum_k c_k acc_(l-k)^(q^k) as one vdotmod: every product is by a short
-    c_k, and each tau-coefficient is reduced modulo `mod` once.  Trailing
-    zero coefficients are dropped (zero is []).
-    """
-    ctx, mod, r = frob.ctx, frob.mod, len(phi_t) - 1
-    acc = []
+    __slots__ = ("ctx", "n", "r", "rows", "slot")
+
+    def __init__(self, frob, phi_t):
+        ctx, mod = frob.ctx, frob.mod
+        d, m, p = len(mod) - 1, ctx.m, ctx.p
+        self.ctx, self.n, self.r = ctx, d * m, len(phi_t) - 1
+        rows = [[] for _ in range(self.n)]
+        for i in range(d):
+            power = [0] * i + [1]  # (T^i)^(q^k)
+            for k, c in enumerate(phi_t):
+                if k:
+                    power = vfrobenius(frob, power)
+                image = vmulmod(ctx, c, power, mod)
+                for t in range(m):
+                    x = vscale(ctx, image, p ** t) if t else image
+                    digits = (x if m == 1 else
+                              [e for y in x for e in ctx.decode(y)])
+                    rows[i * m + t] += digits + [0] * (self.n - len(digits))
+        self.slot = _slot((self.r + 1) * self.n * (p - 1) ** 2 + p)
+        self.rows = [_pack(row, self.slot) for row in rows]
+
+
+def vhorner(step, a):
+    """The tau-coefficient vectors of phi_a = sum a_i phi_T^i, trailing
+    zeros dropped, a given by its coefficients over F_q: left Horner
+    acc <- phi_T acc + a_i on the HornerMap `step`."""
+    ctx, n, rows, slot = step.ctx, step.n, step.rows, step.slot
+    p, shift = ctx.p, 8 * slot * n
+    acc = []  # digit vectors over F_p
     for c in reversed(a):
-        twisted = [acc]
-        for _ in range(r):
-            twisted.append([vfrobenius(frob, x) if x else x
-                            for x in twisted[-1]])
-        out = []
-        for l in range(len(acc) + r):
-            pairs = [(phi_t[k], twisted[k][l - k])
-                     for k in range(max(0, l - len(acc) + 1), min(l, r) + 1)]
-            if l == 0 and c:  # + a_i, as the product a_i * 1
-                pairs.append(((c,), (1,)))
-            out.append(vdotmod(ctx, pairs, mod))
-        while out and not out[-1]:
-            out.pop()
-        acc = out
-    return acc
+        total = 0
+        for digits in reversed(acc):
+            total = (total << shift) + sum(map(operator.mul, digits, rows))
+        total += _pack(ctx.decode(c), slot)
+        count = (len(acc) + step.r if acc else 1) * n
+        words = [w % p for w in _unpack(total, count, slot)]
+        acc = [_trim(words[i:i + n]) for i in range(0, count, n)]
+        while acc and not acc[-1]:
+            acc.pop()
+    m = ctx.m
+    return acc if m == 1 else [
+        [ctx.encode(x[i:i + m]) for i in range(0, len(x), m)] for x in acc]
 
 
 def vechelon(ctx, vectors, dim=None):

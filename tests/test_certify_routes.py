@@ -3,8 +3,10 @@ they replaced.
 
 `kernel.rabin` forms T^(q^i) mod f by Frobenius twists on the map a prime
 keeps from parse, `is_square_mod_prime` reads Euler's criterion off the norm,
-and the sieve marks composite indices by digit rows.  The square-and-multiply
-Rabin and Euler tests and the product sieve are kept here as seeded oracles.
+`kernel.vnorm` forms that norm by a doubling chain, and the sieve marks
+composite indices by digit rows.  The square-and-multiply Rabin and Euler
+tests, the conjugate-by-conjugate norm and the product sieve are kept here
+as seeded oracles.
 """
 
 import itertools
@@ -149,6 +151,60 @@ def test_square_in_extension_field_matches_euler():
         for x in range(ctx.q):
             want = ctx.pow(x, (ctx.q - 1) // 2) in (0, 1)
             assert is_square(ctx.from_encoded(x)) == want == (x in squares)
+
+
+def _norm_one_by_one(frob, v):
+    """v v^q ... v^(q^(d-1)) mod frob.mod, each conjugate one twist of the
+    last and multiplied in at once: d - 1 mulmods."""
+    ctx, mod = frob.ctx, frob.mod
+    conj = nr = kernel._trim(list(v))
+    for _ in range(len(mod) - 2):
+        conj = kernel.vfrobenius(frob, conj)
+        nr = kernel.vmulmod(ctx, nr, conj, mod)
+    return nr
+
+
+@pytest.mark.parametrize("field", [(5, 1), (7, 1), (5, 2)], ids=str)
+def test_norm_by_doubling_matches_the_conjugate_product(field, monkeypatch):
+    # every modulus degree from 1 to 20 (10 over F_25, whose field ops are
+    # slow), so every bit pattern of d up to 5 bits; the doubling chain
+    # takes the same d - 1 twists as the product and at most 2 log2(d)
+    # mulmods
+    ctx = make_field(*field)
+    rng = random.Random(1900 + ctx.q)
+    for d in range(1, 21 if ctx.m == 1 else 11):
+        mod = [rng.randrange(ctx.q) for _ in range(d)] + [1]
+        frob = kernel.FrobeniusMap(ctx, mod)
+        for _ in range(3):
+            v = kernel._trim([rng.randrange(ctx.q) for _ in range(d)])
+            twists, mulmods = [], []
+            vfrobenius, vmulmod = kernel.vfrobenius, kernel.vmulmod
+            monkeypatch.setattr(kernel, "vfrobenius", lambda *a: twists.append(
+                1) or vfrobenius(*a))
+            # F_25's own products also run on vmulmod, over Z/5
+            monkeypatch.setattr(kernel, "vmulmod", lambda *a: mulmods.append(
+                a[0] is ctx) or vmulmod(*a))
+            got = kernel.vnorm(frob, v)
+            monkeypatch.undo()
+            assert got == _norm_one_by_one(frob, v), (mod, v)
+            assert len(twists) == d - 1
+            assert sum(mulmods) <= 2 * (d.bit_length() - 1)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_norm_by_doubling_in_extension_fields(p):
+    # the norm down to F_p that fields.is_square reads, on the field's own
+    # p-power map, for F_{p^m} with m = 2..5
+    rng = random.Random(2000 + p)
+    for m in range(2, 6):
+        ctx = make_field(p, m)
+        xs = range(1, ctx.q) if ctx.q < 300 else rng.sample(range(1, ctx.q),
+                                                              300)
+        for x in xs:
+            digits = ctx.decode(x)
+            nr = kernel.vnorm(ctx._frob, digits)
+            assert nr == _norm_one_by_one(ctx._frob, digits), (ctx, x)
+            assert len(nr) == 1
 
 
 def _product_sieve(ctx, degree):

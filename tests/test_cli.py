@@ -245,9 +245,9 @@ def test_internal_inconsistency_exit_3(capsys, monkeypatch):
 
 
 def test_internal_checks_exit_3(capsys, monkeypatch):
-    # a norm outside F_q (conjugates never twisted) and a tau-height not
+    # a norm outside F_q (no conjugate multiplied in) and a tau-height not
     # divisible by deg p are internal inconsistencies, not tracebacks
-    monkeypatch.setattr(residues, "_twist", lambda ring, v, k: v)
+    monkeypatch.setattr(kernel, "vnorm", lambda frob, v: list(v))
     code, out, err = run(capsys, "frob", "--q", "5", "--g1", "1", "--g2",
                          "T+1", "--prime", "T^2+2")
     assert code == 3

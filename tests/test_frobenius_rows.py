@@ -7,6 +7,7 @@ against the powmod definition it replaced: x^(q^k), the norm exponent
 against powmod at every slot width.
 """
 
+import collections
 import random
 
 import pytest
@@ -165,9 +166,10 @@ def _charpolys(ctx, degrees, seed):
 
 @pytest.mark.parametrize("q, degrees", [(5, range(9, 17)), (7, range(1, 9))])
 def test_frob_general_matches_the_powmod_twist(monkeypatch, q, degrees):
-    # every twist in A/(lambda), the Horner's included, goes through
-    # kernel.vfrobenius: the fast side applies packed rows there, the
-    # oracle side raises to q by powmod and applies no row at all
+    # every twist in A/(lambda) goes through kernel.vfrobenius, the basis
+    # twists that feed the rows of the Horner's step map included: the
+    # fast side applies packed Frobenius rows there, the oracle side
+    # raises to q by powmod and applies no Frobenius row at all
     ctx = make_field(q)
     packed = []
     vfrobenius = kernel.vfrobenius
@@ -183,7 +185,14 @@ def test_frob_general_matches_the_powmod_twist(monkeypatch, q, degrees):
     def no_rows(*args):
         raise AssertionError("the oracle applied Frobenius rows")
 
-    monkeypatch.setattr(kernel, "vfrobenius", _powmod_twist)
+    powmod_twists = collections.Counter()
+    monkeypatch.setattr(kernel, "vfrobenius", lambda frob, v: (
+        powmod_twists.update([tuple(frob.mod)]) or _powmod_twist(frob, v)))
     monkeypatch.setattr(kernel, "vlincomb", no_rows)
     monkeypatch.setattr(frobenius, "norm_to_base", _powmod_norm)
     assert _charpolys(ctx, degrees, 400 + q) == fast
+    # each step map's rows came from the powmod twist, 2 deg(lambda) of
+    # them, besides the twists of the Rabin test that drew lambda
+    for _, b in fast:
+        lam = tuple(kernel.vmonic(ctx, list(b.coeffs)))
+        assert powmod_twists[lam] >= 2 * (len(lam) - 1), lam

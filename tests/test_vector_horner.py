@@ -1,18 +1,25 @@
-"""phi_a over A/(lambda) on kernel vectors, against the object route.
+"""phi_a over A/(lambda) on kernel vectors, against the routes it replaced.
 
-`ReducedModule.of` runs `kernel.vhorner` on coefficient vectors.  The route
-it replaced, `_horner` with `skew_mul` on SkewPoly and ResidueElement
-objects, stays as the oracle here, on seeded primes of degree 1 to 16
-over F_5, 1 to 12 over F_7 and F_11 and 1 to 6 over F_25 (whose field ops
-make the object route take seconds above that), polynomials a of degree 0
-to 2 deg(lambda), rank-1 and rank-2 modules, and the twisted rank-1 module
-of the stable branch of `reduction_type`.
+`ReducedModule.vectors` applies the Horner step acc -> phi_T acc + a_i as
+one packed F_p-linear map (`kernel.HornerMap`, `kernel.vhorner`).  Two
+routes it replaced stay here as oracles:
+
+- the per-coefficient loop, which twists acc's coefficients and forms each
+  new one by its own mulmods, on seeded cases at every word width of the
+  packed map, on both unpack paths, over prime fields and F_25 and F_125;
+- `_horner` with `skew_mul` on SkewPoly and ResidueElement objects, on
+  seeded primes of degree 1 to 16 over F_5, 1 to 12 over F_7 and F_11 and 1
+  to 6 over F_25 (whose field ops make the object route take seconds above
+  that), polynomials a of degree 0 to 2 deg(lambda), rank-1 and rank-2
+  modules, and the twisted rank-1 module of the stable branch of
+  `reduction_type`.
 """
 
 import random
 
 import pytest
 
+from drinfeldlab import kernel
 from drinfeldlab.drinfeld import (
     DrinfeldModule,
     _horner,
@@ -20,6 +27,7 @@ from drinfeldlab.drinfeld import (
     reduction_type,
 )
 from drinfeldlab.fields import make_field
+from drinfeldlab.frobenius import frob_general
 from drinfeldlab.polys import Poly, PrimeIdeal, is_irreducible
 from drinfeldlab.skew import ht_deg
 
@@ -94,3 +102,135 @@ def test_stable_branch_twisted_module(lam_text):
     image = red.of(lam.gen)
     assert image == _object_route(red, lam.gen)
     assert data.height == ht_deg(image)[0] // lam.degree
+
+
+def _coefficient_loop(frob, phi_t, a):
+    """phi_a by left Horner one tau-coefficient at a time: acc's
+    coefficients twisted by q^k for every tau^k of phi_T, one vfrobenius
+    each, and each new coefficient sum_k c_k acc_(l-k)^(q^k) formed by its
+    own mulmods."""
+    ctx, mod, r = frob.ctx, frob.mod, len(phi_t) - 1
+    acc = []
+    for c in reversed(a):
+        twisted = [acc]
+        for _ in range(r):
+            twisted.append([kernel.vfrobenius(frob, x) for x in twisted[-1]])
+        out = []
+        for l in range(len(acc) + r):
+            coeff = [c] if l == 0 and c else []
+            for k in range(max(0, l - len(acc) + 1), min(l, r) + 1):
+                coeff = kernel.vadd(ctx, coeff, kernel.vmulmod(
+                    ctx, phi_t[k], twisted[k][l - k], mod))
+            out.append(coeff)
+        while out and not out[-1]:
+            out.pop()
+        acc = out
+    return acc
+
+
+def _bound(step, p):
+    """The largest word a step of the map can form, plus one."""
+    return (step.r + 1) * step.n * (p - 1) ** 2 + p
+
+
+def _modules(rng, ctx, lam):
+    """Rank 1, rank 2, rank 2 with phi_T's tau-coefficient zero mod lam,
+    and bad reduction (the leading coefficient zero mod lam)."""
+    return [[_poly(rng, ctx, rng.randrange(3))],
+            [_poly(rng, ctx, rng.randrange(3)), _poly(rng, ctx, 1)],
+            [lam.gen * _poly(rng, ctx, 0), _poly(rng, ctx, 2)],
+            [_poly(rng, ctx, 1), lam.gen]]
+
+
+def _coefficient_lists(rng, ctx, m):
+    """a = 0, a constant, a of random degree up to 2m, and a with leading
+    zero coefficients, as coefficient lists."""
+    return [[], [0], [rng.randrange(1, ctx.q)],
+            [rng.randrange(ctx.q) for _ in range(rng.randrange(2, 2 * m + 2))],
+            [rng.randrange(ctx.q) for _ in range(m)] + [0, 0]]
+
+
+@pytest.mark.parametrize("cast", [True, False], ids=["cast", "from_bytes"])
+@pytest.mark.parametrize("p, m, degrees, slots", [
+    (5, 1, range(1, 13), {2}), (127, 1, range(1, 9), {2, 4}),
+    (65521, 1, range(1, 5), {8}), (2147483647, 1, range(1, 4), {8, 16}),
+    (5, 2, range(1, 6), {2}), (5, 3, range(1, 4), {2})],
+    ids=["q5", "q127", "q65521", "q2^31-1", "q25", "q125"])
+def test_step_map_matches_the_coefficient_loop(monkeypatch, cast, p, m,
+                                               degrees, slots):
+    # every word width: 2 bytes at q = 5, 4 at q = 127 from rank 2 or
+    # degree 2, 8 at q = 65521, 16 at p = 2^31 - 1 beyond rank 1 and
+    # degree 1, for which no memoryview format exists.  Without the casts
+    # every width unpacks word by word, as on a big-endian host.
+    if not cast:
+        monkeypatch.setattr(kernel, "_SLOT_FORMATS", {})
+    ctx = make_field(p, m)
+    rng = random.Random(700 + p + m)
+    seen = set()
+    for deg in degrees:
+        lam = _prime(rng, ctx, deg)
+        for gs in _modules(rng, ctx, lam):
+            red = reduce_module(DrinfeldModule(ctx, gs), lam)
+            frob = red.ring.frobenius_map()
+            phi_t = [c.rep.coeffs for c in red.coeffs]
+            step = kernel.HornerMap(frob, phi_t)
+            assert step.n == m * deg and step.r == len(gs)
+            # the narrowest word of 2, 4, 8, ... bytes that holds every
+            # sum of a step
+            bound = _bound(step, p)
+            assert 256 ** step.slot > bound
+            assert step.slot == 2 or bound >= 256 ** (step.slot // 2)
+            seen.add(step.slot)
+            for a in _coefficient_lists(rng, ctx, deg):
+                want = _coefficient_loop(frob, phi_t, a)
+                assert kernel.vhorner(step, a) == want, (lam, gs, a)
+            assert red.vectors(Poly(ctx, a)) == want
+    assert seen == slots
+
+
+@pytest.mark.parametrize("p, deg, rank, bound, slot", [
+    (181, 1, 1, 64_981, 2), (131, 2, 1, 67_731, 4)])
+def test_step_map_at_a_word_boundary(p, deg, rank, bound, slot):
+    # the first bound sits just below 2^16 = 65,536 and keeps 2-byte
+    # words; the second sits just above it and needs 4
+    ctx = make_field(p)
+    rng = random.Random(800 + p)
+    for _ in range(4):
+        lam = _prime(rng, ctx, deg)
+        gs = [Poly(ctx, [p - 1] * 3) for _ in range(rank)]
+        red = reduce_module(DrinfeldModule(ctx, gs), lam)
+        frob = red.ring.frobenius_map()
+        phi_t = [c.rep.coeffs for c in red.coeffs]
+        step = kernel.HornerMap(frob, phi_t)
+        assert (_bound(step, p), step.slot) == (bound, slot)
+        for a in ([p - 1] * 8, [rng.randrange(p) for _ in range(12)]):
+            assert kernel.vhorner(step, a) == _coefficient_loop(frob, phi_t,
+                                                                 a)
+
+
+def test_step_map_is_built_once_per_module(monkeypatch):
+    built = []
+    horner_map = kernel.HornerMap
+    monkeypatch.setattr(kernel, "HornerMap",
+                        lambda *args: built.append(1) or horner_map(*args))
+    lam = PrimeIdeal(Poly(F5, (2, 0, 1)))
+    red = reduce_module(DrinfeldModule(F5, [Poly.T(F5), Poly.one(F5)]), lam)
+    first = red.vectors(lam.gen)
+    assert red.vectors(Poly.T(F5)) and red.vectors(lam.gen) == first
+    assert built == [1]
+
+
+def test_frob_general_twists_for_the_map_and_the_norm_only(monkeypatch):
+    # at a degree-12 prime, rank 2: 2 * 12 basis twists for the step map
+    # and 11 for the norm of the leading coefficient; the Horners for
+    # phi_b and phi_a twist no tau-coefficient
+    rng = random.Random(612)
+    lam = _prime(rng, F5, 12)
+    phi = DrinfeldModule(F5, [_poly(rng, F5, 2), _poly(rng, F5, 1)])
+    twists = []
+    vfrobenius = kernel.vfrobenius
+    monkeypatch.setattr(kernel, "vfrobenius",
+                        lambda *args: twists.append(1) or vfrobenius(*args))
+    frob_general(phi, lam)
+    assert len(twists) == 2 * 12 + 11
+    assert not hasattr(kernel, "vdotmod")
