@@ -253,8 +253,8 @@ def _obstruction(args):
 def _det_gen(args):
     ctx = make_field(args.q)
     f = parse_poly(ctx, args.prime)
-    # the unit group of A/p^level, bounded before the irreducibility test
-    units = frobenius.check_unit_group(ctx.q, len(f.coeffs) - 1, args.level)
+    # N = #A/p, bounded before the irreducibility test
+    field = frobenius.check_det_gen_field(ctx.q, len(f.coeffs) - 1)
     p = PrimeIdeal(f)
     generated = frobenius.det_generation_check(p, args.level, args.max_deg)
     rec = {
@@ -263,7 +263,7 @@ def _det_gen(args):
         "prime": poly_to_text(p.gen),
         "level": args.level,
         "max_deg": args.max_deg,
-        "unit_group_order": units,
+        "unit_group_order": field ** args.level - field ** (args.level - 1),
         "generated": generated,
     }
     return (0 if generated else 1), [rec]

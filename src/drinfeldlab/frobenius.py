@@ -37,11 +37,11 @@ DEFAULT_BRUTE_CAP = 5 ** 4
 # frob_general takes about 0.1 s at degree 64 for q = 5 and 0.25-0.3 s for
 # q = 127 (min of 5, in-process, 2 vCPUs).
 PRIME_DEG_CAP = 64
-# The largest unit group det_generation_check (det-gen) admits.  It lists no
-# unit: `det-gen --q 5 --prime T^4+2 --level 2 --max-deg 3` (390,000 units)
-# takes 0.09-0.12 s at 16 MB RSS (three subprocess runs, 2 vCPUs).  Lifting
-# the bound is a capability of its own.
-DET_GEN_UNIT_CAP = 400_000
+# The largest N = q^deg p that det_generation_check (det-gen) admits.  It
+# lists no unit; its cost is factoring N - 1 by trial division, worst at
+# N - 1 = 2 * (a prime): kernel.prime_divisors takes 0.07-0.12 s on
+# 2 * 499,999,999,979 (five runs, 2 vCPUs) and about 0.3 s at N = 10^13.
+DET_GEN_FIELD_CAP = 10 ** 12
 
 
 def check_prime_degree(f: Poly) -> None:
@@ -51,14 +51,17 @@ def check_prime_degree(f: Poly) -> None:
             f"prime degree must be at most {PRIME_DEG_CAP}")
 
 
-def check_unit_group(q: int, degree: int, level: int) -> int:
-    """The order of the unit group of A/p^level at a prime of the given
-    degree, rejected above DET_GEN_UNIT_CAP before any ring is built."""
-    units = q ** (level * degree) - q ** ((level - 1) * degree)
-    if units > DET_GEN_UNIT_CAP:
-        raise CapExceeded(f"unit group of order {units} exceeds cap "
-                          f"{DET_GEN_UNIT_CAP}")
-    return units
+def check_det_gen_field(q: int, degree: int) -> int:
+    """N = q^degree, the size of A/p at a prime of the given degree,
+    rejected above DET_GEN_FIELD_CAP before the Rabin test; multiplied up
+    to the cap, so a huge degree costs no work."""
+    field = 1
+    for _ in range(degree):
+        field *= q
+        if field > DET_GEN_FIELD_CAP:
+            raise CapExceeded(f"#(A/p) = {q}^{degree} exceeds cap "
+                              f"{DET_GEN_FIELD_CAP}")
+    return field
 
 
 class FrobCharpoly:
@@ -234,15 +237,14 @@ def det_generation_check(p: PrimeIdeal, level: int, max_deg: int) -> bool:
     dividing N - 1, some lam^((N-1)/r) is not 1 mod p, and, at level 2,
     the F_p-digit vectors of the y = (lam^(N-1) - 1)/p mod p reach rank
     m deg p, q = p^m, as raising to N - 1 is onto the second factor.  Each
-    condition draws primes degree by degree until it holds.  The unit count
-    is still bounded (check_unit_group) first.
+    condition draws primes degree by degree until it holds.  N is bounded
+    (check_det_gen_field) first, as N - 1 is factored by trial division.
     """
     if level not in (1, 2):
         raise ParamsOutOfRange(f"level {level} unsupported (use 1 or 2)")
     ctx = p.ctx
-    check_unit_group(ctx.q, p.degree, level)
+    order = check_det_gen_field(ctx.q, p.degree) - 1
     check_enumeration_cap(ctx, max_deg)
-    order = ctx.q ** p.degree - 1
     modp, mod = p.gen.coeffs, (p.gen ** level).coeffs
 
     def primes():

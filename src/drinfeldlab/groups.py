@@ -3,20 +3,23 @@
 Neither sampled suite lists the subgroup it examines: both size it by
 Schreier levels (_schreier).  The SL_2-criterion suite runs one, at
 infinity of P^1(F), and sizes that stabiliser through the Borel; it reads
-irreducibility and SL_2 containment off H's generators and order.  The
-level-two full-group suite runs them on P^1(A/p) and on the diagonal
-torus of GL_2(A/p), and reads H's intersection with the congruence kernel
-off the last level's Schreier generators.
+irreducibility and SL_2 containment off H's generators and order, and
+draws the stabiliser's Schreier generators only until the sizes the Borel
+allows are reached.  The level-two full-group suite runs them on P^1(A/p)
+and on the diagonal torus of GL_2(A/p), and reads H's intersection with
+the congruence kernel off the last level's Schreier generators.
 
 Both compute on table indices alone, over prime base fields: a residue is
 its base-q index, a matrix a 4-tuple of indices, and every operation a
-lookup in the dense tables of _Tables, which a ResidueRing only builds.
+lookup in the dense tables of _Tables, which a ResidueRing only builds,
+by recurrences on the base-q digits of the indices.
 The explicit-set APIs (Mat2, closure, acts_irreducibly, sl2_group,
 contains_sl2) remain as the test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -95,9 +98,19 @@ def identity(ring: ResidueRing) -> Mat2:
 
 
 class _Tables:
-    """Dense index tables for one residue ring.  The base-q index of the
-    residue 0 is 0 and of 1 is 1; negatives, inverses and units are read
-    off the add and mul tables."""
+    """Dense index tables for one residue ring A/(f), f monic of degree d.
+    The base-q index of the residue 0 is 0 and of 1 is 1; negatives,
+    inverses and units are read off the add and mul tables.
+
+    Both tables are filled from the base-q digits of the indices, with
+    F_q operations on single digits and lookups, and no polynomial
+    product.  Write a = a_0 + q a' for the constant digit a_0.  Sums go
+    digit by digit: add[a][b] = (a_0 + b_0) + q add[a'][b'].  As mul is
+    symmetric, row b is column b, filled from rows filled before it:
+    a constant b < q scales digit by digit, mul[a][b] = a_0 b + q
+    mul[a'][b]; b = b_0 + q b' with b' and b_0 nonzero is the sum of rows
+    q b' and b_0; and b = q b' is row b' read at T a, whose index ta[a] is
+    q (a mod q^(d-1)) plus the top digit times T^d = T^d - f mod f."""
 
     zero, one, ident = 0, 1, (1, 0, 0, 1)
 
@@ -107,14 +120,32 @@ class _Tables:
             raise CapExceeded(f"ring of size {n} too large for dense tables")
         self.ring = ring
         self.n = n
-        # sums and products straight on the digit vectors of the indices
         ctx, mod, q = ring.ctx, ring.modulus.coeffs, ring.ctx.q
-        self.vecs = vecs = [x.rep.coeffs for x in ring.elements()]
-        vindex, vadd, vmulmod = kernel.vindex, kernel.vadd, kernel.vmulmod
-        self.add = [[vindex(vadd(ctx, a, b), q) for b in vecs] for a in vecs]
-        self.mul = [[vindex(vmulmod(ctx, a, b, mod), q) for b in vecs]
-                    for a in vecs]
-        self.neg = [row.index(0) for row in self.add]
+        low = n // q       # the residues of degree < d - 1: indices < low
+        self.vecs = vecs = [()]
+        for a in range(1, n):
+            vecs.append((a % q,) + vecs[a // q])
+        digits = [[ctx.add(a, x) for x in range(q)] for a in range(q)]
+        self.add = add = [list(range(n))]
+        for a in range(1, n):
+            add.append([x + q * h for h in add[a // q][:low]
+                        for x in digits[a % q]])
+        self.mul = mul = [[0] * n]
+        for b in range(1, q):
+            digit = [ctx.mul(x, b) for x in range(q)]
+            row = list(digit)
+            for a1 in range(1, low):
+                h = q * row[a1]
+                row += [x + h for x in digit]
+            mul.append(row)
+        # the index of T^d mod f, and ta[a] that of T a mod f
+        top = kernel.vindex([ctx.neg(c) for c in mod[:-1]], q)
+        ta = [add[q * (a % low)][mul[a // low][top]] for a in range(n)]
+        for b in range(q, n):
+            b0, b1 = b % q, b // q
+            mul.append([mul[b1][t] for t in ta] if not b0 else
+                       [add[x][y] for x, y in zip(mul[b - b0], mul[b0])])
+        self.neg = [row.index(0) for row in add]
         self.inv = {i: row.index(1) for i, row in enumerate(self.mul)
                     if 1 in row}
         self.units = set(self.inv)
@@ -127,6 +158,16 @@ class _Tables:
     def decode(self, t) -> Mat2:
         e = self.ring.from_index
         return Mat2(self.ring, ((e(t[0]), e(t[1])), (e(t[2]), e(t[3]))))
+
+    @functools.cached_property
+    def log(self) -> list:
+        """Over a field, the discrete logarithm of each unit to the base
+        _unit_generator(self), by residue index (None at 0)."""
+        log, x, g = [None] * self.n, 1, _unit_generator(self)
+        for i in range(self.n - 1):
+            log[x] = i
+            x = self.mul[x][g]
+        return log
 
     def mat_mul(self, x, y):
         a, b, c, d = x
@@ -307,13 +348,19 @@ def _schreier(tab: _Tables, base, gens, image):
 def _schreier_stream(tab: _Tables, trans, gens, image):
     """The Schreier generators for the transversal trans, formed lazily,
     each distinct one once and the identity never, for a caller that may
-    need only some of them."""
-    mat_mul = tab.mat_mul
-    back = {y: tab.mat_inv(r) for y, r in trans.items()}
+    need only some of them: a caller that stops early forms neither the
+    rest of them nor the inverses r_y^-1 only they would use, as each
+    inverse is formed on first use."""
+    mat_mul, mat_inv = tab.mat_mul, tab.mat_inv
+    back = {}
     seen = {tab.ident}
     for x, r in trans.items():
         for g in gens:
-            s = mat_mul(mat_mul(r, g), back[image(x, g)])
+            y = image(x, g)
+            r_inv = back.get(y)
+            if r_inv is None:
+                r_inv = back[y] = mat_inv(trans[y])
+            s = mat_mul(mat_mul(r, g), r_inv)
             if s not in seen:
                 seen.add(s)
                 yield s
@@ -321,7 +368,7 @@ def _schreier_stream(tab: _Tables, trans, gens, image):
 
 def _lemma_facts(tab: _Tables, gens):
     """(|H|, H acts irreducibly, SL_2(F) <= H) for H = <gens>, encoded over
-    a field of n elements, by one _schreier level on the n + 1 points of
+    a field of n elements, by one Schreier level on the n + 1 points of
     P^1 and the structure of the Borel; H is never listed.
 
     Matrices act on row vectors: the point x < n is the line of (x, 1) and
@@ -332,6 +379,16 @@ def _lemma_facts(tab: _Tables, gens):
     p, |H_inf n U| is the p-part gcd(|0^(H_inf)|, n) of an orbit of points
     alone.  H fixes a point iff every generator does, and H n SL_2 has
     order |H| / |det H|.
+
+    F^* is cyclic of order m = n - 1, so by discrete logarithms det H has
+    order m / gcd(m, log det g over the generators g), and pi_T(H_inf) is
+    L / m Z^2 for the lattice L spanned by m Z^2 and the (log a, log d) of
+    the Schreier generators, of order m^2 / [Z^2 : L].  The generators are
+    drawn one at a time, each growing the orbit of 0 and L, until the orbit
+    has all n points and pi_T(H_inf) all m |det H| pairs (a, d) with ad in
+    det H.  H_inf lies in the Borel with determinants in det H, so neither
+    can grow past those sizes: the stop is exact, and the generators not
+    drawn could change neither count.
     """
     n, MUL, ADD, inv = tab.n, tab.mul, tab.add, tab.inv
 
@@ -340,28 +397,48 @@ def _lemma_facts(tab: _Tables, gens):
         u, v = (a, b) if x == n else (ADD[MUL[x][a]][c], ADD[MUL[x][b]][d])
         return n if v == 0 else MUL[u][inv[v]]
 
-    top, stabiliser = _schreier(tab, n, gens, image)
-    orbit, points = {0}, [0]
-    for x in points:
-        for g in stabiliser:
-            y = image(x, g)
-            if y not in orbit:
-                orbit.add(y)
-                points.append(y)
-        if len(orbit) == n:
+    m, log = n - 1, tab.log
+    # det H has order m / det_gcd
+    det_gcd = math.gcd(m, *(log[tab.mat_det(g)] for g in gens))
+    trans = _transversal(tab, n, gens, image)
+    orbit, points, drawn = {0}, [0], []
+    # the (log a, log d) of the drawn generators span, with m Z^2, the
+    # lattice of rows (a0, b0), (0, c0), of index a0 c0 in Z^2
+    a0, b0, c0 = m, 0, m
+    for g in _schreier_stream(tab, trans, gens, image):
+        if len(orbit) < n:
+            drawn.append(g)
+            i = len(points)
+            for y in [image(x, g) for x in points]:
+                if y not in orbit:
+                    orbit.add(y)
+                    points.append(y)
+            while i < len(points):
+                x = points[i]
+                i += 1
+                for h in drawn:
+                    y = image(x, h)
+                    if y not in orbit:
+                        orbit.add(y)
+                        points.append(y)
+        # Euclid on the rows (a0, b0) and the new one, then c0 absorbs the
+        # row that leads with 0
+        r, v = (a0, b0), (log[g[0]], log[g[3]])
+        while v[0]:
+            k = r[0] // v[0]
+            r, v = v, (r[0] - k * v[0], r[1] - k * v[1])
+        c0 = math.gcd(c0, v[1])
+        a0, b0 = r[0], r[1] % c0
+        if len(orbit) == n and a0 * c0 == det_gcd:
             break
-    order = top * math.gcd(len(orbit), n) * len(abelian_span(
-        (1, 1), [(a, d) for a, _, _, d in stabiliser],
-        lambda x, y: (MUL[x[0]][y[0]], MUL[x[1]][y[1]]), (n - 1) ** 2))
-    dets = abelian_span(1, [tab.mat_det(x) for x in gens],
-                        lambda x, y: MUL[x][y], n - 1)
+    order = len(trans) * math.gcd(len(orbit), n) * (m * m // (a0 * c0))
     return (order, _acts_irreducibly_encoded(tab, gens),
-            order // len(dets) == n * (n * n - 1))
+            order * det_gcd // m == n * (n * n - 1))
 
 
 def _lemma_generators(tab: _Tables) -> dict:
     """Encoded generators of the forced taxonomy cases of the lemma lab."""
-    g = _unit_generator(tab)
+    g = tab.log.index(1)    # _unit_generator(tab), of logarithm 1
     return {
         "borel": [(g, 0, 0, 1), (1, 0, 0, g), (1, 1, 0, 1)],
         "split_cartan": [(g, 0, 0, 1), (1, 0, 0, g)],

@@ -325,9 +325,9 @@ def test_prime_degree_cap_checked_before_work(capsys, monkeypatch):
 
 
 def test_lab_bounds_checked_before_work(capsys, monkeypatch):
-    # the group labs bound the --prime by its degree, and det-gen bounds the
-    # unit group of A/p^level, before the Rabin test and before any ring or
-    # table is built
+    # the group labs bound the --prime by its degree, and det-gen bounds
+    # #(A/p) = q^deg p, before the Rabin test and before any ring or table
+    # is built
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the bound check")
 
@@ -342,14 +342,16 @@ def test_lab_bounds_checked_before_work(capsys, monkeypatch):
               "--seed", "1"], "q^n <= 128"),
             (["pr-level2", "--q", "5", "--prime", "T^2+2", "--samples", "1",
               "--seed", "1"], "deg(p) = 1"),
-            (["det-gen", "--q", "5", "--prime", "T^5+T+2", "--level", "2",
-              "--max-deg", "1"], "exceeds cap 400000"),
-            (["det-gen", "--q", "7", "--prime", "T^7+T+2", "--level", "1",
-              "--max-deg", "1"], "exceeds cap 400000")):
+            (["det-gen", "--q", "5", "--prime", "T^18+T+2", "--level", "2",
+              "--max-deg", "1"], "exceeds cap 1000000000000"),
+            (["det-gen", "--q", "7", "--prime", "T^15+T+2", "--level", "1",
+              "--max-deg", "1"], "exceeds cap 1000000000000"),
+            (["det-gen", "--q", "5", "--prime", "T^512+T+2", "--level", "1",
+              "--max-deg", "1"], "exceeds cap 1000000000000")):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == "" and message in err
-    p = PrimeIdeal(parse_poly(make_field(5), "T^5+4*T+1"), _trusted=True)
+    p = PrimeIdeal(parse_poly(make_field(5), "T^18+4*T+1"), _trusted=True)
     with pytest.raises(CapExceeded):
         frobenius.det_generation_check(p, 2, 1)
 
@@ -405,12 +407,29 @@ def test_search_limit_and_thm2_power_bounded_before_work(capsys,
 
 
 def test_det_gen_unit_budget():
-    # 5^8 - 5^4 = 390,000 units: A/(T^4+2)^2 is the largest det-gen ring at
-    # q = 5, and the budget admits it
-    assert frobenius.check_unit_group(5, 4, 2) == 390_000
-    assert frobenius.check_unit_group(7, 6, 1) == 117_648
-    with pytest.raises(CapExceeded):
-        frobenius.check_unit_group(5, 5, 2)
+    # det-gen lists no unit, so its one bound is #(A/p) = q^deg p <= 10^12,
+    # whatever the level: 5^17 and 7^14 are the largest at q = 5 and 7
+    assert frobenius.DET_GEN_FIELD_CAP == 10 ** 12
+    assert frobenius.check_det_gen_field(5, 17) == 5 ** 17
+    assert frobenius.check_det_gen_field(7, 14) == 7 ** 14
+    assert frobenius.check_det_gen_field(999_983, 2) == 999_983 ** 2
+    for q, degree in ((5, 18), (7, 15), (1_000_003, 2), (5, 10 ** 11)):
+        with pytest.raises(CapExceeded):
+            frobenius.check_det_gen_field(q, degree)
+
+
+def test_det_gen_at_the_field_bound(capsys):
+    # a degree-17 prime at q = 5, N = 5^17 <= 10^12: level 2 needs F_5-rank
+    # 17, which the 15 primes of degree <= 2 cannot give and those of
+    # degree 3 do
+    prime = "T^17+T^2+2*T+4"
+    for level, max_deg, want in ((1, 1, True), (2, 2, False), (2, 3, True)):
+        code, out, err = run(capsys, "det-gen", "--q", "5", "--prime", prime,
+                             "--level", str(level), "--max-deg", str(max_deg))
+        rec, = records(out)
+        assert (code, rec["generated"], err) == (1 - want, want, "")
+        assert rec["unit_group_order"] == 5 ** (17 * level) - 5 ** (
+            17 * (level - 1))
 
 
 def test_frob_oracle_errors_propagate(capsys, monkeypatch):

@@ -39,7 +39,12 @@ from drinfeldlab.groups import (
     _unit_generator,
 )
 from drinfeldlab.polys import Poly, PrimeIdeal, parse_poly, poly_to_text
-from drinfeldlab.residues import ResidueElement, ResidueRing, abelian_span
+from drinfeldlab.residues import (
+    ResidueElement,
+    ResidueRing,
+    abelian_span,
+    residue_inv,
+)
 
 F5 = make_field(5)
 RING5 = ResidueRing(parse_poly(F5, "T"))
@@ -258,6 +263,7 @@ def _bfs_lemma_facts(tab, sl2, gens):
 
 
 @pytest.mark.parametrize("q, modulus, count", [(5, "T", 300), (7, "T", 300),
+                                               (11, "T", 30),
                                                (5, "T^2+2", 20)])
 def test_lemma_facts_match_bfs_oracle(q, modulus, count):
     # the stabiliser chain against BFS on the forced generator sets and on
@@ -726,6 +732,121 @@ def test_tables_neg_units_inv_match_residue_elements():
         assert set(tab.inv) == tab.units
         for i, j in tab.inv.items():
             assert elems[i] * elems[j] == ring.one
+
+
+def _product_tables(ring):
+    """The dense tables of a residue ring from polynomial arithmetic on the
+    digit vectors of the indices: every sum a vadd, every product a
+    vmulmod, negatives by vsub, units by the gcd with the modulus and
+    inverses by the extended gcd."""
+    ctx, mod, q = ring.ctx, ring.modulus.coeffs, ring.ctx.q
+    vecs = [x.rep.coeffs for x in ring.elements()]
+    units = {i for i, a in enumerate(vecs)
+             if kernel.vgcd(ctx, list(a), list(mod)) == [1]}
+    return {
+        "vecs": vecs,
+        "add": [[kernel.vindex(kernel.vadd(ctx, a, b), q) for b in vecs]
+                for a in vecs],
+        "mul": [[kernel.vindex(kernel.vmulmod(ctx, a, b, mod), q)
+                 for b in vecs] for a in vecs],
+        "neg": [kernel.vindex(kernel.vsub(ctx, [], a), q) for a in vecs],
+        "units": units,
+        "inv": {i: ring.index_of(residue_inv(ring.from_index(i)))
+                for i in units},
+    }
+
+
+def _table_rings():
+    """F_5 rings of degree 1-3, one of them reducible; F_49 = A/(T^2+1) over
+    F_7; degree-1 rings over F_25 and F_49, at T and at T + (1 + x), x the
+    generator of F_{p^2}; the A/p^2 of the level-2 lab."""
+    rings = {f"5-{text}": ResidueRing(parse_poly(F5, text))
+             for text in ("T", "T^2+2", "T^3+T+1", "T^2+T")}
+    rings["7-T^2+1"] = ResidueRing(parse_poly(make_field(7), "T^2+1"))
+    for p in (5, 7):
+        ctx = make_field(p, 2)
+        shifted = Poly.T(ctx) + Poly.constant(ctx, ctx.from_encoded(p + 1))
+        rings[f"{p}^2-T"] = ResidueRing(Poly.T(ctx))
+        rings[f"{p}^2-T+1+x"] = ResidueRing(shifted)
+    for q, text in ((5, "T"), (5, "T+2"), (7, "T+3"), (13, "T+1")):
+        p = parse_poly(make_field(q), text)
+        rings[f"{q}-({text})^2"] = ResidueRing(p * p)
+    return rings
+
+
+TABLE_RINGS = _table_rings()
+
+
+@pytest.mark.parametrize("name", TABLE_RINGS)
+def test_tables_match_the_product_oracle(name):
+    # _Tables fills its tables by digit recurrences; each entry must be the
+    # one polynomial arithmetic gives
+    ring = TABLE_RINGS[name]
+    tab = groups._Tables(ring)
+    want = _product_tables(ring)
+    for key in want:
+        assert getattr(tab, key) == want[key], key
+
+
+@pytest.mark.parametrize("name", TABLE_RINGS)
+def test_tables_make_at_most_n_mulmods(monkeypatch, name):
+    # a table of n residues takes at most n kernel.vmulmod calls; over a
+    # prime base field it takes none (digit products are ints mod p), over
+    # F_{p^m} each of the q (q - 1) digit products is one F_p[x] mulmod,
+    # which only a degree-1 ring, the field itself, has more of than n
+    ring = TABLE_RINGS[name]
+    calls = []
+    mulmod = kernel.vmulmod
+
+    def counting(*args):
+        calls.append(args)
+        return mulmod(*args)
+
+    monkeypatch.setattr(kernel, "vmulmod", counting)
+    groups._Tables(ring)
+    q, n = ring.ctx.q, ring.cardinality
+    assert len(calls) == (0 if ring.ctx.m == 1 else q * (q - 1))
+    assert len(calls) <= n or ring.degree == 1
+
+
+def _drawn_and_available(monkeypatch, tab, gens):
+    """(Schreier generators _lemma_facts drew, the number its stream had)."""
+    runs = []
+    stream = groups._schreier_stream
+
+    def recording(*args):
+        drawn = []
+        runs.append((args, drawn))
+        for s in stream(*args):
+            drawn.append(s)
+            yield s
+
+    monkeypatch.setattr(groups, "_schreier_stream", recording)
+    facts = _lemma_facts(tab, gens)
+    monkeypatch.setattr(groups, "_schreier_stream", stream)
+    (args, drawn), = runs
+    return facts, len(drawn), len(list(stream(*args)))
+
+
+@pytest.mark.parametrize("q, modulus", [(5, "T"), (7, "T"), (11, "T+3"),
+                                        (5, "T^2+2")])
+def test_lemma_facts_stop_at_the_borel_bound(monkeypatch, q, modulus):
+    # GL_2 and SL_2 reach the full orbit and the full (n - 1)|det H| pairs
+    # before their stream runs dry, and stop there with the same facts; the
+    # split Cartan's orbit of 0 is {0}, so it draws every generator
+    ring = ResidueRing(parse_poly(make_field(q), modulus))
+    tab = _tables(ring)
+    forced = _lemma_generators(tab)
+    n = tab.n
+    for name in ("gl2", "sl2"):
+        facts, drawn, available = _drawn_and_available(monkeypatch, tab,
+                                                       forced[name])
+        assert 0 < drawn < available, name
+        assert facts[2]
+    facts, drawn, available = _drawn_and_available(
+        monkeypatch, tab, forced["split_cartan"])
+    assert drawn == available > 0
+    assert facts == ((n - 1) ** 2, False, False)
 
 
 def _unipotents_from_residues(ring):
