@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from . import kernel
 from .errors import BruteCapExceeded, ParamsOutOfRange
 from .fields import FieldCtx, FqElement
 from .polys import Poly, eval_at, polys_below
@@ -88,28 +89,31 @@ def _validate_class(ctx, c1, c2, b1, b2):
             "b2 must be exactly divisible by T-c2 and coprime to T-c1")
 
 
-def _class_factors(ctx: FieldCtx, c1: FqElement, c2: FqElement):
-    """The admitted b1 and b2, each lazily in lexicographic order: the valid
-    pairs are their product."""
+def class_vectors(ctx: FieldCtx, c1: int, c2: int):
+    """The admitted b1 and b2 for encoded c1 != c2 as coefficient vectors,
+    each lazily in lexicographic order: b1 = v (T - c1) for a unit v, and
+    b2 = e (T - c2) for deg e < 2 with e(c1) e(c2) != 0.  The valid pairs
+    are their product."""
     if c1 == c2:
         raise ParamsOutOfRange("c1 and c2 must differ")
-    l1, l2 = _lin(ctx, c1), _lin(ctx, c2)
-    b1s = (l1 * ctx.from_encoded(v) for v in range(1, ctx.q))
-    b2s = (l2 * e for e in polys_below(ctx, 2)
-           if not (eval_at(e, c1).is_zero() or eval_at(e, c2).is_zero()))
+    l1, l2 = (ctx.neg(c1), 1), (ctx.neg(c2), 1)
+    b1s = (kernel.vmul(ctx, l1, (v,)) for v in range(1, ctx.q))
+    b2s = (kernel.vmul(ctx, l2, e) for e in kernel.vectors_below(ctx.q, 2)
+           if kernel.veval(ctx, e, c1) and kernel.veval(ctx, e, c2))
     return b1s, b2s
 
 
 def valid_congruence_classes(ctx: FieldCtx, c1: FqElement, c2: FqElement):
     """All (b1, b2) pairs admitted by the proof, lexicographic order."""
-    return list(itertools.product(*_class_factors(ctx, c1, c2)))
+    return [(Poly(ctx, b1), Poly(ctx, b2)) for b1, b2 in
+            itertools.product(*class_vectors(ctx, c1.val, c2.val))]
 
 
 def default_congruence_class(ctx: FieldCtx, c1: FqElement, c2: FqElement):
     """The lexicographically first valid (b1, b2) pair, without listing
     the others."""
-    b1s, b2s = _class_factors(ctx, c1, c2)
-    return next(b1s), next(b2s)
+    b1s, b2s = class_vectors(ctx, c1.val, c2.val)
+    return Poly(ctx, next(b1s)), Poly(ctx, next(b2s))
 
 
 def count_W(params: CensusParams, mode: str = "formula",

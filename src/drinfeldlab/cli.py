@@ -17,12 +17,11 @@ same table, which prints the help and error text.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
 from . import census as census_mod
-from . import criteria, frobenius, groups
+from . import criteria, frobenius, groups, kernel
 from .drinfeld import DrinfeldModule, newton_polygon
 from .errors import (
     BruteCapExceeded,
@@ -35,9 +34,9 @@ from .polys import (
     Poly,
     PrimeIdeal,
     check_enumeration_cap,
+    coeffs_to_text,
     irreducible_indices,
     parse_poly,
-    poly_from_index,
     poly_to_text,
 )
 from .residues import ResidueRing
@@ -102,11 +101,13 @@ def _primes(args):
 
 
 def _prime_records(ctx, sieves):
+    """One record per sieve index, its text read off the index's digits."""
+    q = ctx.q
     for d, indices in sieves:
-        top = ctx.q ** d
+        top = q ** d
         for idx in indices:
-            yield {"op": "prime", "q": ctx.q, "degree": d,
-                   "prime": poly_to_text(poly_from_index(ctx, top + idx))}
+            yield {"op": "prime", "q": q, "degree": d,
+                   "prime": coeffs_to_text(ctx, kernel.vdigits(top + idx, q))}
 
 
 def _omega(args):
@@ -214,8 +215,7 @@ def _thm2(args):
         _capped_prime(ctx, args.l, criteria.check_theorem2_prime),
         parse_poly(ctx, args.g1), c)
     records = [{"op": "thm2_module", "q": ctx.q,
-                "g1": poly_to_text(module.g1),
-                "g2": poly_to_text(module.g2)},
+                **cert.witnesses["module"]},
                cert.as_dict()]
     return (0 if cert.verified else 1), records
 
@@ -244,7 +244,7 @@ def _obstruction(args):
     roots = [_element(ctx, args.c1, "--c1"), _element(ctx, args.c2, "--c2")]
     phi = _module_from_args(ctx, args)
     p = _capped_prime(ctx, args.prime)
-    lams = [PrimeIdeal(Poly.T(ctx) - Poly.constant(ctx, c), _trusted=True)
+    lams = [PrimeIdeal(Poly(ctx, (ctx.neg(c.val), 1)), _trusted=True)
             for c in roots]
     cert = criteria.reducibility_obstruction(phi, p, lams)
     return (0 if cert.verified else 1), [cert.as_dict()]
@@ -436,9 +436,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(records, output, out):
+    encode = criteria.COMPACT_JSON.encode
     if output == "jsonl":
         for rec in records:
-            out.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            out.write(encode(rec) + "\n")
     elif output == "csv":
         records = list(records)  # the header needs every record's keys
         if not records:
@@ -450,7 +451,7 @@ def _emit(records, output, out):
             for k in keys:
                 v = rec.get(k)
                 if isinstance(v, (dict, list)):
-                    cell = json.dumps(v, separators=(",", ":"))
+                    cell = encode(v)
                     row.append('"' + cell.replace('"', '""') + '"')
                 elif isinstance(v, bool):
                     row.append("true" if v else "false")
@@ -463,7 +464,7 @@ def _emit(records, output, out):
         for rec in records:
             for k, v in rec.items():
                 if isinstance(v, (dict, list)):
-                    v = json.dumps(v, separators=(",", ":"))
+                    v = encode(v)
                 out.write(f"{k}: {v}\n")
             out.write("\n")
 

@@ -8,6 +8,7 @@ finite-characteristic picture over the residue field.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import kernel
@@ -86,8 +87,9 @@ def carlitz_det_module(ctx: FieldCtx, g1: Poly, g2: Poly) -> DrinfeldModule:
     """
     if g2.is_zero():
         raise ZeroPolynomial("g2 must be nonzero")
-    lead = -(g2 ** (ctx.q - 1))
-    return DrinfeldModule(ctx, [g1, lead])
+    lead = kernel.power(g2.coeffs, ctx.q - 1,
+                        functools.partial(kernel.vmul, ctx), [1])
+    return DrinfeldModule(ctx, [g1, Poly(ctx, kernel.vsub(ctx, (), lead))])
 
 
 def _horner(ctx: FieldCtx, phi_t: SkewPoly, a) -> SkewPoly:

@@ -136,6 +136,17 @@ class FieldCtx:
             return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
 
+    def is_square(self, a: int) -> bool:
+        """Euler criterion a^((q-1)/2) = 1 for an encoded a; zero counts as
+        a square.  Over F_{p^m} it reads N(a)^((p-1)/2) = 1, as
+        a^((q-1)/(p-1)) is the norm N(a) = a a^p ... a^(p^(m-1)) down to
+        F_p, kernel.vnorm on the field's Frobenius map: no powmod."""
+        if a == 0:
+            return True
+        if self.m > 1:
+            a = kernel.vnorm(self._frob, self._dec[a])[0]
+        return pow(a, (self.p - 1) // 2, self.p) == 1
+
     @property
     def zero(self) -> int:
         return 0
@@ -266,16 +277,9 @@ def make_field(p: int, m: int = 1, modulus=None) -> FieldCtx:
 
 
 def is_square(x: FqElement) -> bool:
-    """Euler criterion x^((q-1)/2) = 1; zero counts as a square.  Over
-    F_{p^m} it reads N(x)^((p-1)/2) = 1, as x^((q-1)/(p-1)) is the norm
-    N(x) = x x^p ... x^(p^(m-1)) down to F_p, kernel.vnorm on the field's
-    Frobenius map: no powmod."""
-    ctx, v = x.ctx, x.val
-    if v == 0:
-        return True
-    if ctx.m > 1:
-        v = kernel.vnorm(ctx._frob, ctx._dec[v])[0]
-    return pow(v, (ctx.p - 1) // 2, ctx.p) == 1
+    """Euler criterion x^((q-1)/2) = 1; zero counts as a square
+    (FieldCtx.is_square on the encoded value)."""
+    return x.ctx.is_square(x.val)
 
 
 def enumerate_elements(ctx: FieldCtx) -> list[FqElement]:

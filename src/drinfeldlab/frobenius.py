@@ -26,7 +26,6 @@ from .polys import (
     PrimeIdeal,
     check_enumeration_cap,
     enumerate_monic_irreducibles,
-    eval_at,
     gcd,
 )
 from .residues import norm_to_base
@@ -38,9 +37,10 @@ DEFAULT_BRUTE_CAP = 5 ** 4
 # q = 127 (min of 5, in-process, 2 vCPUs).
 PRIME_DEG_CAP = 64
 # The largest N = q^deg p that det_generation_check (det-gen) admits.  It
-# lists no unit; its cost is factoring N - 1 by trial division, worst at
-# N - 1 = 2 * (a prime): kernel.prime_divisors takes 0.07-0.12 s on
-# 2 * 499,999,999,979 (five runs, 2 vCPUs) and about 0.3 s at N = 10^13.
+# lists no unit; its cost is factoring N - 1 by trial division (2, then odd
+# divisors only), worst at N - 1 = 2 * (a prime): kernel.prime_divisors
+# takes 0.04-0.05 s on 2 * 499,999,999,979 and 0.10-0.14 s on
+# 2 * 4,999,999,999,937, near N = 10^13 (five runs each, 2 vCPUs).
 DET_GEN_FIELD_CAP = 10 ** 12
 
 
@@ -97,20 +97,34 @@ def _require_rank2(phi: DrinfeldModule):
         raise WrongRank("Frobenius charpoly machinery needs rank 2")
 
 
+def deg1_trace(phi: DrinfeldModule, c: int):
+    """(a, u), encoded, with X^2 - aX + u (T - c) the Frobenius charpoly at
+    the degree-1 prime T - c: u = -Delta(c)^{-1} and a = u g_1(c), Delta
+    the leading coefficient of phi_T, each value by kernel.veval; None at
+    bad reduction, Delta(c) = 0."""
+    _require_rank2(phi)
+    ctx = phi.ctx
+    delta_c = kernel.veval(ctx, phi.g2.coeffs, c)
+    if not delta_c:
+        return None
+    u = ctx.neg(ctx.inv(delta_c))
+    return ctx.mul(u, kernel.veval(ctx, phi.g1.coeffs, c)), u
+
+
 def frob_deg1(phi: DrinfeldModule, lam: PrimeIdeal) -> FrobCharpoly:
     """Closed form at a degree-1 prime (T - c): a = -Delta(c)^{-1} g_1(c),
-    b = -Delta(c)^{-1} (T - c), Delta the leading coefficient of phi_T."""
+    b = -Delta(c)^{-1} (T - c), Delta the leading coefficient of phi_T
+    (deg1_trace)."""
     _require_rank2(phi)
     if lam.degree != 1:
         raise WrongDegree(f"{lam!r} does not have degree 1")
-    c = -lam.gen.coefficient(0)
-    delta_c = eval_at(phi.g2, c)
-    if delta_c.is_zero():
+    ctx = phi.ctx
+    trace = deg1_trace(phi, ctx.neg(lam.gen.coeffs[0]))
+    if trace is None:
         raise NotGoodReduction(f"bad reduction at {lam!r}")
-    u = -(delta_c.inverse())
-    a = Poly.constant(phi.ctx, u * eval_at(phi.g1, c))
-    b = lam.gen * u
-    return FrobCharpoly(lam, a, b)
+    a, u = trace
+    return FrobCharpoly(lam, Poly(ctx, (a,)),
+                        Poly(ctx, kernel.vscale(ctx, lam.gen.coeffs, u)))
 
 
 def _good_reduction(phi: DrinfeldModule, lam: PrimeIdeal) -> ReducedModule:

@@ -290,31 +290,40 @@ def contains_sl2(H) -> bool:
     return sl2_group(ring) <= H
 
 
-def _has_order(x, order: int, mul, one) -> bool:
+def _has_order(x, order: int, mul, one, primes) -> bool:
     """Whether x has exactly the given multiplicative order: x^order is one
-    and no x^(order/l) is, for l a prime divisor of the order."""
+    and no x^(order/l) is, for l in primes, the prime divisors of the
+    order."""
     return kernel.power(x, order, mul, one) == one and all(
-        kernel.power(x, order // l, mul, one) != one
-        for l in kernel.prime_divisors(order))
+        kernel.power(x, order // l, mul, one) != one for l in primes)
 
 
 def _unit_generator(tab: _Tables) -> int:
     """The index of a generator of the unit group (cyclic for the rings
     used here): the first unit whose order is the order of the group."""
     MUL = tab.mul
+    order = len(tab.units)
+    primes = kernel.prime_divisors(order)
     for x in sorted(tab.units):
-        if _has_order(x, len(tab.units), lambda a, b: MUL[a][b], 1):
+        if _has_order(x, order, lambda a, b: MUL[a][b], 1, primes):
             return x
     raise ValueError("unit group has no single generator")
 
 
 def _primitive_companion(tab: _Tables):
     """The first companion matrix [[0, s], [1, r]] of order N^2 - 1: it
-    generates the non-split Cartan, the unit group of F[M] ~ F_{N^2}."""
-    for r in range(tab.n):
-        for s in sorted(tab.units):
+    generates the non-split Cartan, the unit group of F[M] ~ F_{N^2}.
+    Its determinant -s is the norm of a generator of F_{N^2}^*, so it
+    generates F_N^*: an s with gcd(log(-s), N - 1) != 1 is never tried."""
+    n, log, neg = tab.n, tab.log, tab.neg
+    order = n ** 2 - 1
+    primes = kernel.prime_divisors(order)
+    units = [s for s in sorted(tab.units)
+             if math.gcd(log[neg[s]], n - 1) == 1]
+    for r in range(n):
+        for s in units:
             m = (0, s, 1, r)
-            if _has_order(m, tab.n ** 2 - 1, tab.mat_mul, tab.ident):
+            if _has_order(m, order, tab.mat_mul, tab.ident, primes):
                 return m
     raise ValueError("no primitive companion matrix")
 

@@ -5,9 +5,10 @@ come back as lists with no trailing zeros.  Over a prime field the loops
 reduce inline mod p (accumulating first where that is safe, since Python
 ints do not overflow); over F_{p^m} they call the FieldCtx ops.  The choice
 follows ctx.m alone.  Sums, products, division, gcd, inverses and powers
-modulo a polynomial and the Rabin test all run here, with the generic
-square-and-multiply `power` and the base-q index `vindex`, so each
-arithmetic decision lives in one place.  That covers every quotient of a
+modulo a polynomial, evaluation (`veval`), valuations (`vvaluation`) and
+the Rabin test all run here, with the generic square-and-multiply `power`
+and the base-q index `vindex` and its digits `vdigits`, so each arithmetic
+decision lives in one place.  That covers every quotient of a
 polynomial ring by a monic modulus: F_{p^m} itself (digits over `Zp(p)`
 modulo the field's modulus) and the residue rings A/(f) of `residues`.
 `vechelon` is the one Gaussian elimination: F_q-linear solving in `skew`
@@ -428,7 +429,49 @@ def vindex(v, q: int) -> int:
     return idx
 
 
+def vdigits(idx: int, q: int) -> list:
+    """The base-q digits of idx, least significant first: vindex inverted."""
+    out = []
+    while idx:
+        idx, c = divmod(idx, q)
+        out.append(c)
+    return out
+
+
+def vectors_below(q: int, degree: int):
+    """Every vector of degree < `degree`, zero first, in index order; a
+    negative bound counts as 0 and yields only zero."""
+    return (vdigits(idx, q) for idx in range(q ** max(degree, 0)))
+
+
+def veval(ctx, v, c: int) -> int:
+    """v(c) for an encoded c, by Horner; the remainder of v mod T - c."""
+    acc = 0
+    if ctx.m == 1:
+        p = ctx.p
+        for coef in reversed(v):
+            acc = (acc * c + coef) % p
+        return acc
+    add, mul = ctx.add, ctx.mul
+    for coef in reversed(v):
+        acc = add(mul(acc, c), coef)
+    return acc
+
+
+def vvaluation(ctx, a, b) -> int:
+    """The largest k with b^k | a, for a nonzero a and b of degree >= 1:
+    one vdivmod per factor of b taken out."""
+    k = 0
+    while True:
+        quo, rem = vdivmod(ctx, a, b)
+        if rem:
+            return k
+        k, a = k + 1, quo
+
+
 def prime_divisors(n: int):
+    """The distinct primes dividing n, ascending, by trial division by 2
+    and then by odd d only; [] for n < 2."""
     out = []
     d = 2
     while d * d <= n:
@@ -436,7 +479,7 @@ def prime_divisors(n: int):
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+        d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
     return out

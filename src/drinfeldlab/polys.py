@@ -258,10 +258,7 @@ def eval_at(f: Poly, c) -> FqElement:
         cv = c.val
     else:
         cv = int(c) % ctx.p
-    acc = 0
-    for coef in reversed(f.coeffs):
-        acc = ctx.add(ctx.mul(acc, cv), coef)
-    return FqElement(ctx, acc)
+    return FqElement(ctx, kernel.veval(ctx, f.coeffs, cv))
 
 
 def gcd(f: Poly, g: Poly) -> Poly:
@@ -293,18 +290,13 @@ def is_irreducible(f: Poly, frob=None) -> bool:
 def poly_from_index(ctx: FieldCtx, idx: int) -> Poly:
     """The polynomial whose coefficients are the base-q digits of idx,
     constant digit first."""
-    q = ctx.q
-    coeffs = []
-    while idx:
-        idx, c = divmod(idx, q)
-        coeffs.append(c)
-    return Poly(ctx, coeffs)
+    return Poly(ctx, kernel.vdigits(idx, ctx.q))
 
 
 def polys_below(ctx: FieldCtx, degree: int):
     """Every polynomial of degree < `degree`, zero included, in index order;
     a negative bound counts as 0 and yields only zero."""
-    return (poly_from_index(ctx, idx) for idx in range(ctx.q ** max(degree, 0)))
+    return (Poly(ctx, v) for v in kernel.vectors_below(ctx.q, degree))
 
 
 def monic_polys(ctx: FieldCtx, degree: int):
@@ -417,14 +409,7 @@ def valuation(f: Poly, lam: PrimeIdeal):
         raise ContextMismatch("valuation over different fields")
     if f.is_zero():
         return POS_INF
-    k = 0
-    cur = f
-    while True:
-        qt, r = divmod(cur, lam.gen)
-        if not r.is_zero():
-            return k
-        k += 1
-        cur = qt
+    return kernel.vvaluation(f.ctx, f.coeffs, lam.gen.coeffs)
 
 
 def factor(f: Poly):
@@ -575,15 +560,16 @@ def parse_poly(ctx: FieldCtx, text: str) -> Poly:
     return Poly(ctx, coeffs)
 
 
-def poly_to_text(f: Poly) -> str:
-    """Canonical text: descending degree, e.g. `T^2+4*T+3`."""
-    if f.ctx.m != 1:
+def coeffs_to_text(ctx: FieldCtx, coeffs) -> str:
+    """Canonical text of a trimmed coefficient vector over a prime field,
+    ascending degree in, descending out: `T^2+4*T+3`, `0` for zero."""
+    if ctx.m != 1:
         raise ContextMismatch("text grammar is defined for prime fields only")
-    if f.is_zero():
+    if not coeffs:
         return "0"
     parts = []
-    for i in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[i]
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if c == 0:
             continue
         if i == 0:
@@ -593,3 +579,8 @@ def poly_to_text(f: Poly) -> str:
         else:
             parts.append(f"T^{i}" if c == 1 else f"{c}*T^{i}")
     return "+".join(parts)
+
+
+def poly_to_text(f: Poly) -> str:
+    """Canonical text: descending degree, e.g. `T^2+4*T+3`."""
+    return coeffs_to_text(f.ctx, f.coeffs)

@@ -3,8 +3,12 @@
 When the modulus is irreducible the ring is the field F_{q^n} and carries the
 norm down to F_q, the square test read off that norm (Euler's criterion
 x^((q^n-1)/2) = N(x)^((q-1)/2)), and the quadratic irreducibility test
-that drives the certificate machinery.  Non-prime moduli (level p^2 work)
-support arithmetic only.
+that drives the certificate machinery.  Those three are tuple routines
+(`vnorm_to_base`, `vis_square`, `vquadratic`) on a field's FrobeniusMap
+and reduced coefficient vectors, which the certificates call directly;
+`norm_to_base`, `is_square_mod_prime` and `quadratic_is_irreducible` wrap
+them for ResidueElements.  Non-prime moduli (level p^2 work) support
+arithmetic only.
 
 Elements keep their fully reduced representative.  Products, powers and
 inverses run in `kernel` modulo the monic modulus, as F_{p^m} arithmetic
@@ -26,7 +30,7 @@ from .errors import (
     NotInvertible,
     RingMismatch,
 )
-from .fields import FieldCtx, FqElement, is_square
+from .fields import FieldCtx, FqElement
 from .polys import (
     Poly,
     PrimeIdeal,
@@ -227,42 +231,59 @@ def abelian_span(one, gens, mul, order: int) -> set:
     return seen
 
 
+def vnorm_to_base(frob: kernel.FrobeniusMap, v) -> int:
+    """The norm v v^q ... v^(q^(n-1)) of a reduced v from the field
+    F_q[T]/(frob.mod) down to F_q, encoded (zero for v = 0): kernel.vnorm
+    on the field's map."""
+    if not v:
+        return 0
+    nr = kernel.vnorm(frob, v)
+    if len(nr) > 1:
+        raise InternalInconsistency("norm did not land in the base field")
+    return nr[0]
+
+
+def vis_square(frob: kernel.FrobeniusMap, v) -> bool:
+    """Euler criterion in F_{q^n} = F_q[T]/(frob.mod) by the norm:
+    v^((q^n-1)/2) = N(v)^((q-1)/2), so v is a square iff N(v) is one in
+    F_q (zero counts as a square).  That costs n - 1 twists and about
+    2 log2(n) mulmods, not a powmod."""
+    return frob.ctx.is_square(vnorm_to_base(frob, v))
+
+
+def vquadratic(frob: kernel.FrobeniusMap, r: int, s):
+    """(r^2 - 4s, whether X^2 - rX + s has no root) over the field
+    F_q[T]/(frob.mod), for an encoded r and a reduced s.  Irreducible iff
+    the discriminant is a non-square (q odd); zero, a double root, counts
+    as a square."""
+    ctx = frob.ctx
+    disc = kernel.vsub(ctx, [ctx.mul(r, r)], kernel.vscale(ctx, s, 4))
+    return disc, not vis_square(frob, disc)
+
+
 def norm_to_base(x: ResidueElement) -> FqElement:
-    """Field norm F_{q^n} -> F_q: the product x * x^q * ... * x^(q^(n-1))
-    of the q-power conjugates, by kernel.vnorm on the ring's map."""
+    """Field norm F_{q^n} -> F_q of x, by vnorm_to_base on the ring's map."""
     ring = x.ring
     if not ring.is_prime:
         raise NotAField("norm needs a prime modulus")
-    ctx = ring.ctx
-    if x.is_zero():
-        return FqElement(ctx, 0)
-    nr = kernel.vnorm(ring.frobenius_map(), x.rep.coeffs)
-    if len(nr) > 1:
-        raise InternalInconsistency("norm did not land in the base field")
-    return FqElement(ctx, nr[0])
+    return FqElement(ring.ctx, vnorm_to_base(ring.frobenius_map(),
+                                             x.rep.coeffs))
 
 
 def is_square_mod_prime(x: ResidueElement) -> bool:
-    """Euler criterion in F_{q^n} by the norm: x^((q^n-1)/2) = N(x)^((q-1)/2),
-    so x is a square iff N(x) is one in F_q (zero counts as a square).
-    That costs n - 1 twists and about 2 log2(n) mulmods, not a powmod."""
+    """Whether x is a square in the field A/p (zero counts): vis_square on
+    the ring's map."""
     if not x.ring.is_prime:
         raise NotAField("square test needs a prime modulus")
-    return is_square(norm_to_base(x))
+    return vis_square(x.ring.frobenius_map(), x.rep.coeffs)
 
 
 def quadratic_is_irreducible(r: FqElement, s: ResidueElement) -> bool:
-    """Whether X^2 - r*X + s has no root over the prime residue ring.
-
-    Decided by the discriminant r^2 - 4s: irreducible iff the discriminant
-    is a non-square (q odd); a zero discriminant means a double root.
-    """
+    """Whether X^2 - r*X + s has no root over the prime residue ring:
+    vquadratic on the ring's map."""
     ring = s.ring
     if not ring.is_prime:
         raise NotAField("quadratic test needs a prime modulus")
     if r.ctx != ring.ctx:
         raise RingMismatch("linear coefficient from a different base field")
-    disc = ring.element(r) * ring.element(r) - ring.element(4) * s
-    if disc.is_zero():
-        return False
-    return not is_square_mod_prime(disc)
+    return vquadratic(ring.frobenius_map(), r.val, s.rep.coeffs)[1]

@@ -558,7 +558,7 @@ def test_thm1_search_bounds_checked_before_work(capsys, monkeypatch):
     def no_pool(*args):
         raise AssertionError("pools built before the bound check")
 
-    monkeypatch.setattr(criteria, "polys_below", no_pool)
+    monkeypatch.setattr(kernel, "vectors_below", no_pool)
     base = ["thm1-search", "--q", "5", "--prime", "T^2+3"]
     code, out, err = run(capsys, *base, "--max-deg", "3", "--limit", "-1")
     assert code == 2 and out == "" and "limit" in err

@@ -1,4 +1,6 @@
-"""Seeded fuzzing of the group-lab commands: lemma-a1, pr-level2, det-gen.
+"""Seeded fuzzing of the group-lab commands (lemma-a1, pr-level2, det-gen)
+and of the certificate commands (omega, lambda, thm1-verify, thm2,
+obstruction).
 
 Each flag draws its value from a pool of valid values, the bound, the
 bound + 1, negatives, 10^11, text and malformed polynomials.  Every argv
@@ -13,7 +15,7 @@ import contextlib
 import io
 import random
 
-from drinfeldlab import cli, frobenius, groups
+from drinfeldlab import cli, criteria, frobenius, groups
 from drinfeldlab.cli import main
 
 BIG = 10 ** 11
@@ -40,19 +42,44 @@ POOLS = {
 COMMANDS = ("lemma-a1", "pr-level2", "det-gen")
 CALLS = 500
 
+# primes of degree PRIME_DEG_CAP = 64 over F_5 and F_7 (each reducible
+# over the other field), and a degree-65 polynomial one above the cap
+PRIME_CAP_5, PRIME_CAP_7 = "T^64+T+4", "T^64+2*T+3"
+ABOVE_PRIME_CAP = "T^65+T+4"
+# a polynomial flag never takes a value starting with '-': argparse reads
+# `--g1 -T` as a missing value but `--g1=-T` as -T, so the two paths differ
+POLYS = (("0", "1", "T", "T+4", "2*T^2+3", "T^2+4*T+3", "T^3+T+1",
+          "4*T^4", "T^6+2*T^3+1"), (
+    "T^512", "T^513", "T^^2", "2*", "", "x+1", "T+", "9*T", str(BIG)))
+PRIMES = (("T", "T+2", "T+4", "T^2+2", "T^2+T+1", "T^3+T+1", PRIME_CAP_5,
+           PRIME_CAP_7), (
+    ABOVE_PRIME_CAP, "T^2+T", "4*T+1", "3", "0", "T^512+T+2", "T^513+1",
+    "T^^2", "", "x+1", str(BIG)))
+ELEMENTS = ((0, 1, 2, 3, 4, 6), (5, 7, -1, BIG, "x", "1.5"))
+CERTIFY_POOLS = {
+    **POOLS,
+    # 100,003 is a prime above FIELD_LIST_CAP, refused by omega and thm2
+    "--q": ((5, 5, 7), (
+        11, 13, cli.FIELD_LIST_CAP, 100_003, cli.Q_CAP, cli.Q_CAP + 1, 0,
+        -5, BIG, "five", "5.0")),
+    "--prime": PRIMES, "--l": PRIMES, "--g1": POLYS, "--g2": POLYS,
+    "--c": ELEMENTS, "--c1": ELEMENTS, "--c2": ELEMENTS,
+}
+CERTIFY_COMMANDS = ("omega", "lambda", "thm1-verify", "thm2", "obstruction")
 
-def _argvs(rng):
+
+def _argvs(rng, commands, pools):
     """Seeded (command, [(flag, value), ...]) draws: every flag of the
     command, now and then one left out or --output added."""
     for _ in range(CALLS):
-        command = rng.choice(COMMANDS)
+        command = rng.choice(commands)
         flags = []
         for flag, _opts in cli._options(cli.COMMANDS[command][1]):
             if flag == "--output" and rng.random() < 0.8:
                 continue
             if flag != "--output" and rng.random() < 0.03:
                 continue
-            valid, rest = POOLS[flag]
+            valid, rest = pools[flag]
             pool = valid if rng.random() < 0.75 else rest
             flags.append((flag, str(rng.choice(pool))))
         rng.shuffle(flags)
@@ -70,11 +97,10 @@ def _run(argv):
     return code, out.getvalue()
 
 
-def test_group_lab_commands_fuzzed():
-    assert frobenius.DET_GEN_FIELD_CAP < 5 ** 18
-    rng = random.Random(19)
+def _fuzz(argvs):
+    """Run every draw on both parse paths; the count of each exit code."""
     codes = {0: 0, 1: 0, 2: 0}
-    for command, flags in _argvs(rng):
+    for command, flags in argvs:
         plain = [command] + [tok for flag in flags for tok in flag]
         spelled = [command] + [f"{flag}={value}" for flag, value in flags]
         assert cli._table_args(spelled) is None
@@ -88,5 +114,19 @@ def test_group_lab_commands_fuzzed():
         if code != 2:
             assert _run(plain) == first, plain
         codes[code] += 1
+    return codes
+
+
+def test_group_lab_commands_fuzzed():
+    assert frobenius.DET_GEN_FIELD_CAP < 5 ** 18
+    codes = _fuzz(_argvs(random.Random(19), COMMANDS, POOLS))
     # the pools reach every exit code
+    assert min(codes.values()) > 0, codes
+
+
+def test_certify_commands_fuzzed():
+    assert frobenius.PRIME_DEG_CAP == 64
+    assert criteria.THM2_POWER_DEG_CAP >= 6 * 64
+    codes = _fuzz(_argvs(random.Random(20), CERTIFY_COMMANDS,
+                         CERTIFY_POOLS))
     assert min(codes.values()) > 0, codes

@@ -115,7 +115,7 @@ def test_lambda_scan_rejects_extension_fields_before_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumeration ran")
 
-    monkeypatch.setattr(criteria, "enumerate_monic_irreducibles", refuse)
+    monkeypatch.setattr(criteria, "irreducible_indices", refuse)
     monkeypatch.setattr(criteria, "check_enumeration_cap", refuse)
     for mode in ("affirm", "find_counterexample"):
         with pytest.raises(ContextMismatch, match="prime fields only"):
@@ -289,17 +289,15 @@ def test_theorem1_search_counts():
 
 def test_theorem1_search_draws_a1_lazily(monkeypatch):
     # the a1 pool (5^7 polynomials at max_deg 8) is never built as a whole
-    from drinfeldlab import criteria
-
-    polys_below = criteria.polys_below
+    vectors_below = kernel.vectors_below
     drawn = {}
 
-    def counting(ctx, degree):
-        for poly in polys_below(ctx, degree):
+    def counting(q, degree):
+        for v in vectors_below(q, degree):
             drawn[degree] = drawn.get(degree, 0) + 1
-            yield poly
+            yield v
 
-    monkeypatch.setattr(criteria, "polys_below", counting)
+    monkeypatch.setattr(kernel, "vectors_below", counting)
     certs = theorem1_search(PI("T^2+3"), max_deg=8, limit=1)
     assert len(certs) == 1 and certs[0].verified
     assert drawn[7] < 5 ** 7 // 100
@@ -308,17 +306,15 @@ def test_theorem1_search_draws_a1_lazily(monkeypatch):
 def test_theorem1_search_holds_no_a2_pool(monkeypatch):
     # a2 is drawn afresh for each a1: the 5^6 a2 polynomials at max_deg 8
     # are never listed before the first certificate
-    from drinfeldlab import criteria
-
-    polys_below = criteria.polys_below
+    vectors_below = kernel.vectors_below
     drawn = {}
 
-    def counting(ctx, degree):
-        for poly in polys_below(ctx, degree):
+    def counting(q, degree):
+        for v in vectors_below(q, degree):
             drawn[degree] = drawn.get(degree, 0) + 1
-            yield poly
+            yield v
 
-    monkeypatch.setattr(criteria, "polys_below", counting)
+    monkeypatch.setattr(kernel, "vectors_below", counting)
     certs = theorem1_search(PI("T^2+3"), max_deg=8, limit=1)
     assert len(certs) == 1 and certs[0].verified
     assert drawn[6] < 5 ** 6 // 100

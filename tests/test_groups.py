@@ -151,6 +151,36 @@ def test_nonsplit_cartan_closure_matches_enumeration(q, modulus):
     assert _lemma_generators(tab)["nonsplit_cartan"] == [generator]
 
 
+def _exhaustive_companion(tab):
+    """The first companion [[0, s], [1, r]] of order N^2 - 1, every unit s
+    tried, by powers of the matrix alone."""
+    order = tab.n ** 2 - 1
+    one = tab.ident
+    for r in range(tab.n):
+        for s in sorted(tab.units):
+            m = (0, s, 1, r)
+            if kernel.power(m, order, tab.mat_mul, one) == one and all(
+                    kernel.power(m, order // l, tab.mat_mul, one) != one
+                    for l in kernel.prime_divisors(order)):
+                return m
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 101, 127])
+def test_primitive_companion_matches_exhaustive_search(q, monkeypatch):
+    # only an s whose -s generates F_q^* is tried, and prime_divisors runs
+    # once; the first companion found is the same
+    tab = _tables(ResidueRing(parse_poly(make_field(q), "T")))
+    want = _exhaustive_companion(tab)
+    log = tab.log
+    factored = []
+    prime_divisors = kernel.prime_divisors
+    monkeypatch.setattr(kernel, "prime_divisors",
+                        lambda n: factored.append(n) or prime_divisors(n))
+    assert _primitive_companion(tab) == want
+    assert factored == [q * q - 1]
+    assert math.gcd(log[tab.neg[want[1]]], q - 1) == 1
+
+
 def test_acts_irreducibly_needs_field():
     ring = ResidueRing(parse_poly(F5, "T^2"))
     with pytest.raises(NotAField):

@@ -468,3 +468,27 @@ def test_extension_field_polys():
     assert prod == Poly.from_coeffs(F25, [F25.element(-3), F25.element(0),
                                           F25.element(1)])
     assert is_irreducible(Poly.from_coeffs(F25, [x, F25.element(1)]))
+
+
+def _prime_divisors_every_d(n):
+    """Trial division by every d >= 2, evens included."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def test_prime_divisors_skip_even_trial_divisors():
+    rng = random.Random(48)
+    cases = ([-3, 0, 1, 2, 3, 4, 9, 25, 49, 121, 2 * 499_999_999_979]
+             + [2 ** k for k in range(1, 41)]
+             + [p * p for p in (3, 5, 7, 11, 127, 1009, 65_537, 999_983)]
+             + [rng.randrange(1, 10 ** 9) for _ in range(300)])
+    for n in cases:
+        assert kernel.prime_divisors(n) == _prime_divisors_every_d(n), n
