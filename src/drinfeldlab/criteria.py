@@ -7,10 +7,11 @@ asserts that the stated hypotheses were checked.
 
 The public types (PrimeIdeal, Poly, FqElement, DrinfeldModule) are
 unwrapped once, at the boundary; the criteria compute on coefficient
-tuples: square tests by `residues.vis_square` on the prime's own
-FrobeniusMap, valuations by `kernel.vvaluation`, values and degree-1
-traces by integer Horner.  No residue ring is built, and each text is
-formed once per certificate.
+tuples.  Whether c - T is a square mod p is read off its norm p(c) in
+F_q; the triple's discriminant is tested by `residues.is_square_mod_prime`
+on the prime's own FrobeniusMap.  Valuations run by `kernel.vvaluation`,
+values and degree-1 traces by integer Horner.  No residue ring is built,
+and each text is formed once per certificate.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .drinfeld import DrinfeldModule, carlitz_det_module
 from .errors import (
     ContextMismatch,
     InsufficientPrimes,
-    NotGoodReduction,
     NotInOmegaTilde,
     ParamsOutOfRange,
     WrongDegree,
@@ -41,7 +41,7 @@ from .polys import (
     irreducible_indices,
     parse_poly,
 )
-from .residues import vis_square, vquadratic
+from .residues import vquadratic
 
 # One encoder for every record: json.dumps with non-default separators
 # builds a new encoder per call.
@@ -96,27 +96,22 @@ def _val_entry(v):
     return "inf" if v is POS_INF else int(v)
 
 
-def _frob(p: PrimeIdeal) -> kernel.FrobeniusMap:
-    """The map p's Rabin test built; a trusted p gets a new one."""
-    return p.frob or kernel.FrobeniusMap(p.ctx, p.gen.coeffs)
-
-
 def _valuation(ctx, g, lam):
     return kernel.vvaluation(ctx, g, lam) if g else POS_INF
 
 
-def _nonsquare_at(frob, c: int) -> bool:
-    """Whether c - T is a non-square modulo the prime frob.mod."""
-    ctx = frob.ctx
-    return not vis_square(frob, kernel.vmod(ctx, (c, ctx.neg(1)), frob.mod))
+def _nonsquare_at(ctx, prime, c: int) -> bool:
+    """Whether c - T is a non-square modulo the monic prime `prime`: a
+    non-square in F_{q^n} iff its norm to F_q is one, and that norm,
+    the product of c - T^(q^i), is prime(c)."""
+    return not ctx.is_square(kernel.veval(ctx, prime, c))
 
 
 def in_omega_tilde(p: PrimeIdeal) -> Certificate:
     """Scan c_1 in field order for c_1 - T a non-square mod p."""
-    ctx = p.ctx
-    frob = _frob(p)
-    witness = next((c1 for c1 in range(ctx.q) if _nonsquare_at(frob, c1)),
-                   None)
+    ctx, prime = p.ctx, p.gen.coeffs
+    witness = next((c1 for c1 in range(ctx.q)
+                    if _nonsquare_at(ctx, prime, c1)), None)
     checks = [{
         "check": "exists c1 with c1 - T a non-square mod prime",
         "passed": witness is not None,
@@ -142,8 +137,10 @@ def _triple(l: PrimeIdeal, g1: Poly, c: FqElement):
     f, g = l.gen.coeffs, g1.coeffs
     nu = _valuation(ctx, g, f)
     r1 = kernel.veval(ctx, g, c.val)
+    # the map l's Rabin test built; a trusted l gets a new one
+    frob = l.frob or kernel.FrobeniusMap(ctx, f)
     disc, quad_irred = vquadratic(
-        _frob(l), r1, kernel.vmod(ctx, (ctx.neg(c.val), 1), f))
+        frob, r1, kernel.vmod(ctx, (ctx.neg(c.val), 1), f))
     checks = [
         {"check": "g1 outside the prime l", "passed": nu == 0,
          "valuation": _val_entry(nu)},
@@ -306,7 +303,7 @@ def theorem1_verify(g1: Poly, g2: Poly, p: PrimeIdeal, c1: FqElement,
     and p, and the four valuations of (g1, g2) at lambda_1, lambda_2."""
     ctx = p.ctx
     return _theorem1(ctx, p.gen.coeffs, g1.coeffs, g2.coeffs, c1.val, c2.val,
-                     _nonsquare_at(_frob(p), c1.val),
+                     _nonsquare_at(ctx, p.gen.coeffs, c1.val),
                      coeffs_to_text(ctx, p.gen.coeffs))
 
 
@@ -321,8 +318,8 @@ def theorem1_search(p: PrimeIdeal, max_deg: int, limit: int):
     ctx = p.ctx
     check_samples(limit, "limit")
     check_enumeration_cap(ctx, max_deg)
-    frob, prime = _frob(p), p.gen.coeffs
-    witnesses = [c1 for c1 in range(ctx.q) if _nonsquare_at(frob, c1)]
+    prime = p.gen.coeffs
+    witnesses = [c1 for c1 in range(ctx.q) if _nonsquare_at(ctx, prime, c1)]
     if not witnesses:
         raise NotInOmegaTilde(f"{p!r} admits no non-square witness")
     if limit <= 0:
@@ -426,10 +423,7 @@ def reducibility_obstruction(phi: DrinfeldModule, p: PrimeIdeal,
             raise WrongDegree(f"{lam!r} does not have degree 1")
         if lam.gen == p.gen:
             raise ParamsOutOfRange("supplied primes must differ from p")
-        trace = deg1_trace(phi, ctx.neg(lam.gen.coeffs[0]))
-        if trace is None:
-            raise NotGoodReduction(f"bad reduction at {lam!r}")
-        a = trace[0]
+        a = deg1_trace(phi, ctx.neg(lam.gen.coeffs[0]))[0]
         traces.append((kernel.vmod(ctx, lam.gen.coeffs, f), [a] if a else []))
     lam1, a1 = traces[0]
     lam2, a2 = next((lam, a) for lam, a in traces if lam != lam1)

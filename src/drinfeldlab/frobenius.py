@@ -100,13 +100,14 @@ def _require_rank2(phi: DrinfeldModule):
 def deg1_trace(phi: DrinfeldModule, c: int):
     """(a, u), encoded, with X^2 - aX + u (T - c) the Frobenius charpoly at
     the degree-1 prime T - c: u = -Delta(c)^{-1} and a = u g_1(c), Delta
-    the leading coefficient of phi_T, each value by kernel.veval; None at
-    bad reduction, Delta(c) = 0."""
+    the leading coefficient of phi_T, each value by kernel.veval.  Raises
+    NotGoodReduction at bad reduction, Delta(c) = 0."""
     _require_rank2(phi)
     ctx = phi.ctx
     delta_c = kernel.veval(ctx, phi.g2.coeffs, c)
     if not delta_c:
-        return None
+        lam = Poly(ctx, (ctx.neg(c), 1))
+        raise NotGoodReduction(f"bad reduction at ({lam!r})")
     u = ctx.neg(ctx.inv(delta_c))
     return ctx.mul(u, kernel.veval(ctx, phi.g1.coeffs, c)), u
 
@@ -119,10 +120,7 @@ def frob_deg1(phi: DrinfeldModule, lam: PrimeIdeal) -> FrobCharpoly:
     if lam.degree != 1:
         raise WrongDegree(f"{lam!r} does not have degree 1")
     ctx = phi.ctx
-    trace = deg1_trace(phi, ctx.neg(lam.gen.coeffs[0]))
-    if trace is None:
-        raise NotGoodReduction(f"bad reduction at {lam!r}")
-    a, u = trace
+    a, u = deg1_trace(phi, ctx.neg(lam.gen.coeffs[0]))
     return FrobCharpoly(lam, Poly(ctx, (a,)),
                         Poly(ctx, kernel.vscale(ctx, lam.gen.coeffs, u)))
 

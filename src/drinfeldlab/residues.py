@@ -3,12 +3,13 @@
 When the modulus is irreducible the ring is the field F_{q^n} and carries the
 norm down to F_q, the square test read off that norm (Euler's criterion
 x^((q^n-1)/2) = N(x)^((q-1)/2)), and the quadratic irreducibility test
-that drives the certificate machinery.  Those three are tuple routines
-(`vnorm_to_base`, `vis_square`, `vquadratic`) on a field's FrobeniusMap
-and reduced coefficient vectors, which the certificates call directly;
-`norm_to_base`, `is_square_mod_prime` and `quadratic_is_irreducible` wrap
-them for ResidueElements.  Non-prime moduli (level p^2 work) support
-arithmetic only.
+that drives the certificate machinery.  The norm and the quadratic test
+are tuple routines (`vnorm_to_base`, `vquadratic`) on a field's
+FrobeniusMap and reduced coefficient vectors, which the certificates call
+directly, and `norm_to_base` and `quadratic_is_irreducible` wrap them for
+ResidueElements; `is_square_mod_prime` takes either a ResidueElement or,
+with the map, a reduced vector.  Non-prime moduli (level p^2 work)
+support arithmetic only.
 
 Elements keep their fully reduced representative.  Products, powers and
 inverses run in `kernel` modulo the monic modulus, as F_{p^m} arithmetic
@@ -243,22 +244,15 @@ def vnorm_to_base(frob: kernel.FrobeniusMap, v) -> int:
     return nr[0]
 
 
-def vis_square(frob: kernel.FrobeniusMap, v) -> bool:
-    """Euler criterion in F_{q^n} = F_q[T]/(frob.mod) by the norm:
-    v^((q^n-1)/2) = N(v)^((q-1)/2), so v is a square iff N(v) is one in
-    F_q (zero counts as a square).  That costs n - 1 twists and about
-    2 log2(n) mulmods, not a powmod."""
-    return frob.ctx.is_square(vnorm_to_base(frob, v))
-
-
 def vquadratic(frob: kernel.FrobeniusMap, r: int, s):
     """(r^2 - 4s, whether X^2 - rX + s has no root) over the field
     F_q[T]/(frob.mod), for an encoded r and a reduced s.  Irreducible iff
     the discriminant is a non-square (q odd); zero, a double root, counts
-    as a square."""
+    as a square.  The constant 4 is scaled in as 4 mod p, an element of
+    the prime field."""
     ctx = frob.ctx
-    disc = kernel.vsub(ctx, [ctx.mul(r, r)], kernel.vscale(ctx, s, 4))
-    return disc, not vis_square(frob, disc)
+    disc = kernel.vsub(ctx, [ctx.mul(r, r)], kernel.vscale(ctx, s, 4 % ctx.p))
+    return disc, not is_square_mod_prime(disc, frob)
 
 
 def norm_to_base(x: ResidueElement) -> FqElement:
@@ -270,12 +264,18 @@ def norm_to_base(x: ResidueElement) -> FqElement:
                                              x.rep.coeffs))
 
 
-def is_square_mod_prime(x: ResidueElement) -> bool:
-    """Whether x is a square in the field A/p (zero counts): vis_square on
-    the ring's map."""
-    if not x.ring.is_prime:
-        raise NotAField("square test needs a prime modulus")
-    return vis_square(x.ring.frobenius_map(), x.rep.coeffs)
+def is_square_mod_prime(x, frob: kernel.FrobeniusMap = None) -> bool:
+    """Whether x is a square in the field A/p (zero counts), for x a
+    ResidueElement of a prime residue ring or, given frob, a reduced vector
+    of F_q[T]/(frob.mod).  Euler's criterion by the norm:
+    x^((q^n-1)/2) = N(x)^((q-1)/2), so x is a square iff N(x) is one in
+    F_q.  That costs n - 1 twists and about 2 log2(n) mulmods, not a
+    powmod."""
+    if frob is None:
+        if not x.ring.is_prime:
+            raise NotAField("square test needs a prime modulus")
+        frob, x = x.ring.frobenius_map(), x.rep.coeffs
+    return frob.ctx.is_square(vnorm_to_base(frob, x))
 
 
 def quadratic_is_irreducible(r: FqElement, s: ResidueElement) -> bool:

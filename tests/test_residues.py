@@ -185,6 +185,19 @@ def test_quadratic_vs_brute_roots():
             for s in pool:
                 assert quadratic_is_irreducible(r, s) == (
                     not _brute_quadratic_reducible(r, s))
+    # over F_9 the encoded 4 is 1 + x; the discriminant needs 4 = 1
+    F9 = make_field(3, 2)
+    for gen in ((0, 1), (4, 0, 1), (5, 2, 1)):
+        ring = ResidueRing(Poly(F9, gen))
+        assert ring.is_prime
+        elems = ring.elements()
+        rng = random.Random(9)
+        pool = elems if ring.cardinality <= 9 else [
+            rng.choice(elems) for _ in range(20)]
+        for r in F9.elements():
+            for s in pool:
+                assert quadratic_is_irreducible(r, s) == (
+                    not _brute_quadratic_reducible(r, s))
 
 
 def test_unit_group_cardinality():
