@@ -9,7 +9,6 @@ enumerates and filters.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import kernel
 from .errors import BruteCapExceeded, ParamsOutOfRange
@@ -135,14 +134,6 @@ def count_W(params: CensusParams, mode: str = "formula",
     return count
 
 
-def _s_degree_bounds(params: CensusParams):
-    q = params.ctx.q
-    n1 = params.d1 * params.X
-    # the proof's displayed bound: deg(g2) < d2 X / (q-1)
-    n2_frac = Fraction(params.d2 * params.X, q - 1)
-    return n1, n2_frac
-
-
 def count_S(params: CensusParams, mode: str = "formula",
             all_classes: bool = False,
             g2_deg_bound: int | None = None) -> int:
@@ -157,12 +148,13 @@ def count_S(params: CensusParams, mode: str = "formula",
         raise ParamsOutOfRange("count_S needs congruence data")
     ctx = params.ctx
     q = ctx.q
-    n1, n2_frac = _s_degree_bounds(params)
+    n1 = params.d1 * params.X
+    # the proof's displayed bound: deg(g2) < d2 X / (q-1)
+    n2, rem = divmod(params.d2 * params.X, q - 1)
     if mode == "formula":
-        if n1 < 3 or n2_frac < 3 or n2_frac.denominator != 1:
+        if n1 < 3 or n2 < 3 or rem:
             raise ParamsOutOfRange(
                 "formula mode needs d1 X and d2 X/(q-1) integral and >= 3")
-        n2 = int(n2_frac)
         per_class = q ** (n1 - 2) * q ** (n2 - 3)
         if all_classes:
             return per_class * len(
@@ -172,7 +164,7 @@ def count_S(params: CensusParams, mode: str = "formula",
         raise ValueError(f"unknown mode {mode!r}")
     if g2_deg_bound is None:
         # coefficient slots for deg(g2) strictly below the rational bound
-        n2 = int(n2_frac) if n2_frac.denominator == 1 else int(n2_frac) + 1
+        n2 += 1 if rem else 0
     else:
         if g2_deg_bound < 0:
             raise ParamsOutOfRange("g2_deg_bound must be >= 0")
@@ -199,6 +191,8 @@ def count_S(params: CensusParams, mode: str = "formula",
 
 def density_table(params: CensusParams, xs) -> list:
     """(X, #S(X)/#W(X)) as exact rationals for each X in the sweep."""
+    from fractions import Fraction
+
     out = []
     for x in xs:
         p = params.with_X(x)
@@ -207,8 +201,11 @@ def density_table(params: CensusParams, xs) -> list:
     return out
 
 
-def density_closed_form(params: CensusParams) -> Fraction:
-    """q^-5 * q^(d2 X (1/(q-1) - 1)) / (1 - q^(-d2 X)) as an exact rational."""
+def density_closed_form(params: CensusParams):
+    """q^-5 * q^(d2 X (1/(q-1) - 1)) / (1 - q^(-d2 X)) as an exact rational
+    (a Fraction)."""
+    from fractions import Fraction
+
     q = params.ctx.q
     d2x = params.d2 * params.X
     expo = Fraction(d2x, q - 1) - d2x

@@ -17,12 +17,10 @@ same table, which prints the help and error text.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from fractions import Fraction
 
-from . import census as census_mod
-from . import criteria, frobenius, groups, kernel
-from .drinfeld import DrinfeldModule, newton_polygon
+from . import census, criteria, drinfeld, frobenius, groups, kernel, residues
 from .errors import (
     BruteCapExceeded,
     DrinfeldLabError,
@@ -34,12 +32,13 @@ from .polys import (
     Poly,
     PrimeIdeal,
     check_enumeration_cap,
+    check_prime_degree,
+    check_samples,
     coeffs_to_text,
     irreducible_indices,
     parse_poly,
     poly_to_text,
 )
-from .residues import ResidueRing
 
 EXIT_CLOSED_PIPE = 141
 # The largest q any command takes, checked before make_field, whose
@@ -142,8 +141,8 @@ def _lambda_scan(args):
 
 
 def _module_from_args(ctx, args):
-    return DrinfeldModule(ctx, [parse_poly(ctx, args.g1),
-                                parse_poly(ctx, args.g2)])
+    return drinfeld.DrinfeldModule(ctx, [parse_poly(ctx, args.g1),
+                                         parse_poly(ctx, args.g2)])
 
 
 def _capped_prime(ctx, text, *checks):
@@ -151,7 +150,7 @@ def _capped_prime(ctx, text, *checks):
     PRIME_DEG_CAP, and by any further checks, before the irreducibility
     test."""
     f = parse_poly(ctx, text)
-    frobenius.check_prime_degree(f)
+    check_prime_degree(f)
     for check in checks:
         check(f)
     return PrimeIdeal(f)
@@ -198,7 +197,7 @@ def _thm1_verify(args):
 
 
 def _thm1_search(args):
-    groups.check_samples(args.limit, "limit")
+    check_samples(args.limit, "limit")
     ctx = make_field(args.q)
     certs = criteria.theorem1_search(_capped_prime(ctx, args.prime),
                                      args.max_deg, args.limit)
@@ -224,7 +223,7 @@ def _newton(args):
     ctx = make_field(args.q)
     phi = _module_from_args(ctx, args)
     p = _capped_prime(ctx, args.prime)
-    rep = newton_polygon(phi, p)
+    rep = drinfeld.newton_polygon(phi, p)
     rec = {
         "op": "newton",
         "q": ctx.q,
@@ -270,16 +269,17 @@ def _det_gen(args):
 
 
 def _lemma_a1(args):
-    groups.check_samples(args.samples)
+    check_samples(args.samples)
     ctx = make_field(args.q)
     f = parse_poly(ctx, args.prime)
     groups.check_lemma_field(f)  # before the irreducibility test
-    report = groups.verify_lemma_A1(ResidueRing(f), args.samples, args.seed)
+    report = groups.verify_lemma_A1(residues.ResidueRing(f), args.samples,
+                                    args.seed)
     return (0 if not report["violations"] else 1), [report]
 
 
 def _pr_level2(args):
-    groups.check_samples(args.samples)
+    check_samples(args.samples)
     ctx = make_field(args.q)
     f = parse_poly(ctx, args.prime)
     groups.check_level2_prime(f)  # before the irreducibility test
@@ -289,30 +289,32 @@ def _pr_level2(args):
 
 
 def _density(args):
-    census_mod.check_box_size(args.x)
+    from fractions import Fraction
+
+    census.check_box_size(args.x)
     ctx = make_field(args.q)
-    census_mod.check_weights(ctx.q, args.d1, args.d2, args.x)
+    census.check_weights(ctx.q, args.d1, args.d2, args.x)
     c1 = _element(ctx, 0 if args.c1 is None else args.c1, "--c1")
     c2 = _element(ctx, 1 if args.c2 is None else args.c2, "--c2")
-    b1, b2 = census_mod.default_congruence_class(ctx, c1, c2)
+    b1, b2 = census.default_congruence_class(ctx, c1, c2)
     records = []
     for x in range(1, args.x + 1):
-        params = census_mod.CensusParams(ctx, args.d1, args.d2, x, c1, c2,
-                                         b1, b2)
+        params = census.CensusParams(ctx, args.d1, args.d2, x, c1, c2, b1,
+                                     b2)
         try:
-            s = census_mod.count_S(params, args.mode)
+            s = census.count_S(params, args.mode)
         except (ParamsOutOfRange, BruteCapExceeded):
             continue
         w_mode = args.mode
         if args.mode == "brute":
             try:
-                w = census_mod.count_W(params, "brute")
+                w = census.count_W(params, "brute")
             except BruteCapExceeded:
                 # the W box can dwarf the S box; fall back to the closed form
-                w = census_mod.count_W(params, "formula")
+                w = census.count_W(params, "formula")
                 w_mode = "formula"
         else:
-            w = census_mod.count_W(params, "formula")
+            w = census.count_W(params, "formula")
         ratio = Fraction(s, w)
         records.append({"op": "density", "q": ctx.q, "d1": args.d1,
                         "d2": args.d2, "X": x, "count_S": s, "count_W": w,
@@ -378,9 +380,11 @@ def _options(flags):
 def _table_args(argv):
     """The Namespace argparse returns for a plain call, read off COMMANDS:
     an optional `--output F`, a command, then its flags, each spelled in
-    full and given once, with a value not starting with '-'.  None for any
-    other argv (help, abbreviations, `--flag=value`, a repeated or missing
-    flag, a bad value), which is left to argparse, the reference grammar."""
+    full and given once, with a value not starting with '-' (a polynomial
+    may, as in `--g1 -T`, unless it is `-h` or starts with `--`).  None for
+    any other argv (help, abbreviations, `--flag=value`, a repeated or
+    missing flag, a bad value), which is left to argparse, the reference
+    grammar."""
     output = "jsonl"
     if len(argv) > 1 and argv[0] == "--output" and argv[1] in _FORMATS:
         output, argv = argv[1], argv[2:]
@@ -397,8 +401,9 @@ def _table_args(argv):
         if opts.get("action") == "store_true":
             given[flag] = True
             continue
-        value = next(tokens, "-")
-        if value.startswith("-"):
+        value = next(tokens, "--")
+        if value[:1] == "-" and (flag not in _POLY_FLAGS
+                                 or value[:2] == "--" or value == "-h"):
             return None
         if opts.get("type"):
             try:
@@ -419,9 +424,21 @@ def _table_args(argv):
     return args
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, reading a token that starts with a single '-' and is no
+    option string (`-T`, `-T^2+1`) as a value, so that `--g1 -T` parses as
+    `--g1=-T` does; a flag name there (`--g1 --c 1`) stays a usage error."""
+
+    def _parse_optional(self, arg_string):
+        if (arg_string[:1] == "-" and arg_string[1:2] != "-"
+                and arg_string not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """The top-level parser with every command's subparser."""
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="drinfeldlab",
         description="Exact checks, scans and certificates for rank-2 "
                     "Drinfeld modules over F_q[T].")
@@ -435,8 +452,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# One encoder for every record: json.dumps with non-default separators
+# builds a new encoder per call.
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def _emit(records, output, out):
-    encode = criteria.COMPACT_JSON.encode
+    encode = _COMPACT_JSON.encode
     if output == "jsonl":
         for rec in records:
             out.write(encode(rec) + "\n")

@@ -19,9 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from . import kernel
-from .census import class_vectors
-from .drinfeld import DrinfeldModule, carlitz_det_module
+from . import census, drinfeld, frobenius, kernel, residues
 from .errors import (
     ContextMismatch,
     InsufficientPrimes,
@@ -30,18 +28,16 @@ from .errors import (
     WrongDegree,
 )
 from .fields import FieldCtx, FqElement, make_field
-from .frobenius import deg1_trace
-from .groups import check_samples
 from .polys import (
     POS_INF,
     Poly,
     PrimeIdeal,
     check_enumeration_cap,
+    check_samples,
     coeffs_to_text,
     irreducible_indices,
     parse_poly,
 )
-from .residues import vquadratic
 
 # One encoder for every record: json.dumps with non-default separators
 # builds a new encoder per call.
@@ -139,7 +135,7 @@ def _triple(l: PrimeIdeal, g1: Poly, c: FqElement):
     r1 = kernel.veval(ctx, g, c.val)
     # the map l's Rabin test built; a trusted l gets a new one
     frob = l.frob or kernel.FrobeniusMap(ctx, f)
-    disc, quad_irred = vquadratic(
+    disc, quad_irred = residues.vquadratic(
         frob, r1, kernel.vmod(ctx, (ctx.neg(c.val), 1), f))
     checks = [
         {"check": "g1 outside the prime l", "passed": nu == 0,
@@ -336,7 +332,8 @@ def theorem1_search(p: PrimeIdeal, max_deg: int, limit: int):
                 continue
             m1 = kernel.vmul(ctx, lam1, lam2)
             m2 = kernel.vmul(ctx, m1, lam2)
-            for b1, b2 in itertools.product(*class_vectors(ctx, c1, c2)):
+            for b1, b2 in itertools.product(
+                    *census.class_vectors(ctx, c1, c2)):
                 for a1 in kernel.vectors_below(ctx.q, max_deg - 1):
                     g1 = kernel.vadd(ctx, b1, kernel.vmul(ctx, a1, m1))
                     if len(g1) - 1 > max_deg:
@@ -360,7 +357,7 @@ def theorem2_build(l: PrimeIdeal, g1: Poly, c: FqElement):
     check_theorem2_prime(l.gen)
     ctx = l.ctx
     r1, _, member, checks = _triple(l, g1, c)
-    module = carlitz_det_module(ctx, g1, l.gen)
+    module = drinfeld.carlitz_det_module(ctx, g1, l.gen)
     l_text, g1_text = (coeffs_to_text(ctx, l.gen.coeffs),
                        coeffs_to_text(ctx, g1.coeffs))
     trace_records = []
@@ -370,7 +367,7 @@ def theorem2_build(l: PrimeIdeal, g1: Poly, c: FqElement):
             continue
         lam_text = coeffs_to_text(ctx, lam)
         # Delta(d) = -l(d)^(q-1) is nonzero: d is no root of the prime l
-        a, u = deg1_trace(module, d)
+        a, u = frobenius.deg1_trace(module, d)
         want = kernel.veval(ctx, g1.coeffs, d)
         ok = a == want and u == 1  # a_lambda = g1(d), b = T - d
         # a constant's text is its value
@@ -398,7 +395,7 @@ def theorem2_build(l: PrimeIdeal, g1: Poly, c: FqElement):
     return module, cert
 
 
-def reducibility_obstruction(phi: DrinfeldModule, p: PrimeIdeal,
+def reducibility_obstruction(phi: drinfeld.DrinfeldModule, p: PrimeIdeal,
                              degree1_primes) -> Certificate:
     """Decide whether a unit zeta of A/p meets the trace congruences
     a_lambda = zeta^{-1} lambda + zeta mod p at every supplied degree-1
@@ -423,7 +420,7 @@ def reducibility_obstruction(phi: DrinfeldModule, p: PrimeIdeal,
             raise WrongDegree(f"{lam!r} does not have degree 1")
         if lam.gen == p.gen:
             raise ParamsOutOfRange("supplied primes must differ from p")
-        a = deg1_trace(phi, ctx.neg(lam.gen.coeffs[0]))[0]
+        a = frobenius.deg1_trace(phi, ctx.neg(lam.gen.coeffs[0]))[0]
         traces.append((kernel.vmod(ctx, lam.gen.coeffs, f), [a] if a else []))
     lam1, a1 = traces[0]
     lam2, a2 = next((lam, a) for lam, a in traces if lam != lam1)
@@ -487,8 +484,8 @@ def revalidate(cert) -> bool:
                                   parse_poly(ctx, inputs["g1"]),
                                   ctx.element(inputs["c"]))
     elif kind == "obstruction":
-        phi = DrinfeldModule(ctx, [parse_poly(ctx, inputs["g1"]),
-                                   parse_poly(ctx, inputs["g2"])])
+        phi = drinfeld.DrinfeldModule(ctx, [parse_poly(ctx, inputs["g1"]),
+                                            parse_poly(ctx, inputs["g2"])])
         lams = [PrimeIdeal(parse_poly(ctx, t))
                 for t in inputs["degree1_primes"]]
         fresh = reducibility_obstruction(

@@ -9,9 +9,8 @@ finite-characteristic picture over the residue field.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
-from . import kernel
+from . import kernel, skew
 from .errors import (
     InternalInconsistency,
     NotGoodReduction,
@@ -22,7 +21,6 @@ from .errors import (
 from .fields import FieldCtx
 from .polys import POS_INF, Poly, PrimeIdeal, factor, gcd, valuation
 from .residues import ResidueElement, ResidueRing
-from .skew import PolyCoefficients, ResidueCoefficients, SkewPoly, skew_mul
 
 
 class DrinfeldModule:
@@ -57,9 +55,9 @@ class DrinfeldModule:
             raise WrongRank("g2 exists only in rank 2")
         return self.coeffs[1]
 
-    def phi_T(self) -> SkewPoly:
-        ring = PolyCoefficients(self.ctx)
-        return SkewPoly(ring, (Poly.T(self.ctx),) + self.coeffs)
+    def phi_T(self) -> skew.SkewPoly:
+        ring = skew.PolyCoefficients(self.ctx)
+        return skew.SkewPoly(ring, (Poly.T(self.ctx),) + self.coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, DrinfeldModule) and self.ctx == other.ctx
@@ -92,15 +90,15 @@ def carlitz_det_module(ctx: FieldCtx, g1: Poly, g2: Poly) -> DrinfeldModule:
     return DrinfeldModule(ctx, [g1, Poly(ctx, kernel.vsub(ctx, (), lead))])
 
 
-def _horner(ctx: FieldCtx, phi_t: SkewPoly, a) -> SkewPoly:
+def _horner(ctx: FieldCtx, phi_t: skew.SkewPoly, a) -> skew.SkewPoly:
     """phi_a = sum a_i phi_T^i over the coefficient ring of phi_t, by Horner
     on the coefficients of a (a Poly over ctx, or a constant)."""
     if not isinstance(a, Poly):
         a = Poly.constant(ctx, a)
     ring = phi_t.ring
     if a.is_zero():
-        return SkewPoly.zero(ring)
-    acc = SkewPoly.constant(ring, a.coefficient(len(a.coeffs) - 1))
+        return skew.SkewPoly.zero(ring)
+    acc = skew.SkewPoly.constant(ring, a.coefficient(len(a.coeffs) - 1))
     for i in range(len(a.coeffs) - 2, -1, -1):
         # acc and phi_t both lie in F_q[phi_t], so they commute; multiplying
         # on the left twists acc's coefficients by at most q^2 and multiplies
@@ -109,11 +107,12 @@ def _horner(ctx: FieldCtx, phi_t: SkewPoly, a) -> SkewPoly:
         # those are full size, so every product is full size by full size:
         # frob_general at q = 5, degree 64 took 5.8 s against 0.47 s for the
         # left form (min of 3, 2 vCPUs), now a kernel.HornerMap step (0.1 s)
-        acc = skew_mul(phi_t, acc) + SkewPoly.constant(ring, a.coefficient(i))
+        acc = (skew.skew_mul(phi_t, acc)
+               + skew.SkewPoly.constant(ring, a.coefficient(i)))
     return acc
 
 
-def phi_of(phi: DrinfeldModule, a) -> SkewPoly:
+def phi_of(phi: DrinfeldModule, a) -> skew.SkewPoly:
     """phi_a over A by Horner on the coefficients of a."""
     return _horner(phi.ctx, phi.phi_T(), a)
 
@@ -121,12 +120,11 @@ def phi_of(phi: DrinfeldModule, a) -> SkewPoly:
 class ReducedModule:
     """phi with coefficients reduced into the residue field at a prime."""
 
-    __slots__ = ("ring", "rc", "coeffs", "prime", "_step")
+    __slots__ = ("ring", "coeffs", "prime", "_step")
 
     def __init__(self, phi: DrinfeldModule, prime: PrimeIdeal):
         self.prime = prime
         self.ring = ResidueRing(prime)
-        self.rc = ResidueCoefficients(self.ring)
         self.coeffs = tuple(self.ring.element(g) for g in
                             (Poly.T(phi.ctx),) + phi.coeffs)
         self._step = None
@@ -135,8 +133,13 @@ class ReducedModule:
     def is_good(self) -> bool:
         return not self.coeffs[-1].is_zero()
 
-    def phi_T(self) -> SkewPoly:
-        return SkewPoly(self.rc, self.coeffs)
+    @property
+    def rc(self) -> skew.ResidueCoefficients:
+        """The skew-polynomial coefficient ring A/(prime)."""
+        return skew.ResidueCoefficients(self.ring)
+
+    def phi_T(self) -> skew.SkewPoly:
+        return skew.SkewPoly(self.rc, self.coeffs)
 
     def vectors(self, a) -> list:
         """The tau-coefficients of phi_a over the residue field as kernel
@@ -150,11 +153,11 @@ class ReducedModule:
                 ring.frobenius_map(), [c.rep.coeffs for c in self.coeffs])
         return kernel.vhorner(self._step, a.coeffs)
 
-    def of(self, a) -> SkewPoly:
+    def of(self, a) -> skew.SkewPoly:
         """phi_a over the residue field, by Horner."""
         ring = self.ring
-        return SkewPoly(self.rc, [ResidueElement(ring, Poly(ring.ctx, v))
-                                  for v in self.vectors(a)])
+        return skew.SkewPoly(self.rc, [ResidueElement(ring, Poly(ring.ctx, v))
+                                       for v in self.vectors(a)])
 
     def act(self, a: Poly, x):
         """Evaluate the linearized polynomial phi_a at a residue x."""
@@ -259,6 +262,8 @@ def e_phi(phi: DrinfeldModule, lam: PrimeIdeal, a: Poly) -> int:
     nu = valuation_of_j(phi, lam)
     if nu is POS_INF:
         raise ZeroJInvariant("e_phi needs a nonzero j-invariant")
+    from fractions import Fraction
+
     q = phi.ctx.q
     deg_a = len(a.coeffs) - 1
     return Fraction(nu, (q - 1) * q ** deg_a).denominator
@@ -271,6 +276,8 @@ class NewtonPolygonReport:
     __slots__ = ("prime", "segments", "height")
 
     def __init__(self, prime: PrimeIdeal, segments, height: int):
+        from fractions import Fraction
+
         self.segments = tuple((Fraction(s), int(l)) for s, l in segments)
         self.prime = prime
         self.height = height
@@ -297,6 +304,8 @@ def newton_polygon(phi: DrinfeldModule, p: PrimeIdeal) -> NewtonPolygonReport:
     (i < h deg p), and the leading coefficient is a p-unit.  So the torsion
     has n = q^(h deg p) - 1 roots of valuation 1/n and the rest are units.
     """
+    from fractions import Fraction
+
     q = phi.ctx.q
     height = reduction_height(phi, p)
     n = q ** (height * p.degree) - 1

@@ -21,34 +21,24 @@ from .errors import (
     WrongRank,
 )
 from .fields import FqElement
-from .polys import (
+from .polys import (  # noqa: F401  (PRIME_DEG_CAP, check_prime_degree)
+    PRIME_DEG_CAP,
     Poly,
     PrimeIdeal,
     check_enumeration_cap,
+    check_prime_degree,
     enumerate_monic_irreducibles,
     gcd,
 )
 from .residues import norm_to_base
 
 DEFAULT_BRUTE_CAP = 5 ** 4
-# The largest prime degree the commands omega, lambda, frob, thm1-verify,
-# thm1-search, thm2, newton and obstruction accept, checked before any work:
-# frob_general takes about 0.1 s at degree 64 for q = 5 and 0.25-0.3 s for
-# q = 127 (min of 5, in-process, 2 vCPUs).
-PRIME_DEG_CAP = 64
 # The largest N = q^deg p that det_generation_check (det-gen) admits.  It
 # lists no unit; its cost is factoring N - 1 by trial division (2, then odd
 # divisors only), worst at N - 1 = 2 * (a prime): kernel.prime_divisors
 # takes 0.04-0.05 s on 2 * 499,999,999,979 and 0.10-0.14 s on
 # 2 * 4,999,999,999,937, near N = 10^13 (five runs each, 2 vCPUs).
 DET_GEN_FIELD_CAP = 10 ** 12
-
-
-def check_prime_degree(f: Poly) -> None:
-    """Reject a prime generator of degree above PRIME_DEG_CAP."""
-    if len(f.coeffs) - 1 > PRIME_DEG_CAP:
-        raise ParamsOutOfRange(
-            f"prime degree must be at most {PRIME_DEG_CAP}")
 
 
 def check_det_gen_field(q: int, degree: int) -> int:

@@ -31,20 +31,18 @@ from .errors import (
     NotInvertible,
     ParamsOutOfRange,
 )
-from .polys import Poly, PrimeIdeal, poly_to_text
+from .polys import (  # noqa: F401  (SAMPLE_CAP)
+    SAMPLE_CAP,
+    Poly,
+    PrimeIdeal,
+    check_samples,
+    poly_to_text,
+)
 from .residues import ResidueRing, abelian_span
 
 DEFAULT_CLOSURE_CAP = 400_000
-SAMPLE_CAP = 10_000
 LEMMA_FIELD_CAP = 128
 _TABLE_RING_CAP = 256
-
-
-def check_samples(count: int, what: str = "samples") -> None:
-    """Reject a count of samples (or of what else is held in full, such as
-    certificates) outside 0..SAMPLE_CAP."""
-    if not 0 <= count <= SAMPLE_CAP:
-        raise ParamsOutOfRange(f"{what} must be in 0..{SAMPLE_CAP}")
 
 
 def check_lemma_field(f: Poly) -> None:

@@ -58,6 +58,13 @@ NEG_INF = _Infinity(-1, "NEG_INF")
 POS_INF = _Infinity(1, "POS_INF")
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
+# The largest prime degree the commands omega, lambda, frob, thm1-verify,
+# thm1-search, thm2, newton and obstruction accept, checked before any work:
+# frob_general takes about 0.1 s at degree 64 for q = 5 and 0.25-0.3 s for
+# q = 127 (min of 5, in-process, 2 vCPUs).
+PRIME_DEG_CAP = 64
+# The most samples (or certificates held in full) one call takes.
+SAMPLE_CAP = 10_000
 DEFAULT_FACTOR_DEGREE_CAP = 512
 # parse_poly builds a dense coefficient list, so T^k costs memory linear in k.
 PARSE_DEGREE_CAP = DEFAULT_FACTOR_DEGREE_CAP
@@ -320,6 +327,20 @@ def check_enumeration_cap(ctx: FieldCtx, degree: int,
     if degree > top:
         raise EnumerationCapExceeded(
             f"{ctx.q}^{degree} candidates exceed cap {cap}")
+
+
+def check_prime_degree(f: Poly) -> None:
+    """Reject a prime generator of degree above PRIME_DEG_CAP."""
+    if len(f.coeffs) - 1 > PRIME_DEG_CAP:
+        raise ParamsOutOfRange(
+            f"prime degree must be at most {PRIME_DEG_CAP}")
+
+
+def check_samples(count: int, what: str = "samples") -> None:
+    """Reject a count of samples (or of what else is held in full, such as
+    certificates) outside 0..SAMPLE_CAP."""
+    if not 0 <= count <= SAMPLE_CAP:
+        raise ParamsOutOfRange(f"{what} must be in 0..{SAMPLE_CAP}")
 
 
 def enumerate_monic_irreducibles(ctx: FieldCtx, degree: int,

@@ -331,7 +331,7 @@ def test_lab_bounds_checked_before_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the bound check")
 
-    for target, name in ((kernel, "rabin"), (cli, "ResidueRing"),
+    for target, name in ((kernel, "rabin"), (residues, "ResidueRing"),
                          (cli, "PrimeIdeal"), (groups, "_Tables"),
                          (residues.ResidueRing, "__init__")):
         monkeypatch.setattr(target, name, refuse)
@@ -799,6 +799,45 @@ def test_readme_example_runs(capsys, line):
         assert all(len(row) == len(header) for row in rows)
     else:
         assert records(out)
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_example_runs_as_a_module_silently(line):
+    """`python -m drinfeldlab.cli` prints no warning: runpy warns when the
+    module it runs was put into sys.modules by its package's import."""
+    src = str(Path(drinfeldlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "drinfeldlab.cli", *shlex.split(line)[1:]],
+        capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout
+
+
+@pytest.mark.parametrize("table", (True, False), ids=("table", "argparse"))
+def test_polynomial_value_may_start_with_minus(capsys, monkeypatch, table):
+    """`--g1 -T` reads -T, as `--g1=-T` does, on the table parse and on
+    argparse alike; a flag name where the value belongs stays a usage
+    error."""
+    if not table:
+        monkeypatch.setattr(cli, "_table_args", lambda argv: None)
+    head = ["lambda", "--q", "5", "--l", "T"]
+    plain = head + ["--g1", "-T", "--c", "1"]
+    assert (cli._table_args(plain) is not None) == table
+    code, out, _ = run_parsed(capsys, plain)
+    spelled = head + ["--g1=-T", "--c", "1"]
+    assert (code, out) == run_parsed(capsys, spelled)[:2]
+    assert code == 1 and records(out)[0]["inputs"]["g1"] == "4*T"
+    frob = ["frob", "--q", "5", "--g1", "1", "--g2", "-1", "--prime"]
+    assert run_parsed(capsys, frob + ["T^2+2"])[:2] == run_parsed(
+        capsys, ["frob", "--q", "5", "--g1", "1", "--g2", "4", "--prime",
+                 "T^2+2"])[:2]
+    for argv in (head + ["--g1", "--c", "1"], head + ["--c", "1", "--g1"],
+                 ["omega", "--q", "5", "--prime", "-T+4"]):
+        code, out, err = run_parsed(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err
 
 
 def _mutations(argv, rng):

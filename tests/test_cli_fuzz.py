@@ -46,15 +46,14 @@ CALLS = 500
 # over the other field), and a degree-65 polynomial one above the cap
 PRIME_CAP_5, PRIME_CAP_7 = "T^64+T+4", "T^64+2*T+3"
 ABOVE_PRIME_CAP = "T^65+T+4"
-# a polynomial flag never takes a value starting with '-': argparse reads
-# `--g1 -T` as a missing value but `--g1=-T` as -T, so the two paths differ
+# a polynomial may start with '-': `--g1 -T` and `--g1=-T` both read -T
 POLYS = (("0", "1", "T", "T+4", "2*T^2+3", "T^2+4*T+3", "T^3+T+1",
-          "4*T^4", "T^6+2*T^3+1"), (
+          "4*T^4", "T^6+2*T^3+1", "-T", "-1"), (
     "T^512", "T^513", "T^^2", "2*", "", "x+1", "T+", "9*T", str(BIG)))
 PRIMES = (("T", "T+2", "T+4", "T^2+2", "T^2+T+1", "T^3+T+1", PRIME_CAP_5,
            PRIME_CAP_7), (
     ABOVE_PRIME_CAP, "T^2+T", "4*T+1", "3", "0", "T^512+T+2", "T^513+1",
-    "T^^2", "", "x+1", str(BIG)))
+    "T^^2", "", "x+1", str(BIG), "-T+4", "-"))
 ELEMENTS = ((0, 1, 2, 3, 4, 6), (5, 7, -1, BIG, "x", "1.5"))
 CERTIFY_POOLS = {
     **POOLS,
