@@ -2,7 +2,7 @@
 README command, as the min and median of k runs, written to one JSON file.
 
     python3 bench/layers.py --runs 15 --out BENCH_<n>.json
-    python3 bench/layers.py --src ../other/src --match omega --out other.json
+    python3 bench/layers.py --src ../other/src --out other.json
 
 Every run is a fresh interpreter with PYTHONPATH set to --src (this
 checkout's src by default) and the rest of the environment inherited, so
@@ -20,7 +20,6 @@ import hashlib
 import json
 import os
 import platform
-import re
 import shlex
 import statistics
 import subprocess
@@ -43,15 +42,13 @@ def readme_commands(readme=ROOT / "README.md"):
     return lines
 
 
-def cases(pattern=None):
-    """{case name: argv}: the import, then each README command; only the
-    names pattern (a regex) finds, if given."""
+def cases():
+    """{case name: argv}: the import, then each README command."""
     out = {IMPORT_CASE: [sys.executable, "-c", IMPORT_CASE]}
     for line in readme_commands():
         out[line] = [sys.executable, "-m", "drinfeldlab.cli",
                      *shlex.split(line)[1:]]
-    return {name: argv for name, argv in out.items()
-            if pattern is None or re.search(pattern, name)}
+    return out
 
 
 def _run(argv, env):
@@ -79,11 +76,11 @@ def _revision(src):
     return head.stdout.strip() + ("+dirty" if dirty else "")
 
 
-def measure(src, runs, pattern=None):
+def measure(src, runs):
     """The report: environment and, per case, unit, min, median, k and the
     stdout digest."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    todo = cases(pattern)
+    todo = cases()
     times = {name: [] for name in todo}
     digests = {name: set() for name in todo}
     for _ in range(runs):
@@ -111,12 +108,10 @@ def main(argv=None):
     ap.add_argument("--runs", type=int, default=15, help="k, runs per case")
     ap.add_argument("--out", required=True)
     ap.add_argument("--src", default=str(ROOT / "src"))
-    ap.add_argument("--match", default=None,
-                    help="time only the cases whose name this regex finds")
     args = ap.parse_args(argv)
     if args.runs < 1:
         ap.error("--runs must be at least 1")
-    report = measure(Path(args.src).resolve(), args.runs, args.match)
+    report = measure(Path(args.src).resolve(), args.runs)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")

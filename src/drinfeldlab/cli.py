@@ -17,7 +17,6 @@ same table, which prints the help and error text.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import census, criteria, drinfeld, frobenius, groups, kernel, residues
@@ -29,6 +28,7 @@ from .errors import (
 )
 from .fields import enumerate_elements, is_square, make_field
 from .polys import (
+    COMPACT_JSON,
     Poly,
     PrimeIdeal,
     check_enumeration_cap,
@@ -380,11 +380,9 @@ def _options(flags):
 def _table_args(argv):
     """The Namespace argparse returns for a plain call, read off COMMANDS:
     an optional `--output F`, a command, then its flags, each spelled in
-    full and given once, with a value not starting with '-' (a polynomial
-    may, as in `--g1 -T`, unless it is `-h` or starts with `--`).  None for
-    any other argv (help, abbreviations, `--flag=value`, a repeated or
-    missing flag, a bad value), which is left to argparse, the reference
-    grammar."""
+    full and given once, with a value not starting with '-'.  None for any
+    other argv (help, abbreviations, `--flag=value`, a repeated or missing
+    flag, a bad value), which is left to argparse, the reference grammar."""
     output = "jsonl"
     if len(argv) > 1 and argv[0] == "--output" and argv[1] in _FORMATS:
         output, argv = argv[1], argv[2:]
@@ -402,8 +400,7 @@ def _table_args(argv):
             given[flag] = True
             continue
         value = next(tokens, "--")
-        if value[:1] == "-" and (flag not in _POLY_FLAGS
-                                 or value[:2] == "--" or value == "-h"):
+        if value[:1] == "-":
             return None
         if opts.get("type"):
             try:
@@ -424,21 +421,28 @@ def _table_args(argv):
     return args
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse, reading a token that starts with a single '-' and is no
-    option string (`-T`, `-T^2+1`) as a value, so that `--g1 -T` parses as
-    `--g1=-T` does; a flag name there (`--g1 --c 1`) stays a usage error."""
-
-    def _parse_optional(self, arg_string):
-        if (arg_string[:1] == "-" and arg_string[1:2] != "-"
-                and arg_string not in self._option_string_actions):
-            return None
-        return super()._parse_optional(arg_string)
+def _join_dash_values(argv):
+    """argv with each polynomial flag and a value after it that starts with
+    a single '-' (`--g1 -T`) joined into one token (`--g1=-T`), which
+    argparse reads as the value; `-h` and a flag name there (`--g1 --c 1`)
+    are left for argparse, as help and a usage error."""
+    out, i = [], 0
+    while i < len(argv):
+        tok = argv[i]
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if (tok in _POLY_FLAGS and value[:1] == "-" and value[:2] != "--"
+                and value != "-h"):
+            out.append(f"{tok}={value}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
     """The top-level parser with every command's subparser."""
-    top = _Parser(
+    top = argparse.ArgumentParser(
         prog="drinfeldlab",
         description="Exact checks, scans and certificates for rank-2 "
                     "Drinfeld modules over F_q[T].")
@@ -452,13 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-# One encoder for every record: json.dumps with non-default separators
-# builds a new encoder per call.
-_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
-
-
 def _emit(records, output, out):
-    encode = _COMPACT_JSON.encode
+    encode = COMPACT_JSON.encode
     if output == "jsonl":
         for rec in records:
             out.write(encode(rec) + "\n")
@@ -492,7 +491,7 @@ def _emit(records, output, out):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
     args = _table_args(argv) or _build_parser().parse_args(argv)
     try:
         _check_q(args.command, args.q)

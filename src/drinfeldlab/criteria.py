@@ -17,7 +17,6 @@ and each text is formed once per certificate.
 from __future__ import annotations
 
 import itertools
-import json
 
 from . import census, drinfeld, frobenius, kernel, residues
 from .errors import (
@@ -29,6 +28,7 @@ from .errors import (
 )
 from .fields import FieldCtx, FqElement, make_field
 from .polys import (
+    COMPACT_JSON,
     POS_INF,
     Poly,
     PrimeIdeal,
@@ -38,10 +38,6 @@ from .polys import (
     irreducible_indices,
     parse_poly,
 )
-
-# One encoder for every record: json.dumps with non-default separators
-# builds a new encoder per call.
-COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 # theorem2_build expands l^(q-1) densely, at a cost quadratic in (q-1) deg l:
 # `thm2` takes 0.7 s at q = 1009, deg l = 4 and 0.6 s at q = 257, deg l = 16,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import operator
 import random
@@ -600,6 +601,11 @@ def coeffs_to_text(ctx: FieldCtx, coeffs) -> str:
         else:
             parts.append(f"T^{i}" if c == 1 else f"{c}*T^{i}")
     return "+".join(parts)
+
+
+# One encoder for every record a certificate or a command prints:
+# json.dumps with non-default separators builds a new encoder per call.
+COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 def poly_to_text(f: Poly) -> str:

@@ -1,32 +1,33 @@
-"""Smoke test of bench/layers.py at toy size: two cases, two runs each."""
+"""Smoke test of bench/layers.py at toy size: every case, one run each."""
 
 import json
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+import layers  # noqa: E402
 
 
 def test_layers_writes_the_bench_schema(tmp_path):
     out = tmp_path / "bench.json"
-    start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "layers.py"), "--runs", "2",
-         "--match", "^import|omega", "--out", str(out)],
+        [sys.executable, str(ROOT / "bench" / "layers.py"), "--runs", "1",
+         "--out", str(out)],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert time.perf_counter() - start < 3
     report = json.loads(out.read_text())
     assert set(report) == {"python", "nproc", "git_revision",
                            "PYTHONDONTWRITEBYTECODE", "cases"}
     assert report["python"] == ".".join(map(str, sys.version_info[:3]))
     assert report["nproc"] >= 1
-    assert list(report["cases"]) == [
-        "import drinfeldlab.cli", 'drinfeldlab omega --q 5 --prime "T+4"']
+    readme = layers.readme_commands()
+    assert 'drinfeldlab omega --q 5 --prime "T+4"' in readme
+    assert list(report["cases"]) == ["import drinfeldlab.cli", *readme]
     for case in report["cases"].values():
         assert set(case) == {"unit", "min", "median", "k", "stdout_sha256"}
-        assert case["unit"] == "s" and case["k"] == 2
-        assert 0 < case["min"] <= case["median"]
+        assert case["unit"] == "s" and case["k"] == 1
+        assert 0 < case["min"] == case["median"]
         assert len(case["stdout_sha256"]) == 64
