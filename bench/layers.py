@@ -1,25 +1,35 @@
-"""Subprocess timings of drinfeldlab: `import drinfeldlab.cli` and each
-README command, as the min and median of k runs, written to one JSON file.
+"""Timings of drinfeldlab as the min and median of k runs, one JSON file
+per source tree: `import drinfeldlab.cli` and each README command as
+subprocesses, and in-process layer cases (building a `kernel.FrobeniusMap`,
+one `kernel.vfrobenius`, one `kernel.vhorner`) at fixed sizes.
 
     python3 bench/layers.py --runs 15 --out BENCH_<n>.json
-    python3 bench/layers.py --src ../other/src --out other.json
+    python3 bench/layers.py --src ../parent/src --out parent.json \
+        --src src --out BENCH_<n>.json
 
-Every run is a fresh interpreter with PYTHONPATH set to --src (this
+Every run is a fresh interpreter with PYTHONPATH set to one --src (this
 checkout's src by default) and the rest of the environment inherited, so
 PYTHONDONTWRITEBYTECODE, recorded in the file, decides whether the package's
-bytecode is cached between runs.  The k rounds run every case once each, in
-turn.  A README command that exits non-zero is an error.  Each case also
-records the sha256 of its stdout, which must repeat on every run, so two
-files can show that two checkouts print the same bytes.
+bytecode is cached between runs.  Each of the k rounds runs every case on
+every tree in turn, the trees in the order given in even rounds and
+reversed in odd ones, so a burst of load lands on both sides of a
+comparison.  A layer case times the calls in its own child and reports
+seconds per call, over as many calls as take LAYER_FLOOR_S.  A README
+command that exits non-zero is an error.  Each case also records the
+sha256 of its stdout (a layer case prints its result as JSON), which must
+repeat on every run, so two files can show that two trees print and
+compute the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import platform
+import random
 import shlex
 import statistics
 import subprocess
@@ -29,6 +39,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 IMPORT_CASE = "import drinfeldlab.cli"
+LAYER_FLOOR_S = 0.02
+# (p, m, deg f) of each layer case: q = 5 and 127 at degrees 16 and 64,
+# and F_25 at degree 16
+LAYERS = {f"{op} q={p ** m} deg={d}": (op, p, m, d)
+          for p, m, d in ((5, 1, 16), (5, 1, 64), (127, 1, 16),
+                          (127, 1, 64), (5, 2, 16))
+          for op in ("FrobeniusMap", "vfrobenius", "vhorner")}
 
 
 def readme_commands(readme=ROOT / "README.md"):
@@ -43,16 +60,68 @@ def readme_commands(readme=ROOT / "README.md"):
 
 
 def cases():
-    """{case name: argv}: the import, then each README command."""
-    out = {IMPORT_CASE: [sys.executable, "-c", IMPORT_CASE]}
+    """{case name: (argv, whether the child times itself)}: the import,
+    each README command, then each layer case."""
+    out = {IMPORT_CASE: ([sys.executable, "-c", IMPORT_CASE], False)}
     for line in readme_commands():
-        out[line] = [sys.executable, "-m", "drinfeldlab.cli",
-                     *shlex.split(line)[1:]]
+        out[line] = ([sys.executable, "-m", "drinfeldlab.cli",
+                      *shlex.split(line)[1:]], False)
+    bench = str(Path(__file__).resolve().parent)
+    for name in LAYERS:
+        out[name] = ([sys.executable, "-c",
+                      f"import sys; sys.path.insert(0, {bench!r}); "
+                      f"import layers; layers.layer_child({name!r})"], True)
     return out
 
 
-def _run(argv, env):
-    """(seconds, stdout sha256) of one run."""
+def _per_call(fn):
+    """(seconds per call, the last call's value) of fn over 1, 2, 4, ...
+    calls, the first count that takes LAYER_FLOOR_S."""
+    reps = 1
+    while True:
+        start = time.perf_counter()
+        for _ in range(reps):
+            value = fn()
+        seconds = time.perf_counter() - start
+        if seconds >= LAYER_FLOOR_S:
+            return seconds / reps, value
+        reps *= 2
+
+
+def layer_child(name):
+    """Print the seconds per call of one layer case on its first line and
+    its result as JSON after it: a twist of x for the map, the vectors for
+    the others.  Inputs are seeded by the case's field and degree."""
+    from drinfeldlab import kernel
+    from drinfeldlab.fields import make_field
+
+    op, p, m, d = LAYERS[name]
+    ctx = make_field(p, m)
+    q = ctx.q
+    rng = random.Random(1000 * q + d)
+    mod = [rng.randrange(q) for _ in range(d)] + [1]
+    x = [rng.randrange(q) for _ in range(d - 1)] + [rng.randrange(1, q)]
+    if op == "FrobeniusMap":
+        call = functools.partial(kernel.FrobeniusMap, ctx, mod)
+    elif op == "vfrobenius":
+        call = functools.partial(kernel.vfrobenius,
+                                 kernel.FrobeniusMap(ctx, mod), x)
+    else:
+        # phi_T = T + g tau + D tau^2, g of degree 2 and D of degree 1,
+        # and a of degree d: the Horner of frob_general's phi_b
+        phi_t = [[0, 1], [rng.randrange(q) for _ in range(2)] + [1],
+                 [rng.randrange(q), rng.randrange(1, q)]]
+        step = kernel.HornerMap(kernel.FrobeniusMap(ctx, mod), phi_t)
+        call = functools.partial(kernel.vhorner, step, x + [1])
+    seconds, out = _per_call(call)
+    print(seconds)
+    print(json.dumps(kernel.vfrobenius(out, x) if op == "FrobeniusMap"
+                     else out))
+
+
+def _run(argv, env, timed_inside):
+    """(seconds, stdout sha256) of one run; a child that times itself
+    prints its seconds on the first line, outside the digest."""
     start = time.perf_counter()
     proc = subprocess.run(argv, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE)
@@ -60,7 +129,11 @@ def _run(argv, env):
     if proc.returncode != 0:
         raise RuntimeError(f"{argv} exited with {proc.returncode}: "
                            f"{proc.stderr.decode()[-500:]}")
-    return seconds, hashlib.sha256(proc.stdout).hexdigest()
+    out = proc.stdout
+    if timed_inside:
+        first, out = out.split(b"\n", 1)
+        seconds = float(first)
+    return seconds, hashlib.sha256(out).hexdigest()
 
 
 def _revision(src):
@@ -76,48 +149,63 @@ def _revision(src):
     return head.stdout.strip() + ("+dirty" if dirty else "")
 
 
-def measure(src, runs):
-    """The report: environment and, per case, unit, min, median, k and the
-    stdout digest."""
-    env = dict(os.environ, PYTHONPATH=str(src))
+def measure(srcs, runs):
+    """One report per tree in srcs: environment and, per case, unit, min,
+    median, k and the stdout digest.  Round r runs each case on the trees
+    in order, reversed when r is odd."""
+    envs = [dict(os.environ, PYTHONPATH=str(src)) for src in srcs]
     todo = cases()
-    times = {name: [] for name in todo}
-    digests = {name: set() for name in todo}
-    for _ in range(runs):
-        for name, argv in todo.items():
-            seconds, digest = _run(argv, env)
-            times[name].append(seconds)
-            digests[name].add(digest)
-    for name, seen in digests.items():
-        if len(seen) != 1:
-            raise RuntimeError(f"{name}: stdout differs between runs")
-    return {
-        "python": platform.python_version(),
-        "nproc": os.cpu_count(),
-        "git_revision": _revision(src),
-        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        "cases": {name: {"unit": "s", "min": min(ts),
-                         "median": statistics.median(ts), "k": len(ts),
-                         "stdout_sha256": digests[name].pop()}
-                  for name, ts in times.items()},
-    }
+    times = [{name: [] for name in todo} for _ in srcs]
+    digests = [{name: set() for name in todo} for _ in srcs]
+    for r in range(runs):
+        order = range(len(srcs))
+        for name, (argv, timed_inside) in todo.items():
+            for i in (reversed(order) if r % 2 else order):
+                seconds, digest = _run(argv, envs[i], timed_inside)
+                times[i][name].append(seconds)
+                digests[i][name].add(digest)
+    reports = []
+    for src, tree_times, tree_digests in zip(srcs, times, digests):
+        for name, seen in tree_digests.items():
+            if len(seen) != 1:
+                raise RuntimeError(f"{name}: stdout differs between runs")
+        reports.append({
+            "python": platform.python_version(),
+            "nproc": os.cpu_count(),
+            "git_revision": _revision(src),
+            "PYTHONDONTWRITEBYTECODE":
+                os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "cases": {name: {"unit": "s", "min": min(ts),
+                             "median": statistics.median(ts), "k": len(ts),
+                             "stdout_sha256": tree_digests[name].pop()}
+                      for name, ts in tree_times.items()},
+        })
+    return reports
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--runs", type=int, default=15, help="k, runs per case")
-    ap.add_argument("--out", required=True)
-    ap.add_argument("--src", default=str(ROOT / "src"))
+    ap.add_argument("--out", action="append", required=True,
+                    help="the report of the --src in the same place")
+    ap.add_argument("--src", action="append",
+                    help=f"a source tree (default {ROOT / 'src'})")
     args = ap.parse_args(argv)
+    srcs = args.src or [str(ROOT / "src")]
     if args.runs < 1:
         ap.error("--runs must be at least 1")
-    report = measure(Path(args.src).resolve(), args.runs)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
-    for name, case in report["cases"].items():
-        print(f"{case['min'] * 1e3:8.1f} {case['median'] * 1e3:8.1f} ms  "
-              f"{name}")
+    if len(args.out) != len(srcs):
+        ap.error("give one --out per --src")
+    reports = measure([Path(src).resolve() for src in srcs], args.runs)
+    for out, report in zip(args.out, reports):
+        with open(out, "w") as fh:
+            json.dump(report, fh, indent=1)
+            fh.write("\n")
+    print("min / median ms, by --out: " + ", ".join(args.out))
+    for name in reports[0]["cases"]:
+        print("  ".join(f"{r['cases'][name]['min'] * 1e3:8.3f} "
+                        f"{r['cases'][name]['median'] * 1e3:8.3f}"
+                        for r in reports) + f"  {name}")
     return 0
 
 

@@ -104,9 +104,7 @@ def _horner(ctx: FieldCtx, phi_t: skew.SkewPoly, a) -> skew.SkewPoly:
         # on the left twists acc's coefficients by at most q^2 and multiplies
         # them only by phi_t's short coefficients.  acc * phi_t needs only a
         # table of phi_t's coefficients twisted by q^i, but over A/(lambda)
-        # those are full size, so every product is full size by full size:
-        # frob_general at q = 5, degree 64 took 5.8 s against 0.47 s for the
-        # left form (min of 3, 2 vCPUs), now a kernel.HornerMap step (0.1 s)
+        # those are full size, so every product is full size by full size
         acc = (skew.skew_mul(phi_t, acc)
                + skew.SkewPoly.constant(ring, a.coefficient(i)))
     return acc

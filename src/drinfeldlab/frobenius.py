@@ -30,7 +30,7 @@ from .polys import (  # noqa: F401  (PRIME_DEG_CAP, check_prime_degree)
     enumerate_monic_irreducibles,
     gcd,
 )
-from .residues import norm_to_base
+from .residues import generates_units, norm_to_base
 
 DEFAULT_BRUTE_CAP = 5 ** 4
 # The largest N = q^deg p that det_generation_check (det-gen) admits.  It
@@ -232,41 +232,16 @@ def det_generation_check(p: PrimeIdeal, level: int, max_deg: int) -> bool:
     """Whether the primes of degree <= max_deg away from p generate the whole
     unit group of A/p^level (the finite shadow of determinant surjectivity).
 
-    Decided by the structure of the group; no unit is listed.  With
-    N = q^deg p, (A/p^level)^* = C_(N-1) x (1 + pA/p^level), of coprime
-    orders, the second factor trivial at level 1 and (A/p, +) at level 2,
-    by 1 + py -> y.  So the primes generate it iff, for each prime r
-    dividing N - 1, some lam^((N-1)/r) is not 1 mod p, and, at level 2,
-    the F_p-digit vectors of the y = (lam^(N-1) - 1)/p mod p reach rank
-    m deg p, q = p^m, as raising to N - 1 is onto the second factor.  Each
-    condition draws primes degree by degree until it holds.  N is bounded
-    (check_det_gen_field) first, as N - 1 is factored by trial division.
+    Decided by residues.generates_units, by the structure of the group,
+    on the primes degree by degree; no unit is listed.  N = q^deg p is
+    bounded (check_det_gen_field) first, as N - 1 is factored by trial
+    division.
     """
     if level not in (1, 2):
         raise ParamsOutOfRange(f"level {level} unsupported (use 1 or 2)")
     ctx = p.ctx
-    order = check_det_gen_field(ctx.q, p.degree) - 1
+    check_det_gen_field(ctx.q, p.degree)
     check_enumeration_cap(ctx, max_deg)
-    modp, mod = p.gen.coeffs, (p.gen ** level).coeffs
-
-    def primes():
-        return (lam.gen.coeffs for d in range(1, max_deg + 1)
-                for lam in enumerate_monic_irreducibles(ctx, d) if lam != p)
-
-    missing = set(kernel.prime_divisors(order))
-    for g in primes():
-        missing -= {r for r in missing
-                    if kernel.vpowmod(ctx, g, order // r, modp) != [1]}
-        if not missing:
-            break
-    rank = (level - 1) * ctx.m * p.degree
-    if missing or not rank:
-        return not missing
-
-    def digits(g):
-        # the F_p digits of y = (lam^(N-1) - 1)/p mod p
-        y = kernel.vsub(ctx, kernel.vpowmod(ctx, g, order, mod), [1])
-        return sum(map(ctx.decode, kernel.vdivmod(ctx, y, modp)[0]), ())
-
-    rows = kernel.vechelon(kernel.Zp(ctx.p), map(digits, primes()), rank)
-    return len(rows) == rank
+    return generates_units(ctx, p.gen.coeffs, level, lambda: (
+        lam.gen.coeffs for d in range(1, max_deg + 1)
+        for lam in enumerate_monic_irreducibles(ctx, d) if lam != p))

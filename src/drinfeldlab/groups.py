@@ -38,7 +38,7 @@ from .polys import (  # noqa: F401  (SAMPLE_CAP)
     check_samples,
     poly_to_text,
 )
-from .residues import ResidueRing, abelian_span
+from .residues import ResidueRing, generates_units
 
 DEFAULT_CLOSURE_CAP = 400_000
 LEMMA_FIELD_CAP = 128
@@ -530,12 +530,12 @@ class _Level2:
     |Hbar| is the product of the three orbit lengths, the last level's
     Schreier generators generate H n K, and their pi-digit matrices span
     it over F_p: |H| = |Hbar| p^rank.  det(H) is generated by the
-    determinants of the generators.
+    determinants of the generators, tested by residues.generates_units.
     """
 
     def __init__(self, p: PrimeIdeal):
         ctx = p.ctx
-        self.char, self.m, self.unit_count = ctx.p, ctx.m, ctx.q ** 2 - ctx.q
+        self.char, self.m = ctx.p, ctx.m
         self.ring2, self.ring1 = ResidueRing(p.gen ** 2), ResidueRing(p)
         self.tab, self.tab1 = _tables(self.ring2), _tables(self.ring1)
         # x = pi_digit * p + low: low is the mod-p projection, and the
@@ -573,11 +573,11 @@ class _Level2:
         # padded back to 4m digits, or a scalar row ending in zeros would
         # fail the scalar test
         basis = [row + [0] * (4 * m - len(row)) for row in rows.values()]
-        dets = abelian_span(1, [tab.mat_det(g) for g in gens],
-                            lambda x, y: tab.mul[x][y], self.unit_count)
+        det_full = generates_units(
+            self.ring1.ctx, self.ring1.modulus.coeffs, 2,
+            lambda: (tab.vecs[tab.mat_det(g)] for g in gens))
         modp_order = top * middle * len(trans)
-        return (modp_order * self.char ** len(basis),
-                len(dets) == self.unit_count, modp_order,
+        return (modp_order * self.char ** len(basis), det_full, modp_order,
                 any(any(v[m:3 * m]) or v[:m] != v[3 * m:] for v in basis))
 
 

@@ -16,14 +16,16 @@ and the F_p-rank of the level-2 group lab both run on it.
 
 The q-power Frobenius x -> x^q of A/(f) is F_q-linear, as c^q = c on F_q.
 `FrobeniusMap` builds its matrix once (the rows T^(q*i) mod f of
-Berlekamp's algorithm: one powmod for T^q, then one mulmod a row), packed
-into one int per row over a prime field, and `vfrobenius` applies it.  So
-every twist in A/(f), of skew products and of the conjugates of a norm
-(`vnorm`), costs one matrix-vector product and no powmod.  The Rabin test
-runs on the same map, T^(q^i) mod f being i twists of T, so a prime keeps
-the map its test built for every later twist, norm and square test.  The
-Horner step of `vhorner` (phi_a over A/(f)) is F_p-linear too, and
-`HornerMap` packs it the same way, once per Drinfeld module.
+Berlekamp's algorithm: one powmod for T^q, then one mulmod a row) as one
+packed F_p-linear map on the F_p-digits of x, for every q, and
+`vfrobenius` applies it by one packed sum.  So every twist in A/(f), of
+skew products and of the conjugates of a norm (`vnorm`), costs one
+matrix-vector product and no powmod.  The Rabin test runs on the same
+map, T^(q^i) mod f being i twists of T, so a prime keeps the map its test
+built for every later twist, norm and square test.  The Horner step of
+`vhorner` (phi_a over A/(f)) is F_p-linear too, and `HornerMap` packs it
+on the same digits, once per Drinfeld module.  `fp_digits`,
+`from_fp_digits` and `_unpack_mod` read and write that digit layout.
 
 The prime-field loops read only ctx.p, ctx.q and ctx.m, so the kernel also
 runs over the bare `Zp` context.
@@ -212,25 +214,6 @@ def frobenius_rows(ctx, mod):
     return rows
 
 
-def vlincomb(ctx, v, rows):
-    """sum v[i] * rows[i]: the image of the coordinate vector v under the
-    linear map with the given rows.  Over a prime field the sum is
-    accumulated over Z and reduced mod p once, as in `_product`."""
-    if ctx.m != 1:
-        out = []
-        for c, row in zip(v, rows):
-            if c:
-                out = vadd(ctx, out, vscale(ctx, row, c))
-        return out
-    out = [0] * max(map(len, rows), default=0)
-    for c, row in zip(v, rows):
-        if c:
-            for j, r in enumerate(row):
-                out[j] += c * r
-    p = ctx.p
-    return _trim([c % p for c in out])
-
-
 # memoryview.cast formats by their native width in bytes; the packed ints
 # are little-endian, so the casts are taken only on such hosts
 _SLOT_FORMATS = ({struct.calcsize(f): f for f in "HIQ"}
@@ -251,53 +234,69 @@ def _pack(words, slot):
                                    for w in words), "little")
 
 
-def _unpack(value, count, slot):
-    """The first `count` `slot`-byte words of a packed int: one to_bytes and
-    a cast, or a slice per word where the host has no such format."""
+def _unpack_mod(value, count, slot, p):
+    """The first `count` `slot`-byte words of a packed int, each mod p: one
+    to_bytes and a cast, or a slice per word where the host has no such
+    format."""
     buf = value.to_bytes(count * slot, "little")
     fmt = _SLOT_FORMATS.get(slot)
     if fmt:
-        return memoryview(buf).cast(fmt)
-    return [int.from_bytes(buf[i:i + slot], "little")
+        return [w % p for w in memoryview(buf).cast(fmt)]
+    return [int.from_bytes(buf[i:i + slot], "little") % p
             for i in range(0, count * slot, slot)]
 
 
-class FrobeniusMap:
-    """x -> x^q on F_q[T]/(mod) for a monic `mod`, built once per ring.
+def fp_digits(ctx, v):
+    """The F_p-digits of v over F_q, q = p^m: m per coefficient, constant
+    digit first, so digit i m + t is the coordinate of x^t T^i, x^t the
+    field element encoded p^t.  v itself over a prime field."""
+    if ctx.m == 1:
+        return v
+    decode = ctx.decode
+    return [e for c in v for e in decode(c)]
 
-    Over F_{p^m} `rows` are the dense rows of `frobenius_rows` (`packed`
-    is None).  Over a prime field `packed` holds each of those rows as one
-    int whose j-th `slot`-byte word is the row's j-th coefficient (`rows`
-    is None) (Kronecker substitution, von zur Gathen and
-    Gerhard, Modern Computer Algebra, ch. 8).  A twist sums at most
-    n = deg mod products below p in each word, so words of 256^slot >
+
+def from_fp_digits(ctx, digits):
+    """The vector whose F_p-digits are the list `digits` (fp_digits
+    inverted), with no trailing zero if `digits` has none."""
+    m = ctx.m
+    if m == 1:
+        return digits
+    return [ctx.encode(digits[i:i + m]) for i in range(0, len(digits), m)]
+
+
+class FrobeniusMap:
+    """x -> x^q on F_q[T]/(mod) for a monic `mod`, built once per ring, as
+    an F_p-linear map on the n = m deg mod F_p-digits of x (`fp_digits`,
+    q = p^m).  Row i m + t packs the digits of x^t T^(q i) mod f, as x^t
+    lies in F_q and the twist fixes it, into one int whose j-th
+    `slot`-byte word is the j-th digit (Kronecker substitution, von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 8).  A twist sums at
+    most n products below p in each word, so words of 256^slot >
     n (p - 1)^2 keep every sum exact, with no carry into the next word.
     """
 
-    __slots__ = ("ctx", "mod", "rows", "packed", "slot")
+    __slots__ = ("ctx", "mod", "packed", "slot")
 
     def __init__(self, ctx, mod):
         self.ctx, self.mod = ctx, mod
-        rows = frobenius_rows(ctx, mod)
-        self.rows = self.packed = self.slot = None
-        if ctx.m != 1:
-            self.rows = rows
-            return
-        self.slot = _slot((len(mod) - 1) * (ctx.p - 1) ** 2)
-        self.packed = [_pack(row, self.slot) for row in rows]
+        p = ctx.p
+        self.slot = _slot((len(mod) - 1) * ctx.m * (p - 1) ** 2)
+        self.packed = [
+            _pack(fp_digits(ctx, vscale(ctx, row, p ** t) if t else row),
+                  self.slot)
+            for row in frobenius_rows(ctx, mod) for t in range(ctx.m)]
 
 
 def vfrobenius(frob, v):
     """x^q for the coefficient vector v of x in F_q[T]/(frob.mod): the one
-    twist of every A/(f).  Over a prime field it is the packed sum
-    sum v_i R_i, unpacked by one to_bytes and a cast, each word reduced
-    mod p; over F_{p^m} it is vlincomb on the dense rows."""
-    if frob.packed is None:
-        return vlincomb(frob.ctx, v, frob.rows)
-    p = frob.ctx.p
-    words = _unpack(sum(map(operator.mul, v, frob.packed)),
-                    len(frob.packed), frob.slot)
-    return _trim([w % p for w in words])
+    twist of every A/(f), for every q.  The packed sum of the rows by the
+    digits of v, unpacked by one to_bytes and a cast, each word reduced
+    mod p."""
+    ctx = frob.ctx
+    total = sum(map(operator.mul, fp_digits(ctx, v), frob.packed))
+    return from_fp_digits(ctx, _trim(_unpack_mod(total, len(frob.packed),
+                                                 frob.slot, ctx.p)))
 
 
 def vnorm(frob, v):
@@ -337,9 +336,8 @@ class HornerMap:
                     power = vfrobenius(frob, power)
                 image = vmulmod(ctx, c, power, mod)
                 for t in range(m):
-                    x = vscale(ctx, image, p ** t) if t else image
-                    digits = (x if m == 1 else
-                              [e for y in x for e in ctx.decode(y)])
+                    digits = fp_digits(ctx, vscale(ctx, image, p ** t)
+                                       if t else image)
                     rows[i * m + t] += digits + [0] * (self.n - len(digits))
         self.slot = _slot((self.r + 1) * self.n * (p - 1) ** 2 + p)
         self.rows = [_pack(row, self.slot) for row in rows]
@@ -356,15 +354,13 @@ def vhorner(step, a):
         total = 0
         for digits in reversed(acc):
             total = (total << shift) + sum(map(operator.mul, digits, rows))
-        total += _pack(ctx.decode(c), slot)
+        total += _pack(fp_digits(ctx, [c]), slot)
         count = (len(acc) + step.r if acc else 1) * n
-        words = [w % p for w in _unpack(total, count, slot)]
+        words = _unpack_mod(total, count, slot, p)
         acc = [_trim(words[i:i + n]) for i in range(0, count, n)]
         while acc and not acc[-1]:
             acc.pop()
-    m = ctx.m
-    return acc if m == 1 else [
-        [ctx.encode(x[i:i + m]) for i in range(0, len(x), m)] for x in acc]
+    return [from_fp_digits(ctx, x) for x in acc]
 
 
 def vechelon(ctx, vectors, dim=None):

@@ -9,13 +9,14 @@ FrobeniusMap and reduced coefficient vectors, which the certificates call
 directly, and `norm_to_base` and `quadratic_is_irreducible` wrap them for
 ResidueElements; `is_square_mod_prime` takes either a ResidueElement or,
 with the map, a reduced vector.  Non-prime moduli (level p^2 work)
-support arithmetic only.
+support arithmetic only, and `generates_units` decides by the structure of
+(A/p^level)^* whether given units generate it, listing no unit.
 
 Elements keep their fully reduced representative.  Products, powers and
 inverses run in `kernel` modulo the monic modulus, as F_{p^m} arithmetic
 does; sums need no reduction.  The q-power Frobenius is F_q-linear on every
-A/(f), prime or not: its matrix (`kernel.FrobeniusMap`, packed into one int
-per row over a prime field) is built once per ring, and twists, norms and
+A/(f), prime or not: its matrix (`kernel.FrobeniusMap`, one packed
+F_p-digit map for every q) is built once per ring, and twists, norms and
 square tests apply it by `kernel.vfrobenius` in place of a powmod.  A ring
 takes the map its modulus's Rabin test ran on: the parsed PrimeIdeal's, or
 the one its own test built; a ring of a trusted prime builds it on first
@@ -212,24 +213,39 @@ def residue_inv(x: ResidueElement) -> ResidueElement:
     return ResidueElement(ring, Poly(ring.ctx, u))
 
 
-def abelian_span(one, gens, mul, order: int) -> set:
-    """The subgroup of a finite abelian group of the given order generated
-    by gens, grown one coset at a time: H<g> is the union of H g^i for i
-    below the order of g modulo H, about |H<g>| - |H| products.
-    Stops drawing generators once the whole group is reached."""
-    H = [one]
-    seen = {one}
-    for g in gens:
-        base = list(H)
-        y = g
-        while y not in seen:
-            coset = [mul(h, y) for h in base]
-            H.extend(coset)
-            seen.update(coset)
-            y = mul(y, g)
-        if len(H) == order:
+def generates_units(ctx, modp, level: int, units) -> bool:
+    """Whether the units that `units()` yields as coefficient vectors
+    generate (A/p^level)^*, for the monic prime p with coefficients modp
+    and level 1 or 2.  Each condition below calls `units()` afresh and
+    draws from it only until it holds.
+
+    Decided by the structure of the group; no unit is listed.  With
+    N = q^deg p, (A/p^level)^* = C_(N-1) x (1 + pA/p^level), of coprime
+    orders, the second factor trivial at level 1 and (A/p, +) at level 2,
+    by 1 + py -> y.  So the units generate it iff, for each prime r
+    dividing N - 1, some u^((N-1)/r) is not 1 mod p, and, at level 2,
+    the F_p-digits of the y = (u^(N-1) - 1)/p mod p reach rank m deg p,
+    q = p^m, as raising to N - 1 is onto the second factor.
+    """
+    degree = len(modp) - 1
+    order = ctx.q ** degree - 1
+    missing = set(kernel.prime_divisors(order))
+    for u in units():
+        missing -= {r for r in missing
+                    if kernel.vpowmod(ctx, u, order // r, modp) != [1]}
+        if not missing:
             break
-    return seen
+    rank = (level - 1) * ctx.m * degree
+    if missing or not rank:
+        return not missing
+    mod = kernel.vmul(ctx, modp, modp)
+
+    def digits(u):
+        y = kernel.vsub(ctx, kernel.vpowmod(ctx, u, order, mod), [1])
+        return kernel.fp_digits(ctx, kernel.vdivmod(ctx, y, modp)[0])
+
+    rows = kernel.vechelon(kernel.Zp(ctx.p), map(digits, units()), rank)
+    return len(rows) == rank
 
 
 def vnorm_to_base(frob: kernel.FrobeniusMap, v) -> int:

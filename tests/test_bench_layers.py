@@ -1,4 +1,5 @@
-"""Smoke test of bench/layers.py at toy size: every case, one run each."""
+"""Smoke test of bench/layers.py at toy size: every case, one run each,
+on two source trees."""
 
 import json
 import subprocess
@@ -12,22 +13,41 @@ import layers  # noqa: E402
 
 
 def test_layers_writes_the_bench_schema(tmp_path):
-    out = tmp_path / "bench.json"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "layers.py"), "--runs", "1",
-         "--out", str(out)],
-        capture_output=True, text=True, timeout=60)
+    # the same tree twice, so the two reports must hold the same digests
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    argv = [sys.executable, str(ROOT / "bench" / "layers.py"), "--runs", "1"]
+    for out in outs:
+        argv += ["--src", str(ROOT / "src"), "--out", str(out)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(out.read_text())
-    assert set(report) == {"python", "nproc", "git_revision",
-                           "PYTHONDONTWRITEBYTECODE", "cases"}
-    assert report["python"] == ".".join(map(str, sys.version_info[:3]))
-    assert report["nproc"] >= 1
+    reports = [json.loads(out.read_text()) for out in outs]
     readme = layers.readme_commands()
     assert 'drinfeldlab omega --q 5 --prime "T+4"' in readme
-    assert list(report["cases"]) == ["import drinfeldlab.cli", *readme]
-    for case in report["cases"].values():
-        assert set(case) == {"unit", "min", "median", "k", "stdout_sha256"}
-        assert case["unit"] == "s" and case["k"] == 1
-        assert 0 < case["min"] == case["median"]
-        assert len(case["stdout_sha256"]) == 64
+    assert len(layers.LAYERS) == 15
+    assert "vfrobenius q=25 deg=16" in layers.LAYERS
+    for report in reports:
+        assert set(report) == {"python", "nproc", "git_revision",
+                               "PYTHONDONTWRITEBYTECODE", "cases"}
+        assert report["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert report["nproc"] >= 1
+        assert report["git_revision"] == reports[0]["git_revision"]
+        assert list(report["cases"]) == ["import drinfeldlab.cli", *readme,
+                                         *layers.LAYERS]
+        for name, case in report["cases"].items():
+            assert set(case) == {"unit", "min", "median", "k",
+                                 "stdout_sha256"}
+            assert case["unit"] == "s" and case["k"] == 1
+            assert 0 < case["min"] == case["median"]
+            assert case["stdout_sha256"] == (
+                reports[0]["cases"][name]["stdout_sha256"])
+            assert len(case["stdout_sha256"]) == 64
+
+
+def test_layers_wants_one_out_per_src(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "layers.py"), "--runs", "1",
+         "--src", str(ROOT / "src"), "--src", str(ROOT / "src"),
+         "--out", str(tmp_path / "only.json")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "one --out per --src" in proc.stderr
+    assert not (tmp_path / "only.json").exists()

@@ -1,10 +1,12 @@
 """The q-power Frobenius of A/(f) as a linear map, against powmod.
 
-Every route through `kernel.frobenius_rows` is checked on seeded inputs
+`kernel.FrobeniusMap` is one packed F_p-linear map on the F_p-digits of
+x for every q.  Every route through it is checked on seeded inputs
 against the powmod definition it replaced: x^(q^k), the norm exponent
 (q^n - 1)/(q - 1), and whole Frobenius charpolys.  The packed twist
-`kernel.vfrobenius` is checked against the dense `kernel.vlincomb` and
-against powmod at every slot width.
+`kernel.vfrobenius` is checked against `vlincomb`, the dense sum of the
+rows of `kernel.frobenius_rows` kept here as the oracle, and against
+powmod, at every slot width and over F_25, F_49 and F_125.
 """
 
 import collections
@@ -20,6 +22,33 @@ from drinfeldlab.polys import Poly, PrimeIdeal, is_irreducible
 from drinfeldlab.residues import ResidueRing, norm_to_base
 
 FIELDS = [make_field(5), make_field(7), make_field(11), make_field(5, 2)]
+EXTENSION_FIELDS = [make_field(5, 2), make_field(7, 2), make_field(5, 3)]
+
+
+def vlincomb(ctx, v, rows):
+    """sum v[i] * rows[i] over F_q by dense rows: the image of the
+    coordinate vector v under the linear map with the given rows.  Over a
+    prime field the sum is accumulated over Z and reduced mod p once."""
+    if ctx.m != 1:
+        out = []
+        for c, row in zip(v, rows):
+            if c:
+                out = kernel.vadd(ctx, out, kernel.vscale(ctx, row, c))
+        return out
+    out = [0] * max(map(len, rows), default=0)
+    for c, row in zip(v, rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return kernel._trim([c % ctx.p for c in out])
+
+
+def _assert_narrowest_slot(frob, n, p):
+    # the narrowest word of 2, 4, 8, ... bytes above n (p - 1)^2, the
+    # largest sum a twist forms in one word
+    bound = n * (p - 1) ** 2
+    assert 256 ** frob.slot > bound
+    assert frob.slot == 2 or bound >= 256 ** (frob.slot // 2)
 
 
 def _monic(rng, ctx, degree):
@@ -72,21 +101,27 @@ def test_frobenius_rows_are_the_q_powers_of_t(ctx):
         for i, row in enumerate(rows):
             want = (ring.t ** (ctx.q * i)).rep
             assert Poly(ctx, row) == want
-            # the ring's map, packed or dense, sends T^i to the same row
+            # the ring's one packed map sends T^i to the same row
             assert Poly(ctx, kernel.vfrobenius(frob, [0] * i + [1])) == want
         assert ring.frobenius_map() is frob  # built once
 
 
 def test_vlincomb_is_the_sum_of_scaled_rows():
+    # the dense oracle on random rows, then the packed twist against it on
+    # the Frobenius rows of a random modulus
     rng = random.Random(7)
-    for ctx in FIELDS:
+    for ctx in FIELDS + EXTENSION_FIELDS:
         rows = [[rng.randrange(ctx.q) for _ in range(rng.randrange(5))]
                 for _ in range(4)]
         v = [rng.randrange(ctx.q) for _ in range(4)]
         want = []
         for c, row in zip(v, rows):
             want = kernel.vadd(ctx, want, kernel.vscale(ctx, row, c))
-        assert kernel.vlincomb(ctx, v, rows) == want
+        assert vlincomb(ctx, v, rows) == want
+        mod = list(_monic(rng, ctx, 4).coeffs)
+        frob = kernel.FrobeniusMap(ctx, mod)
+        assert (kernel.vfrobenius(frob, kernel._trim(v))
+                == vlincomb(ctx, v, kernel.frobenius_rows(ctx, mod)))
 
 
 @pytest.mark.parametrize("p, degrees, slot", [
@@ -101,26 +136,48 @@ def test_packed_twist_matches_dense_rows_and_powmod(p, degrees, slot):
         mod = list(_monic(rng, ctx, d).coeffs)
         frob = kernel.FrobeniusMap(ctx, mod)
         rows = kernel.frobenius_rows(ctx, mod)
-        assert frob.rows is None  # only the packed rows are kept
-        assert frob.slot == slot and 256 ** slot > d * (p - 1) ** 2
+        assert not hasattr(frob, "rows")  # only the packed rows are kept
+        # over a prime field row i packs T^(q i) mod f itself, word by word
+        assert frob.packed == [kernel.vindex(row, 256 ** slot)
+                               for row in rows]
+        assert frob.slot == slot
+        _assert_narrowest_slot(frob, d, p)
         xs = [[], [1], [0, 1], [p - 1] * d]
         xs += [kernel._trim([rng.randrange(p) for _ in range(d)])
                for _ in range(3)]
         for x in (x for x in xs if len(x) <= d):  # reduced mod `mod`
             y = x
             for k in (1, 2):
-                dense = kernel.vlincomb(ctx, y, rows)
+                dense = vlincomb(ctx, y, rows)
                 y = kernel.vfrobenius(frob, y)
                 assert y == dense, (mod, x, k)
                 assert y == kernel.vpowmod(ctx, x, p ** k, mod), (mod, x, k)
 
 
 def test_extension_fields_twist_by_the_dense_rows():
-    ctx = make_field(5, 2)
-    frob = ResidueRing(_prime(random.Random(9), ctx, 3)).frobenius_map()
-    assert frob.packed is None
-    v = [3, 0, 17]
-    assert kernel.vfrobenius(frob, v) == kernel.vlincomb(ctx, v, frob.rows)
+    # over F_25, F_49 and F_125 the one packed map on the n = m deg f
+    # F_p-digits twists as the dense rows and as powmod do, at prime,
+    # prime-square and reducible moduli of degree 1-8
+    for ctx in EXTENSION_FIELDS:
+        p, m, q = ctx.p, ctx.m, ctx.q
+        rng = random.Random(900 + q)
+        for mod in _moduli(rng, ctx):
+            mod = list(mod.coeffs)
+            n = m * (len(mod) - 1)
+            frob = ResidueRing(Poly(ctx, mod)).frobenius_map()
+            rows = kernel.frobenius_rows(ctx, mod)
+            assert not hasattr(frob, "rows") and len(frob.packed) == n
+            _assert_narrowest_slot(frob, n, p)
+            xs = [[], [1], [0, 1], [q - 1] * (n // m), [3, 0, 17 % q]]
+            xs += [kernel._trim([rng.randrange(q) for _ in range(n // m)])
+                   for _ in range(3)]
+            for x in (x for x in xs if len(x) < len(mod)):
+                y = x
+                for k in (1, 2):
+                    dense = vlincomb(ctx, y, rows)
+                    y = kernel.vfrobenius(frob, y)
+                    assert y == dense, (mod, x, k)
+                    assert y == kernel.vpowmod(ctx, x, q ** k, mod), (mod, x)
 
 
 @pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"q{c.q}")
@@ -164,31 +221,44 @@ def _charpolys(ctx, degrees, seed):
     return out
 
 
-@pytest.mark.parametrize("q, degrees", [(5, range(9, 17)), (7, range(1, 9))])
+class _NoRows:
+    """The packed rows of a map built on the oracle side: applying them
+    fails."""
+
+    def __iter__(self):
+        raise AssertionError("the oracle applied Frobenius rows")
+
+
+@pytest.mark.parametrize("q, degrees", [(5, range(9, 17)), (7, range(1, 9)),
+                                        (25, range(1, 6))])
 def test_frob_general_matches_the_powmod_twist(monkeypatch, q, degrees):
     # every twist in A/(lambda) goes through kernel.vfrobenius, the basis
     # twists that feed the rows of the Horner's step map included: the
-    # fast side applies packed Frobenius rows there, the oracle side
-    # raises to q by powmod and applies no Frobenius row at all
-    ctx = make_field(q)
-    packed = []
+    # fast side applies the packed F_p-digit rows there, m deg(lambda) of
+    # them, the oracle side raises to q by powmod and applies no
+    # Frobenius row at all
+    ctx = {c.q: c for c in FIELDS}[q]
+    shapes = []
     vfrobenius = kernel.vfrobenius
 
     def recording(frob, v):
-        packed.append(frob.packed is not None)
+        shapes.append(len(frob.packed) == ctx.m * (len(frob.mod) - 1))
         return vfrobenius(frob, v)
 
     monkeypatch.setattr(kernel, "vfrobenius", recording)
     fast = _charpolys(ctx, degrees, 400 + q)
-    assert packed and all(packed)
+    assert shapes and all(shapes)
 
-    def no_rows(*args):
-        raise AssertionError("the oracle applied Frobenius rows")
+    build = kernel.FrobeniusMap.__init__
+
+    def rowless(frob, *args):
+        build(frob, *args)
+        frob.packed = _NoRows()
 
     powmod_twists = collections.Counter()
     monkeypatch.setattr(kernel, "vfrobenius", lambda frob, v: (
         powmod_twists.update([tuple(frob.mod)]) or _powmod_twist(frob, v)))
-    monkeypatch.setattr(kernel, "vlincomb", no_rows)
+    monkeypatch.setattr(kernel.FrobeniusMap, "__init__", rowless)
     monkeypatch.setattr(frobenius, "norm_to_base", _powmod_norm)
     assert _charpolys(ctx, degrees, 400 + q) == fast
     # each step map's rows came from the powmod twist, 2 deg(lambda) of

@@ -39,12 +39,8 @@ from drinfeldlab.groups import (
     _unit_generator,
 )
 from drinfeldlab.polys import Poly, PrimeIdeal, parse_poly, poly_to_text
-from drinfeldlab.residues import (
-    ResidueElement,
-    ResidueRing,
-    abelian_span,
-    residue_inv,
-)
+from drinfeldlab.residues import ResidueElement, ResidueRing, residue_inv
+from oracles import abelian_span
 
 F5 = make_field(5)
 RING5 = ResidueRing(parse_poly(F5, "T"))
@@ -591,10 +587,11 @@ def _lift_bfs_facts(lab, gens):
                            [sum((digits[e] for e in s), ()) for s in congruent],
                            4 * m)
     basis = [row + [0] * (4 * m - len(row)) for row in rows.values()]
+    units = len(tab.units)  # listed from the inverse table
     dets = abelian_span(tab.one, [tab.mat_det(g) for g in gens],
-                        lambda x, y: tab.mul[x][y], lab.unit_count)
-    return (len(lifts) * lab.char ** len(basis),
-            len(dets) == lab.unit_count, len(lifts),
+                        lambda x, y: tab.mul[x][y], units)
+    return (len(lifts) * lab.char ** len(basis), len(dets) == units,
+            len(lifts),
             any(any(v[m:3 * m]) or v[:m] != v[3 * m:] for v in basis))
 
 
