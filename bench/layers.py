@@ -203,8 +203,8 @@ def main(argv=None):
             fh.write("\n")
     print("min / median ms, by --out: " + ", ".join(args.out))
     for name in reports[0]["cases"]:
-        print("  ".join(f"{r['cases'][name]['min'] * 1e3:8.3f} "
-                        f"{r['cases'][name]['median'] * 1e3:8.3f}"
+        print("  ".join(f"{r['cases'][name]['min'] * 1e3:9.4g} "
+                        f"{r['cases'][name]['median'] * 1e3:9.4g}"
                         for r in reports) + f"  {name}")
     return 0
 

@@ -162,16 +162,15 @@ def test_extension_fields_twist_by_the_dense_rows():
         p, m, q = ctx.p, ctx.m, ctx.q
         rng = random.Random(900 + q)
         for mod in _moduli(rng, ctx):
-            mod = list(mod.coeffs)
-            n = m * (len(mod) - 1)
+            mod, d = list(mod.coeffs), mod.degree
             frob = ResidueRing(Poly(ctx, mod)).frobenius_map()
             rows = kernel.frobenius_rows(ctx, mod)
-            assert not hasattr(frob, "rows") and len(frob.packed) == n
-            _assert_narrowest_slot(frob, n, p)
-            xs = [[], [1], [0, 1], [q - 1] * (n // m), [3, 0, 17 % q]]
-            xs += [kernel._trim([rng.randrange(q) for _ in range(n // m)])
+            assert not hasattr(frob, "rows") and len(frob.packed) == m * d
+            _assert_narrowest_slot(frob, m * d, p)
+            xs = [[], [1], [0, 1], [q - 1] * d, [3, 0, 17]]
+            xs += [kernel._trim([rng.randrange(q) for _ in range(d)])
                    for _ in range(3)]
-            for x in (x for x in xs if len(x) < len(mod)):
+            for x in (x for x in xs if len(x) <= d):  # reduced mod `mod`
                 y = x
                 for k in (1, 2):
                     dense = vlincomb(ctx, y, rows)
@@ -227,6 +226,8 @@ class _NoRows:
 
     def __iter__(self):
         raise AssertionError("the oracle applied Frobenius rows")
+
+    __len__ = __iter__
 
 
 @pytest.mark.parametrize("q, degrees", [(5, range(9, 17)), (7, range(1, 9)),
