@@ -1,7 +1,8 @@
 """Timings of drinfeldlab as the min and median of k runs, one JSON file
 per source tree: `import drinfeldlab.cli` and each README command as
 subprocesses, and in-process layer cases (building a `kernel.FrobeniusMap`,
-one `kernel.vfrobenius`, one `kernel.vhorner`) at fixed sizes.
+one `kernel.vfrobenius`, one `kernel.vhorner`, one `residues.norm_to_base`,
+and `FieldCtx.is_square` over a whole field) at fixed sizes.
 
     python3 bench/layers.py --runs 15 --out BENCH_<n>.json
     python3 bench/layers.py --src ../parent/src --out parent.json \
@@ -40,12 +41,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 IMPORT_CASE = "import drinfeldlab.cli"
 LAYER_FLOOR_S = 0.02
-# (p, m, deg f) of each layer case: q = 5 and 127 at degrees 16 and 64,
-# and F_25 at degree 16
+# (op, p, m, deg f) of each layer case: the maps at q = 5 and 127 at
+# degrees 16 and 64, and at F_25 at degree 16; the norm at q = 5 and 127
+# at degrees 16 and 64; the square test over F_25 and F_3^5, every element
 LAYERS = {f"{op} q={p ** m} deg={d}": (op, p, m, d)
           for p, m, d in ((5, 1, 16), (5, 1, 64), (127, 1, 16),
                           (127, 1, 64), (5, 2, 16))
           for op in ("FrobeniusMap", "vfrobenius", "vhorner")}
+LAYERS.update({f"norm_to_base q={p} deg={d}": ("norm_to_base", p, 1, d)
+               for p in (5, 127) for d in (16, 64)})
+LAYERS.update({f"is_square q={p ** m}": ("is_square", p, m, None)
+               for p, m in ((5, 2), (3, 5))})
 
 
 def readme_commands(readme=ROOT / "README.md"):
@@ -88,35 +94,62 @@ def _per_call(fn):
         reps *= 2
 
 
+def _map_call(ctx, rng, op, d):
+    """(call, its value as printed) of a FrobeniusMap, vfrobenius or
+    vhorner case on a random monic modulus of degree d: a built map is
+    printed as its twist of x, the others as they are."""
+    from drinfeldlab import kernel
+
+    q = ctx.q
+    mod = [rng.randrange(q) for _ in range(d)] + [1]
+    x = [rng.randrange(q) for _ in range(d - 1)] + [rng.randrange(1, q)]
+    if op == "FrobeniusMap":
+        return (functools.partial(kernel.FrobeniusMap, ctx, mod),
+                lambda frob: kernel.vfrobenius(frob, x))
+    if op == "vfrobenius":
+        return functools.partial(kernel.vfrobenius,
+                                 kernel.FrobeniusMap(ctx, mod), x), list
+    # phi_T = T + g tau + D tau^2, g of degree 2 and D of degree 1, and a
+    # of degree d: the Horner of frob_general's phi_b
+    phi_t = [[0, 1], [rng.randrange(q) for _ in range(2)] + [1],
+             [rng.randrange(q), rng.randrange(1, q)]]
+    step = kernel.HornerMap(kernel.FrobeniusMap(ctx, mod), phi_t)
+    return functools.partial(kernel.vhorner, step, x + [1]), list
+
+
+def _norm_call(ctx, rng, d):
+    """norm_to_base of a random element of A/p, p the first prime of
+    degree d in a seeded polys.is_irreducible search."""
+    from drinfeldlab import polys, residues
+
+    q = ctx.q
+    while True:
+        f = polys.Poly(ctx, [rng.randrange(q) for _ in range(d)] + [1])
+        if polys.is_irreducible(f):
+            break
+    ring = residues.ResidueRing(polys.PrimeIdeal(f))
+    x = ring.element(polys.Poly(ctx, [rng.randrange(q) for _ in range(d)]))
+    return lambda: residues.norm_to_base(x).val
+
+
 def layer_child(name):
     """Print the seconds per call of one layer case on its first line and
-    its result as JSON after it: a twist of x for the map, the vectors for
-    the others.  Inputs are seeded by the case's field and degree."""
-    from drinfeldlab import kernel
+    its result as JSON after it.  Inputs are seeded by the case's field
+    and degree."""
     from drinfeldlab.fields import make_field
 
     op, p, m, d = LAYERS[name]
     ctx = make_field(p, m)
-    q = ctx.q
-    rng = random.Random(1000 * q + d)
-    mod = [rng.randrange(q) for _ in range(d)] + [1]
-    x = [rng.randrange(q) for _ in range(d - 1)] + [rng.randrange(1, q)]
-    if op == "FrobeniusMap":
-        call = functools.partial(kernel.FrobeniusMap, ctx, mod)
-    elif op == "vfrobenius":
-        call = functools.partial(kernel.vfrobenius,
-                                 kernel.FrobeniusMap(ctx, mod), x)
+    rng = random.Random(1000 * ctx.q + (d or 0))
+    if op == "is_square":
+        call, show = (lambda: list(map(ctx.is_square, range(ctx.q)))), list
+    elif op == "norm_to_base":
+        call, show = _norm_call(ctx, rng, d), int
     else:
-        # phi_T = T + g tau + D tau^2, g of degree 2 and D of degree 1,
-        # and a of degree d: the Horner of frob_general's phi_b
-        phi_t = [[0, 1], [rng.randrange(q) for _ in range(2)] + [1],
-                 [rng.randrange(q), rng.randrange(1, q)]]
-        step = kernel.HornerMap(kernel.FrobeniusMap(ctx, mod), phi_t)
-        call = functools.partial(kernel.vhorner, step, x + [1])
+        call, show = _map_call(ctx, rng, op, d)
     seconds, out = _per_call(call)
     print(seconds)
-    print(json.dumps(kernel.vfrobenius(out, x) if op == "FrobeniusMap"
-                     else out))
+    print(json.dumps(show(out)))
 
 
 def _run(argv, env, timed_inside):

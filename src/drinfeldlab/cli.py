@@ -177,13 +177,15 @@ def _frob(args):
     # raises to q^i by powmod, never by the Frobenius rows frob_general
     # twists with: the second reduction is what keeps the check independent.
     # Above its residue-field bound it is skipped; any error it raises
-    # within the bound propagates.
+    # within the bound propagates, and so does a disagreement.
     rec["oracle"] = rec["oracle_matches"] = None
     if ctx.q ** lam.degree <= frobenius.DEFAULT_BRUTE_CAP:
         oracle = frobenius.euler_poincare_oracle(phi, lam)
-        rec["oracle"] = poly_to_text(oracle)
-        rec["oracle_matches"] = oracle == (Poly.one(ctx) - cp.a + cp.b).monic()
-    return (0 if rec["oracle_matches"] is not False else 1), [rec]
+        if oracle != (Poly.one(ctx) - cp.a + cp.b).monic():
+            raise InternalInconsistency(
+                "oracle and frob_general disagree; this is a bug")
+        rec["oracle"], rec["oracle_matches"] = poly_to_text(oracle), True
+    return 0, [rec]
 
 
 def _thm1_verify(args):

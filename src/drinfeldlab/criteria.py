@@ -9,9 +9,10 @@ The public types (PrimeIdeal, Poly, FqElement, DrinfeldModule) are
 unwrapped once, at the boundary; the criteria compute on coefficient
 tuples.  Whether c - T is a square mod p is read off its norm p(c) in
 F_q; the triple's discriminant is tested by `residues.is_square_mod_prime`
-on the prime's own FrobeniusMap.  Valuations run by `kernel.vvaluation`,
-values and degree-1 traces by integer Horner.  No residue ring is built,
-and each text is formed once per certificate.
+on its norm, the resultant with the prime.  Valuations run by
+`kernel.vvaluation`, values and degree-1 traces by integer Horner.  No
+residue ring or Frobenius map is built, and each text is formed once per
+certificate.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ def _valuation(ctx, g, lam):
 def _nonsquare_at(ctx, prime, c: int) -> bool:
     """Whether c - T is a non-square modulo the monic prime `prime`: a
     non-square in F_{q^n} iff its norm to F_q is one, and that norm,
-    the product of c - T^(q^i), is prime(c)."""
+    the product of c - T^(q^i), is prime(c): the resultant
+    Res(prime, c - T) at degree 1, taken as one Horner."""
     return not ctx.is_square(kernel.veval(ctx, prime, c))
 
 
@@ -129,10 +131,9 @@ def _triple(l: PrimeIdeal, g1: Poly, c: FqElement):
     f, g = l.gen.coeffs, g1.coeffs
     nu = _valuation(ctx, g, f)
     r1 = kernel.veval(ctx, g, c.val)
-    # the map l's Rabin test built; a trusted l gets a new one
-    frob = l.frob or kernel.FrobeniusMap(ctx, f)
+    # the discriminant has degree 1: its norm is one division step
     disc, quad_irred = residues.vquadratic(
-        frob, r1, kernel.vmod(ctx, (ctx.neg(c.val), 1), f))
+        l.gen, r1, kernel.vmod(ctx, (ctx.neg(c.val), 1), f))
     checks = [
         {"check": "g1 outside the prime l", "passed": nu == 0,
          "valuation": _val_entry(nu)},
@@ -209,7 +210,8 @@ def lambda_scan(ctx: FieldCtx, max_deg: int,
     degrees = (range(1, max_deg + 1) if mode == "affirm"
                else range(max_deg, max_deg + 1))
     # r1^2 - 4(T - c) = 4(c' - T) with c' = c + r1^2/4, and by reciprocity
-    # c' - T is a non-square mod l iff l(c') is a non-square in F_q
+    # c' - T is a non-square mod l iff l(c') is a non-square in F_q: the
+    # resultant with l at degree 1, as one Horner per c' for the table
     p = ctx.p
     quarter = ctx.inv(4 % p)
     quarter_squares = [r1 * r1 * quarter % p for r1 in range(p)]

@@ -8,7 +8,9 @@ value wrapper around (ctx, encoded value).
 Over a prime field the primitives are `% p` one-liners.  For m > 1 they
 decode both operands to their digit vectors and run the `kernel` over
 `kernel.Zp(p)` modulo the field's monic modulus, the same code that does
-arithmetic in A/(f).
+arithmetic in A/(f).  The square test reads the norm down to F_p, the
+resultant of the modulus and the element's digits (`kernel.vresultant`);
+a Frobenius map is built only to Rabin-test a modulus.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
 
 class FieldCtx:
     """The field F_{p^m} with its modulus; owns encoded-int arithmetic.
-    For m > 1, `_frob` is the p-power Frobenius of F_p[t]/(modulus) as a
-    kernel.FrobeniusMap, on which a given modulus's Rabin test runs."""
+    A given modulus is Rabin-tested over Z/p on a kernel.FrobeniusMap
+    built for that test alone."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_dec", "_zp", "_frob")
+    __slots__ = ("p", "m", "q", "modulus", "_dec", "_zp")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
         if not isinstance(p, int) or kernel.prime_divisors(p) != [p]:
@@ -63,26 +65,17 @@ class FieldCtx:
         self.m = m
         self.q = p ** m
         self._zp = kernel.Zp(p)
-        if m == 1:
-            if modulus is not None:
-                mod = tuple(int(c) % p for c in modulus)
-                if len(mod) != 2 or mod[-1] != 1:
-                    raise NotIrreducibleModulus(
-                        "modulus for a prime field must be monic of degree 1")
-            self.modulus = self._frob = None
-        else:
-            if modulus is None:
-                mod = _default_modulus(p, m)
-            else:
-                mod = tuple(int(c) % p for c in modulus)
-                if len(mod) != m + 1 or mod[-1] != 1:
-                    raise NotIrreducibleModulus(
-                        f"modulus must be monic of degree {m}")
-            frob = kernel.FrobeniusMap(self._zp, mod)
-            if modulus is not None and not kernel.rabin(self._zp, mod, frob):
+        if modulus is not None:
+            mod = tuple(int(c) % p for c in modulus)
+            if len(mod) != m + 1 or mod[-1] != 1:
+                raise NotIrreducibleModulus(
+                    f"modulus must be monic of degree {m}")
+            if m > 1 and not kernel.rabin(self._zp, mod,
+                                          kernel.FrobeniusMap(self._zp, mod)):
                 raise NotIrreducibleModulus(
                     f"modulus {mod} is reducible over F_{p}")
-            self.modulus, self._frob = mod, frob
+        self.modulus = (None if m == 1 else
+                        _default_modulus(p, m) if modulus is None else mod)
         self._dec = None if m == 1 else [
             tuple((v // p ** i) % p for i in range(m)) for v in range(self.q)]
 
@@ -139,12 +132,12 @@ class FieldCtx:
     def is_square(self, a: int) -> bool:
         """Euler criterion a^((q-1)/2) = 1 for an encoded a; zero counts as
         a square.  Over F_{p^m} it reads N(a)^((p-1)/2) = 1, as
-        a^((q-1)/(p-1)) is the norm N(a) = a a^p ... a^(p^(m-1)) down to
-        F_p, kernel.vnorm on the field's Frobenius map: no powmod."""
+        a^((q-1)/(p-1)) is the norm N(a) down to F_p, the resultant of the
+        modulus and a's digits over Z/p (kernel.vresultant): no powmod."""
         if a == 0:
             return True
         if self.m > 1:
-            a = kernel.vnorm(self._frob, self._dec[a])[0]
+            a = kernel.vresultant(self._zp, self.modulus, self._dec[a])
         return pow(a, (self.p - 1) // 2, self.p) == 1
 
     @property

@@ -539,14 +539,13 @@ class _Level2:
         self.ring2, self.ring1 = ResidueRing(p.gen ** 2), ResidueRing(p)
         self.tab, self.tab1 = _tables(self.ring2), _tables(self.ring1)
         # x = pi_digit * p + low: low is the mod-p projection, and the
-        # pi-digit, a constant, encodes its F_p coordinates base p
+        # pi-digit, a constant, has m F_p-digits (zero padded, as the four
+        # entries of a matrix are concatenated)
         self.proj, self.digits = [], []
         for x in self.tab.vecs:
             pi_digit, low = kernel.vdivmod(ctx, x, p.gen.coeffs)
             self.proj.append(kernel.vindex(low, ctx.q))
-            pi_digit = kernel.vindex(pi_digit, ctx.q)
-            self.digits.append(tuple(pi_digit // self.char ** j % self.char
-                                     for j in range(self.m)))
+            self.digits.append(tuple(kernel.fp_digits(ctx, pi_digit or [0])))
 
     def facts(self, gens):
         """(|H|, det(H) full, |Hbar|, H n K not scalar) for H = <gens>,

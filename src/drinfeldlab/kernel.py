@@ -5,10 +5,12 @@ come back as lists with no trailing zeros.  Over a prime field the loops
 reduce inline mod p (accumulating first where that is safe, since Python
 ints do not overflow); over F_{p^m} they call the FieldCtx ops.  The choice
 follows ctx.m alone.  Sums, products, division, gcd, inverses and powers
-modulo a polynomial, evaluation (`veval`), valuations (`vvaluation`) and
-the Rabin test all run here, with the generic square-and-multiply `power`
-and the base-q index `vindex` and its digits `vdigits`, so each arithmetic
-decision lives in one place.  That covers every quotient of a
+modulo a polynomial, resultants (`vresultant`, by Euclid: at a prime f
+the norm of A/(f) down to F_q, behind every norm and square test),
+evaluation (`veval`), valuations (`vvaluation`) and the Rabin test all
+run here, with the generic square-and-multiply `power` and the base-q
+index `vindex` and its digits `vdigits`, so each arithmetic decision
+lives in one place.  That covers every quotient of a
 polynomial ring by a monic modulus: F_{p^m} itself (digits over `Zp(p)`
 modulo the field's modulus) and the residue rings A/(f) of `residues`.
 `vechelon` is the one Gaussian elimination: F_q-linear solving in `skew`
@@ -19,13 +21,14 @@ The q-power Frobenius x -> x^q of A/(f) is F_q-linear, as c^q = c on F_q.
 Berlekamp's algorithm: one powmod for T^q, then one mulmod a row) as one
 packed F_p-linear map on the F_p-digits of x, for every q, and
 `vfrobenius` applies it by one packed sum.  So every twist in A/(f), of
-skew products and of the conjugates of a norm (`vnorm`), costs one
-matrix-vector product and no powmod.  The Rabin test runs on the same
-map, T^(q^i) mod f being i twists of T, so a prime keeps the map its test
-built for every later twist, norm and square test.  The Horner step of
-`vhorner` (phi_a over A/(f)) is F_p-linear too, and `HornerMap` packs it
-on the same digits, once per Drinfeld module.  `fp_digits`,
-`from_fp_digits` and `_unpack_mod` read and write that digit layout.
+skew products and of `ResidueElement.frobenius`, costs one matrix-vector
+product and no powmod.  The Rabin test runs on the same map, T^(q^i)
+mod f being i twists of T, so a prime keeps the map its test built for
+every later twist; the map is built only where something is twisted.
+The Horner step of `vhorner` (phi_a over A/(f)) is F_p-linear too, and
+`HornerMap` packs it on the same digits, once per Drinfeld module.
+`fp_digits`, `from_fp_digits` and `_unpack_mod` read and write that
+digit layout.
 
 The prime-field loops read only ctx.p, ctx.q and ctx.m, so the kernel also
 runs over the bare `Zp` context.
@@ -156,6 +159,29 @@ def vdivmod(ctx, a, b):
 
 def vmod(ctx, a, b):
     return vdivmod(ctx, a, b)[1]
+
+
+def vresultant(ctx, f, g) -> int:
+    """Res(f, g), encoded, for a monic f of degree >= 1 and any g, which is
+    first reduced mod f: for an irreducible f, the norm of g mod f down
+    to F_q.  Euclid on remainders, by Res(a, b) = (-1)^(deg a deg b)
+    lc(b)^(deg a - deg r) Res(b, r) for r = a mod b and Res(a, c) =
+    c^(deg a) for a constant c (Cohen, A Course in Computational
+    Algebraic Number Theory, 3.3).  No Frobenius map: a g of degree 1
+    costs one division step."""
+    p = ctx.p
+    mul = ctx.mul if ctx.m > 1 else (lambda x, y: x * y % p)
+    a, b, res = f, _trim(vmod(ctx, g, f)), 1
+    while len(b) > 1:
+        r = vmod(ctx, a, b)
+        if not r:
+            return 0
+        da, db = len(a) - 1, len(b) - 1
+        res = mul(res, power(b[-1], da - len(r) + 1, mul, 1))
+        if da * db % 2:
+            res = mul(res, p - 1)  # -1 in every F_{p^m}
+        a, b = b, r
+    return mul(res, power(b[0], len(a) - 1, mul, 1)) if b else 0
 
 
 def _reduce(p, res, mod):
@@ -297,22 +323,6 @@ def vfrobenius(frob, v):
     total = sum(map(operator.mul, fp_digits(ctx, v), frob.packed))
     return from_fp_digits(ctx, _trim(_unpack_mod(total, len(frob.packed),
                                                  frob.slot, ctx.p)))
-
-
-def vnorm(frob, v):
-    """v v^q ... v^(q^(d-1)) in F_q[T]/(frob.mod), d = deg mod, by the
-    doubling chain N_2k = N_k N_k^(q^k), N_(k+1) = v N_k^q over the bits
-    of d: d - 1 twists and about 2 log2(d) mulmods."""
-    ctx, mod = frob.ctx, frob.mod
-    nr, k = _trim(list(v)), 1
-    for bit in bin(len(mod) - 1)[3:]:
-        conj = nr
-        for _ in range(k):
-            conj = vfrobenius(frob, conj)
-        nr, k = vmulmod(ctx, nr, conj, mod), 2 * k
-        if bit == "1":
-            nr, k = vmulmod(ctx, v, vfrobenius(frob, nr), mod), k + 1
-    return nr
 
 
 class HornerMap:

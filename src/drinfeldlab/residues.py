@@ -3,12 +3,13 @@
 When the modulus is irreducible the ring is the field F_{q^n} and carries the
 norm down to F_q, the square test read off that norm (Euler's criterion
 x^((q^n-1)/2) = N(x)^((q-1)/2)), and the quadratic irreducibility test
-that drives the certificate machinery.  The norm and the quadratic test
-are tuple routines (`vnorm_to_base`, `vquadratic`) on a field's
-FrobeniusMap and reduced coefficient vectors, which the certificates call
-directly, and `norm_to_base` and `quadratic_is_irreducible` wrap them for
+that drives the certificate machinery.  Every norm is a resultant,
+N(x mod p) = Res(p, x), taken by Euclid in `kernel.vresultant` with no
+Frobenius map.  The quadratic test is a tuple routine (`vquadratic`) on
+the prime generator and reduced coefficient vectors, which the
+certificates call directly, and `quadratic_is_irreducible` wraps it for
 ResidueElements; `is_square_mod_prime` takes either a ResidueElement or,
-with the map, a reduced vector.  Non-prime moduli (level p^2 work)
+with the prime generator, a vector.  Non-prime moduli (level p^2 work)
 support arithmetic only, and `generates_units` decides by the structure of
 (A/p^level)^* whether given units generate it, listing no unit.
 
@@ -16,18 +17,16 @@ Elements keep their fully reduced representative.  Products, powers and
 inverses run in `kernel` modulo the monic modulus, as F_{p^m} arithmetic
 does; sums need no reduction.  The q-power Frobenius is F_q-linear on every
 A/(f), prime or not: its matrix (`kernel.FrobeniusMap`, one packed
-F_p-digit map for every q) is built once per ring, and twists, norms and
-square tests apply it by `kernel.vfrobenius` in place of a powmod.  A ring
-takes the map its modulus's Rabin test ran on: the parsed PrimeIdeal's, or
-the one its own test built; a ring of a trusted prime builds it on first
-use.
+F_p-digit map for every q) is built once per ring, and twists apply it by
+`kernel.vfrobenius` in place of a powmod.  A ring takes the map its
+modulus's Rabin test ran on: the parsed PrimeIdeal's, or the one its own
+test built; a ring of a trusted prime builds it on first twist.
 """
 
 from __future__ import annotations
 
 from . import kernel
 from .errors import (
-    InternalInconsistency,
     NotAField,
     NotInvertible,
     RingMismatch,
@@ -248,58 +247,46 @@ def generates_units(ctx, modp, level: int, units) -> bool:
     return len(rows) == rank
 
 
-def vnorm_to_base(frob: kernel.FrobeniusMap, v) -> int:
-    """The norm v v^q ... v^(q^(n-1)) of a reduced v from the field
-    F_q[T]/(frob.mod) down to F_q, encoded (zero for v = 0): kernel.vnorm
-    on the field's map."""
-    if not v:
-        return 0
-    nr = kernel.vnorm(frob, v)
-    if len(nr) > 1:
-        raise InternalInconsistency("norm did not land in the base field")
-    return nr[0]
-
-
-def vquadratic(frob: kernel.FrobeniusMap, r: int, s):
-    """(r^2 - 4s, whether X^2 - rX + s has no root) over the field
-    F_q[T]/(frob.mod), for an encoded r and a reduced s.  Irreducible iff
+def vquadratic(gen: Poly, r: int, s):
+    """(r^2 - 4s, whether X^2 - rX + s has no root) over the field A/(gen),
+    for a monic prime gen, an encoded r and a reduced s.  Irreducible iff
     the discriminant is a non-square (q odd); zero, a double root, counts
     as a square.  The constant 4 is scaled in as 4 mod p, an element of
     the prime field."""
-    ctx = frob.ctx
+    ctx = gen.ctx
     disc = kernel.vsub(ctx, [ctx.mul(r, r)], kernel.vscale(ctx, s, 4 % ctx.p))
-    return disc, not is_square_mod_prime(disc, frob)
+    return disc, not is_square_mod_prime(disc, gen)
 
 
 def norm_to_base(x: ResidueElement) -> FqElement:
-    """Field norm F_{q^n} -> F_q of x, by vnorm_to_base on the ring's map."""
+    """Field norm F_{q^n} -> F_q of x: the resultant Res(p, x) of the
+    prime and the representative, by kernel.vresultant."""
     ring = x.ring
     if not ring.is_prime:
         raise NotAField("norm needs a prime modulus")
-    return FqElement(ring.ctx, vnorm_to_base(ring.frobenius_map(),
-                                             x.rep.coeffs))
+    return FqElement(ring.ctx, kernel.vresultant(
+        ring.ctx, ring.modulus.coeffs, x.rep.coeffs))
 
 
-def is_square_mod_prime(x, frob: kernel.FrobeniusMap = None) -> bool:
+def is_square_mod_prime(x, gen: Poly = None) -> bool:
     """Whether x is a square in the field A/p (zero counts), for x a
-    ResidueElement of a prime residue ring or, given frob, a reduced vector
-    of F_q[T]/(frob.mod).  Euler's criterion by the norm:
-    x^((q^n-1)/2) = N(x)^((q-1)/2), so x is a square iff N(x) is one in
-    F_q.  That costs n - 1 twists and about 2 log2(n) mulmods, not a
-    powmod."""
-    if frob is None:
+    ResidueElement of a prime residue ring or, given the monic prime gen,
+    a vector.  Euler's criterion by the norm:
+    x^((q^n-1)/2) = N(x)^((q-1)/2), so x is a square iff N(x) =
+    Res(p, x) is one in F_q.  That costs one Euclid, not a powmod."""
+    if gen is None:
         if not x.ring.is_prime:
             raise NotAField("square test needs a prime modulus")
-        frob, x = x.ring.frobenius_map(), x.rep.coeffs
-    return frob.ctx.is_square(vnorm_to_base(frob, x))
+        gen, x = x.ring.modulus, x.rep.coeffs
+    return gen.ctx.is_square(kernel.vresultant(gen.ctx, gen.coeffs, x))
 
 
 def quadratic_is_irreducible(r: FqElement, s: ResidueElement) -> bool:
     """Whether X^2 - r*X + s has no root over the prime residue ring:
-    vquadratic on the ring's map."""
+    vquadratic on the ring's modulus."""
     ring = s.ring
     if not ring.is_prime:
         raise NotAField("quadratic test needs a prime modulus")
     if r.ctx != ring.ctx:
         raise RingMismatch("linear coefficient from a different base field")
-    return vquadratic(ring.frobenius_map(), r.val, s.rep.coeffs)[1]
+    return vquadratic(ring.modulus, r.val, s.rep.coeffs)[1]

@@ -23,8 +23,11 @@ def test_layers_writes_the_bench_schema(tmp_path):
     reports = [json.loads(out.read_text()) for out in outs]
     readme = layers.readme_commands()
     assert 'drinfeldlab omega --q 5 --prime "T+4"' in readme
-    assert len(layers.LAYERS) == 15
-    assert "vfrobenius q=25 deg=16" in layers.LAYERS
+    assert len(layers.LAYERS) == 21
+    for name in ("vfrobenius q=25 deg=16", "norm_to_base q=5 deg=16",
+                 "norm_to_base q=127 deg=64", "is_square q=25",
+                 "is_square q=243"):
+        assert name in layers.LAYERS
     for report in reports:
         assert set(report) == {"python", "nproc", "git_revision",
                                "PYTHONDONTWRITEBYTECODE", "cases"}
@@ -51,3 +54,15 @@ def test_layers_wants_one_out_per_src(tmp_path):
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and "one --out per --src" in proc.stderr
     assert not (tmp_path / "only.json").exists()
+
+
+def test_square_and_norm_cases_print_their_values(capsys, monkeypatch):
+    # one call each: the verdicts over F_25, (q + 1) / 2 of them squares,
+    # and a norm, an element of F_5
+    monkeypatch.setattr(layers, "LAYER_FLOOR_S", 0)
+    layers.layer_child("is_square q=25")
+    layers.layer_child("norm_to_base q=5 deg=16")
+    lines = capsys.readouterr().out.splitlines()
+    squares, norm = json.loads(lines[1]), json.loads(lines[3])
+    assert len(squares) == 25 and sum(squares) == 13
+    assert norm in range(5)

@@ -3,10 +3,10 @@ they replaced.
 
 `kernel.rabin` forms T^(q^i) mod f by Frobenius twists on the map a prime
 keeps from parse, `is_square_mod_prime` reads Euler's criterion off the norm,
-`kernel.vnorm` forms that norm by a doubling chain, and the sieve marks
-composite indices by digit rows.  The square-and-multiply Rabin and Euler
-tests, the conjugate-by-conjugate norm and the product sieve are kept here
-as seeded oracles.
+`kernel.vresultant` forms that norm as the resultant Res(f, x) by Euclid,
+with no map, and the sieve marks composite indices by digit rows.  The
+square-and-multiply Rabin and Euler tests, the conjugate product by powmod
+and the product sieve are kept here as seeded oracles.
 """
 
 import itertools
@@ -16,7 +16,7 @@ import random
 import pytest
 
 from drinfeldlab import cli, kernel
-from drinfeldlab.criteria import in_omega_tilde
+from drinfeldlab.criteria import in_lambda_set, in_omega_tilde, theorem2_build
 from drinfeldlab.drinfeld import DrinfeldModule, ReducedModule, reduction_height
 from drinfeldlab.fields import is_square, make_field
 from drinfeldlab.polys import (
@@ -153,58 +153,114 @@ def test_square_in_extension_field_matches_euler():
             assert is_square(ctx.from_encoded(x)) == want == (x in squares)
 
 
-def _norm_one_by_one(frob, v):
-    """v v^q ... v^(q^(d-1)) mod frob.mod, each conjugate one twist of the
-    last and multiplied in at once: d - 1 mulmods."""
-    ctx, mod = frob.ctx, frob.mod
+def _conjugate_product(ctx, mod, v):
+    """v v^q ... v^(q^(d-1)) mod a monic `mod` of degree d, q = ctx.q, each
+    conjugate the powmod to the q of the last: no Frobenius map."""
     conj = nr = kernel._trim(list(v))
     for _ in range(len(mod) - 2):
-        conj = kernel.vfrobenius(frob, conj)
+        conj = kernel.vpowmod(ctx, conj, ctx.q, mod)
         nr = kernel.vmulmod(ctx, nr, conj, mod)
     return nr
 
 
+def _refuse_twists(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a norm built or applied a Frobenius map")
+
+    monkeypatch.setattr(kernel.FrobeniusMap, "__init__", refuse)
+    monkeypatch.setattr(kernel, "vfrobenius", refuse)
+
+
 @pytest.mark.parametrize("field", [(5, 1), (7, 1), (5, 2)], ids=str)
 def test_norm_by_doubling_matches_the_conjugate_product(field, monkeypatch):
-    # every modulus degree from 1 to 20 (10 over F_25, whose field ops are
-    # slow), so every bit pattern of d up to 5 bits; the doubling chain
-    # takes the same d - 1 twists as the product and at most 2 log2(d)
-    # mulmods
+    # the resultant Res(f, v) of a prime f of every degree from 1 to 20
+    # (10 over F_25, whose field ops are slow) is the norm of v mod f, the
+    # product of its conjugates, and takes no twist
     ctx = make_field(*field)
     rng = random.Random(1900 + ctx.q)
     for d in range(1, 21 if ctx.m == 1 else 11):
-        mod = [rng.randrange(ctx.q) for _ in range(d)] + [1]
-        frob = kernel.FrobeniusMap(ctx, mod)
-        for _ in range(3):
-            v = kernel._trim([rng.randrange(ctx.q) for _ in range(d)])
-            twists, mulmods = [], []
-            vfrobenius, vmulmod = kernel.vfrobenius, kernel.vmulmod
-            monkeypatch.setattr(kernel, "vfrobenius", lambda *a: twists.append(
-                1) or vfrobenius(*a))
-            # F_25's own products also run on vmulmod, over Z/5
-            monkeypatch.setattr(kernel, "vmulmod", lambda *a: mulmods.append(
-                a[0] is ctx) or vmulmod(*a))
-            got = kernel.vnorm(frob, v)
-            monkeypatch.undo()
-            assert got == _norm_one_by_one(frob, v), (mod, v)
-            assert len(twists) == d - 1
-            assert sum(mulmods) <= 2 * (d.bit_length() - 1)
+        mod = list(_prime(rng, ctx, d).coeffs)
+        vs = [kernel._trim([rng.randrange(ctx.q) for _ in range(d)])
+              for _ in range(3)]
+        want = [_conjugate_product(ctx, mod, v) for v in vs]
+        _refuse_twists(monkeypatch)
+        got = [kernel.vresultant(ctx, mod, v) for v in vs]
+        monkeypatch.undo()
+        for v, nr, norm in zip(vs, got, want):
+            assert ([nr] if nr else []) == norm, (mod, v)
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_norm_by_doubling_in_extension_fields(p):
-    # the norm down to F_p that fields.is_square reads, on the field's own
-    # p-power map, for F_{p^m} with m = 2..5
+    # the norm down to F_p that fields.is_square reads, the resultant over
+    # Z/p of the field's modulus and an element's digits, for F_{p^m} with
+    # m = 2..5; then norms of F_9, F_27 and F_25 residue fields at primes
+    # of degree 1-6 over those fields
     rng = random.Random(2000 + p)
+    zp = kernel.Zp(p)
     for m in range(2, 6):
         ctx = make_field(p, m)
         xs = range(1, ctx.q) if ctx.q < 300 else rng.sample(range(1, ctx.q),
                                                               300)
         for x in xs:
             digits = ctx.decode(x)
-            nr = kernel.vnorm(ctx._frob, digits)
-            assert nr == _norm_one_by_one(ctx._frob, digits), (ctx, x)
-            assert len(nr) == 1
+            nr = kernel.vresultant(zp, ctx.modulus, digits)
+            assert [nr] == _conjugate_product(zp, ctx.modulus, digits), (
+                ctx, x)
+    for m in (2, 3) if p == 3 else (2,):
+        ctx = make_field(p, m)
+        for d in range(1, 7):
+            mod = list(_prime(rng, ctx, d).coeffs)
+            for _ in range(3):
+                v = kernel._trim([rng.randrange(ctx.q) for _ in range(d)])
+                nr = kernel.vresultant(ctx, mod, v)
+                assert ([nr] if nr else []) == _conjugate_product(
+                    ctx, mod, v), (ctx, mod, v)
+
+
+def _factored(rng, ctx):
+    """(f, its prime factors with multiplicity) for a random monic f of
+    degree 2-8 with a repeated factor or two distinct ones."""
+    while True:
+        primes = [_prime(rng, ctx, rng.randrange(1, 4))
+                  for _ in range(rng.randrange(1, 4))]
+        primes.append(rng.choice(primes))
+        f = Poly.one(ctx)
+        for g in primes:
+            f = f * g
+        if f.degree <= 8:
+            return list(f.coeffs), [list(g.coeffs) for g in primes]
+
+
+@pytest.mark.parametrize("field", [(5, 1), (7, 1), (3, 2), (5, 2)],
+                         ids=str)
+def test_resultant_over_reducible_moduli(field):
+    # Res(f, g) is multiplicative in f, so over a reducible f it is the
+    # product of the norms of g at f's prime factors; it is zero iff f and
+    # g share a factor, g = 0 included, c^(deg f) for a constant c, and
+    # unchanged when g of degree >= deg f is first reduced mod f
+    ctx = make_field(*field)
+    rng = random.Random(2100 + ctx.q)
+    zeros = 0
+    for _ in range(12):
+        f, factors = _factored(rng, ctx)
+        d = len(f) - 1
+        assert kernel.vresultant(ctx, f, []) == 0
+        for c in (1, rng.randrange(1, ctx.q)):
+            assert kernel.vresultant(ctx, f, [c]) == ctx.pow(c, d)
+        gs = [kernel._trim([rng.randrange(ctx.q) for _ in range(n)])
+              for n in (d, d + 1, 2 * d + 3)]
+        gs.append(kernel.vmul(ctx, factors[0], [1, 2]))  # a common factor
+        for g in gs:
+            want = 1
+            for h in factors:
+                want = ctx.mul(want, kernel.vresultant(ctx, h, g))
+            got = kernel.vresultant(ctx, f, g)
+            assert got == want, (f, g)
+            assert got == kernel.vresultant(ctx, f, kernel.vmod(ctx, g, f))
+            assert (got == 0) == (kernel.vgcd(ctx, f, g) != [1]), (f, g)
+            zeros += got == 0
+    assert zeros >= 12
 
 
 def _product_sieve(ctx, degree):
@@ -265,6 +321,31 @@ def test_ring_of_a_poly_keeps_its_rabin_map(monkeypatch):
     assert is_square_mod_prime(x) == _euler_by_powmod(x)
     assert x.frobenius(3) == x ** (5 ** 3)
     assert len(built) == 1
+
+
+def test_norms_and_square_tests_build_no_frobenius_map(monkeypatch):
+    # the map is built only to twist: a triple certificate and theorem 2
+    # at a trusted prime, a field with its default modulus (found and
+    # cached before the patch) and its square tests build none, while a
+    # given modulus is Rabin-tested on one map
+    fields = [make_field(p, m) for p, m in ((5, 2), (3, 3), (7, 2))]
+    built = []
+    build = kernel.FrobeniusMap.__init__
+    monkeypatch.setattr(kernel.FrobeniusMap, "__init__", lambda frob, ctx,
+                        mod: built.append(mod) or build(frob, ctx, mod))
+    for text, g1, c in (("T^2+2", "T+1", 3), ("T^3+3*T+2", "1", 1),
+                        ("T^4+2", "T^2+4", 0)):
+        l = PrimeIdeal(parse_poly(F5, text), _trusted=True)
+        cert = in_lambda_set(l, parse_poly(F5, g1), F5.element(c))
+        _, cert2 = theorem2_build(l, parse_poly(F5, g1), F5.element(c))
+        assert cert.checks[1]["passed"] == cert2.checks[1]["passed"]
+    for ctx in fields:
+        again = make_field(ctx.p, ctx.m)
+        assert again == ctx
+        assert sum(map(again.is_square, range(ctx.q))) == (ctx.q + 1) // 2
+    assert built == []
+    make_field(5, 2, (2, 0, 1))
+    assert built == [(2, 0, 1)]
 
 
 def test_reduction_height_reads_the_vectors(monkeypatch):

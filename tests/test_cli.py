@@ -32,7 +32,7 @@ from drinfeldlab.errors import (
     ParamsOutOfRange,
 )
 from drinfeldlab.fields import make_field
-from drinfeldlab.polys import PrimeIdeal, parse_poly
+from drinfeldlab.polys import Poly, PrimeIdeal, parse_poly
 
 
 def run(capsys, *argv):
@@ -245,14 +245,9 @@ def test_internal_inconsistency_exit_3(capsys, monkeypatch):
 
 
 def test_internal_checks_exit_3(capsys, monkeypatch):
-    # a norm outside F_q (no conjugate multiplied in) and a tau-height not
-    # divisible by deg p are internal inconsistencies, not tracebacks
-    monkeypatch.setattr(kernel, "vnorm", lambda frob, v: list(v))
-    code, out, err = run(capsys, "frob", "--q", "5", "--g1", "1", "--g2",
-                         "T+1", "--prime", "T^2+2")
-    assert code == 3
-    assert out == "" and "norm did not land" in err
-    # phi_p's first nonzero tau-coefficient vector at index 1, deg p = 2
+    # a tau-height not divisible by deg p is an internal inconsistency,
+    # not a traceback: phi_p's first nonzero tau-coefficient vector at
+    # index 1, deg p = 2
     monkeypatch.setattr(drinfeld.ReducedModule, "vectors",
                         lambda red, a: [[], [1]])
     code, out, err = run(capsys, "newton", "--q", "5", "--g1", "1", "--g2",
@@ -438,6 +433,17 @@ def test_frob_oracle_errors_propagate(capsys, monkeypatch):
         raise InternalInconsistency("oracle disagrees; this is a bug")
 
     monkeypatch.setattr(frobenius, "euler_poincare_oracle", broken)
+    code, out, err = run(capsys, "frob", "--q", "5", "--g1", "1", "--g2",
+                         "4", "--prime", "T^2+2")
+    assert code == 3
+    assert out == "" and "bug" in err
+
+
+def test_frob_oracle_disagreement_exit_3(capsys, monkeypatch):
+    # the oracle and frob_general must agree: a disagreement is a bug,
+    # exit 3, not a verification failure
+    monkeypatch.setattr(frobenius, "euler_poincare_oracle",
+                        lambda phi, lam: Poly.T(phi.ctx))
     code, out, err = run(capsys, "frob", "--q", "5", "--g1", "1", "--g2",
                          "4", "--prime", "T^2+2")
     assert code == 3
