@@ -2,7 +2,8 @@
 per source tree: `import drinfeldlab.cli` and each README command as
 subprocesses, and in-process layer cases (building a `kernel.FrobeniusMap`,
 one `kernel.vfrobenius`, one `kernel.vhorner`, one `residues.norm_to_base`,
-and `FieldCtx.is_square` over a whole field) at fixed sizes.
+`FieldCtx.is_square` over a whole field, one `frobenius.frob_general` and
+one `frobenius.euler_poincare_oracle`) at fixed sizes.
 
     python3 bench/layers.py --runs 15 --out BENCH_<n>.json
     python3 bench/layers.py --src ../parent/src --out parent.json \
@@ -43,7 +44,10 @@ IMPORT_CASE = "import drinfeldlab.cli"
 LAYER_FLOOR_S = 0.02
 # (op, p, m, deg f) of each layer case: the maps at q = 5 and 127 at
 # degrees 16 and 64, and at F_25 at degree 16; the norm at q = 5 and 127
-# at degrees 16 and 64; the square test over F_25 and F_3^5, every element
+# at degrees 16 and 64; the square test over F_25 and F_3^5, every element;
+# the charpoly at q = 5, degree 4 (the charpoly workload's median job, with
+# the oracle) and 7, and at q = 127, degree 64 (PRIME_DEG_CAP); the oracle
+# at q = 5, degree 4 and at F_25, degree 2, both at its bound q^deg <= 625
 LAYERS = {f"{op} q={p ** m} deg={d}": (op, p, m, d)
           for p, m, d in ((5, 1, 16), (5, 1, 64), (127, 1, 16),
                           (127, 1, 64), (5, 2, 16))
@@ -52,6 +56,12 @@ LAYERS.update({f"norm_to_base q={p} deg={d}": ("norm_to_base", p, 1, d)
                for p in (5, 127) for d in (16, 64)})
 LAYERS.update({f"is_square q={p ** m}": ("is_square", p, m, None)
                for p, m in ((5, 2), (3, 5))})
+LAYERS.update({f"{op} q={p ** m} deg={d}": (op, p, m, d)
+               for op, p, m, d in (("frob_general", 5, 1, 4),
+                                   ("frob_general", 5, 1, 7),
+                                   ("frob_general", 127, 1, 64),
+                                   ("euler_poincare_oracle", 5, 1, 4),
+                                   ("euler_poincare_oracle", 5, 2, 2))})
 
 
 def readme_commands(readme=ROOT / "README.md"):
@@ -132,6 +142,33 @@ def _norm_call(ctx, rng, d):
     return lambda: residues.norm_to_base(x).val
 
 
+def _charpoly_call(ctx, rng, op, d):
+    """(call, its value as printed) of frob_general, printed as the
+    coefficients of (a, b), or of euler_poincare_oracle, printed as its
+    coefficients, at a good prime of degree d parsed as the frob command
+    parses it, phi_T = T + g tau + D tau^2 with g of degree 2 and D of
+    degree 1, seeded."""
+    from drinfeldlab import drinfeld, frobenius, polys
+
+    q = ctx.q
+    while True:
+        f = polys.Poly(ctx, [rng.randrange(q) for _ in range(d)] + [1])
+        if polys.is_irreducible(f):
+            break
+    lam = polys.PrimeIdeal(f)
+    while True:
+        g = polys.Poly(ctx, [rng.randrange(q) for _ in range(2)] + [1])
+        delta = polys.Poly(ctx, [rng.randrange(q), rng.randrange(1, q)])
+        if not (delta % f).is_zero():
+            break
+    phi = drinfeld.DrinfeldModule(ctx, [g, delta])
+    if op == "frob_general":
+        return (functools.partial(frobenius.frob_general, phi, lam),
+                lambda cp: [list(cp.a.coeffs), list(cp.b.coeffs)])
+    return (functools.partial(frobenius.euler_poincare_oracle, phi, lam),
+            lambda oracle: list(oracle.coeffs))
+
+
 def layer_child(name):
     """Print the seconds per call of one layer case on its first line and
     its result as JSON after it.  Inputs are seeded by the case's field
@@ -145,6 +182,8 @@ def layer_child(name):
         call, show = (lambda: list(map(ctx.is_square, range(ctx.q)))), list
     elif op == "norm_to_base":
         call, show = _norm_call(ctx, rng, d), int
+    elif op in ("frob_general", "euler_poincare_oracle"):
+        call, show = _charpoly_call(ctx, rng, op, d)
     else:
         call, show = _map_call(ctx, rng, op, d)
     seconds, out = _per_call(call)

@@ -173,11 +173,12 @@ def _frob(args):
         "unit": cp.unit.val,
         "identity_holds": True,
     }
-    # The oracle reduces phi a second time, into a ring of its own, and
-    # raises to q^i by powmod, never by the Frobenius rows frob_general
-    # twists with: the second reduction is what keeps the check independent.
-    # Above its residue-field bound it is skipped; any error it raises
-    # within the bound propagates, and so does a disagreement.
+    # The oracle reduces phi a second time and builds the T-action by
+    # powmod, T^j to j q^i, touching no Frobenius map (frob_general twists
+    # with the prime's), then takes its charpoly by Hessenberg reduction:
+    # no step is shared, which keeps the check independent.  Above its
+    # residue-field bound it is skipped; any error it raises within the
+    # bound propagates, and so does a disagreement.
     rec["oracle"] = rec["oracle_matches"] = None
     if ctx.q ** lam.degree <= frobenius.DEFAULT_BRUTE_CAP:
         oracle = frobenius.euler_poincare_oracle(phi, lam)

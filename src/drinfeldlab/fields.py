@@ -41,7 +41,7 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
         zp = kernel.Zp(p)
         for tail in itertools.product(range(p), repeat=m):
             cand = [tail[m - 1 - i] for i in range(m)] + [1]
-            if kernel.rabin(zp, cand, kernel.FrobeniusMap(zp, cand)):
+            if kernel.rabin(kernel.FrobeniusMap(zp, cand)):
                 _MODULUS_CACHE[key] = tuple(cand)
                 break
     return _MODULUS_CACHE[key]
@@ -70,8 +70,7 @@ class FieldCtx:
             if len(mod) != m + 1 or mod[-1] != 1:
                 raise NotIrreducibleModulus(
                     f"modulus must be monic of degree {m}")
-            if m > 1 and not kernel.rabin(self._zp, mod,
-                                          kernel.FrobeniusMap(self._zp, mod)):
+            if m > 1 and not kernel.rabin(kernel.FrobeniusMap(self._zp, mod)):
                 raise NotIrreducibleModulus(
                     f"modulus {mod} is reducible over F_{p}")
         self.modulus = (None if m == 1 else

@@ -4,12 +4,20 @@ The pair (a, b) with X^2 - aX + b is produced by the norm formula for b,
 with the trace a read off phi_b at general primes; two independent oracles
 (the defining identity in the twisted ring, and the characteristic ideal of
 the induced T-action on the residue field) cross-validate every output.
+
+Both routes work on kernel vectors, with no ResidueRing or ResidueElement.
+frob_general reduces phi_T by kernel.vmod, takes the unit from the norm of
+the leading coefficient, a resultant (kernel.vresultant), and forms phi_b
+and phi_a on one kernel.HornerMap over the prime's Frobenius map.  The
+Euler-Poincare oracle reduces phi_T again and builds the T-action by
+kernel.vpowmod alone, touching no Frobenius map, and takes its
+characteristic polynomial by Hessenberg reduction (kernel.vcharpoly).
 """
 
 from __future__ import annotations
 
 from . import kernel
-from .drinfeld import DrinfeldModule, ReducedModule, reduce_module
+from .drinfeld import DrinfeldModule
 from .errors import (
     BruteCapExceeded,
     CapExceeded,
@@ -30,7 +38,7 @@ from .polys import (  # noqa: F401  (PRIME_DEG_CAP, check_prime_degree)
     enumerate_monic_irreducibles,
     gcd,
 )
-from .residues import generates_units, norm_to_base
+from .residues import generates_units
 
 DEFAULT_BRUTE_CAP = 5 ** 4
 # The largest N = q^deg p that det_generation_check (det-gen) admits.  It
@@ -115,21 +123,34 @@ def frob_deg1(phi: DrinfeldModule, lam: PrimeIdeal) -> FrobCharpoly:
                         Poly(ctx, kernel.vscale(ctx, lam.gen.coeffs, u)))
 
 
-def _good_reduction(phi: DrinfeldModule, lam: PrimeIdeal) -> ReducedModule:
-    red = reduce_module(phi, lam)
-    if not red.is_good:
+def _reduction(phi: DrinfeldModule, lam: PrimeIdeal) -> list:
+    """The coefficients T, g_1, g_2 of phi_T reduced mod lam, as kernel
+    vectors by kernel.vmod; raises NotGoodReduction unless g_2 mod lam is
+    nonzero."""
+    ctx, gen = phi.ctx, lam.gen.coeffs
+    coeffs = [kernel.vmod(ctx, c, gen)
+              for c in [(0, 1)] + [g.coeffs for g in phi.coeffs]]
+    if not coeffs[-1]:
         raise NotGoodReduction(f"bad reduction at {lam!r}")
-    return red
+    return coeffs
 
 
-def _identity_holds(red: ReducedModule, a: Poly, phi_b) -> bool:
-    """Whether phi_b = phi_a tau^m - tau^{2m} over the residue field,
-    compared coefficient by coefficient on the kernel vectors of phi_b;
-    right multiplication by tau^m shifts, since 1 is Frobenius-fixed."""
-    m = red.prime.degree
-    want = [[]] * m + red.vectors(a)
+def _horner_map(lam: PrimeIdeal, coeffs) -> kernel.HornerMap:
+    """phi_T's Horner step over A/(lam) on the map lam's Rabin test built,
+    or on a new one for a trusted lam."""
+    frob = lam.frob or kernel.FrobeniusMap(lam.ctx, lam.gen.coeffs)
+    return kernel.HornerMap(frob, coeffs)
+
+
+def _identity_holds(ctx, step, m: int, a, phi_b) -> bool:
+    """Whether phi_b = phi_a tau^m - tau^{2m} over A/(lam), deg lam = m,
+    for the coefficient vector a, compared coefficient by coefficient on
+    the tau-coefficient vectors of phi_b and of phi_a, which
+    kernel.vhorner forms on `step`; right multiplication by tau^m shifts,
+    since 1 is Frobenius-fixed."""
+    want = [[]] * m + kernel.vhorner(step, a)
     want += [[]] * (2 * m + 1 - len(want))
-    want[2 * m] = kernel.vsub(red.ring.ctx, want[2 * m], [1])
+    want[2 * m] = kernel.vsub(ctx, want[2 * m], [1])
     while want and not want[-1]:
         want.pop()
     return want == phi_b
@@ -140,76 +161,60 @@ def frob_general(phi: DrinfeldModule, lam: PrimeIdeal) -> FrobCharpoly:
 
     phi_b = phi_a tau^m - tau^{2m} over the residue field, so the tau^m
     coefficient of phi_b is a mod lam, that is a, as deg a <= m/2 < m.
-    Runs the general route at every degree (no closed-form shortcut), so
-    degree-1 agreement with frob_deg1 is a genuine cross-check.
+    Works on kernel vectors: phi_T reduced by kernel.vmod, the unit from
+    the norm of g_2, a resultant (kernel.vresultant), and phi_b and phi_a
+    by one kernel.HornerMap.  Runs the general route at every degree (no
+    closed-form shortcut), so degree-1 agreement with frob_deg1 is a
+    genuine cross-check.
     """
     _require_rank2(phi)
-    red = _good_reduction(phi, lam)
-    m = lam.degree
-    ctx = phi.ctx
-    nr = norm_to_base(red.coeffs[2])
-    sign_val = 1 if m % 2 == 0 else (-1) % ctx.p
-    u = FqElement(ctx, ctx.mul(sign_val, ctx.inv(nr.val)))
-    b = lam.gen * u
-    phi_b = red.vectors(b)
-    a = Poly(ctx, phi_b[m] if m < len(phi_b) else ())
-    if not _identity_holds(red, a, phi_b):
+    coeffs = _reduction(phi, lam)
+    ctx, m, gen = phi.ctx, lam.degree, lam.gen.coeffs
+    sign = 1 if m % 2 == 0 else ctx.p - 1  # -1 in every F_{p^m}
+    b = kernel.vscale(ctx, gen, ctx.mul(
+        sign, ctx.inv(kernel.vresultant(ctx, gen, coeffs[2]))))
+    step = _horner_map(lam, coeffs)
+    phi_b = kernel.vhorner(step, b)
+    a = phi_b[m] if m < len(phi_b) else []
+    if not _identity_holds(ctx, step, m, a, phi_b):
         raise InternalInconsistency(
             "norm formula and Frobenius identity disagree; this is a bug")
-    return FrobCharpoly(lam, a, b)
+    return FrobCharpoly(lam, Poly(ctx, a), Poly(ctx, b))
 
 
 def frob_identity_check(phi: DrinfeldModule, cp: FrobCharpoly) -> bool:
     """Whether tau^{2m} - phi_a tau^m + phi_b = 0 over the residue field."""
     _require_rank2(phi)
-    red = _good_reduction(phi, cp.prime)
-    return _identity_holds(red, cp.a, red.vectors(cp.b))
+    lam = cp.prime
+    step = _horner_map(lam, _reduction(phi, lam))
+    return _identity_holds(phi.ctx, step, lam.degree, cp.a.coeffs,
+                           kernel.vhorner(step, cp.b.coeffs))
 
 
 def euler_poincare_oracle(phi: DrinfeldModule, lam: PrimeIdeal) -> Poly:
     """Characteristic ideal of the induced A-module structure on the residue
     field: the characteristic polynomial of the F_q-linear T-action.
 
-    Independent of frob_general; for rank 2 it must equal the monic
-    associate of P(1) = 1 - a + b.
+    Independent of frob_general: phi_T = sum c_i tau^i sends T^j to
+    sum c_i T^(j q^i), each power one kernel.vpowmod, so no Frobenius map
+    is touched, and the charpoly comes by Hessenberg reduction
+    (kernel.vcharpoly).  For rank 2 it must equal the monic associate of
+    P(1) = 1 - a + b.
     """
     ctx = phi.ctx
     m = lam.degree
     if ctx.q ** m > DEFAULT_BRUTE_CAP:
         raise BruteCapExceeded(f"residue field of size {ctx.q}^{m} over cap")
-    red = _good_reduction(phi, lam)
-    ring = red.ring
-    q = ctx.q
-    lin = [(q ** i, c) for i, c in enumerate(red.coeffs) if not c.is_zero()]
+    gen = lam.gen.coeffs
+    lin = [(ctx.q ** i, c) for i, c in enumerate(_reduction(phi, lam)) if c]
     cols = []
     for j in range(m):
-        basis_j = ring.element(Poly.T(ctx) ** j)
-        img = ring.zero
+        img = []
         for exp, c in lin:
-            img = img + c * basis_j ** exp
-        rep = img.rep.coeffs
-        cols.append([rep[i] if i < len(rep) else 0 for i in range(m)])
-    # charpoly det(X I - M) over A by cofactor expansion (m <= 4)
-    entries = [[Poly(ctx, (ctx.neg(cols[j][i]),)) for j in range(m)]
-               for i in range(m)]
-    for i in range(m):
-        entries[i][i] = entries[i][i] + Poly.T(ctx)
-    return _det(entries)
-
-
-def _det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    ctx = mat[0][0].ctx
-    total = Poly.zero(ctx)
-    for j, top in enumerate(mat[0]):
-        if top.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = top * _det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+            img = kernel.vadd(ctx, img, kernel.vmulmod(
+                ctx, c, kernel.vpowmod(ctx, [0, 1], j * exp, gen), gen))
+        cols.append(img + [0] * (m - len(img)))
+    return Poly(ctx, kernel.vcharpoly(ctx, cols))
 
 
 def det_level_check(phi: DrinfeldModule, lam: PrimeIdeal, a_mod: Poly) -> bool:

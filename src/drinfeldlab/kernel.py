@@ -13,18 +13,22 @@ index `vindex` and its digits `vdigits`, so each arithmetic decision
 lives in one place.  That covers every quotient of a
 polynomial ring by a monic modulus: F_{p^m} itself (digits over `Zp(p)`
 modulo the field's modulus) and the residue rings A/(f) of `residues`.
-`vechelon` is the one Gaussian elimination: F_q-linear solving in `skew`
-and the F_p-rank of the level-2 group lab both run on it.
+`vechelon` is the Gaussian elimination: F_q-linear solving in `skew` and
+the F_p-rank of the level-2 group lab both run on it.  `vcharpoly`, the
+kernel's second elimination, takes det(X I - M) by Hessenberg reduction
+for the Euler-Poincare oracle.
 
 The q-power Frobenius x -> x^q of A/(f) is F_q-linear, as c^q = c on F_q.
 `FrobeniusMap` builds its matrix once (the rows T^(q*i) mod f of
 Berlekamp's algorithm: one powmod for T^q, then one mulmod a row) as one
 packed F_p-linear map on the F_p-digits of x, for every q, and
-`vfrobenius` applies it by one packed sum.  So every twist in A/(f), of
+`vfrobenius` applies it by one packed sum (rows and digits are packed by
+`struct.pack`, unpacked by `memoryview.cast`).  So every twist in A/(f), of
 skew products and of `ResidueElement.frobenius`, costs one matrix-vector
 product and no powmod.  The Rabin test runs on the same map, T^(q^i)
-mod f being i twists of T, so a prime keeps the map its test built for
-every later twist; the map is built only where something is twisted.
+mod f being i twists of T, and takes nothing but the map, so a prime
+keeps the map its test built for every later twist; the map is built
+only where something is twisted.
 The Horner step of `vhorner` (phi_a over A/(f)) is F_p-linear too, and
 `HornerMap` packs it on the same digits, once per Drinfeld module.
 `fp_digits`, `from_fp_digits` and `_unpack_mod` read and write that
@@ -133,7 +137,7 @@ def vdivmod(ctx, a, b):
     db = len(b) - 1
     n = len(a) - db
     if n <= 0:
-        return [], list(a)
+        return [], _trim(list(a))
     r = list(a)
     quo = [0] * n
     inv = _inv(ctx, b[-1])
@@ -171,7 +175,7 @@ def vresultant(ctx, f, g) -> int:
     costs one division step."""
     p = ctx.p
     mul = ctx.mul if ctx.m > 1 else (lambda x, y: x * y % p)
-    a, b, res = f, _trim(vmod(ctx, g, f)), 1
+    a, b, res = f, vmod(ctx, g, f), 1
     while len(b) > 1:
         r = vmod(ctx, a, b)
         if not r:
@@ -240,8 +244,9 @@ def frobenius_rows(ctx, mod):
     return rows
 
 
-# memoryview.cast formats by their native width in bytes; the packed ints
-# are little-endian, so the casts are taken only on such hosts
+# struct formats by their native width in bytes, for struct.pack and
+# memoryview.cast; the packed ints are little-endian, so these are taken
+# only on such hosts
 _SLOT_FORMATS = ({struct.calcsize(f): f for f in "HIQ"}
                  if sys.byteorder == "little" else {})
 
@@ -255,7 +260,12 @@ def _slot(bound):
 
 
 def _pack(words, slot):
-    """The int whose j-th `slot`-byte word is words[j]."""
+    """The int whose j-th `slot`-byte word is words[j]: one struct.pack,
+    or a to_bytes per word where the host has no such format."""
+    fmt = _SLOT_FORMATS.get(slot)
+    if fmt:
+        return int.from_bytes(struct.pack(f"{len(words)}{fmt}", *words),
+                              "little")
     return int.from_bytes(b"".join(w.to_bytes(slot, "little")
                                    for w in words), "little")
 
@@ -389,6 +399,55 @@ def vechelon(ctx, vectors, dim=None):
     return rows
 
 
+def vcharpoly(ctx, rows):
+    """det(X I - M), monic, for the n x n matrix M over F_q given by its
+    rows, n >= 1 (M and its transpose have the same one).  Reduces a copy
+    of M to Hessenberg form by similarity, column by column: swap a row
+    with a nonzero entry onto the subdiagonal (with the matching column
+    swap), clear the entries below it by row operations, and undo each on
+    the columns.  Then reads det(X I - H) off the recurrence on H's leading
+    principal minors: O(n^3) operations over F_q (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.2.9)."""
+    n, p = len(rows), ctx.p
+    if ctx.m == 1:
+        def add(x, y):
+            return (x + y) % p
+
+        def mul(x, y):
+            return x * y % p
+    else:
+        add, mul = ctx.add, ctx.mul
+    h = [list(row) for row in rows]
+    for k in range(1, n - 1):
+        piv = next((i for i in range(k, n) if h[i][k - 1]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            h[piv], h[k] = h[k], h[piv]
+            for row in h:
+                row[piv], row[k] = row[k], row[piv]
+        inv = _inv(ctx, h[k][k - 1])
+        for i in range(k + 1, n):
+            u = mul(h[i][k - 1], inv)
+            if u:
+                neg_u = mul(u, p - 1)  # p - 1 encodes -1 in every F_{p^m}
+                h[i] = [add(x, mul(neg_u, y)) for x, y in zip(h[i], h[k])]
+                for row in h:
+                    row[k] = add(row[k], mul(u, row[i]))
+    minors = [[1]]  # minors[j] = det(X I - H) on H's first j rows and columns
+    for j in range(n):
+        char = vmul(ctx, vsub(ctx, [0, 1], [h[j][j]]), minors[j])
+        t = 1
+        for i in range(1, j + 1):
+            t = mul(t, h[j - i + 1][j - i])
+            if not t:
+                break
+            char = vsub(ctx, char, vscale(ctx, minors[j - i],
+                                          mul(t, h[j - i][j])))
+        minors.append(char)
+    return minors[n]
+
+
 def vgcd(ctx, a, b):
     """Monic gcd; zero when both inputs are zero."""
     while b:
@@ -491,12 +550,14 @@ def prime_divisors(n: int):
     return out
 
 
-def rabin(ctx, f, frob) -> bool:
-    """Rabin's irreducibility test for a monic f of degree n >= 1 over F_q,
-    q = ctx.q, on frob, its FrobeniusMap: gcd(f, T^(q^(n/l)) - T) = 1 for
-    every prime l dividing n, and T^(q^n) = T mod f.  Each T^(q^i) is one
-    vfrobenius of T^(q^(i-1)), so the test takes n twists and no powmod
-    (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14)."""
+def rabin(frob) -> bool:
+    """Rabin's irreducibility test for the monic modulus f = frob.mod of
+    degree n >= 1 of a FrobeniusMap over F_q, q = frob.ctx.q:
+    gcd(f, T^(q^(n/l)) - T) = 1 for every prime l dividing n, and
+    T^(q^n) = T mod f.  Each T^(q^i) is one vfrobenius of T^(q^(i-1)), so
+    the test takes n twists and no powmod (von zur Gathen and Gerhard,
+    Modern Computer Algebra, ch. 14)."""
+    ctx, f = frob.ctx, frob.mod
     n = len(f) - 1
     if n == 1:
         return True

@@ -289,10 +289,9 @@ def is_irreducible(f: Poly, frob=None) -> bool:
     f's monic associate."""
     if len(f.coeffs) < 2:
         raise DegreeZeroInput("irreducibility needs degree >= 1")
-    mod = kernel.vmonic(f.ctx, f.coeffs)
     if frob is None:
-        frob = kernel.FrobeniusMap(f.ctx, mod)
-    return kernel.rabin(f.ctx, mod, frob)
+        frob = kernel.FrobeniusMap(f.ctx, kernel.vmonic(f.ctx, f.coeffs))
+    return kernel.rabin(frob)
 
 
 def poly_from_index(ctx: FieldCtx, idx: int) -> Poly:

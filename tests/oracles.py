@@ -20,3 +20,29 @@ def abelian_span(one, gens, mul, order: int) -> set:
         if len(H) == order:
             break
     return seen
+
+
+def cofactor_charpoly(ctx, rows):
+    """det(X I - M) as a Poly for the square matrix M over F_q with the
+    given rows, by cofactor expansion along the first row: n! terms, the
+    route kernel.vcharpoly replaced."""
+    from drinfeldlab.polys import Poly
+
+    n = len(rows)
+    return _det([[(Poly.T(ctx) if i == j else Poly.zero(ctx))
+                  - Poly(ctx, (rows[i][j],)) for j in range(n)]
+                 for i in range(n)])
+
+
+def _det(mat):
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    total = mat[0][0] - mat[0][0]
+    for j, top in enumerate(mat[0]):
+        if top.is_zero():
+            continue
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        term = top * _det(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total

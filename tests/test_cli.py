@@ -235,9 +235,11 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_internal_inconsistency_exit_3(capsys, monkeypatch):
-    # a wrong nonzero norm makes the identity check inside frob_general fail
-    norm = frobenius.norm_to_base
-    monkeypatch.setattr(frobenius, "norm_to_base", lambda x: norm(x) * 2)
+    # a wrong nonzero norm makes the identity check inside frob_general
+    # fail; frob_general takes the norm as a resultant
+    resultant = kernel.vresultant
+    monkeypatch.setattr(kernel, "vresultant", lambda ctx, f, g: ctx.mul(
+        resultant(ctx, f, g), 2))
     code, out, err = run(capsys, "frob", "--q", "5", "--g1", "1", "--g2",
                          "4", "--prime", "T^2+2")
     assert code == 3

@@ -37,7 +37,7 @@ from drinfeldlab.polys import (
 )
 from drinfeldlab.residues import ResidueRing
 from drinfeldlab.skew import SkewPoly, linear_solve_left
-from oracles import abelian_span
+from oracles import abelian_span, cofactor_charpoly
 
 F5 = make_field(5)
 
@@ -235,8 +235,6 @@ def test_identity_check_catches_a_wrong_unit_or_trace(monkeypatch, ctx,
                                                       degree):
     # with b = u lambda for a wrong unit u, phi_b has tau^(2m) coefficient
     # -2, not -1, whatever trace is read off it: frob_general must refuse
-    from drinfeldlab import frobenius
-
     phi, lam = _good_pair(random.Random(700 + ctx.q + degree), ctx, degree)
     cp = frob_general(phi, lam)
     assert frob_identity_check(phi, cp)
@@ -246,17 +244,19 @@ def test_identity_check_catches_a_wrong_unit_or_trace(monkeypatch, ctx,
     if degree >= 2:
         bad_a = cp.a + Poly.T(ctx)
         assert not frob_identity_check(phi, FrobCharpoly(lam, bad_a, cp.b))
-    norm = frobenius.norm_to_base
-    monkeypatch.setattr(frobenius, "norm_to_base", lambda x: norm(x) * 2)
+    resultant = kernel.vresultant
+    monkeypatch.setattr(kernel, "vresultant", lambda ctx, f, g: ctx.mul(
+        resultant(ctx, f, g), 2))
     with pytest.raises(InternalInconsistency):
         frob_general(phi, lam)
 
 
 def test_frob_exits_3_on_a_wrong_unit_at_degree_16(capsys, monkeypatch):
-    from drinfeldlab import cli, frobenius
+    from drinfeldlab import cli
 
-    norm = frobenius.norm_to_base
-    monkeypatch.setattr(frobenius, "norm_to_base", lambda x: norm(x) * 2)
+    resultant = kernel.vresultant
+    monkeypatch.setattr(kernel, "vresultant", lambda ctx, f, g: ctx.mul(
+        resultant(ctx, f, g), 2))
     code = cli.main(["frob", "--q", "5", "--g1", "1", "--g2", "4",
                      "--prime", "T^16+T^3+3*T+2"])
     out, err = capsys.readouterr()
@@ -306,22 +306,80 @@ def test_oracle_agreement_random():
 
 
 def test_oracle_is_independent_of_the_frobenius_rows(monkeypatch):
-    # the oracle raises to q^i by powmod in a ring of its own, so it still
-    # answers, and still agrees, with the Frobenius twist unavailable; the
-    # primes carry their rows from parse, so it is the twist that is patched
-    from drinfeldlab import kernel
-
+    # the oracle raises T^j to j q^i by powmod, so it still answers, and
+    # still agrees, with every Frobenius map unavailable: its build, its
+    # rows and its twist.  The primes are parsed first (their Rabin test
+    # builds a map); the trusted ones have none, and over F_7 and F_25
+    # frob_general would have to build one
     cases = _oracle_agreement_cases()
+    for ctx, degree in ((make_field(7), 3), (make_field(5, 2), 2)):
+        rng = random.Random(900 + ctx.q)
+        for _ in range(4):
+            phi, lam = _good_pair(rng, ctx, degree)
+            cp = frob_general(phi, lam)
+            cases.append((phi, lam, (Poly.one(ctx) - cp.a + cp.b).monic()))
     phi2, lam2 = next((phi, lam) for phi, lam, _ in cases if lam.degree == 2)
 
-    def unavailable(frob, v):
-        raise AssertionError("the oracle used the Frobenius rows")
+    def unavailable(*args):
+        raise AssertionError("the oracle used a Frobenius map")
 
-    monkeypatch.setattr(kernel, "vfrobenius", unavailable)
+    for name in ("FrobeniusMap", "vfrobenius", "frobenius_rows"):
+        monkeypatch.setattr(kernel, name, unavailable)
     with pytest.raises(AssertionError):
         frob_general(phi2, lam2)
     for phi, lam, p1 in cases:
         assert euler_poincare_oracle(phi, lam) == p1
+
+
+def _charpoly_matrices(rng, q, n):
+    """n x n matrices over F_q: the zero matrix, one whose first column
+    is zero below the subdiagonal's first entry, which is zero too (no
+    pivot: the skip branch), one whose subdiagonal entry is zero with a
+    nonzero entry below it (the pivot swap), and seeded ones, dense and
+    half zero."""
+    def rand(density):
+        return [[rng.randrange(q) if rng.random() < density else 0
+                 for _ in range(n)] for _ in range(n)]
+
+    out = [[[0] * n for _ in range(n)]]
+    if n >= 3:
+        skip, swap = rand(1), rand(1)
+        for i in range(1, n):
+            skip[i][0] = swap[i][0] = 0
+        swap[n - 1][0] = rng.randrange(1, q)
+        out += [skip, swap]
+    return out + [rand(1) for _ in range(4)] + [rand(0.5) for _ in range(4)]
+
+
+@pytest.mark.parametrize("ctx", [F5, make_field(7), make_field(3, 2),
+                                 make_field(5, 2)], ids=lambda c: f"q{c.q}")
+def test_hessenberg_charpoly_matches_cofactors(monkeypatch, ctx):
+    # kernel.vcharpoly against cofactor expansion up to 6 x 6, with the
+    # skip and swap branches of the reduction each taken
+    rng = random.Random(950 + ctx.q)
+    pivots = []
+    inv = kernel._inv
+    monkeypatch.setattr(kernel, "_inv", lambda ctx, c: (
+        pivots.append(c) or inv(ctx, c)))
+    for n in range(1, 7):
+        for rows in _charpoly_matrices(rng, ctx.q, n):
+            before = [list(r) for r in rows]
+            del pivots[:]
+            got = kernel.vcharpoly(ctx, rows)
+            assert rows == before  # reduced on a copy
+            assert Poly(ctx, got) == cofactor_charpoly(ctx, rows), rows
+            assert len(got) == n + 1 and got[-1] == 1
+            if not any(map(any, rows)):
+                assert got == [0] * n + [1]
+                assert not pivots  # every column skipped
+    for rows, first in ((((1, 2, 3), (0, 4, 1), (0, 1, 2)), None),
+                        (((1, 2, 3), (0, 4, 1), (2, 1, 2)), 2)):
+        del pivots[:]
+        assert Poly(ctx, kernel.vcharpoly(ctx, rows)) == cofactor_charpoly(
+            ctx, rows)
+        # no pivot in column 0: the only elimination step is skipped; a
+        # zero subdiagonal entry: the row below is swapped up as the pivot
+        assert pivots == ([] if first is None else [first])
 
 
 def test_charpoly_invariants_random():

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from drinfeldlab import frobenius, kernel
+from drinfeldlab import kernel
 from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.fields import make_field
 from drinfeldlab.frobenius import frob_general
@@ -124,6 +124,25 @@ def test_vlincomb_is_the_sum_of_scaled_rows():
                 == vlincomb(ctx, v, kernel.frobenius_rows(ctx, mod)))
 
 
+@pytest.mark.parametrize("cast", [True, False], ids=["cast", "from_bytes"])
+@pytest.mark.parametrize("slot", [2, 4, 8, 16])
+def test_pack_round_trips_through_unpack(monkeypatch, cast, slot):
+    # words up to the slot's largest, packed by struct.pack where a format
+    # of that width exists (none at 16 bytes) and word by word otherwise,
+    # as on a big-endian host
+    if not cast:
+        monkeypatch.setattr(kernel, "_SLOT_FORMATS", {})
+    assert (slot in kernel._SLOT_FORMATS) == (cast and slot < 16)
+    rng = random.Random(slot)
+    top = 256 ** slot
+    for count in (1, 4, 64, 192):
+        words = [rng.randrange(top) for _ in range(count - 2)] + [top - 1, 0]
+        words = words[-count:]
+        packed = kernel._pack(words, slot)
+        assert packed == kernel.vindex(words, top)
+        assert kernel._unpack_mod(packed, count, slot, top) == words
+
+
 @pytest.mark.parametrize("p, degrees, slot", [
     (5, (1, 2, 8, 16), 2), (127, (64,), 4), (2147483647, (1, 2, 4), 8),
     (2147483647, (5, 8), 16)])
@@ -200,10 +219,11 @@ def _powmod_twist(frob, v):
     return kernel.vpowmod(frob.ctx, v, frob.ctx.q, frob.mod)
 
 
-def _powmod_norm(x):
-    ring = x.ring
-    q, n = ring.ctx.q, ring.degree
-    return (x ** ((q ** n - 1) // (q - 1))).rep.coefficient(0)
+def _powmod_norm(ctx, f, g):
+    """Res(f, g) for a monic prime f as the norm g^((q^n - 1)/(q - 1))
+    mod f, n = deg f, by powmod: no Euclid."""
+    q, n = ctx.q, len(f) - 1
+    return (kernel.vpowmod(ctx, g, (q ** n - 1) // (q - 1), f) or [0])[0]
 
 
 def _charpolys(ctx, degrees, seed):
@@ -260,10 +280,14 @@ def test_frob_general_matches_the_powmod_twist(monkeypatch, q, degrees):
     monkeypatch.setattr(kernel, "vfrobenius", lambda frob, v: (
         powmod_twists.update([tuple(frob.mod)]) or _powmod_twist(frob, v)))
     monkeypatch.setattr(kernel.FrobeniusMap, "__init__", rowless)
-    monkeypatch.setattr(frobenius, "norm_to_base", _powmod_norm)
+    norms = collections.Counter()
+    monkeypatch.setattr(kernel, "vresultant", lambda ctx, f, g: (
+        norms.update([tuple(f)]) or _powmod_norm(ctx, f, g)))
     assert _charpolys(ctx, degrees, 400 + q) == fast
     # each step map's rows came from the powmod twist, 2 deg(lambda) of
-    # them, besides the twists of the Rabin test that drew lambda
+    # them, besides the twists of the Rabin test that drew lambda, and
+    # each unit from the one norm, taken by powmod
     for _, b in fast:
         lam = tuple(kernel.vmonic(ctx, list(b.coeffs)))
         assert powmod_twists[lam] >= 2 * (len(lam) - 1), lam
+        assert norms[lam] == 1, lam

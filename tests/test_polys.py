@@ -423,6 +423,15 @@ def test_powmod_matches_naive():
     assert powmod(P("T"), 3, P("2*T^2+1")) == P("2*T")
 
 
+def test_vdivmod_trims_a_short_dividend():
+    # deg a < deg b: a is the remainder, returned with no trailing zeros
+    # like every other kernel result
+    assert kernel.vmod(F5, [1, 0], [0, 0, 1]) == [1]
+    assert kernel.vdivmod(F5, [1, 0], [0, 0, 1]) == ([], [1])
+    assert kernel.vmod(F5, [0, 0], [0, 0, 1]) == []
+    assert kernel.vresultant(F5, [2, 0, 1], [3, 0, 0, 0]) == 4  # 3^2
+
+
 def test_vxgcd_cofactor():
     rng = random.Random(29)
     for ctx in (F5, F25):
