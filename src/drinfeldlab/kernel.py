@@ -409,14 +409,8 @@ def vcharpoly(ctx, rows):
     principal minors: O(n^3) operations over F_q (Cohen, A Course in
     Computational Algebraic Number Theory, 2.2.9)."""
     n, p = len(rows), ctx.p
-    if ctx.m == 1:
-        def add(x, y):
-            return (x + y) % p
-
-        def mul(x, y):
-            return x * y % p
-    else:
-        add, mul = ctx.add, ctx.mul
+    add = ctx.add if ctx.m > 1 else (lambda x, y: (x + y) % p)
+    mul = ctx.mul if ctx.m > 1 else (lambda x, y: x * y % p)
     h = [list(row) for row in rows]
     for k in range(1, n - 1):
         piv = next((i for i in range(k, n) if h[i][k - 1]), None)
