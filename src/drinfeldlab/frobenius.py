@@ -124,9 +124,9 @@ def frob_deg1(phi: DrinfeldModule, lam: PrimeIdeal) -> FrobCharpoly:
 
 
 def _reduction(phi: DrinfeldModule, lam: PrimeIdeal) -> list:
-    """The coefficients T, g_1, g_2 of phi_T reduced mod lam, as kernel
-    vectors by kernel.vmod; raises NotGoodReduction unless g_2 mod lam is
-    nonzero."""
+    """The coefficients T, g_1 (, g_2) of phi_T reduced mod lam, as kernel
+    vectors by kernel.vmod; raises NotGoodReduction unless the leading one
+    stays nonzero."""
     ctx, gen = phi.ctx, lam.gen.coeffs
     coeffs = [kernel.vmod(ctx, c, gen)
               for c in [(0, 1)] + [g.coeffs for g in phi.coeffs]]
