@@ -2,8 +2,9 @@
 per source tree: `import drinfeldlab.cli` and each README command as
 subprocesses, and in-process layer cases (building a `kernel.FrobeniusMap`,
 one `kernel.vfrobenius`, one `kernel.vhorner`, one `residues.norm_to_base`,
-`FieldCtx.is_square` over a whole field, one `frobenius.frob_general` and
-one `frobenius.euler_poincare_oracle`) at fixed sizes.
+`FieldCtx.is_square` over a whole field, one `frobenius.frob_general`, one
+`frobenius.euler_poincare_oracle` and one `drinfeld.reduction_height`) at
+fixed sizes.
 
     python3 bench/layers.py --runs 15 --out BENCH_<n>.json
     python3 bench/layers.py --src ../parent/src --out parent.json \
@@ -47,7 +48,8 @@ LAYER_FLOOR_S = 0.02
 # at degrees 16 and 64; the square test over F_25 and F_3^5, every element;
 # the charpoly at q = 5, degree 4 (the charpoly workload's median job, with
 # the oracle) and 7, and at q = 127, degree 64 (PRIME_DEG_CAP); the oracle
-# at q = 5, degree 4 and at F_25, degree 2, both at its bound q^deg <= 625
+# at q = 5, degree 4 and at F_25, degree 2, both at its bound q^deg <= 625;
+# the height (behind newton) at the charpoly's sizes, module and prime
 LAYERS = {f"{op} q={p ** m} deg={d}": (op, p, m, d)
           for p, m, d in ((5, 1, 16), (5, 1, 64), (127, 1, 16),
                           (127, 1, 64), (5, 2, 16))
@@ -60,6 +62,9 @@ LAYERS.update({f"{op} q={p ** m} deg={d}": (op, p, m, d)
                for op, p, m, d in (("frob_general", 5, 1, 4),
                                    ("frob_general", 5, 1, 7),
                                    ("frob_general", 127, 1, 64),
+                                   ("reduction_height", 5, 1, 4),
+                                   ("reduction_height", 5, 1, 7),
+                                   ("reduction_height", 127, 1, 64),
                                    ("euler_poincare_oracle", 5, 1, 4),
                                    ("euler_poincare_oracle", 5, 2, 2))})
 
@@ -144,10 +149,10 @@ def _norm_call(ctx, rng, d):
 
 def _charpoly_call(ctx, rng, op, d):
     """(call, its value as printed) of frob_general, printed as the
-    coefficients of (a, b), or of euler_poincare_oracle, printed as its
-    coefficients, at a good prime of degree d parsed as the frob command
-    parses it, phi_T = T + g tau + D tau^2 with g of degree 2 and D of
-    degree 1, seeded."""
+    coefficients of (a, b), of euler_poincare_oracle, printed as its
+    coefficients, or of reduction_height, at a good prime of degree d
+    parsed as the frob command parses it, phi_T = T + g tau + D tau^2 with
+    g of degree 2 and D of degree 1, seeded."""
     from drinfeldlab import drinfeld, frobenius, polys
 
     q = ctx.q
@@ -165,6 +170,8 @@ def _charpoly_call(ctx, rng, op, d):
     if op == "frob_general":
         return (functools.partial(frobenius.frob_general, phi, lam),
                 lambda cp: [list(cp.a.coeffs), list(cp.b.coeffs)])
+    if op == "reduction_height":
+        return functools.partial(drinfeld.reduction_height, phi, lam), int
     return (functools.partial(frobenius.euler_poincare_oracle, phi, lam),
             lambda oracle: list(oracle.coeffs))
 
@@ -182,7 +189,7 @@ def layer_child(name):
         call, show = (lambda: list(map(ctx.is_square, range(ctx.q)))), list
     elif op == "norm_to_base":
         call, show = _norm_call(ctx, rng, d), int
-    elif op in ("frob_general", "euler_poincare_oracle"):
+    elif op in ("frob_general", "euler_poincare_oracle", "reduction_height"):
         call, show = _charpoly_call(ctx, rng, op, d)
     else:
         call, show = _map_call(ctx, rng, op, d)

@@ -173,10 +173,11 @@ def _frob(args):
         "unit": cp.unit.val,
         "identity_holds": True,
     }
-    # The oracle reduces phi a second time and builds the T-action by
-    # powmod, T^j to j q^i, touching no Frobenius map (frob_general twists
-    # with the prime's), then takes its charpoly by Hessenberg reduction:
-    # no step is shared, which keeps the check independent.  Above its
+    # frob_general reads phi through drinfeld.ReducedModule and its Horner
+    # map; the oracle reduces phi_T by kernel.vmod itself and builds the
+    # T-action by powmod, T^j to j q^i, touching no Frobenius or Horner
+    # map, then takes its charpoly by Hessenberg reduction: no step is
+    # shared, which keeps the check independent.  Above its
     # residue-field bound it is skipped; any error it raises within the
     # bound propagates, and so does a disagreement.
     rec["oracle"] = rec["oracle_matches"] = None

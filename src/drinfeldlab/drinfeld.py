@@ -116,46 +116,55 @@ def phi_of(phi: DrinfeldModule, a) -> skew.SkewPoly:
 
 
 class ReducedModule:
-    """phi with coefficients reduced into the residue field at a prime."""
+    """phi mod a prime, the one reduction that frob_general,
+    frob_identity_check and reduction_height read: `vecs` holds T, g_1
+    (, g_2) reduced by kernel.vmod, and `vectors` forms phi_a on one
+    kernel.HornerMap.  `phi_T`, `of` and `act` wrap kernel vectors in
+    ResidueElements only when called."""
 
-    __slots__ = ("ring", "coeffs", "prime", "_step")
+    __slots__ = ("ring", "vecs", "prime", "_step")
 
     def __init__(self, phi: DrinfeldModule, prime: PrimeIdeal):
+        gen = prime.gen.coeffs
         self.prime = prime
         self.ring = ResidueRing(prime)
-        self.coeffs = tuple(self.ring.element(g) for g in
-                            (Poly.T(phi.ctx),) + phi.coeffs)
+        self.vecs = [kernel.vmod(phi.ctx, c, gen)
+                     for c in [(0, 1)] + [g.coeffs for g in phi.coeffs]]
         self._step = None
 
     @property
     def is_good(self) -> bool:
-        return not self.coeffs[-1].is_zero()
+        return bool(self.vecs[-1])
 
     @property
     def rc(self) -> skew.ResidueCoefficients:
         """The skew-polynomial coefficient ring A/(prime)."""
         return skew.ResidueCoefficients(self.ring)
 
+    def _skew(self, vecs) -> skew.SkewPoly:
+        ring = self.ring
+        return skew.SkewPoly(self.rc, [ResidueElement(ring, Poly(ring.ctx, v))
+                                       for v in vecs])
+
     def phi_T(self) -> skew.SkewPoly:
-        return skew.SkewPoly(self.rc, self.coeffs)
+        return self._skew(self.vecs)
 
     def vectors(self, a) -> list:
         """The tau-coefficients of phi_a over the residue field as kernel
-        vectors, by kernel.vhorner on the module's kernel.HornerMap, built
-        on first use (a is a Poly over ctx, or a constant)."""
+        vectors, by kernel.vhorner on phi_T's kernel.HornerMap, built on
+        first use on the ring's Frobenius map: the one the prime's Rabin
+        test built, or a new one for a trusted prime (a is a Poly over
+        ctx, or a constant)."""
         ring = self.ring
         if not isinstance(a, Poly):
             a = Poly.constant(ring.ctx, a)
         if self._step is None:
-            self._step = kernel.HornerMap(
-                ring.frobenius_map(), [c.rep.coeffs for c in self.coeffs])
+            self._step = kernel.HornerMap(ring.frobenius_map(), self.vecs)
         return kernel.vhorner(self._step, a.coeffs)
 
     def of(self, a) -> skew.SkewPoly:
         """phi_a over the residue field, by Horner."""
-        ring = self.ring
-        return skew.SkewPoly(self.rc, [ResidueElement(ring, Poly(ring.ctx, v))
-                                       for v in self.vectors(a)])
+        return self._skew(self.vectors(a))
 
     def act(self, a: Poly, x):
         """Evaluate the linearized polynomial phi_a at a residue x."""

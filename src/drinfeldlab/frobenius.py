@@ -5,19 +5,19 @@ with the trace a read off phi_b at general primes; two independent oracles
 (the defining identity in the twisted ring, and the characteristic ideal of
 the induced T-action on the residue field) cross-validate every output.
 
-Both routes work on kernel vectors, with no ResidueRing or ResidueElement.
-frob_general reduces phi_T by kernel.vmod, takes the unit from the norm of
-the leading coefficient, a resultant (kernel.vresultant), and forms phi_b
-and phi_a on one kernel.HornerMap over the prime's Frobenius map.  The
-Euler-Poincare oracle reduces phi_T again and builds the T-action by
-kernel.vpowmod alone, touching no Frobenius map, and takes its
-characteristic polynomial by Hessenberg reduction (kernel.vcharpoly).
+frob_general and frob_identity_check read phi mod lam through
+drinfeld.ReducedModule: the unit is the norm of its leading kernel vector,
+a resultant (kernel.vresultant), and its one kernel.HornerMap forms phi_b
+and phi_a.  The Euler-Poincare oracle shares no step with them: it reduces
+phi_T by kernel.vmod itself, builds the T-action by kernel.vpowmod alone,
+touching no Frobenius or Horner map, and takes its characteristic
+polynomial by Hessenberg reduction (kernel.vcharpoly).
 """
 
 from __future__ import annotations
 
 from . import kernel
-from .drinfeld import DrinfeldModule
+from .drinfeld import DrinfeldModule, ReducedModule, reduce_module
 from .errors import (
     BruteCapExceeded,
     CapExceeded,
@@ -28,7 +28,6 @@ from .errors import (
     WrongDegree,
     WrongRank,
 )
-from .fields import FqElement
 from .polys import (  # noqa: F401  (PRIME_DEG_CAP, check_prime_degree)
     PRIME_DEG_CAP,
     Poly,
@@ -63,9 +62,10 @@ def check_det_gen_field(q: int, degree: int) -> int:
 
 
 class FrobCharpoly:
-    """X^2 - aX + b for the Frobenius at one good prime."""
+    """X^2 - aX + b for the Frobenius at one good prime; `unit` is b
+    divided by the monic prime generator, an FqElement."""
 
-    __slots__ = ("prime", "a", "b")
+    __slots__ = ("prime", "a", "b", "unit")
 
     def __init__(self, prime: PrimeIdeal, a: Poly, b: Poly):
         if not a.is_zero() and 2 * (len(a.coeffs) - 1) > prime.degree:
@@ -76,11 +76,7 @@ class FrobCharpoly:
         self.prime = prime
         self.a = a
         self.b = b
-
-    @property
-    def unit(self) -> FqElement:
-        """b divided by the monic prime generator."""
-        return (self.b // self.prime.gen).coefficient(0)
+        self.unit = quot.coefficient(0)
 
     def __eq__(self, other):
         return (isinstance(other, FrobCharpoly) and self.prime == other.prime
@@ -123,34 +119,25 @@ def frob_deg1(phi: DrinfeldModule, lam: PrimeIdeal) -> FrobCharpoly:
                         Poly(ctx, kernel.vscale(ctx, lam.gen.coeffs, u)))
 
 
-def _reduction(phi: DrinfeldModule, lam: PrimeIdeal) -> list:
-    """The coefficients T, g_1 (, g_2) of phi_T reduced mod lam, as kernel
-    vectors by kernel.vmod; raises NotGoodReduction unless the leading one
-    stays nonzero."""
-    ctx, gen = phi.ctx, lam.gen.coeffs
-    coeffs = [kernel.vmod(ctx, c, gen)
-              for c in [(0, 1)] + [g.coeffs for g in phi.coeffs]]
-    if not coeffs[-1]:
+def _good_reduction(phi: DrinfeldModule, lam: PrimeIdeal) -> ReducedModule:
+    """phi reduced at lam (reduce_module); raises NotGoodReduction unless
+    the leading coefficient stays nonzero."""
+    _require_rank2(phi)
+    red = reduce_module(phi, lam)
+    if not red.is_good:
         raise NotGoodReduction(f"bad reduction at {lam!r}")
-    return coeffs
+    return red
 
 
-def _horner_map(lam: PrimeIdeal, coeffs) -> kernel.HornerMap:
-    """phi_T's Horner step over A/(lam) on the map lam's Rabin test built,
-    or on a new one for a trusted lam."""
-    frob = lam.frob or kernel.FrobeniusMap(lam.ctx, lam.gen.coeffs)
-    return kernel.HornerMap(frob, coeffs)
-
-
-def _identity_holds(ctx, step, m: int, a, phi_b) -> bool:
+def _identity_holds(red: ReducedModule, a: Poly, phi_b) -> bool:
     """Whether phi_b = phi_a tau^m - tau^{2m} over A/(lam), deg lam = m,
-    for the coefficient vector a, compared coefficient by coefficient on
-    the tau-coefficient vectors of phi_b and of phi_a, which
-    kernel.vhorner forms on `step`; right multiplication by tau^m shifts,
-    since 1 is Frobenius-fixed."""
-    want = [[]] * m + kernel.vhorner(step, a)
+    compared coefficient by coefficient on the tau-coefficient vectors of
+    phi_b and of phi_a, which red.vectors forms; right multiplication by
+    tau^m shifts, since 1 is Frobenius-fixed."""
+    m = red.prime.degree
+    want = [[]] * m + red.vectors(a)
     want += [[]] * (2 * m + 1 - len(want))
-    want[2 * m] = kernel.vsub(ctx, want[2 * m], [1])
+    want[2 * m] = kernel.vsub(a.ctx, want[2 * m], [1])
     while want and not want[-1]:
         want.pop()
     return want == phi_b
@@ -161,52 +148,51 @@ def frob_general(phi: DrinfeldModule, lam: PrimeIdeal) -> FrobCharpoly:
 
     phi_b = phi_a tau^m - tau^{2m} over the residue field, so the tau^m
     coefficient of phi_b is a mod lam, that is a, as deg a <= m/2 < m.
-    Works on kernel vectors: phi_T reduced by kernel.vmod, the unit from
-    the norm of g_2, a resultant (kernel.vresultant), and phi_b and phi_a
-    by one kernel.HornerMap.  Runs the general route at every degree (no
-    closed-form shortcut), so degree-1 agreement with frob_deg1 is a
+    Works on the reduced module's kernel vectors: the unit from the norm
+    of g_2 mod lam, a resultant (kernel.vresultant), and phi_b and phi_a
+    on its one kernel.HornerMap.  Runs the general route at every degree
+    (no closed-form shortcut), so degree-1 agreement with frob_deg1 is a
     genuine cross-check.
     """
-    _require_rank2(phi)
-    coeffs = _reduction(phi, lam)
+    red = _good_reduction(phi, lam)
     ctx, m, gen = phi.ctx, lam.degree, lam.gen.coeffs
     sign = 1 if m % 2 == 0 else ctx.p - 1  # -1 in every F_{p^m}
-    b = kernel.vscale(ctx, gen, ctx.mul(
-        sign, ctx.inv(kernel.vresultant(ctx, gen, coeffs[2]))))
-    step = _horner_map(lam, coeffs)
-    phi_b = kernel.vhorner(step, b)
-    a = phi_b[m] if m < len(phi_b) else []
-    if not _identity_holds(ctx, step, m, a, phi_b):
+    b = Poly(ctx, kernel.vscale(ctx, gen, ctx.mul(
+        sign, ctx.inv(kernel.vresultant(ctx, gen, red.vecs[2])))))
+    phi_b = red.vectors(b)
+    a = Poly(ctx, phi_b[m] if m < len(phi_b) else ())
+    if not _identity_holds(red, a, phi_b):
         raise InternalInconsistency(
             "norm formula and Frobenius identity disagree; this is a bug")
-    return FrobCharpoly(lam, Poly(ctx, a), Poly(ctx, b))
+    return FrobCharpoly(lam, a, b)
 
 
 def frob_identity_check(phi: DrinfeldModule, cp: FrobCharpoly) -> bool:
     """Whether tau^{2m} - phi_a tau^m + phi_b = 0 over the residue field."""
-    _require_rank2(phi)
-    lam = cp.prime
-    step = _horner_map(lam, _reduction(phi, lam))
-    return _identity_holds(phi.ctx, step, lam.degree, cp.a.coeffs,
-                           kernel.vhorner(step, cp.b.coeffs))
+    red = _good_reduction(phi, cp.prime)
+    return _identity_holds(red, cp.a, red.vectors(cp.b))
 
 
 def euler_poincare_oracle(phi: DrinfeldModule, lam: PrimeIdeal) -> Poly:
     """Characteristic ideal of the induced A-module structure on the residue
     field: the characteristic polynomial of the F_q-linear T-action.
 
-    Independent of frob_general: phi_T = sum c_i tau^i sends T^j to
-    sum c_i T^(j q^i), each power one kernel.vpowmod, so no Frobenius map
-    is touched, and the charpoly comes by Hessenberg reduction
-    (kernel.vcharpoly).  For rank 2 it must equal the monic associate of
-    P(1) = 1 - a + b.
+    Independent of frob_general: phi_T, reduced by kernel.vmod with no
+    ReducedModule, sends T^j to sum c_i T^(j q^i), each power one
+    kernel.vpowmod, so no Frobenius or Horner map is touched, and the
+    charpoly comes by Hessenberg reduction (kernel.vcharpoly).  For rank 2
+    it must equal the monic associate of P(1) = 1 - a + b.
     """
     ctx = phi.ctx
     m = lam.degree
     if ctx.q ** m > DEFAULT_BRUTE_CAP:
         raise BruteCapExceeded(f"residue field of size {ctx.q}^{m} over cap")
     gen = lam.gen.coeffs
-    lin = [(ctx.q ** i, c) for i, c in enumerate(_reduction(phi, lam)) if c]
+    vecs = [kernel.vmod(ctx, c, gen)
+            for c in [(0, 1)] + [g.coeffs for g in phi.coeffs]]
+    if not vecs[-1]:
+        raise NotGoodReduction(f"bad reduction at {lam!r}")
+    lin = [(ctx.q ** i, c) for i, c in enumerate(vecs) if c]
     cols = []
     for j in range(m):
         img = []

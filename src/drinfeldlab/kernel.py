@@ -213,13 +213,13 @@ def vmulmod(ctx, a, b, mod):
 
 def vpowmod(ctx, a, e, mod):
     """a^e mod `mod`, left-to-right square-and-multiply: every multiply is
-    by a mod `mod`, which costs one row when a is T (the Rabin test).
+    by a mod `mod`, which costs one row when a is T (frobenius_rows' T^q).
 
     Reduces by the monic associate of `mod`, which has the same remainders.
     """
     if e < 0:
         raise ValueError("negative exponent in powmod")
-    base = list(a) if len(a) < len(mod) else vmod(ctx, a, mod)
+    base = vmod(ctx, a, mod)
     if e == 0:
         return [1]
     mod = vmonic(ctx, mod)

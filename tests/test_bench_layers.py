@@ -23,13 +23,15 @@ def test_layers_writes_the_bench_schema(tmp_path):
     reports = [json.loads(out.read_text()) for out in outs]
     readme = layers.readme_commands()
     assert 'drinfeldlab omega --q 5 --prime "T+4"' in readme
-    assert len(layers.LAYERS) == 26
+    assert len(layers.LAYERS) == 29
     for name in ("vfrobenius q=25 deg=16", "norm_to_base q=5 deg=16",
                  "norm_to_base q=127 deg=64", "is_square q=25",
                  "is_square q=243", "frob_general q=5 deg=4",
                  "frob_general q=5 deg=7", "frob_general q=127 deg=64",
                  "euler_poincare_oracle q=5 deg=4",
-                 "euler_poincare_oracle q=25 deg=2"):
+                 "euler_poincare_oracle q=25 deg=2",
+                 "reduction_height q=5 deg=4", "reduction_height q=5 deg=7",
+                 "reduction_height q=127 deg=64"):
         assert name in layers.LAYERS
     for report in reports:
         assert set(report) == {"python", "nproc", "git_revision",
@@ -72,15 +74,18 @@ def test_square_and_norm_cases_print_their_values(capsys, monkeypatch):
 
 
 def test_charpoly_cases_print_their_values(capsys, monkeypatch):
-    # one call each: the two q = 5, degree-4 cases draw the same module
-    # and prime, so the oracle is the monic associate of 1 - a + b; over
-    # F_25 at degree 2 the oracle is monic of degree 2
+    # one call each: the three q = 5, degree-4 cases draw the same module
+    # and prime, so the oracle is the monic associate of 1 - a + b, and
+    # the height is 2 exactly when the trace a is 0 mod p (supersingular);
+    # over F_25 at degree 2 the oracle is monic of degree 2
     monkeypatch.setattr(layers, "LAYER_FLOOR_S", 0)
     for name in ("frob_general q=5 deg=4", "euler_poincare_oracle q=5 deg=4",
-                 "euler_poincare_oracle q=25 deg=2"):
+                 "euler_poincare_oracle q=25 deg=2",
+                 "reduction_height q=5 deg=4"):
         layers.layer_child(name)
     lines = capsys.readouterr().out.splitlines()
-    (a, b), oracle, oracle25 = map(json.loads, lines[1::2])
+    (a, b), oracle, oracle25, height = map(json.loads, lines[1::2])
+    assert height == (2 if not a else 1)
     assert len(b) == 5 and len(a) <= 3
     p1 = [(int(i == 0) - (a[i] if i < len(a) else 0) + b[i]) % 5
           for i in range(5)]

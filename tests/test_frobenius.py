@@ -1,13 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from drinfeldlab import frobenius, kernel, residues
+from drinfeldlab import drinfeld, frobenius, kernel, residues
 from drinfeldlab.drinfeld import (
     DrinfeldModule,
     carlitz_det_module,
     carlitz_module,
+    newton_polygon,
     reduce_module,
+    reduction_height,
 )
 from drinfeldlab.errors import (
     InternalInconsistency,
@@ -306,11 +309,13 @@ def test_oracle_agreement_random():
 
 
 def test_oracle_is_independent_of_the_frobenius_rows(monkeypatch):
-    # the oracle raises T^j to j q^i by powmod, so it still answers, and
-    # still agrees, with every Frobenius map unavailable: its build, its
-    # rows and its twist.  The primes are parsed first (their Rabin test
-    # builds a map); the trusted ones have none, and over F_7 and F_25
-    # frob_general would have to build one
+    # the oracle reduces phi_T itself and raises T^j to j q^i by powmod,
+    # so it still answers, and still agrees, with every Frobenius map
+    # unavailable (its build, its rows and its twist), and with the
+    # reduced module, its Horner map and vhorner unavailable, all of
+    # which frob_general reads.  The primes are parsed first (their Rabin
+    # test builds a map); the trusted ones have none, and over F_7 and
+    # F_25 frob_general would have to build one
     cases = _oracle_agreement_cases()
     for ctx, degree in ((make_field(7), 3), (make_field(5, 2), 2)):
         rng = random.Random(900 + ctx.q)
@@ -321,14 +326,57 @@ def test_oracle_is_independent_of_the_frobenius_rows(monkeypatch):
     phi2, lam2 = next((phi, lam) for phi, lam, _ in cases if lam.degree == 2)
 
     def unavailable(*args):
-        raise AssertionError("the oracle used a Frobenius map")
+        raise AssertionError("the oracle used a map or a reduced module")
 
-    for name in ("FrobeniusMap", "vfrobenius", "frobenius_rows"):
+    for name in ("FrobeniusMap", "vfrobenius", "frobenius_rows",
+                 "HornerMap", "vhorner"):
         monkeypatch.setattr(kernel, name, unavailable)
+    monkeypatch.setattr(drinfeld.ReducedModule, "__init__", unavailable)
     with pytest.raises(AssertionError):
         frob_general(phi2, lam2)
     for phi, lam, p1 in cases:
         assert euler_poincare_oracle(phi, lam) == p1
+
+
+def test_frob_general_builds_one_horner_map(monkeypatch):
+    # phi_b and phi_a are both formed on the reduced module's one map, at
+    # a parsed prime and at a trusted one
+    built, used = [], []
+    horner_map, vhorner = kernel.HornerMap, kernel.vhorner
+    monkeypatch.setattr(kernel, "HornerMap", lambda *args: (
+        built.append(horner_map(*args)) or built[-1]))
+    monkeypatch.setattr(kernel, "vhorner", lambda step, a: (
+        used.append(step) or vhorner(step, a)))
+    for phi, lam in ((M("1", "4"), PI("T^2+2")),
+                     _good_pair(random.Random(41), F5, 5)):
+        built.clear()
+        used.clear()
+        frob_general(phi, lam)
+        assert len(built) == 1 and used == built * 2
+
+
+def test_command_paths_build_no_residue_element(monkeypatch):
+    # frob and newton run on kernel vectors alone: with ResidueElement
+    # unavailable each call still returns the values the object route
+    # gave (a, b, the height, the Newton segments), ordinary and
+    # supersingular
+    cases = [(M("1", "4"), PI("T^2+2"), (1, 3), (2, 0, 1), 1,
+              ((Fraction(1, 24), 24), (0, 600))),
+             (M("0", "1"), PI("T^3+3*T+2"), (), (3, 2, 0, 4), 2,
+              ((Fraction(1, 15624), 15624),)),
+             (M("1", "4"), PI("T"), (1,), (0, 1), 1,
+              ((Fraction(1, 4), 4), (0, 20)))]
+
+    def unavailable(*args):
+        raise AssertionError("a ResidueElement was built")
+
+    monkeypatch.setattr(residues.ResidueElement, "__init__", unavailable)
+    for phi, lam, a, b, height, segments in cases:
+        cp = frob_general(phi, lam)
+        assert (cp.a.coeffs, cp.b.coeffs) == (a, b)
+        assert frob_identity_check(phi, cp)
+        assert reduction_height(phi, lam) == height
+        assert tuple(newton_polygon(phi, lam).segments) == segments
 
 
 def _charpoly_matrices(rng, q, n):

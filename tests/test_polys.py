@@ -424,11 +424,12 @@ def test_powmod_matches_naive():
 
 
 def test_vdivmod_trims_a_short_dividend():
-    # deg a < deg b: a is the remainder, returned with no trailing zeros
-    # like every other kernel result
+    # deg a < deg b: a is the remainder, and a^1 the power, returned with
+    # no trailing zeros like every other kernel result
     assert kernel.vmod(F5, [1, 0], [0, 0, 1]) == [1]
     assert kernel.vdivmod(F5, [1, 0], [0, 0, 1]) == ([], [1])
     assert kernel.vmod(F5, [0, 0], [0, 0, 1]) == []
+    assert kernel.vpowmod(F5, [1, 0], 1, [0, 0, 1]) == [1]
     assert kernel.vresultant(F5, [2, 0, 1], [3, 0, 0, 0]) == 4  # 3^2
 
 

@@ -172,7 +172,7 @@ def test_step_map_matches_the_coefficient_loop(monkeypatch, cast, p, m,
         for gs in _modules(rng, ctx, lam):
             red = reduce_module(DrinfeldModule(ctx, gs), lam)
             frob = red.ring.frobenius_map()
-            phi_t = [c.rep.coeffs for c in red.coeffs]
+            phi_t = red.vecs
             step = kernel.HornerMap(frob, phi_t)
             assert step.n == m * deg and step.r == len(gs)
             # the narrowest word of 2, 4, 8, ... bytes that holds every
@@ -200,7 +200,7 @@ def test_step_map_at_a_word_boundary(p, deg, rank, bound, slot):
         gs = [Poly(ctx, [p - 1] * 3) for _ in range(rank)]
         red = reduce_module(DrinfeldModule(ctx, gs), lam)
         frob = red.ring.frobenius_map()
-        phi_t = [c.rep.coeffs for c in red.coeffs]
+        phi_t = red.vecs
         step = kernel.HornerMap(frob, phi_t)
         assert (_bound(step, p), step.slot) == (bound, slot)
         for a in ([p - 1] * 8, [rng.randrange(p) for _ in range(12)]):
