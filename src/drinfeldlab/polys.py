@@ -61,8 +61,8 @@ POS_INF = _Infinity(1, "POS_INF")
 DEFAULT_ENUMERATION_CAP = 10_000_000
 # The largest prime degree the commands omega, lambda, frob, thm1-verify,
 # thm1-search, thm2, newton and obstruction accept, checked before any work:
-# frob_general takes about 0.1 s at degree 64 for q = 5 and 0.17-0.19 s for
-# q = 127 (min and median of 15, in-process, bench/layers.py, 2 vCPUs).
+# frob_general takes about 0.1 s at degree 64 for q = 5 and 0.17 s for
+# q = 127 (min of 15, in-process, bench/layers.py, 2 vCPUs).
 PRIME_DEG_CAP = 64
 # The most samples (or certificates held in full) one call takes.
 SAMPLE_CAP = 10_000

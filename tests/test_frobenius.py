@@ -357,9 +357,8 @@ def test_frob_general_builds_one_horner_map(monkeypatch):
 
 def test_command_paths_build_no_residue_element(monkeypatch):
     # frob and newton run on kernel vectors alone: with ResidueElement
-    # unavailable each call still returns the values the object route
-    # gave (a, b, the height, the Newton segments), ordinary and
-    # supersingular
+    # unavailable each call still returns its known values (a, b, the
+    # height, the Newton segments), ordinary and supersingular
     cases = [(M("1", "4"), PI("T^2+2"), (1, 3), (2, 0, 1), 1,
               ((Fraction(1, 24), 24), (0, 600))),
              (M("0", "1"), PI("T^3+3*T+2"), (), (3, 2, 0, 4), 2,
