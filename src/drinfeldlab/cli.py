@@ -175,11 +175,12 @@ def _frob(args):
     }
     # frob_general reads phi through drinfeld.ReducedModule and its Horner
     # map; the oracle reduces phi_T by kernel.vmod itself and builds the
-    # T-action by powmod, T^j to j q^i, touching no Frobenius or Horner
-    # map, then takes its charpoly by Hessenberg reduction: no step is
-    # shared, which keeps the check independent.  Above its
-    # residue-field bound it is skipped; any error it raises within the
-    # bound propagates, and so does a disagreement.
+    # T-action by running products, one powmod T^(q^i) a term and a
+    # mulmod a column, touching no Frobenius or Horner map, then takes
+    # its charpoly by Hessenberg reduction: no step is shared, which
+    # keeps the check independent.  Above its residue-field bound it is
+    # skipped; any error it raises within the bound propagates, and so
+    # does a disagreement.
     rec["oracle"] = rec["oracle_matches"] = None
     if ctx.q ** lam.degree <= frobenius.DEFAULT_BRUTE_CAP:
         oracle = frobenius.euler_poincare_oracle(phi, lam)

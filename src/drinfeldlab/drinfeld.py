@@ -149,18 +149,20 @@ class ReducedModule:
     def phi_T(self) -> skew.SkewPoly:
         return self._skew(self.vecs)
 
-    def vectors(self, a) -> list:
+    def vectors(self, a, cap=None) -> list:
         """The tau-coefficients of phi_a over the residue field as kernel
         vectors, by kernel.vhorner on phi_T's kernel.HornerMap, built on
         first use on the ring's Frobenius map: the one the prime's Rabin
         test built, or a new one for a trusted prime (a is a Poly over
-        ctx, or a constant)."""
+        ctx, or a constant).  With a cap, those of tau^0 .. tau^cap only."""
         ring = self.ring
         if not isinstance(a, Poly):
             a = Poly.constant(ring.ctx, a)
         if self._step is None:
             self._step = kernel.HornerMap(ring.frobenius_map(), self.vecs)
-        return kernel.vhorner(self._step, a.coeffs)
+        if cap is None:
+            return kernel.vhorner(self._step, a.coeffs)
+        return kernel.vhorner(self._step, a.coeffs, cap)
 
     def of(self, a) -> skew.SkewPoly:
         """phi_a over the residue field, by Horner."""
@@ -249,11 +251,14 @@ def reduction_type(phi: DrinfeldModule, lam: PrimeIdeal) -> ReductionData:
 
 def reduction_height(phi: DrinfeldModule, lam: PrimeIdeal) -> int:
     """ht_tau of the reduction of phi_lambda divided by deg(lambda): the
-    index of its first nonzero tau-coefficient vector."""
+    index of its first nonzero tau-coefficient vector.  phi_lambda is
+    formed up to tau^deg(lambda) first, and in full only when all of
+    those vanish (the supersingular case)."""
     red = reduce_module(phi, lam)
     if not red.is_good:
         raise NotGoodReduction(f"{phi!r} has bad reduction at {lam!r}")
-    ht = next(i for i, v in enumerate(red.vectors(lam.gen)) if v)
+    vecs = red.vectors(lam.gen, cap=lam.degree) or red.vectors(lam.gen)
+    ht = next(i for i, v in enumerate(vecs) if v)
     if ht % lam.degree != 0:
         raise InternalInconsistency(
             "tau-height not divisible by the prime degree")

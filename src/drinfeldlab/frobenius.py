@@ -9,9 +9,10 @@ frob_general and frob_identity_check read phi mod lam through
 drinfeld.ReducedModule: the unit is the norm of its leading kernel vector,
 a resultant (kernel.vresultant), and its one kernel.HornerMap forms phi_b
 and phi_a.  The Euler-Poincare oracle shares no step with them: it reduces
-phi_T by kernel.vmod itself, builds the T-action by kernel.vpowmod alone,
-touching no Frobenius or Horner map, and takes its characteristic
-polynomial by Hessenberg reduction (kernel.vcharpoly).
+phi_T by kernel.vmod itself, builds the T-action by running products,
+one kernel.vpowmod per tau-term and kernel.vmulmod after it, touching no
+Frobenius or Horner map, and takes its characteristic polynomial by
+Hessenberg reduction (kernel.vcharpoly).
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ def euler_poincare_oracle(phi: DrinfeldModule, lam: PrimeIdeal) -> Poly:
     field: the characteristic polynomial of the F_q-linear T-action.
 
     Independent of frob_general: phi_T, reduced by kernel.vmod with no
-    ReducedModule, sends T^j to sum c_i T^(j q^i), each power one
+    ReducedModule, sends T^j to sum c_i T^(j q^i), term i's value carried
+    from column to column by one kernel.vmulmod by T^(q^i), itself one
     kernel.vpowmod, so no Frobenius or Horner map is touched, and the
     charpoly comes by Hessenberg reduction (kernel.vcharpoly).  For rank 2
     it must equal the monic associate of P(1) = 1 - a + b.
@@ -192,13 +194,16 @@ def euler_poincare_oracle(phi: DrinfeldModule, lam: PrimeIdeal) -> Poly:
             for c in [(0, 1)] + [g.coeffs for g in phi.coeffs]]
     if not vecs[-1]:
         raise NotGoodReduction(f"bad reduction at {lam!r}")
-    lin = [(ctx.q ** i, c) for i, c in enumerate(vecs) if c]
+    # term i's running value c_i T^(j q^i), and its factor T^(q^i)
+    terms = [[c, kernel.vpowmod(ctx, [0, 1], ctx.q ** i, gen)]
+             for i, c in enumerate(vecs) if c]
     cols = []
     for j in range(m):
         img = []
-        for exp, c in lin:
-            img = kernel.vadd(ctx, img, kernel.vmulmod(
-                ctx, c, kernel.vpowmod(ctx, [0, 1], j * exp, gen), gen))
+        for term in terms:
+            img = kernel.vadd(ctx, img, term[0])
+            if j < m - 1:
+                term[0] = kernel.vmulmod(ctx, term[0], term[1], gen)
         cols.append(img + [0] * (m - len(img)))
     return Poly(ctx, kernel.vcharpoly(ctx, cols))
 

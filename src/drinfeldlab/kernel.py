@@ -30,7 +30,8 @@ mod f being i twists of T, and takes nothing but the map, so a prime
 keeps the map its test built for every later twist; the map is built
 only where something is twisted.
 The Horner step of `vhorner` (phi_a over A/(f)) is F_p-linear too, and
-`HornerMap` packs it on the same digits, once per Drinfeld module.
+`HornerMap` packs it on the same digits, once per Drinfeld module;
+`vhorner` keeps its accumulator as one flat list of those digits.
 `fp_digits`, `from_fp_digits` and `_unpack_mod` read and write that
 digit layout.
 
@@ -363,24 +364,32 @@ class HornerMap:
         self.rows = [_pack(row, self.slot) for row in rows]
 
 
-def vhorner(step, a):
+def vhorner(step, a, cap=None):
     """The tau-coefficient vectors of phi_a = sum a_i phi_T^i, trailing
     zeros dropped, a given by its coefficients over F_q: left Horner
-    acc <- phi_T acc + a_i on the HornerMap `step`."""
+    acc <- phi_T acc + a_i on the HornerMap `step`.  acc is one flat list
+    of F_p-digits, n per tau-coefficient, as many as the packed sum's
+    length holds, and is split and trimmed only at the end.  With a cap,
+    only the coefficients of tau^0 .. tau^cap, exactly: the step's
+    coefficient of tau^l reads only those of acc at tau^l and below."""
     ctx, n, rows, slot = step.ctx, step.n, step.rows, step.slot
     p, shift = ctx.p, 8 * slot * n
-    acc = []  # digit vectors over F_p
+    mask = None if cap is None else (1 << (cap + 1) * shift) - 1
+    acc = []
     for c in reversed(a):
         total = 0
-        for digits in reversed(acc):
-            total = (total << shift) + sum(map(operator.mul, digits, rows))
-        total += _pack(fp_digits(ctx, [c]), slot)
-        count = (len(acc) + step.r if acc else 1) * n
-        words = _unpack_mod(total, count, slot, p)
-        acc = [_trim(words[i:i + n]) for i in range(0, count, n)]
-        while acc and not acc[-1]:
-            acc.pop()
-    return [from_fp_digits(ctx, x) for x in acc]
+        for i in range(len(acc) - n, -1, -n):
+            total = (total << shift) + sum(map(operator.mul, acc[i:i + n],
+                                               rows))
+        if c:
+            total += _pack(fp_digits(ctx, [c]), slot)
+        if mask is not None:
+            total &= mask
+        acc = _unpack_mod(total, -(-total.bit_length() // shift) * n, slot, p)
+    blocks = [_trim(acc[i:i + n]) for i in range(0, len(acc), n)]
+    while blocks and not blocks[-1]:
+        blocks.pop()
+    return [from_fp_digits(ctx, x) for x in blocks]
 
 
 def vechelon(ctx, vectors, dim=None):

@@ -34,6 +34,31 @@ def cofactor_charpoly(ctx, rows):
                  for i in range(n)])
 
 
+def powmod_t_action(phi, lam):
+    """The columns of the F_q-linear T-action on A/(lam) by the route the
+    Euler-Poincare oracle replaced: phi_T reduced by kernel.vmod, and
+    column j the vector sum_i c_i T^(j q^i) mod lam, one kernel.vpowmod
+    per entry, padded to deg lam.  Raises NotGoodReduction when phi_T's
+    leading coefficient vanishes mod lam."""
+    from drinfeldlab import kernel
+    from drinfeldlab.errors import NotGoodReduction
+
+    ctx, m, gen = phi.ctx, lam.degree, lam.gen.coeffs
+    vecs = [kernel.vmod(ctx, c, gen)
+            for c in [(0, 1)] + [g.coeffs for g in phi.coeffs]]
+    if not vecs[-1]:
+        raise NotGoodReduction(f"bad reduction at {lam!r}")
+    cols = []
+    for j in range(m):
+        img = []
+        for i, c in enumerate(vecs):
+            img = kernel.vadd(ctx, img, kernel.vmulmod(
+                ctx, c, kernel.vpowmod(ctx, [0, 1], j * ctx.q ** i, gen),
+                gen))
+        cols.append(img + [0] * (m - len(img)))
+    return cols
+
+
 def _det(mat):
     n = len(mat)
     if n == 1:

@@ -1,6 +1,8 @@
-"""Smoke test of bench/layers.py at toy size: every case, one run each,
-on two source trees."""
+"""Smoke test of bench/layers.py at toy size: every layer case in-process,
+one call each, and one case of each kind as a subprocess on two source
+trees."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -12,15 +14,12 @@ sys.path.insert(0, str(ROOT / "bench"))
 import layers  # noqa: E402
 
 
-def test_layers_writes_the_bench_schema(tmp_path):
-    # the same tree twice, so the two reports must hold the same digests
-    outs = [tmp_path / "first.json", tmp_path / "second.json"]
-    argv = [sys.executable, str(ROOT / "bench" / "layers.py"), "--runs", "1"]
-    for out in outs:
-        argv += ["--src", str(ROOT / "src"), "--out", str(out)]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    reports = [json.loads(out.read_text()) for out in outs]
+def test_layers_writes_the_bench_schema(tmp_path, monkeypatch, capsys):
+    # every layer case runs in-process, one call each; then one case of
+    # each kind (the import, a README command, a layer case) runs as a
+    # subprocess on the same tree twice, so the two reports must hold the
+    # same digests, and the layer case the digest it printed in-process.
+    # The README commands run as subprocesses in test_cli.py
     readme = layers.readme_commands()
     assert 'drinfeldlab omega --q 5 --prime "T+4"' in readme
     assert len(layers.LAYERS) == 29
@@ -33,14 +32,32 @@ def test_layers_writes_the_bench_schema(tmp_path):
                  "reduction_height q=5 deg=4", "reduction_height q=5 deg=7",
                  "reduction_height q=127 deg=64"):
         assert name in layers.LAYERS
+    every = layers.cases()
+    assert list(every) == [layers.IMPORT_CASE, *readme, *layers.LAYERS]
+    monkeypatch.setattr(layers, "LAYER_FLOOR_S", 0)
+    printed = {}
+    for name in layers.LAYERS:
+        layers.layer_child(name)
+        first, out = capsys.readouterr().out.split("\n", 1)
+        assert float(first) > 0
+        json.loads(out)
+        printed[name] = hashlib.sha256(out.encode()).hexdigest()
+    kept = [layers.IMPORT_CASE, readme[0], next(iter(layers.LAYERS))]
+    monkeypatch.setattr(layers, "cases",
+                        lambda: {name: every[name] for name in kept})
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    argv = ["--runs", "1"]
+    for out in outs:
+        argv += ["--src", str(ROOT / "src"), "--out", str(out)]
+    assert layers.main(argv) == 0
+    reports = [json.loads(out.read_text()) for out in outs]
     for report in reports:
         assert set(report) == {"python", "nproc", "git_revision",
                                "PYTHONDONTWRITEBYTECODE", "cases"}
         assert report["python"] == ".".join(map(str, sys.version_info[:3]))
         assert report["nproc"] >= 1
         assert report["git_revision"] == reports[0]["git_revision"]
-        assert list(report["cases"]) == ["import drinfeldlab.cli", *readme,
-                                         *layers.LAYERS]
+        assert list(report["cases"]) == kept
         for name, case in report["cases"].items():
             assert set(case) == {"unit", "min", "median", "k",
                                  "stdout_sha256"}
@@ -49,6 +66,7 @@ def test_layers_writes_the_bench_schema(tmp_path):
             assert case["stdout_sha256"] == (
                 reports[0]["cases"][name]["stdout_sha256"])
             assert len(case["stdout_sha256"]) == 64
+    assert reports[0]["cases"][kept[2]]["stdout_sha256"] == printed[kept[2]]
 
 
 def test_layers_wants_one_out_per_src(tmp_path):

@@ -251,7 +251,7 @@ def test_internal_checks_exit_3(capsys, monkeypatch):
     # not a traceback: phi_p's first nonzero tau-coefficient vector at
     # index 1, deg p = 2
     monkeypatch.setattr(drinfeld.ReducedModule, "vectors",
-                        lambda red, a: [[], [1]])
+                        lambda red, a, cap=None: [[], [1]])
     code, out, err = run(capsys, "newton", "--q", "5", "--g1", "1", "--g2",
                          "4", "--prime", "T^2+2")
     assert code == 3

@@ -40,7 +40,7 @@ from drinfeldlab.polys import (
 )
 from drinfeldlab.residues import ResidueRing
 from drinfeldlab.skew import SkewPoly, linear_solve_left
-from oracles import abelian_span, cofactor_charpoly
+from oracles import abelian_span, cofactor_charpoly, powmod_t_action
 
 F5 = make_field(5)
 
@@ -308,14 +308,48 @@ def test_oracle_agreement_random():
         assert euler_poincare_oracle(phi, lam) == p1
 
 
+@pytest.mark.parametrize("p, m", [(5, 1), (7, 1), (11, 1), (13, 1),
+                                  (3, 2), (5, 2), (3, 3), (7, 2), (5, 3)],
+                         ids=str)
+def test_oracle_matches_the_powmod_t_action(p, m):
+    # the running products against one powmod per entry, both charpolys
+    # by cofactors, at every degree with q^deg <= 625, rank 1 and rank 2,
+    # g_1 zero mod lambda included; where the leading coefficient
+    # vanishes mod lambda both refuse
+    ctx = make_field(p, m)
+    rng = random.Random(960 + ctx.q)
+    degree = 1
+    while ctx.q ** degree <= frobenius.DEFAULT_BRUTE_CAP:
+        for k in range(16):
+            lam = _random_prime(rng, ctx, degree)
+            phi = _random_module(rng, ctx=ctx)
+            while (phi.g2 % lam.gen).is_zero():
+                phi = _random_module(rng, ctx=ctx)
+            if k % 4 == 1:
+                phi = DrinfeldModule(ctx, [phi.g2])
+            elif k % 4 == 2:
+                phi = DrinfeldModule(ctx, [phi.g1 * lam.gen, phi.g2])
+            elif k % 4 == 3:
+                phi = DrinfeldModule(ctx, [phi.g1, phi.g2 * lam.gen])
+                with pytest.raises(NotGoodReduction):
+                    powmod_t_action(phi, lam)
+                with pytest.raises(NotGoodReduction):
+                    euler_poincare_oracle(phi, lam)
+                continue
+            want = cofactor_charpoly(ctx, powmod_t_action(phi, lam))
+            assert euler_poincare_oracle(phi, lam) == want, (phi, lam)
+        degree += 1
+
+
 def test_oracle_is_independent_of_the_frobenius_rows(monkeypatch):
-    # the oracle reduces phi_T itself and raises T^j to j q^i by powmod,
-    # so it still answers, and still agrees, with every Frobenius map
-    # unavailable (its build, its rows and its twist), and with the
-    # reduced module, its Horner map and vhorner unavailable, all of
-    # which frob_general reads.  The primes are parsed first (their Rabin
-    # test builds a map); the trusted ones have none, and over F_7 and
-    # F_25 frob_general would have to build one
+    # the oracle reduces phi_T itself and raises T^j to j q^i by running
+    # products, one powmod per term, so it still answers, and still
+    # agrees, with every Frobenius map unavailable (its build, its rows
+    # and its twist), and with the reduced module, its Horner map and
+    # vhorner unavailable, all of which frob_general reads.  The primes
+    # are parsed first (their Rabin test builds a map); the trusted ones
+    # have none, and over F_7 and F_25 frob_general would have to build
+    # one
     cases = _oracle_agreement_cases()
     for ctx, degree in ((make_field(7), 3), (make_field(5, 2), 2)):
         rng = random.Random(900 + ctx.q)

@@ -12,7 +12,8 @@ routes it replaced stay here as oracles:
   to 6 over F_25 (whose field ops make the object route take seconds above
   that), polynomials a of degree 0 to 2 deg(lambda), rank-1 and rank-2
   modules, and the twisted rank-1 module of the stable branch of
-  `reduction_type`.
+  `reduction_type`; and on coefficient lists as given (empty, constant,
+  zero top coefficients) at every tau-degree cap.
 """
 
 import random
@@ -24,6 +25,7 @@ from drinfeldlab.drinfeld import (
     DrinfeldModule,
     _horner,
     reduce_module,
+    reduction_height,
     reduction_type,
 )
 from drinfeldlab.fields import make_field
@@ -86,6 +88,67 @@ def test_vector_horner_of_constants():
     assert red.of(3) == _object_route(red, 3)
     assert red.vectors(3) == [[3]]
     assert red.vectors(Poly.zero(F5)) == []
+
+
+@pytest.mark.parametrize("ctx", [F5, make_field(7), make_field(5, 2),
+                                 make_field(3, 3)], ids=lambda c: f"q{c.q}")
+def test_flat_horner_edge_cases_match_the_object_route(ctx):
+    # kernel.vhorner on coefficient lists as given: a = [], zero and
+    # nonzero constants and a with zero top coefficients, for rank 1, rank
+    # 2 and a leading coefficient zero mod lambda; with every cap up to
+    # past the top it keeps exactly the coefficients of tau^0 .. tau^cap
+    rng = random.Random(650 + ctx.q)
+    for deg in (1, 2, 3):
+        lam = _prime(rng, ctx, deg)
+        c = rng.randrange(1, ctx.q)
+        for gs in ([_poly(rng, ctx, 0)],
+                   [_poly(rng, ctx, 2), _poly(rng, ctx, 1)],
+                   [_poly(rng, ctx, 1), lam.gen * _poly(rng, ctx, 1)]):
+            red = reduce_module(DrinfeldModule(ctx, gs), lam)
+            step = kernel.HornerMap(red.ring.frobenius_map(), red.vecs)
+            for a in ([], [0], [0, 0, 0], [c], [c, 0, 0],
+                      [rng.randrange(ctx.q) for _ in range(2 * deg)] + [0, 0],
+                      list(lam.gen.coeffs)):
+                full = kernel.vhorner(step, a)
+                assert red._skew(full) == _object_route(red, Poly(ctx, a)), (
+                    lam, gs, a)
+                for cap in range(len(full) + 2):
+                    want = full[:cap + 1]
+                    while want and not want[-1]:
+                        want.pop()
+                    assert kernel.vhorner(step, a, cap) == want
+                    assert red.vectors(Poly(ctx, a), cap) == want
+
+
+@pytest.mark.parametrize("ctx", [F5, make_field(7), make_field(5, 2)],
+                         ids=lambda c: f"q{c.q}")
+def test_reduction_height_forms_phi_lambda_to_tau_m_first(monkeypatch, ctx):
+    # one Horner capped at tau^m, and the full one only when all of those
+    # coefficients vanish (height 2); the height is still the first
+    # nonzero index of the full phi_lambda over m.  g_1 = 0 makes every
+    # odd-degree prime supersingular
+    rng = random.Random(680 + ctx.q)
+    caps = []
+    vhorner = kernel.vhorner
+    monkeypatch.setattr(kernel, "vhorner", lambda step, a, cap=None: (
+        caps.append(cap) or vhorner(step, a, cap)))
+    heights = set()
+    for deg in range(1, 7 if ctx.q < 25 else 4):
+        for g1 in (_poly(rng, ctx, 1), Poly.zero(ctx)):
+            lam = _prime(rng, ctx, deg)
+            g2 = _poly(rng, ctx, 1)
+            while (g2 % lam.gen).is_zero():
+                g2 = _poly(rng, ctx, 1)
+            for gs in ([g1, g2], [g2]):
+                phi = DrinfeldModule(ctx, gs)
+                full = reduce_module(phi, lam).vectors(lam.gen)
+                del caps[:]
+                height = reduction_height(phi, lam)
+                assert height == next(
+                    i for i, v in enumerate(full) if v) // deg
+                assert caps == ([deg] if height == 1 else [deg, None])
+                heights.add((len(gs), height))
+    assert heights == {(1, 1), (2, 1), (2, 2)}
 
 
 @pytest.mark.parametrize("lam_text", [(1, 1), (2, 0, 1), (1, 1, 0, 1)],
