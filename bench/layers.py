@@ -1,7 +1,8 @@
 """Timings of drinfeldlab as the min and median of k runs, one JSON file
 per source tree: `import drinfeldlab.cli` and each README command as
 subprocesses, and in-process layer cases (building a `kernel.FrobeniusMap`,
-one `kernel.vfrobenius`, one `kernel.vhorner`, one `residues.norm_to_base`,
+one `kernel.vfrobenius`, one `kernel.vhorner`, building a
+`kernel.HornerMap`, one `residues.norm_to_base`,
 `FieldCtx.is_square` over a whole field, one `frobenius.frob_general`, one
 `frobenius.euler_poincare_oracle` and one `drinfeld.reduction_height`) at
 fixed sizes.
@@ -46,10 +47,12 @@ LAYER_FLOOR_S = 0.02
 # (op, p, m, deg f) of each layer case: the maps at q = 5 and 127 at
 # degrees 16 and 64, and at F_25 at degree 16; the norm at q = 5 and 127
 # at degrees 16 and 64; the square test over F_25 and F_3^5, every element;
-# the charpoly at q = 5, degree 4 (the charpoly workload's median job, with
-# the oracle) and 7, and at q = 127, degree 64 (PRIME_DEG_CAP); the oracle
-# at q = 5, degree 4 and at F_25, degree 2, both at its bound q^deg <= 625;
-# the height (behind newton) at the charpoly's sizes, module and prime
+# the charpoly at q = 5, degree 1 (a frob job's fixed cost), 4 (the charpoly
+# workload's median job, with the oracle) and 7, and at q = 127, degree 64
+# (PRIME_DEG_CAP); the oracle at q = 5, degree 1 and 4, and at F_25,
+# degree 2, the last two at its bound q^deg <= 625; the height (behind
+# newton) at the charpoly's sizes, module and prime; the Horner map's
+# build at q = 5, degrees 4 and 12, the charpoly workload's range
 LAYERS = {f"{op} q={p ** m} deg={d}": (op, p, m, d)
           for p, m, d in ((5, 1, 16), (5, 1, 64), (127, 1, 16),
                           (127, 1, 64), (5, 2, 16))
@@ -59,14 +62,18 @@ LAYERS.update({f"norm_to_base q={p} deg={d}": ("norm_to_base", p, 1, d)
 LAYERS.update({f"is_square q={p ** m}": ("is_square", p, m, None)
                for p, m in ((5, 2), (3, 5))})
 LAYERS.update({f"{op} q={p ** m} deg={d}": (op, p, m, d)
-               for op, p, m, d in (("frob_general", 5, 1, 4),
+               for op, p, m, d in (("frob_general", 5, 1, 1),
+                                   ("frob_general", 5, 1, 4),
                                    ("frob_general", 5, 1, 7),
                                    ("frob_general", 127, 1, 64),
                                    ("reduction_height", 5, 1, 4),
                                    ("reduction_height", 5, 1, 7),
                                    ("reduction_height", 127, 1, 64),
+                                   ("euler_poincare_oracle", 5, 1, 1),
                                    ("euler_poincare_oracle", 5, 1, 4),
                                    ("euler_poincare_oracle", 5, 2, 2))})
+LAYERS.update({f"HornerMap q=5 deg={d}": ("HornerMap", 5, 1, d)
+               for d in (4, 12)})
 
 
 def readme_commands(readme=ROOT / "README.md"):
@@ -110,9 +117,10 @@ def _per_call(fn):
 
 
 def _map_call(ctx, rng, op, d):
-    """(call, its value as printed) of a FrobeniusMap, vfrobenius or
-    vhorner case on a random monic modulus of degree d: a built map is
-    printed as its twist of x, the others as they are."""
+    """(call, its value as printed) of a FrobeniusMap, vfrobenius, vhorner
+    or HornerMap case on a random monic modulus of degree d: a built
+    Frobenius map is printed as its twist of x, a built Horner map as its
+    packed rows, the others as they are."""
     from drinfeldlab import kernel
 
     q = ctx.q
@@ -128,7 +136,11 @@ def _map_call(ctx, rng, op, d):
     # of degree d: the Horner of frob_general's phi_b
     phi_t = [[0, 1], [rng.randrange(q) for _ in range(2)] + [1],
              [rng.randrange(q), rng.randrange(1, q)]]
-    step = kernel.HornerMap(kernel.FrobeniusMap(ctx, mod), phi_t)
+    frob = kernel.FrobeniusMap(ctx, mod)
+    if op == "HornerMap":
+        return (functools.partial(kernel.HornerMap, frob, phi_t),
+                lambda step: step.rows)
+    step = kernel.HornerMap(frob, phi_t)
     return functools.partial(kernel.vhorner, step, x + [1]), list
 
 

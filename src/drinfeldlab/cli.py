@@ -7,11 +7,12 @@ computations that must agree disagreed: a bug in drinfeldlab, not in the
 input), 141 stdout closed before the records were written (a reader such as
 `head` exited; 141 is what a shell reports for SIGPIPE).
 
-`COMMANDS` maps each subcommand to its handler and flags.  A plain call
-(an optional `--output`, a command, then its flags spelled in full) is
-parsed straight from that table and builds no parser.  Any other argv,
-help and usage errors included, goes to the argparse parser built from the
-same table, which prints the help and error text.
+`COMMANDS` maps each subcommand to its handler and flags, and `_TABLES`
+holds each command's option table, built from it once, at import.  A
+plain call (an optional `--output`, a command, then its flags spelled in
+full) is parsed straight from those tables and builds no parser.  Any
+other argv, help and usage errors included, goes to the argparse parser
+built from the same tables, which prints the help and error text.
 """
 
 from __future__ import annotations
@@ -175,10 +176,11 @@ def _frob(args):
     }
     # frob_general reads phi through drinfeld.ReducedModule and its Horner
     # map; the oracle reduces phi_T by kernel.vmod itself and builds the
-    # T-action by running products, one powmod T^(q^i) a term and a
-    # mulmod a column, touching no Frobenius or Horner map, then takes
-    # its charpoly by Hessenberg reduction: no step is shared, which
-    # keeps the check independent.  Above its residue-field bound it is
+    # T-action by running products, a mulmod a term and column by the
+    # factors T^(q^i) (from deg lam >= 2 only, each one powmod of the one
+    # before), touching no Frobenius or Horner map, then takes its
+    # charpoly by Hessenberg reduction: no step is shared, which keeps
+    # the check independent.  Above its residue-field bound it is
     # skipped; any error it raises within the bound propagates, and so
     # does a disagreement.
     rec["oracle"] = rec["oracle_matches"] = None
@@ -382,8 +384,20 @@ def _options(flags):
                          "type": None if flag in _POLY_FLAGS else int}
 
 
+# subcommand -> (handler, {flag: (add_argument options, Namespace
+# attribute, value when absent)}), in usage order; built once, at import,
+# for every plain call and the parser to read
+_TABLES = {
+    name: (handler, {
+        flag: (opts, opts.get("dest", flag[2:].replace("-", "_")),
+               False if opts.get("action") == "store_true"
+               else opts.get("default"))
+        for flag, opts in _options(flags)})
+    for name, (handler, flags) in COMMANDS.items()}
+
+
 def _table_args(argv):
-    """The Namespace argparse returns for a plain call, read off COMMANDS:
+    """The Namespace argparse returns for a plain call, read off _TABLES:
     an optional `--output F`, a command, then its flags, each spelled in
     full and given once, with a value not starting with '-'.  None for any
     other argv (help, abbreviations, `--flag=value`, a repeated or missing
@@ -391,16 +405,16 @@ def _table_args(argv):
     output = "jsonl"
     if len(argv) > 1 and argv[0] == "--output" and argv[1] in _FORMATS:
         output, argv = argv[1], argv[2:]
-    if not argv or argv[0] not in COMMANDS:
+    if not argv or argv[0] not in _TABLES:
         return None
-    handler, flags = COMMANDS[argv[0]]
-    options = dict(_options(flags))
+    handler, table = _TABLES[argv[0]]
     given = {}
     tokens = iter(argv[1:])
     for flag in tokens:
-        opts = options.get(flag)
-        if opts is None or flag in given:
+        entry = table.get(flag)
+        if entry is None or flag in given:
             return None
+        opts = entry[0]
         if opts.get("action") == "store_true":
             given[flag] = True
             continue
@@ -416,13 +430,13 @@ def _table_args(argv):
             return None
         given[flag] = value
     args = argparse.Namespace(output=output, command=argv[0], handler=handler)
-    for flag, opts in options.items():
-        if flag not in given and opts.get("required"):
+    for flag, (opts, dest, absent) in table.items():
+        if flag in given:
+            setattr(args, dest, given[flag])
+        elif opts.get("required"):
             return None
-        default = (False if opts.get("action") == "store_true"
-                   else opts.get("default"))
-        setattr(args, opts.get("dest", flag[2:].replace("-", "_")),
-                given.get(flag, default))
+        else:
+            setattr(args, dest, absent)
     return args
 
 
@@ -453,9 +467,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Drinfeld modules over F_q[T].")
     top.add_argument("--output", choices=_FORMATS, default="jsonl")
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (handler, flags) in COMMANDS.items():
+    for name, (handler, table) in _TABLES.items():
         p = sub.add_parser(name)
-        for flag, opts in _options(flags):
+        for flag, (opts, _, _) in table.items():
             p.add_argument(flag, **opts)
         p.set_defaults(handler=handler)
     return top

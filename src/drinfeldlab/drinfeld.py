@@ -160,8 +160,6 @@ class ReducedModule:
             a = Poly.constant(ring.ctx, a)
         if self._step is None:
             self._step = kernel.HornerMap(ring.frobenius_map(), self.vecs)
-        if cap is None:
-            return kernel.vhorner(self._step, a.coeffs)
         return kernel.vhorner(self._step, a.coeffs, cap)
 
     def of(self, a) -> skew.SkewPoly:

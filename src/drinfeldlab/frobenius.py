@@ -9,10 +9,11 @@ frob_general and frob_identity_check read phi mod lam through
 drinfeld.ReducedModule: the unit is the norm of its leading kernel vector,
 a resultant (kernel.vresultant), and its one kernel.HornerMap forms phi_b
 and phi_a.  The Euler-Poincare oracle shares no step with them: it reduces
-phi_T by kernel.vmod itself, builds the T-action by running products,
-one kernel.vpowmod per tau-term and kernel.vmulmod after it, touching no
-Frobenius or Horner map, and takes its characteristic polynomial by
-Hessenberg reduction (kernel.vcharpoly).
+phi_T by kernel.vmod itself, builds the T-action by running products
+(kernel.vmulmod by the factors T^(q^i), each from deg lam >= 2 on one
+kernel.vpowmod of the one before), touching no Frobenius or Horner map,
+and takes its characteristic polynomial by Hessenberg reduction
+(kernel.vcharpoly).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
     WrongDegree,
     WrongRank,
 )
+from .fields import FqElement
 from .polys import (  # noqa: F401  (PRIME_DEG_CAP, check_prime_degree)
     PRIME_DEG_CAP,
     Poly,
@@ -71,13 +73,13 @@ class FrobCharpoly:
     def __init__(self, prime: PrimeIdeal, a: Poly, b: Poly):
         if not a.is_zero() and 2 * (len(a.coeffs) - 1) > prime.degree:
             raise WrongDegree("trace degree exceeds deg(prime)/2")
-        quot, rem = divmod(b, prime.gen)
-        if not rem.is_zero() or len(quot.coeffs) != 1:
+        quot, rem = kernel.vdivmod(b.ctx, b.coeffs, prime.gen.coeffs)
+        if rem or len(quot) != 1:
             raise WrongDegree("the determinant must be a unit times the prime")
         self.prime = prime
         self.a = a
         self.b = b
-        self.unit = quot.coefficient(0)
+        self.unit = FqElement(b.ctx, quot[0])
 
     def __eq__(self, other):
         return (isinstance(other, FrobCharpoly) and self.prime == other.prime
@@ -180,10 +182,13 @@ def euler_poincare_oracle(phi: DrinfeldModule, lam: PrimeIdeal) -> Poly:
 
     Independent of frob_general: phi_T, reduced by kernel.vmod with no
     ReducedModule, sends T^j to sum c_i T^(j q^i), term i's value carried
-    from column to column by one kernel.vmulmod by T^(q^i), itself one
-    kernel.vpowmod, so no Frobenius or Horner map is touched, and the
-    charpoly comes by Hessenberg reduction (kernel.vcharpoly).  For rank 2
-    it must equal the monic associate of P(1) = 1 - a + b.
+    from column to column by one kernel.vmulmod by T^(q^i).  Those factors
+    are formed only when a second column reads them (deg lam >= 2): T,
+    then each one kernel.vpowmod to the exponent q of the one before, so
+    a degree-1 prime takes no powmod.  No Frobenius or Horner map is
+    touched, and the charpoly comes by Hessenberg reduction
+    (kernel.vcharpoly).  For rank 2 it must equal the monic associate of
+    P(1) = 1 - a + b.
     """
     ctx = phi.ctx
     m = lam.degree
@@ -194,9 +199,14 @@ def euler_poincare_oracle(phi: DrinfeldModule, lam: PrimeIdeal) -> Poly:
             for c in [(0, 1)] + [g.coeffs for g in phi.coeffs]]
     if not vecs[-1]:
         raise NotGoodReduction(f"bad reduction at {lam!r}")
-    # term i's running value c_i T^(j q^i), and its factor T^(q^i)
-    terms = [[c, kernel.vpowmod(ctx, [0, 1], ctx.q ** i, gen)]
-             for i, c in enumerate(vecs) if c]
+    # term i's running value c_i T^(j q^i), and its factor T^(q^i), read
+    # from the second column on: T, then the q-th power of the one before
+    factor, terms = [0, 1], []
+    for i, c in enumerate(vecs):
+        if i and m > 1:
+            factor = kernel.vpowmod(ctx, factor, ctx.q, gen)
+        if c:
+            terms.append([c, factor])
     cols = []
     for j in range(m):
         img = []

@@ -30,8 +30,11 @@ mod f being i twists of T, and takes nothing but the map, so a prime
 keeps the map its test built for every later twist; the map is built
 only where something is twisted.
 The Horner step of `vhorner` (phi_a over A/(f)) is F_p-linear too, and
-`HornerMap` packs it on the same digits, once per Drinfeld module;
-`vhorner` keeps its accumulator as one flat list of those digits.
+`HornerMap` packs it on the same digits, once per Drinfeld module: its
+tau^0 block c_0 T^i steps from row to row by T (`_times_t`, a shift and
+at most one scaled modulus), and only the blocks c_k (T^i)^(q^k), k > 0,
+take a twist and a mulmod per basis element.  `vhorner` keeps its
+accumulator as one flat list of those digits.
 `fp_digits`, `from_fp_digits` and `_unpack_mod` read and write that
 digit layout.
 
@@ -336,12 +339,25 @@ def vfrobenius(frob, v):
                                                  frob.slot, ctx.p)))
 
 
+def _times_t(ctx, v, mod):
+    """T v mod a monic `mod` of degree deg v + 1 or more: a shift, then at
+    most one subtraction of the modulus scaled by the top coefficient."""
+    if not v:
+        return []
+    v = [0] + v
+    if len(v) < len(mod):
+        return v
+    return vsub(ctx, v, vscale(ctx, mod, v[-1]))
+
+
 class HornerMap:
     """acc -> phi_T acc on tau-coefficient vectors over F_q[T]/(frob.mod),
     phi_T = c_0 + ... + c_r tau^r, as one F_p-linear map.  Row j packs the
     digits of c_k e_j^(q^k), k = 0..r, as r + 1 blocks of n `slot`-byte
     words, e_j = x^t T^i the F_p-basis (n = m deg mod, q = p^m).  A step's
-    word sums at most (r + 1) n products below p^2 and one digit."""
+    word sums at most (r + 1) n products below p^2 and one digit.  The
+    tau^0 block c_0 T^i is the one before it times T (`_times_t`), with no
+    product; block k > 0 is one mulmod of c_k by (T^i)^(q^k), k twists."""
 
     __slots__ = ("ctx", "n", "r", "rows", "slot")
 
@@ -350,12 +366,17 @@ class HornerMap:
         d, m, p = len(mod) - 1, ctx.m, ctx.p
         self.ctx, self.n, self.r = ctx, d * m, len(phi_t) - 1
         rows = [[] for _ in range(self.n)]
+        first = vmod(ctx, phi_t[0], mod)  # c_0 T^i mod f
         for i in range(d):
+            if i:
+                first = _times_t(ctx, first, mod)
             power = [0] * i + [1]  # (T^i)^(q^k)
             for k, c in enumerate(phi_t):
                 if k:
                     power = vfrobenius(frob, power)
-                image = vmulmod(ctx, c, power, mod)
+                    image = vmulmod(ctx, c, power, mod)
+                else:
+                    image = first
                 for t in range(m):
                     digits = fp_digits(ctx, vscale(ctx, image, p ** t)
                                        if t else image)
@@ -382,7 +403,8 @@ def vhorner(step, a, cap=None):
             total = (total << shift) + sum(map(operator.mul, acc[i:i + n],
                                                rows))
         if c:
-            total += _pack(fp_digits(ctx, [c]), slot)
+            # over a prime field the packed constant is the int c itself
+            total += c if ctx.m == 1 else _pack(fp_digits(ctx, [c]), slot)
         if mask is not None:
             total &= mask
         acc = _unpack_mod(total, -(-total.bit_length() // shift) * n, slot, p)

@@ -59,6 +59,31 @@ def powmod_t_action(phi, lam):
     return cols
 
 
+def vmulmod_horner_rows(frob, phi_t):
+    """The F_p-words of each row of kernel.HornerMap(frob, phi_t), by the
+    route its tau^0 block replaced: every block c_k (T^i)^(q^k), c_0's
+    included, one kernel.vmulmod per basis element, (T^i)^(q^k) by k
+    twists, and row i m + t the digits of x^t times those images, each
+    block padded to n = m deg mod words."""
+    from drinfeldlab import kernel
+
+    ctx, mod = frob.ctx, frob.mod
+    d, m, p = len(mod) - 1, ctx.m, ctx.p
+    n = d * m
+    rows = [[] for _ in range(n)]
+    for i in range(d):
+        power = [0] * i + [1]
+        for k, c in enumerate(phi_t):
+            if k:
+                power = kernel.vfrobenius(frob, power)
+            image = kernel.vmulmod(ctx, c, power, mod)
+            for t in range(m):
+                digits = kernel.fp_digits(ctx, kernel.vscale(
+                    ctx, image, p ** t) if t else image)
+                rows[i * m + t] += digits + [0] * (n - len(digits))
+    return rows
+
+
 def _det(mat):
     n = len(mat)
     if n == 1:

@@ -22,15 +22,18 @@ def test_layers_writes_the_bench_schema(tmp_path, monkeypatch, capsys):
     # The README commands run as subprocesses in test_cli.py
     readme = layers.readme_commands()
     assert 'drinfeldlab omega --q 5 --prime "T+4"' in readme
-    assert len(layers.LAYERS) == 29
+    assert len(layers.LAYERS) == 33
     for name in ("vfrobenius q=25 deg=16", "norm_to_base q=5 deg=16",
                  "norm_to_base q=127 deg=64", "is_square q=25",
-                 "is_square q=243", "frob_general q=5 deg=4",
+                 "is_square q=243", "frob_general q=5 deg=1",
+                 "frob_general q=5 deg=4",
                  "frob_general q=5 deg=7", "frob_general q=127 deg=64",
+                 "euler_poincare_oracle q=5 deg=1",
                  "euler_poincare_oracle q=5 deg=4",
                  "euler_poincare_oracle q=25 deg=2",
                  "reduction_height q=5 deg=4", "reduction_height q=5 deg=7",
-                 "reduction_height q=127 deg=64"):
+                 "reduction_height q=127 deg=64", "HornerMap q=5 deg=4",
+                 "HornerMap q=5 deg=12"):
         assert name in layers.LAYERS
     every = layers.cases()
     assert list(every) == [layers.IMPORT_CASE, *readme, *layers.LAYERS]
@@ -109,3 +112,10 @@ def test_charpoly_cases_print_their_values(capsys, monkeypatch):
           for i in range(5)]
     assert oracle == [c * pow(p1[4], -1, 5) % 5 for c in p1]
     assert len(oracle25) == 3 and oracle25[-1] == 1
+    # the degree-1 pair likewise: the oracle is X - (1 - a + b) / b_1
+    for name in ("frob_general q=5 deg=1", "euler_poincare_oracle q=5 deg=1"):
+        layers.layer_child(name)
+    lines = capsys.readouterr().out.splitlines()
+    (a, b), oracle = map(json.loads, lines[1::2])
+    assert len(b) == 2 and len(a) <= 1
+    assert oracle == [(1 - sum(a) + b[0]) * pow(b[1], -1, 5) % 5, 1]

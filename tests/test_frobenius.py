@@ -223,6 +223,20 @@ def test_identity_check_perturbation():
         assert not frob_identity_check(phi, bad)
 
 
+@pytest.mark.parametrize("ctx", [F5, make_field(5, 2)], ids=["q5", "q25"])
+def test_frob_charpoly_wants_a_unit_times_the_prime(ctx):
+    # b = u lam for every unit u, read back as u; b = 0, lam + 1, T lam
+    # and a nonzero constant are refused
+    lam = PrimeIdeal(Poly(ctx, (1, 1, 0, 1)))
+    a = Poly.zero(ctx)
+    for u in ctx.elements()[1:]:
+        assert FrobCharpoly(lam, a, lam.gen * u).unit == u
+    for b in (Poly.zero(ctx), lam.gen + Poly.one(ctx), lam.gen * Poly.T(ctx),
+              Poly.one(ctx)):
+        with pytest.raises(WrongDegree):
+            FrobCharpoly(lam, a, b)
+
+
 def _good_pair(rng, ctx, degree):
     while True:
         phi = _random_module(rng, ctx=ctx)
@@ -341,9 +355,51 @@ def test_oracle_matches_the_powmod_t_action(p, m):
         degree += 1
 
 
+@pytest.mark.parametrize("p, m", [(7, 1), (127, 1), (5, 2), (3, 3)],
+                         ids=str)
+def test_oracle_t_action_matches_the_powmod_t_action(monkeypatch, p, m):
+    # at deg lam = 1 to 4, past the residue-field bound (which the test
+    # above keeps, so it reaches degree 4 at q = 5 only), the oracle's
+    # charpoly equals that of the one-powmod-per-entry columns, both by
+    # Hessenberg reduction, so only the T-action differs; rank 1 and 2
+    monkeypatch.setattr(frobenius, "DEFAULT_BRUTE_CAP", 127 ** 4)
+    ctx = make_field(p, m)
+    rng = random.Random(2700 + ctx.q)
+    for degree in range(1, 5):
+        for rank in (1, 2, 2):
+            phi, lam = _good_pair(rng, ctx, degree)
+            if rank == 1:
+                phi = DrinfeldModule(ctx, [phi.g2])
+            want = kernel.vcharpoly(ctx, powmod_t_action(phi, lam))
+            assert euler_poincare_oracle(phi, lam) == Poly(ctx, want), (
+                phi, lam)
+
+
+def test_oracle_powmods_only_for_a_second_column(monkeypatch):
+    # at deg lam = 1 the one column reads no factor T^(q^i), so no powmod
+    # mod lam runs; from deg 2 on, one to the exponent q per tau-degree
+    # above 0 (over F_25 the field's own inverses are powmods too)
+    monkeypatch.setattr(frobenius, "DEFAULT_BRUTE_CAP", 25 ** 3)
+    powmods = []
+    vpowmod = kernel.vpowmod
+    monkeypatch.setattr(kernel, "vpowmod", lambda ctx, a, e, mod: (
+        powmods.append((e, tuple(mod))) or vpowmod(ctx, a, e, mod)))
+    for ctx in (F5, make_field(7), make_field(5, 2)):
+        rng = random.Random(27 + ctx.q)
+        for degree in (1, 2, 3):
+            for rank in (1, 2):
+                phi, lam = _good_pair(rng, ctx, degree)
+                if rank == 1:
+                    phi = DrinfeldModule(ctx, [phi.g2])
+                powmods.clear()
+                euler_poincare_oracle(phi, lam)
+                assert [e for e, mod in powmods if mod == lam.gen.coeffs] == (
+                    [] if degree == 1 else [ctx.q] * rank)
+
+
 def test_oracle_is_independent_of_the_frobenius_rows(monkeypatch):
     # the oracle reduces phi_T itself and raises T^j to j q^i by running
-    # products, one powmod per term, so it still answers, and still
+    # products, its factors by powmods, so it still answers, and still
     # agrees, with every Frobenius map unavailable (its build, its rows
     # and its twist), and with the reduced module, its Horner map and
     # vhorner unavailable, all of which frob_general reads.  The primes
@@ -379,8 +435,8 @@ def test_frob_general_builds_one_horner_map(monkeypatch):
     horner_map, vhorner = kernel.HornerMap, kernel.vhorner
     monkeypatch.setattr(kernel, "HornerMap", lambda *args: (
         built.append(horner_map(*args)) or built[-1]))
-    monkeypatch.setattr(kernel, "vhorner", lambda step, a: (
-        used.append(step) or vhorner(step, a)))
+    monkeypatch.setattr(kernel, "vhorner", lambda step, a, cap=None: (
+        used.append(step) or vhorner(step, a, cap)))
     for phi, lam in ((M("1", "4"), PI("T^2+2")),
                      _good_pair(random.Random(41), F5, 5)):
         built.clear()

@@ -14,6 +14,10 @@ routes it replaced stay here as oracles:
   modules, and the twisted rank-1 module of the stable branch of
   `reduction_type`; and on coefficient lists as given (empty, constant,
   zero top coefficients) at every tau-degree cap.
+
+The map's rows are also checked word for word against the build whose
+tau^0 block they replaced, one vmulmod per basis element
+(`oracles.vmulmod_horner_rows`).
 """
 
 import random
@@ -32,6 +36,7 @@ from drinfeldlab.fields import make_field
 from drinfeldlab.frobenius import frob_general
 from drinfeldlab.polys import Poly, PrimeIdeal, is_irreducible
 from drinfeldlab.skew import ht_deg
+from oracles import vmulmod_horner_rows
 
 F5 = make_field(5)
 
@@ -269,6 +274,26 @@ def test_step_map_at_a_word_boundary(p, deg, rank, bound, slot):
         for a in ([p - 1] * 8, [rng.randrange(p) for _ in range(12)]):
             assert kernel.vhorner(step, a) == _coefficient_loop(frob, phi_t,
                                                                  a)
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (7, 1), (127, 1), (5, 2),
+                                  (3, 3)], ids=str)
+def test_step_map_rows_match_the_mulmod_build(p, m):
+    # the tau^0 block by T-steps against one vmulmod per basis element,
+    # word for word, at degree 1 to 12: phi_T = T + ... at rank 1 and 2,
+    # and a c_0 other than T (a shift that wraps at every row)
+    ctx = make_field(p, m)
+    rng = random.Random(270 + ctx.q)
+    for deg in range(1, 13):
+        lam = _prime(rng, ctx, deg)
+        frob = kernel.FrobeniusMap(ctx, lam.gen.coeffs)
+        for gs in _modules(rng, ctx, lam)[:2]:
+            phi_t = reduce_module(DrinfeldModule(ctx, gs), lam).vecs
+            for c0 in (phi_t[0], _poly(rng, ctx, deg - 1).coeffs):
+                step = kernel.HornerMap(frob, [c0, *phi_t[1:]])
+                want = vmulmod_horner_rows(frob, [c0, *phi_t[1:]])
+                assert step.rows == [kernel._pack(row, step.slot)
+                                     for row in want], (lam, gs, c0)
 
 
 def test_step_map_is_built_once_per_module(monkeypatch):
