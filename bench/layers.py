@@ -4,7 +4,8 @@ subprocesses, and in-process layer cases (building a `kernel.FrobeniusMap`,
 one `kernel.vfrobenius`, one `kernel.vhorner`, building a
 `kernel.HornerMap`, one `residues.norm_to_base`,
 `FieldCtx.is_square` over a whole field, one `frobenius.frob_general`, one
-`frobenius.euler_poincare_oracle` and one `drinfeld.reduction_height`) at
+`frobenius.euler_poincare_oracle`, one `drinfeld.reduction_height`, the
+prime sieve `polys.irreducible_indices` and one `criteria.lambda_scan`) at
 fixed sizes.
 
     python3 bench/layers.py --runs 15 --out BENCH_<n>.json
@@ -52,7 +53,10 @@ LAYER_FLOOR_S = 0.02
 # (PRIME_DEG_CAP); the oracle at q = 5, degree 1 and 4, and at F_25,
 # degree 2, the last two at its bound q^deg <= 625; the height (behind
 # newton) at the charpoly's sizes, module and prime; the Horner map's
-# build at q = 5, degrees 4 and 12, the charpoly workload's range
+# build at q = 5, degrees 4 and 12, the charpoly workload's range; the
+# sieve at the certify workload's sizes (q, n) = (5, 5) and (7, 4) and one
+# step past them, (5, 6); the scan of `lambda-scan --q 5 --exact-deg 5
+# --find-counterexample`, the certify workload's largest enumeration job
 LAYERS = {f"{op} q={p ** m} deg={d}": (op, p, m, d)
           for p, m, d in ((5, 1, 16), (5, 1, 64), (127, 1, 16),
                           (127, 1, 64), (5, 2, 16))
@@ -74,6 +78,9 @@ LAYERS.update({f"{op} q={p ** m} deg={d}": (op, p, m, d)
                                    ("euler_poincare_oracle", 5, 2, 2))})
 LAYERS.update({f"HornerMap q=5 deg={d}": ("HornerMap", 5, 1, d)
                for d in (4, 12)})
+LAYERS.update({f"sieve q={p} deg={d}": ("sieve", p, 1, d)
+               for p, d in ((5, 5), (7, 4), (5, 6))})
+LAYERS["lambda_scan q=5 deg=5"] = ("lambda_scan", 5, 1, 5)
 
 
 def readme_commands(readme=ROOT / "README.md"):
@@ -188,6 +195,19 @@ def _charpoly_call(ctx, rng, op, d):
             lambda oracle: list(oracle.coeffs))
 
 
+def _enumeration_call(ctx, op, d):
+    """(call, its value as printed) of the sieve at degree d, printed as its
+    indices, or of the degree-d lambda_scan in find_counterexample mode,
+    printed as its records and summary."""
+    from drinfeldlab import criteria, polys
+
+    if op == "sieve":
+        return (lambda: list(polys.irreducible_indices(ctx, d))), list
+    return (functools.partial(criteria.lambda_scan, ctx, d,
+                              "find_counterexample"),
+            lambda report: [report.records, report.as_dict()])
+
+
 def layer_child(name):
     """Print the seconds per call of one layer case on its first line and
     its result as JSON after it.  Inputs are seeded by the case's field
@@ -199,6 +219,8 @@ def layer_child(name):
     rng = random.Random(1000 * ctx.q + (d or 0))
     if op == "is_square":
         call, show = (lambda: list(map(ctx.is_square, range(ctx.q)))), list
+    elif op in ("sieve", "lambda_scan"):
+        call, show = _enumeration_call(ctx, op, d)
     elif op == "norm_to_base":
         call, show = _norm_call(ctx, rng, d), int
     elif op in ("frob_general", "euler_poincare_oracle", "reduction_height"):

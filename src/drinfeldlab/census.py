@@ -3,17 +3,18 @@
 W(X) is the height-bounded coefficient box; S(X) the sub-family cut out by
 the two congruences fixing the behaviour at (T - c_1) and (T - c_2).  All
 ratios are exact rationals; formula mode evaluates closed forms, brute mode
-enumerates and filters.
+enumerates coefficient tuples and filters them by `kernel.vmod`.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 from . import kernel
 from .errors import BruteCapExceeded, ParamsOutOfRange
 from .fields import FieldCtx, FqElement
-from .polys import Poly, eval_at, polys_below
+from .polys import Poly
 
 DEFAULT_BRUTE_CAP = 1_000_000
 X_CAP = 100
@@ -70,20 +71,17 @@ class CensusParams:
                             self.b1, self.b2)
 
 
-def _lin(ctx: FieldCtx, c: FqElement) -> Poly:
-    return Poly.T(ctx) - Poly.constant(ctx, c)
-
-
 def _validate_class(ctx, c1, c2, b1, b2):
-    l1, l2 = _lin(ctx, c1), _lin(ctx, c2)
-    if not (b1.degree < 2 and b2.degree < 3):
+    c1, c2, b1, b2 = c1.val, c2.val, b1.coeffs, b2.coeffs
+    if not (len(b1) < 3 and len(b2) < 4):
         raise ParamsOutOfRange("class representatives must have deg b1 < 2, "
                                "deg b2 < 3")
-    if not (b1 % l1).is_zero() or eval_at(b1, c2).is_zero():
+    if kernel.veval(ctx, b1, c1) or not kernel.veval(ctx, b1, c2):
         raise ParamsOutOfRange(
             "b1 must be divisible by T-c1 and coprime to T-c2")
-    div_once = (b2 % l2).is_zero() and not (b2 % (l2 * l2)).is_zero()
-    if not div_once or eval_at(b2, c1).is_zero():
+    quo, rem = kernel.vdivmod(ctx, b2, (ctx.neg(c2), 1))
+    if (rem or not kernel.veval(ctx, quo, c2)
+            or not kernel.veval(ctx, b2, c1)):
         raise ParamsOutOfRange(
             "b2 must be exactly divisible by T-c2 and coprime to T-c1")
 
@@ -126,12 +124,8 @@ def count_W(params: CensusParams, mode: str = "formula",
         raise ValueError(f"unknown mode {mode!r}")
     if q ** n1 * q ** n2 > cap:
         raise BruteCapExceeded(f"{q}^{n1 + n2} pairs exceed cap {cap}")
-    count = 0
-    for g1 in polys_below(params.ctx, n1):
-        for g2 in polys_below(params.ctx, n2):
-            if not g2.is_zero():
-                count += 1
-    return count
+    # every g1 pairs with the same g2 box: count it once
+    return q ** n1 * sum(1 for g2 in kernel.vectors_below(q, n2) if g2)
 
 
 def count_S(params: CensusParams, mode: str = "formula",
@@ -140,7 +134,7 @@ def count_S(params: CensusParams, mode: str = "formula",
     """#S(X) = q^(d1 X + d2 X/(q-1) - 5) for one congruence class.
 
     Formula mode needs both degree floors integral and >= 3 (the proof's
-    range).  Brute mode enumerates the box and filters the congruences;
+    range).  Brute mode reduces each box once and counts the residues;
     g2_deg_bound overrides the g2 box when the slot-degree reading is wanted.
     all_classes sums over every valid (b1, b2) pair.
     """
@@ -156,10 +150,8 @@ def count_S(params: CensusParams, mode: str = "formula",
             raise ParamsOutOfRange(
                 "formula mode needs d1 X and d2 X/(q-1) integral and >= 3")
         per_class = q ** (n1 - 2) * q ** (n2 - 3)
-        if all_classes:
-            return per_class * len(
-                valid_congruence_classes(ctx, params.c1, params.c2))
-        return per_class
+        # (q - 1)^3 classes: q - 1 units v, and (e(c1), e(c2)) both units
+        return per_class * (q - 1) ** 3 if all_classes else per_class
     if mode != "brute":
         raise ValueError(f"unknown mode {mode!r}")
     if g2_deg_bound is None:
@@ -172,21 +164,20 @@ def count_S(params: CensusParams, mode: str = "formula",
     if q ** n1 * q ** n2 > DEFAULT_BRUTE_CAP:
         raise BruteCapExceeded(
             f"{q}^{n1 + n2} pairs exceed cap {DEFAULT_BRUTE_CAP}")
-    l1, l2 = _lin(ctx, params.c1), _lin(ctx, params.c2)
-    m1 = l1 * l2
-    m2 = l1 * l2 * l2
-    classes = ([(params.b1, params.b2)] if not all_classes
-               else valid_congruence_classes(ctx, params.c1, params.c2))
-    g1_pool = list(polys_below(ctx, n1))
-    g2_pool = list(polys_below(ctx, n2))
-    total = 0
-    for b1, b2 in classes:
-        r1 = b1 % m1
-        r2 = b2 % m2
-        c1_count = sum(1 for g1 in g1_pool if g1 % m1 == r1)
-        c2_count = sum(1 for g2 in g2_pool if g2 % m2 == r2)
-        total += c1_count * c2_count
-    return total
+    l1, l2 = (ctx.neg(params.c1.val), 1), (ctx.neg(params.c2.val), 1)
+    m1 = kernel.vmul(ctx, l1, l2)
+    m2 = kernel.vmul(ctx, m1, l2)
+    classes = ([(params.b1.coeffs, params.b2.coeffs)] if not all_classes
+               else itertools.product(*class_vectors(
+                   ctx, params.c1.val, params.c2.val)))
+    # each box is reduced once; a class reads its two residues' counts
+    g1_counts = collections.Counter(
+        tuple(kernel.vmod(ctx, g1, m1)) for g1 in kernel.vectors_below(q, n1))
+    g2_counts = collections.Counter(
+        tuple(kernel.vmod(ctx, g2, m2)) for g2 in kernel.vectors_below(q, n2))
+    return sum(g1_counts[tuple(kernel.vmod(ctx, b1, m1))]
+               * g2_counts[tuple(kernel.vmod(ctx, b2, m2))]
+               for b1, b2 in classes)
 
 
 def density_table(params: CensusParams, xs) -> list:

@@ -10,8 +10,9 @@ unwrapped once, at the boundary; the criteria compute on coefficient
 tuples.  Whether c - T is a square mod p is read off its norm p(c) in
 F_q; the triple's discriminant is tested by `residues.is_square_mod_prime`
 on its norm, the resultant with the prime.  Valuations run by
-`kernel.vvaluation`, values and degree-1 traces by integer Horner.  No
-residue ring or Frobenius map is built, and each text is formed once per
+`kernel.vvaluation`, values and degree-1 traces by integer Horner, and
+the scan's values at every point by one packed sum per prime.  No residue
+ring or Frobenius map is built, and each text is formed once per
 certificate.
 """
 
@@ -199,7 +200,8 @@ def lambda_scan(ctx: FieldCtx, max_deg: int,
 
     Membership of a triple depends on g1 only through r1 = g1(c), and every
     winning pair is realized by the canonical g1 recorded in the verdict
-    (r1 itself when nonzero, else T - c).
+    (r1 itself when nonzero, else T - c; its text formed once per pair).
+    A prime's values at every point are one `kernel.point_values` call.
     """
     if mode not in ("affirm", "find_counterexample"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -211,27 +213,30 @@ def lambda_scan(ctx: FieldCtx, max_deg: int,
                else range(max_deg, max_deg + 1))
     # r1^2 - 4(T - c) = 4(c' - T) with c' = c + r1^2/4, and by reciprocity
     # c' - T is a non-square mod l iff l(c') is a non-square in F_q: the
-    # resultant with l at degree 1, as one Horner per c' for the table
+    # resultant with l at degree 1, read off the prime's values at every c'
     p = ctx.p
     quarter = ctx.inv(4 % p)
     quarter_squares = [r1 * r1 * quarter % p for r1 in range(p)]
     squares = {x * x % p for x in range(p)}
+    values = kernel.point_values(p, max_deg)
+    g1_texts = {}
     records = []
     counterexamples = []
     for deg in degrees:
         top = p ** deg
         for idx in irreducible_indices(ctx, deg):
             gen = kernel.vdigits(top + idx, p)
-            nonsquare = [kernel.veval(ctx, gen, x) not in squares
-                         for x in range(p)]
+            nonsquare = [v not in squares for v in values(gen)]
             found = next(((c, r1) for c in range(p)
                           for r1, shift in enumerate(quarter_squares)
                           if nonsquare[(c + shift) % p]), None)
             witness = None
             if found is not None:
                 c, r1 = found
-                witness = {"c": c, "r1": r1, "g1": coeffs_to_text(
-                    ctx, (r1,) if r1 else (ctx.neg(c), 1))}
+                if found not in g1_texts:
+                    g1_texts[found] = coeffs_to_text(
+                        ctx, (r1,) if r1 else (ctx.neg(c), 1))
+                witness = {"c": c, "r1": r1, "g1": g1_texts[found]}
             text = coeffs_to_text(ctx, gen)
             records.append({"prime": text, "degree": deg,
                             "passes": witness is not None,

@@ -7,10 +7,11 @@ ints do not overflow); over F_{p^m} they call the FieldCtx ops.  The choice
 follows ctx.m alone.  Sums, products, division, gcd, inverses and powers
 modulo a polynomial, resultants (`vresultant`, by Euclid: at a prime f
 the norm of A/(f) down to F_q, behind every norm and square test),
-evaluation (`veval`), valuations (`vvaluation`) and the Rabin test all
-run here, with the generic square-and-multiply `power` and the base-q
-index `vindex` and its digits `vdigits`, so each arithmetic decision
-lives in one place.  That covers every quotient of a
+evaluation (`veval`, and `point_values` at every point of F_p by one
+packed sum), valuations (`vvaluation`) and the Rabin test all run here,
+with the generic square-and-multiply `power` and the base-q index
+`vindex` and its digits `vdigits`, so each arithmetic decision lives in
+one place.  That covers every quotient of a
 polynomial ring by a monic modulus: F_{p^m} itself (digits over `Zp(p)`
 modulo the field's modulus) and the residue rings A/(f) of `residues`.
 `vechelon` is the Gaussian elimination: F_q-linear solving in `skew` and
@@ -546,6 +547,18 @@ def veval(ctx, v, c: int) -> int:
     for coef in reversed(v):
         acc = add(mul(acc, c), coef)
     return acc
+
+
+def point_values(p: int, deg: int):
+    """v -> [v(0), .., v(p - 1)] over Z/p for v of degree <= deg: the table
+    x^i mod p packed once (row i's x-th `slot`-byte word is x^i), then one
+    packed sum of the rows by v's coefficients and one `_unpack_mod`."""
+    slot = _slot((deg + 1) * (p - 1) ** 2)
+    rows, power = [], [1] * p
+    for _ in range(deg + 1):
+        rows.append(_pack(power, slot))
+        power = [x * y % p for x, y in enumerate(power)]
+    return lambda v: _unpack_mod(sum(map(operator.mul, v, rows)), p, slot, p)
 
 
 def vvaluation(ctx, a, b) -> int:

@@ -300,19 +300,6 @@ def poly_from_index(ctx: FieldCtx, idx: int) -> Poly:
     return Poly(ctx, kernel.vdigits(idx, ctx.q))
 
 
-def polys_below(ctx: FieldCtx, degree: int):
-    """Every polynomial of degree < `degree`, zero included, in index order;
-    a negative bound counts as 0 and yields only zero."""
-    return (Poly(ctx, v) for v in kernel.vectors_below(ctx.q, degree))
-
-
-def monic_polys(ctx: FieldCtx, degree: int):
-    """Monic degree-d polynomials in lexicographic coefficient order
-    (leading-side coefficients most significant)."""
-    top = ctx.q ** degree
-    return (poly_from_index(ctx, top + idx) for idx in range(top))
-
-
 def check_enumeration_cap(ctx: FieldCtx, degree: int,
                           cap: int = DEFAULT_ENUMERATION_CAP):
     """Raise EnumerationCapExceeded if degree has more than cap monic
@@ -345,9 +332,9 @@ def check_samples(count: int, what: str = "samples") -> None:
 
 def enumerate_monic_irreducibles(ctx: FieldCtx, degree: int,
                                  cap: int = DEFAULT_ENUMERATION_CAP):
-    """All monic irreducibles of exactly the given degree, in the same
-    lexicographic order as monic_polys, by the index sieve of
-    `irreducible_indices`."""
+    """All monic irreducibles of exactly the given degree, in lexicographic
+    coefficient order (the leading side most significant), by the index
+    sieve of `irreducible_indices`."""
     indices = irreducible_indices(ctx, degree, cap)
     top = ctx.q ** degree
     return [PrimeIdeal(poly_from_index(ctx, top + idx), _trusted=True)
@@ -372,44 +359,48 @@ _UNMARKED = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 def _sieve(ctx: FieldCtx, n: int):
     """Yield the indices of the monic irreducibles of degree n.
 
-    Every product g*h of a monic irreducible g of degree d <= n/2 and a
-    monic h of degree k = n - d is marked at its base-q index, and no
-    product is formed: the cofactors h are walked depth first over their
-    digits h_(k-1), ..., h_0, and a child's digits and index are its
-    parent's plus the precomputed row c*g*T^j for its digit c = h_j, which
-    touches the d + 1 digits j..j+d.  The q leaves of a parent (j = 0) are
-    summed column by column, one digit position for all c at once."""
+    The monic multiples of a monic prime g of degree d <= n/2 form one
+    affine family: the low digits f_0 .. f_(d-1) of each are
+    -(T^n + sum_j U_j T^(d+j)) mod g for its high digits U = f_d ..
+    f_(n-1), so the block of q^d indices at U holds one multiple, at
+    U q^d + low(U).  A low digit is built for all U at once, as a column
+    in U's order: each digit of U concatenates shifted copies of it, the
+    shifts its multiples of that digit of -T^(d+j) mod g
+    (`kernel._times_t`).  A column is `bytes` shifted by translate tables
+    where q < 256.  No polynomial product is formed."""
     q, p, add = ctx.q, ctx.p, ctx.add
-    prime = ctx.m == 1
-    composite = bytearray(q ** n)
-    weights = [q ** i for i in range(n)]  # the leading 1 is implied
-
-    def walk(j, idx):
-        lo, w = digits[j:j + d + 1], weights[j:j + d + 1]
-        base = idx - sum(map(operator.mul, lo, w))
-        if not j:  # the leaves: their indices, column by column
-            cols = [[(x + r) % p * wt for r in col] if prime
-                    else [add(x, r) * wt for r in col]
-                    for x, col, wt in zip(lo, cols_g, w)]
-            for child in map(sum, zip(*cols)):
-                composite[base + child] = 1
-            return
-        for row in rows:
-            new = ([(x + r) % p for x, r in zip(lo, row)] if prime
-                   else [add(x, r) for x, r in zip(lo, row)])
-            digits[j:j + d + 1] = new
-            walk(j - 1, base + sum(map(operator.mul, new, w)))
-        digits[j:j + d + 1] = lo
-
+    total = q ** n
+    composite = bytearray(total)
+    small = q < 256
+    table = functools.lru_cache(maxsize=None)(  # x -> x + a, to translate
+        lambda a: bytes(add(x, a) for x in range(q)).ljust(256, b"\0"))
     for d in range(1, n // 2 + 1):
-        k = n - d
+        span = q ** d
         for g_idx in _sieve(ctx, d):
-            g = poly_from_index(ctx, q ** d + g_idx).coeffs
-            cols_g = [[ctx.mul(c, x) for c in range(q)] for x in g]
-            rows = list(zip(*cols_g))  # rows[c] = c*g
-            digits = [0] * k + list(g)  # g*T^k, the root of the walk
-            walk(k - 1, g_idx * q ** k)
-    yield from itertools.compress(range(len(composite)),
+            g = kernel.vdigits(span + g_idx, q)
+            rows = [g[:d]]  # rows[j] = -T^(d+j) mod g
+            for _ in range(n - d):
+                rows.append(kernel._times_t(ctx, rows[-1], g))
+            low = None  # low(U) by Horner on its digits, the top one first
+            for k in range(d - 1, -1, -1):
+                *steps, c0 = [row[k] if k < len(row) else 0 for row in rows]
+                col = bytes([c0]) if small else [c0]
+                # U_j = sum_t c_t x^t by its F_p-digits c_t, lowest first:
+                # col + c_t a for c_t = 0 .. p - 1, a = x^t s
+                for a in (ctx.mul(p ** t, s) for s in steps
+                          for t in range(ctx.m)):
+                    shifts = [0]
+                    for _ in range(p - 1):
+                        shifts.append(add(shifts[-1], a))
+                    col = (b"".join([col.translate(table(b)) for b in shifts])
+                           if small else [add(x, b) for b in shifts
+                                          for x in col])
+                low = col if low is None else map(
+                    operator.add, map(operator.mul, low, itertools.repeat(q)),
+                    col)
+            for idx in map(operator.add, range(0, total, span), low):
+                composite[idx] = 1
+    yield from itertools.compress(range(total),
                                   composite.translate(_UNMARKED))
 
 

@@ -2,6 +2,24 @@
 that the product code decides by structure."""
 
 
+def polys_below(ctx, degree):
+    """Every polynomial of degree < `degree`, zero included, in index order;
+    a negative bound counts as 0 and yields only zero."""
+    from drinfeldlab import kernel
+    from drinfeldlab.polys import Poly
+
+    return (Poly(ctx, v) for v in kernel.vectors_below(ctx.q, degree))
+
+
+def monic_polys(ctx, degree):
+    """Monic degree-d polynomials in lexicographic coefficient order
+    (leading-side coefficients most significant)."""
+    from drinfeldlab.polys import poly_from_index
+
+    top = ctx.q ** degree
+    return (poly_from_index(ctx, top + idx) for idx in range(top))
+
+
 def abelian_span(one, gens, mul, order: int) -> set:
     """The subgroup of a finite abelian group of the given order generated
     by gens, grown one coset at a time: H<g> is the union of H g^i for i
@@ -95,4 +113,140 @@ def _det(mat):
         minor = [row[:j] + row[j + 1:] for row in mat[1:]]
         term = top * _det(minor)
         total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def walk_sieve(ctx, n):
+    """The indices of the monic irreducibles of degree n, ascending, by the
+    route polys._sieve replaced: every product g*h of a monic prime g of
+    degree d <= n/2 and a monic h of degree n - d is marked at its base-q
+    index, the cofactors h walked depth first over their digits, a
+    child's digits and index its parent's plus the row c*g*T^j for its
+    digit c = h_j, and the q leaves of a parent summed column by column."""
+    import operator
+
+    q, p, add = ctx.q, ctx.p, ctx.add
+    prime = ctx.m == 1
+    composite = bytearray(q ** n)
+    weights = [q ** i for i in range(n)]  # the leading 1 is implied
+
+    def walk(j, idx):
+        lo, w = digits[j:j + d + 1], weights[j:j + d + 1]
+        base = idx - sum(map(operator.mul, lo, w))
+        if not j:  # the leaves: their indices, column by column
+            cols = [[(x + r) % p * wt for r in col] if prime
+                    else [add(x, r) * wt for r in col]
+                    for x, col, wt in zip(lo, cols_g, w)]
+            for child in map(sum, zip(*cols)):
+                composite[base + child] = 1
+            return
+        for row in rows:
+            new = ([(x + r) % p for x, r in zip(lo, row)] if prime
+                   else [add(x, r) for x, r in zip(lo, row)])
+            digits[j:j + d + 1] = new
+            walk(j - 1, base + sum(map(operator.mul, new, w)))
+        digits[j:j + d + 1] = lo
+
+    for d in range(1, n // 2 + 1):
+        k = n - d
+        for g_idx in walk_sieve(ctx, d):
+            g = _digits(q ** d + g_idx, q)
+            cols_g = [[ctx.mul(c, x) for c in range(q)] for x in g]
+            rows = list(zip(*cols_g))  # rows[c] = c*g
+            digits = [0] * k + g  # g*T^k, the root of the walk
+            walk(k - 1, g_idx * q ** k)
+    return [idx for idx, marked in enumerate(composite) if not marked]
+
+
+def _digits(idx, q):
+    out = []
+    while idx:
+        idx, c = divmod(idx, q)
+        out.append(c)
+    return out
+
+
+def veval_lambda_scan(ctx, max_deg, mode):
+    """The records of criteria.lambda_scan by the route its packed
+    evaluation replaced: the primes from polys.irreducible_indices, then
+    each prime's value at every x by one kernel.veval Horner, and the
+    first (c, r1) in field order with l(c + r1^2/4) a non-square."""
+    from drinfeldlab import kernel
+    from drinfeldlab.polys import coeffs_to_text, irreducible_indices
+
+    degrees = (range(1, max_deg + 1) if mode == "affirm"
+               else range(max_deg, max_deg + 1))
+    p = ctx.p
+    quarter = ctx.inv(4 % p)
+    quarter_squares = [r1 * r1 * quarter % p for r1 in range(p)]
+    squares = {x * x % p for x in range(p)}
+    records = []
+    for deg in degrees:
+        top = p ** deg
+        for idx in irreducible_indices(ctx, deg):
+            gen = kernel.vdigits(top + idx, p)
+            nonsquare = [kernel.veval(ctx, gen, x) not in squares
+                         for x in range(p)]
+            found = next(((c, r1) for c in range(p)
+                          for r1, shift in enumerate(quarter_squares)
+                          if nonsquare[(c + shift) % p]), None)
+            witness = None
+            if found is not None:
+                c, r1 = found
+                witness = {"c": c, "r1": r1, "g1": coeffs_to_text(
+                    ctx, (r1,) if r1 else (ctx.neg(c), 1))}
+            records.append({"prime": coeffs_to_text(ctx, gen),
+                            "degree": deg, "passes": witness is not None,
+                            "witness": witness})
+    return records
+
+
+def poly_count_W(params, cap):
+    """#W(X) in brute mode by the route census.count_W replaced: every pair
+    (g1, g2) of Polys in the box, counted where g2 is nonzero, after the
+    same cap refusal."""
+    from drinfeldlab.errors import BruteCapExceeded
+
+    q = params.ctx.q
+    n1, n2 = params.d1 * params.X, params.d2 * params.X
+    if q ** n1 * q ** n2 > cap:
+        raise BruteCapExceeded(f"{q}^{n1 + n2} pairs exceed cap {cap}")
+    return sum(1 for _ in polys_below(params.ctx, n1)
+               for g2 in polys_below(params.ctx, n2) if not g2.is_zero())
+
+
+def poly_count_S(params, all_classes=False, g2_deg_bound=None):
+    """#S(X) in brute mode by the route census.count_S replaced: both boxes
+    listed as Polys, and each class's g1 and g2 counts by Poly.__mod__
+    against the class residues, per class."""
+    from drinfeldlab.census import (
+        DEFAULT_BRUTE_CAP, valid_congruence_classes)
+    from drinfeldlab.errors import BruteCapExceeded, ParamsOutOfRange
+    from drinfeldlab.polys import Poly
+
+    ctx = params.ctx
+    q = ctx.q
+    n1 = params.d1 * params.X
+    n2, rem = divmod(params.d2 * params.X, q - 1)
+    if g2_deg_bound is None:
+        n2 += 1 if rem else 0
+    else:
+        if g2_deg_bound < 0:
+            raise ParamsOutOfRange("g2_deg_bound must be >= 0")
+        n2 = g2_deg_bound
+    if q ** n1 * q ** n2 > DEFAULT_BRUTE_CAP:
+        raise BruteCapExceeded(
+            f"{q}^{n1 + n2} pairs exceed cap {DEFAULT_BRUTE_CAP}")
+    l1 = Poly.T(ctx) - Poly.constant(ctx, params.c1)
+    l2 = Poly.T(ctx) - Poly.constant(ctx, params.c2)
+    m1, m2 = l1 * l2, l1 * l2 * l2
+    classes = ([(params.b1, params.b2)] if not all_classes
+               else valid_congruence_classes(ctx, params.c1, params.c2))
+    g1_pool = list(polys_below(ctx, n1))
+    g2_pool = list(polys_below(ctx, n2))
+    total = 0
+    for b1, b2 in classes:
+        r1, r2 = b1 % m1, b2 % m2
+        total += (sum(1 for g1 in g1_pool if g1 % m1 == r1)
+                  * sum(1 for g2 in g2_pool if g2 % m2 == r2))
     return total

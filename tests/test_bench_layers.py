@@ -22,7 +22,7 @@ def test_layers_writes_the_bench_schema(tmp_path, monkeypatch, capsys):
     # The README commands run as subprocesses in test_cli.py
     readme = layers.readme_commands()
     assert 'drinfeldlab omega --q 5 --prime "T+4"' in readme
-    assert len(layers.LAYERS) == 33
+    assert len(layers.LAYERS) == 37
     for name in ("vfrobenius q=25 deg=16", "norm_to_base q=5 deg=16",
                  "norm_to_base q=127 deg=64", "is_square q=25",
                  "is_square q=243", "frob_general q=5 deg=1",
@@ -33,7 +33,9 @@ def test_layers_writes_the_bench_schema(tmp_path, monkeypatch, capsys):
                  "euler_poincare_oracle q=25 deg=2",
                  "reduction_height q=5 deg=4", "reduction_height q=5 deg=7",
                  "reduction_height q=127 deg=64", "HornerMap q=5 deg=4",
-                 "HornerMap q=5 deg=12"):
+                 "HornerMap q=5 deg=12", "sieve q=5 deg=5",
+                 "sieve q=7 deg=4", "sieve q=5 deg=6",
+                 "lambda_scan q=5 deg=5"):
         assert name in layers.LAYERS
     every = layers.cases()
     assert list(every) == [layers.IMPORT_CASE, *readme, *layers.LAYERS]
@@ -119,3 +121,22 @@ def test_charpoly_cases_print_their_values(capsys, monkeypatch):
     (a, b), oracle = map(json.loads, lines[1::2])
     assert len(b) == 2 and len(a) <= 1
     assert oracle == [(1 - sum(a) + b[0]) * pow(b[1], -1, 5) % 5, 1]
+
+
+def test_enumeration_cases_print_their_values(capsys, monkeypatch):
+    # one call each: the sieves list as many indices as the necklace
+    # formula counts, and the degree-5 scan at q = 5 fails at 22 primes
+    from drinfeldlab.polys import irreducible_count
+
+    monkeypatch.setattr(layers, "LAYER_FLOOR_S", 0)
+    for name in ("sieve q=5 deg=5", "sieve q=7 deg=4", "sieve q=5 deg=6",
+                 "lambda_scan q=5 deg=5"):
+        layers.layer_child(name)
+    lines = capsys.readouterr().out.splitlines()
+    *sieves, (records, summary) = map(json.loads, lines[1::2])
+    assert list(map(len, sieves)) == [irreducible_count(5, 5),
+                                      irreducible_count(7, 4),
+                                      irreducible_count(5, 6)]
+    assert all(s == sorted(set(s)) for s in sieves)
+    assert len(records) == summary["primes_scanned"] == 624
+    assert len(summary["counterexamples"]) == 22

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from drinfeldlab.census import (
 from drinfeldlab.errors import BruteCapExceeded, ParamsOutOfRange
 from drinfeldlab.fields import make_field
 from drinfeldlab.polys import parse_poly
+from oracles import poly_count_S, poly_count_W
 
 F5 = make_field(5)
 
@@ -135,3 +137,39 @@ def test_density_bounded_by_q_minus_5():
     p = _params(3, 12, 1)
     for x, ratio in density_table(p, [1, 2, 3, 4]):
         assert ratio < Fraction(1, 5 ** 5)
+
+
+@pytest.mark.parametrize("field", [(5, 1), (7, 1), (5, 2)], ids=str)
+def test_brute_counts_match_the_poly_census(field):
+    # tuples reduced by kernel.vmod against the Poly-level census, on
+    # seeded weights, points and classes: one class and (at q = 5) all of
+    # them, the rational and the slot reading of the g2 box, W against
+    # two caps, and the same refusals
+    ctx = make_field(*field)
+    q = ctx.q
+    rng = random.Random(28 * q)
+    for _ in range(8):
+        c1, c2 = map(ctx.from_encoded, rng.sample(range(q), 2))
+        classes = valid_congruence_classes(ctx, c1, c2)
+        b1, b2 = classes[rng.randrange(len(classes))]
+        d1, d2 = rng.randint(1, 2), rng.randint(1, q + 1)
+        params = CensusParams(ctx, d1, d2, rng.randint(1, 2), c1, c2, b1, b2)
+        for kwargs in ({}, {"g2_deg_bound": rng.randint(0, 4)}):
+            for all_classes in (False, True) if q == 5 else (False,):
+                try:
+                    want = poly_count_S(params, all_classes, **kwargs)
+                except BruteCapExceeded:
+                    with pytest.raises(BruteCapExceeded):
+                        count_S(params, "brute", all_classes, **kwargs)
+                    continue
+                assert count_S(params, "brute", all_classes,
+                               **kwargs) == want
+        params = CensusParams(ctx, d1, rng.randint(1, 2), 1, c1, c2, b1, b2)
+        for cap in (q ** 2, q ** 4):
+            try:
+                want = poly_count_W(params, cap)
+            except BruteCapExceeded:
+                with pytest.raises(BruteCapExceeded):
+                    count_W(params, "brute", cap=cap)
+                continue
+            assert count_W(params, "brute", cap=cap) == want

@@ -25,11 +25,13 @@ from drinfeldlab.polys import (
     enumerate_monic_irreducibles,
     eval_at,
     irreducible_count,
+    irreducible_indices,
     is_irreducible,
     parse_poly,
     poly_from_index,
 )
 from drinfeldlab.residues import ResidueRing, is_square_mod_prime, norm_to_base
+from oracles import walk_sieve
 
 F5 = make_field(5)
 F127 = make_field(127)
@@ -292,6 +294,26 @@ def test_index_sieve_matches_product_sieve(field, max_deg, monkeypatch):
     monkeypatch.setattr(kernel, "vmul", no_product)
     for d in range(1, max_deg + 1):
         got = [lam.gen for lam in enumerate_monic_irreducibles(ctx, d)]
+        assert got == want[d], d
+        assert len(got) == irreducible_count(ctx.q, d)
+
+
+@pytest.mark.parametrize("field, max_deg", [
+    ((5, 1), 6), ((7, 1), 5), ((11, 1), 4), ((13, 1), 3), ((5, 2), 3),
+    ((7, 2), 2), ((3, 3), 3), ((257, 1), 2), ((17, 2), 2)], ids=str)
+def test_family_sieve_matches_the_cofactor_walk(field, max_deg, monkeypatch):
+    # the affine families against the cofactor walk they replaced, index
+    # for index: q^n up to about 20,000, F_{p^m} on its F_p-digits, and
+    # q = 257 and 289 on lists in place of bytes
+    ctx = make_field(*field)
+    want = {d: walk_sieve(ctx, d) for d in range(1, max_deg + 1)}
+
+    def no_product(*args):
+        raise AssertionError("the sieve formed a polynomial product")
+
+    monkeypatch.setattr(kernel, "vmul", no_product)
+    for d in range(1, max_deg + 1):
+        got = list(irreducible_indices(ctx, d))
         assert got == want[d], d
         assert len(got) == irreducible_count(ctx.q, d)
 

@@ -43,10 +43,10 @@ from drinfeldlab.polys import (
     is_irreducible,
     parse_poly,
     poly_to_text,
-    polys_below,
     valuation,
 )
 from drinfeldlab.residues import ResidueElement, ResidueRing, residue_inv
+from oracles import polys_below
 
 
 # -- the object-level route ------------------------------------------------

@@ -32,11 +32,11 @@ from drinfeldlab.polys import (
     enumerate_monic_irreducibles,
     eval_at,
     is_irreducible,
-    monic_polys,
     parse_poly,
     poly_to_text,
 )
 from drinfeldlab.residues import ResidueRing, quadratic_is_irreducible
+from oracles import monic_polys, veval_lambda_scan
 
 F5 = make_field(5)
 
@@ -202,6 +202,30 @@ def test_lambda_scan_matches_euler_double_loop(q, max_deg, mode):
         "first_counterexample": failing[0] if failing else None,
         "counterexamples": failing, "note": report.note}
     assert (report.note is not None) == (mode == "affirm" and bool(failing))
+
+
+@pytest.mark.parametrize("q, max_deg, mode", [
+    (5, 4, "affirm"), (5, 5, "find_counterexample"), (7, 4, "affirm"),
+    (7, 4, "find_counterexample"), (11, 3, "affirm"),
+    (13, 3, "find_counterexample")])
+def test_lambda_scan_matches_the_veval_scan(q, max_deg, mode):
+    # one packed evaluation per prime against one Horner per point
+    ctx = make_field(q)
+    assert (lambda_scan(ctx, max_deg, mode).records
+            == veval_lambda_scan(ctx, max_deg, mode))
+
+
+def test_point_values_match_horner():
+    rng = random.Random(28)
+    for p, deg in ((5, 0), (5, 5), (13, 3), (127, 4), (65521, 1)):
+        values = kernel.point_values(p, deg)
+        for _ in range(20):
+            v = [rng.randrange(p) for _ in range(rng.randint(0, deg + 1))]
+            points = range(p) if p < 1000 else rng.sample(range(p), 50)
+            got = values(v)
+            assert len(got) == p
+            assert [got[x] for x in points] == [
+                kernel.veval(kernel.Zp(p), v, x) for x in points]
 
 
 def test_lambda_scan_holds_no_pair_table():

@@ -32,12 +32,12 @@ from drinfeldlab.polys import (
     gcd,
     irreducible_count,
     is_irreducible,
-    monic_polys,
     parse_poly,
     poly_to_text,
     powmod,
     valuation,
 )
+from oracles import monic_polys
 
 F5 = make_field(5)
 F25 = make_field(5, 2)
