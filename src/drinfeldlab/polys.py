@@ -360,13 +360,13 @@ def _sieve(ctx: FieldCtx, n: int):
     """Yield the indices of the monic irreducibles of degree n.
 
     The monic multiples of a monic prime g of degree d <= n/2 form one
-    affine family: the low digits f_0 .. f_(d-1) of each are
-    -(T^n + sum_j U_j T^(d+j)) mod g for its high digits U = f_d ..
-    f_(n-1), so the block of q^d indices at U holds one multiple, at
-    U q^d + low(U).  A low digit is built for all U at once, as a column
-    in U's order: each digit of U concatenates shifted copies of it, the
-    shifts its multiples of that digit of -T^(d+j) mod g
-    (`kernel._times_t`).  A column is `bytes` shifted by translate tables
+    affine family.  The high digits U = (f_d, .., f_(n-1)) of a multiple
+    fix its low ones, -(T^n + sum_j U_j T^(d+j)) mod g, so the block of
+    q^d indices at U holds one multiple, at U q^d + low(U).  Each low
+    digit is built for all U at once, as a column in U's order: digit U_j
+    concatenates copies of the column shifted by each multiple of the
+    same digit of -T^(d+j) mod g (`kernel._times_t`), one F_p-digit of
+    U_j at a time.  A column is `bytes`, shifted by translate tables,
     where q < 256.  No polynomial product is formed."""
     q, p, add = ctx.q, ctx.p, ctx.add
     total = q ** n
