@@ -4,9 +4,10 @@ they replaced.
 `kernel.rabin` forms T^(q^i) mod f by Frobenius twists on the map a prime
 keeps from parse, `is_square_mod_prime` reads Euler's criterion off the norm,
 `kernel.vresultant` forms that norm as the resultant Res(f, x) by Euclid,
-with no map, and the sieve marks composite indices by digit rows.  The
+with no map, and the sieve marks composite indices by affine families.  The
 square-and-multiply Rabin and Euler tests, the conjugate product by powmod
-and the product sieve are kept here as seeded oracles.
+and the product sieve are kept here as seeded oracles, and the cofactor
+walk in `oracles.py`.
 """
 
 import itertools
