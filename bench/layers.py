@@ -4,9 +4,9 @@ subprocesses, and in-process layer cases (building a `kernel.FrobeniusMap`,
 one `kernel.vfrobenius`, one `kernel.vhorner`, building a
 `kernel.HornerMap`, one `residues.norm_to_base`,
 `FieldCtx.is_square` over a whole field, one `frobenius.frob_general`, one
-`frobenius.euler_poincare_oracle`, one `drinfeld.reduction_height`, the
-prime sieve `polys.irreducible_indices` and one `criteria.lambda_scan`) at
-fixed sizes.
+`frobenius.euler_poincare_oracle`, one `drinfeld.reduction_height` (also
+at a supersingular prime), the prime sieve `polys.irreducible_indices`
+and one `criteria.lambda_scan`) at fixed sizes.
 
     python3 bench/layers.py --runs 15 --out BENCH_<n>.json
     python3 bench/layers.py --src ../parent/src --out parent.json \
@@ -52,7 +52,9 @@ LAYER_FLOOR_S = 0.02
 # workload's median job, with the oracle) and 7, and at q = 127, degree 64
 # (PRIME_DEG_CAP); the oracle at q = 5, degree 1 and 4, and at F_25,
 # degree 2, the last two at its bound q^deg <= 625; the height (behind
-# newton) at the charpoly's sizes, module and prime; the Horner map's
+# newton) at the charpoly's sizes, module and prime, and at q = 5 at a
+# degree-63 prime with g_1 = 0 and g_2 = T + 3, supersingular as every
+# odd-degree prime is when g_1 = 0 (height 2); the Horner map's
 # build at q = 5, degrees 4 and 12, the charpoly workload's range; the
 # sieve at the certify workload's sizes (q, n) = (5, 5) and (7, 4) and one
 # step past them, (5, 6); the scan of `lambda-scan --q 5 --exact-deg 5
@@ -76,6 +78,8 @@ LAYERS.update({f"{op} q={p ** m} deg={d}": (op, p, m, d)
                                    ("euler_poincare_oracle", 5, 1, 1),
                                    ("euler_poincare_oracle", 5, 1, 4),
                                    ("euler_poincare_oracle", 5, 2, 2))})
+LAYERS["reduction_height q=5 deg=63 g1=0"] = (
+    "supersingular_height", 5, 1, 63)
 LAYERS.update({f"HornerMap q=5 deg={d}": ("HornerMap", 5, 1, d)
                for d in (4, 12)})
 LAYERS.update({f"sieve q={p} deg={d}": ("sieve", p, 1, d)
@@ -171,7 +175,8 @@ def _charpoly_call(ctx, rng, op, d):
     coefficients of (a, b), of euler_poincare_oracle, printed as its
     coefficients, or of reduction_height, at a good prime of degree d
     parsed as the frob command parses it, phi_T = T + g tau + D tau^2 with
-    g of degree 2 and D of degree 1, seeded."""
+    g of degree 2 and D of degree 1, seeded; a supersingular_height case
+    takes phi_T = T + (T + 3) tau^2 instead."""
     from drinfeldlab import drinfeld, frobenius, polys
 
     q = ctx.q
@@ -180,6 +185,10 @@ def _charpoly_call(ctx, rng, op, d):
         if polys.is_irreducible(f):
             break
     lam = polys.PrimeIdeal(f)
+    if op == "supersingular_height":
+        phi = drinfeld.DrinfeldModule(ctx, [polys.Poly.zero(ctx),
+                                            polys.Poly(ctx, (3, 1))])
+        return functools.partial(drinfeld.reduction_height, phi, lam), int
     while True:
         g = polys.Poly(ctx, [rng.randrange(q) for _ in range(2)] + [1])
         delta = polys.Poly(ctx, [rng.randrange(q), rng.randrange(1, q)])
@@ -223,7 +232,8 @@ def layer_child(name):
         call, show = _enumeration_call(ctx, op, d)
     elif op == "norm_to_base":
         call, show = _norm_call(ctx, rng, d), int
-    elif op in ("frob_general", "euler_poincare_oracle", "reduction_height"):
+    elif op in ("frob_general", "euler_poincare_oracle", "reduction_height",
+                "supersingular_height"):
         call, show = _charpoly_call(ctx, rng, op, d)
     else:
         call, show = _map_call(ctx, rng, op, d)

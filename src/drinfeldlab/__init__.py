@@ -17,20 +17,18 @@ from . import errors  # noqa: F401  (every module raises from it)
 # submodule -> the public names it exports, in `__all__` order
 _EXPORTS = {
     "census": ("CensusParams", "count_S", "count_W",
-               "default_congruence_class", "density_table",
-               "valid_congruence_classes"),
+               "default_congruence_class", "density_table"),
     "criteria": ("Certificate", "LambdaScanReport", "in_lambda_set",
                  "in_omega_tilde", "lambda_scan", "reducibility_obstruction",
                  "revalidate", "theorem1_search", "theorem1_verify",
                  "theorem2_build"),
-    "drinfeld": ("DrinfeldModule", "NewtonPolygonReport", "ReductionData",
-                 "carlitz_det_module", "carlitz_module",
-                 "carlitz_twist_witness", "e_phi", "j_invariant",
-                 "newton_polygon", "phi_of", "reduce_module",
-                 "reduction_height", "reduction_type", "valuation_of_j"),
+    "drinfeld": ("DrinfeldModule", "NewtonPolygonReport", "carlitz_det_module",
+                 "carlitz_module", "e_phi", "j_invariant", "newton_polygon",
+                 "phi_of", "reduce_module", "reduction_height",
+                 "valuation_of_j"),
     "fields": ("FieldCtx", "FqElement", "enumerate_elements", "is_square",
                "make_field"),
-    "frobenius": ("FrobCharpoly", "det_generation_check", "det_level_check",
+    "frobenius": ("FrobCharpoly", "det_generation_check",
                   "euler_poincare_oracle", "frob_deg1", "frob_general",
                   "frob_identity_check"),
     "groups": ("Mat2", "acts_irreducibly", "closure", "contains_sl2",
@@ -38,13 +36,11 @@ _EXPORTS = {
     "kernel": (),
     "polys": ("NEG_INF", "POS_INF", "Poly", "PrimeIdeal",
               "enumerate_monic_irreducibles", "eval_at", "factor", "gcd",
-              "irreducible_count", "is_irreducible", "parse_poly",
-              "poly_to_text", "valuation"),
+              "is_irreducible", "parse_poly", "poly_to_text", "valuation"),
     "residues": ("ResidueElement", "ResidueRing", "is_square_mod_prime",
                  "norm_to_base", "quadratic_is_irreducible", "residue_inv"),
     "skew": ("FieldCoefficients", "PolyCoefficients", "ResidueCoefficients",
-             "SkewPoly", "as_linearized", "ht_deg", "linear_solve_left",
-             "skew_mul"),
+             "SkewPoly", "linear_solve_left", "skew_mul"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}

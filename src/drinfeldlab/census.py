@@ -100,12 +100,6 @@ def class_vectors(ctx: FieldCtx, c1: int, c2: int):
     return b1s, b2s
 
 
-def valid_congruence_classes(ctx: FieldCtx, c1: FqElement, c2: FqElement):
-    """All (b1, b2) pairs admitted by the proof, lexicographic order."""
-    return [(Poly(ctx, b1), Poly(ctx, b2)) for b1, b2 in
-            itertools.product(*class_vectors(ctx, c1.val, c2.val))]
-
-
 def default_congruence_class(ctx: FieldCtx, c1: FqElement, c2: FqElement):
     """The lexicographically first valid (b1, b2) pair, without listing
     the others."""
@@ -190,17 +184,3 @@ def density_table(params: CensusParams, xs) -> list:
         ratio = Fraction(count_S(p, "formula"), count_W(p, "formula"))
         out.append((x, ratio))
     return out
-
-
-def density_closed_form(params: CensusParams):
-    """q^-5 * q^(d2 X (1/(q-1) - 1)) / (1 - q^(-d2 X)) as an exact rational
-    (a Fraction)."""
-    from fractions import Fraction
-
-    q = params.ctx.q
-    d2x = params.d2 * params.X
-    expo = Fraction(d2x, q - 1) - d2x
-    if expo.denominator != 1:
-        raise ParamsOutOfRange("closed form needs d2 X divisible by q-1")
-    num = Fraction(q) ** int(expo)
-    return Fraction(1, q ** 5) * num / (1 - Fraction(1, q ** d2x))

@@ -19,7 +19,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .fields import FieldCtx
-from .polys import POS_INF, Poly, PrimeIdeal, factor, gcd, valuation
+from .polys import POS_INF, Poly, PrimeIdeal, gcd, valuation
 from .residues import ResidueElement, ResidueRing
 
 
@@ -119,7 +119,7 @@ class ReducedModule:
     """phi mod a prime, the one reduction that frob_general,
     frob_identity_check and reduction_height read: `vecs` holds T, g_1
     (, g_2) reduced by kernel.vmod, and `vectors` forms phi_a on one
-    kernel.HornerMap.  `phi_T`, `of` and `act` wrap kernel vectors in
+    kernel.HornerMap.  `phi_T` and `of` wrap kernel vectors in
     ResidueElements only when called."""
 
     __slots__ = ("ring", "vecs", "prime", "_step")
@@ -166,14 +166,6 @@ class ReducedModule:
         """phi_a over the residue field, by Horner."""
         return self._skew(self.vectors(a))
 
-    def act(self, a: Poly, x):
-        """Evaluate the linearized polynomial phi_a at a residue x."""
-        acc = self.ring.zero
-        for i, c in enumerate(self.of(a).coeffs):
-            if not c.is_zero():
-                acc = acc + c * x.frobenius(i)
-        return acc
-
 
 def reduce_module(phi: DrinfeldModule, prime: PrimeIdeal) -> ReducedModule:
     return ReducedModule(phi, prime)
@@ -204,58 +196,19 @@ def valuation_of_j(phi: DrinfeldModule, lam: PrimeIdeal):
     return valuation(num, lam) - valuation(den, lam)
 
 
-class ReductionData:
-    """Reduction kind and height of a module at one prime."""
-
-    __slots__ = ("prime", "kind", "height")
-
-    def __init__(self, prime: PrimeIdeal, kind: str, height):
-        self.prime = prime
-        self.kind = kind
-        self.height = height
-
-    def __repr__(self):
-        return f"ReductionData({self.prime!r}, {self.kind}, H={self.height})"
-
-
-def reduction_type(phi: DrinfeldModule, lam: PrimeIdeal) -> ReductionData:
-    """Classify the reduction at lam: good, stable of rank 1, or unstable.
-
-    Good means the leading coefficient is a lam-unit.  The rank-2 stable
-    detection implements the valuation-normalized twist: k = nu(g_1)/(q-1)
-    must be a nonnegative integer leaving the twisted leading coefficient
-    with positive valuation.  Anything else reports unstable.
-    """
-    if phi.rank == 1:
-        if valuation(phi.g1, lam) == 0:
-            return ReductionData(lam, "good", reduction_height(phi, lam))
-        return ReductionData(lam, "unstable", None)
-    q = phi.ctx.q
-    nu_lead = valuation(phi.g2, lam)
-    if nu_lead == 0:
-        return ReductionData(lam, "good", reduction_height(phi, lam))
-    if phi.g1.is_zero():
-        return ReductionData(lam, "unstable", None)
-    nu_g1 = valuation(phi.g1, lam)
-    if nu_g1 % (q - 1) != 0:
-        return ReductionData(lam, "unstable", None)
-    k = nu_g1 // (q - 1)
-    if nu_lead - k * (q * q - 1) <= 0:
-        return ReductionData(lam, "unstable", None)
-    g1_twisted = phi.g1 if k == 0 else phi.g1 // lam.gen ** (k * (q - 1))
-    rank1 = DrinfeldModule(phi.ctx, [g1_twisted])
-    return ReductionData(lam, "stable_rank_1", reduction_height(rank1, lam))
-
-
 def reduction_height(phi: DrinfeldModule, lam: PrimeIdeal) -> int:
     """ht_tau of the reduction of phi_lambda divided by deg(lambda): the
     index of its first nonzero tau-coefficient vector.  phi_lambda is
-    formed up to tau^deg(lambda) first, and in full only when all of
-    those vanish (the supersingular case)."""
+    formed up to tau^deg(lambda) only: the height is at most the rank, so
+    when all of those vanish it is 2 (the supersingular case)."""
     red = reduce_module(phi, lam)
     if not red.is_good:
         raise NotGoodReduction(f"{phi!r} has bad reduction at {lam!r}")
-    vecs = red.vectors(lam.gen, cap=lam.degree) or red.vectors(lam.gen)
+    vecs = red.vectors(lam.gen, cap=lam.degree)
+    if not vecs:
+        if phi.rank == 1:
+            raise InternalInconsistency("rank-1 reduction of height above 1")
+        return 2
     ht = next(i for i, v in enumerate(vecs) if v)
     if ht % lam.degree != 0:
         raise InternalInconsistency(
@@ -324,26 +277,3 @@ def newton_polygon(phi: DrinfeldModule, p: PrimeIdeal) -> NewtonPolygonReport:
     if n < total:
         segments.append((0, total - n))
     return NewtonPolygonReport(p, segments, height)
-
-
-def carlitz_twist_witness(h: Poly):
-    """g in A with g^(q-1) = h, or None when no such g exists."""
-    if h.is_zero():
-        raise ZeroPolynomial("witness search needs a nonzero input")
-    ctx = h.ctx
-    q = ctx.q
-    if not h.is_monic():
-        return None
-    deg_h = len(h.coeffs) - 1
-    if deg_h % (q - 1) != 0:
-        return None
-    if deg_h == 0:
-        return Poly.one(ctx)
-    g = Poly.one(ctx)
-    for prime, mult in factor(h):
-        if mult % (q - 1) != 0:
-            return None
-        g = g * prime.gen ** (mult // (q - 1))
-    if g ** (q - 1) != h:
-        return None
-    return g

@@ -24,7 +24,6 @@ from .errors import (
     BruteCapExceeded,
     CapExceeded,
     InternalInconsistency,
-    NotCoprime,
     NotGoodReduction,
     ParamsOutOfRange,
     WrongDegree,
@@ -38,7 +37,6 @@ from .polys import (  # noqa: F401  (PRIME_DEG_CAP, check_prime_degree)
     check_enumeration_cap,
     check_prime_degree,
     enumerate_monic_irreducibles,
-    gcd,
 )
 from .residues import generates_units
 
@@ -216,22 +214,6 @@ def euler_poincare_oracle(phi: DrinfeldModule, lam: PrimeIdeal) -> Poly:
                 term[0] = kernel.vmulmod(ctx, term[0], term[1], gen)
         cols.append(img + [0] * (m - len(img)))
     return Poly(ctx, kernel.vcharpoly(ctx, cols))
-
-
-def det_level_check(phi: DrinfeldModule, lam: PrimeIdeal, a_mod: Poly) -> bool:
-    """Whether b = det-side Frobenius value is congruent to lam mod a_mod.
-
-    For modules whose leading coefficient is minus a (q-1)-th power this is
-    the finite-level determinant comparison with the Carlitz module, where it
-    must always hold.
-    """
-    _require_rank2(phi)
-    if not a_mod.is_monic() or len(a_mod.coeffs) - 1 < 1:
-        raise NotCoprime("level must be a monic polynomial of degree >= 1")
-    if not gcd(lam.gen, a_mod).is_one():
-        raise NotCoprime(f"{lam!r} divides the level {a_mod!r}")
-    cp = frob_general(phi, lam)
-    return ((cp.b - lam.gen) % a_mod).is_zero()
 
 
 def det_generation_check(p: PrimeIdeal, level: int, max_deg: int) -> bool:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 import operator
 import random
 import re
@@ -402,17 +401,6 @@ def _sieve(ctx: FieldCtx, n: int):
                 composite[idx] = 1
     yield from itertools.compress(range(total),
                                   composite.translate(_UNMARKED))
-
-
-def irreducible_count(q: int, n: int) -> int:
-    """Necklace formula (1/n) * sum_{d|n} mu(d) q^(n/d)."""
-    total = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            primes = kernel.prime_divisors(d)
-            if math.prod(primes) == d:  # squarefree: mu(d) = (-1)^#primes
-                total += (-1) ** len(primes) * q ** (n // d)
-    return total // n
 
 
 def valuation(f: Poly, lam: PrimeIdeal):

@@ -10,7 +10,7 @@ zero and one, and the F_q-coordinate vectors for linear solving.
 
 from __future__ import annotations
 
-from .errors import ContextMismatch, NoSolution, RingMismatch, ZeroPolynomial
+from .errors import ContextMismatch, NoSolution, RingMismatch
 from .fields import FieldCtx, FqElement
 from .kernel import power, vechelon
 from .polys import Poly
@@ -300,24 +300,6 @@ def skew_mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
             if not b.is_zero():
                 out[i + j] += a * b
     return SkewPoly(ring, out)
-
-
-def ht_deg(f: SkewPoly) -> tuple[int, int]:
-    """(ht_tau, deg_tau): lowest and highest nonzero tau indices."""
-    if f.is_zero():
-        raise ZeroPolynomial("ht/deg undefined for the zero skew polynomial")
-    ht = 0
-    while f.coeffs[ht].is_zero():
-        ht += 1
-    return ht, len(f.coeffs) - 1
-
-
-def as_linearized(f: SkewPoly):
-    """The additive polynomial sum c_i x^(q^i) as (exponent, coefficient)
-    pairs with strictly increasing exponents."""
-    q = f.ring.q
-    return tuple((q ** i, c) for i, c in enumerate(f.coeffs)
-                 if not c.is_zero())
 
 
 def linear_solve_left(target: SkewPoly, basis) -> tuple:

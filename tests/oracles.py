@@ -1,5 +1,6 @@
 """Brute-force oracles shared by the test modules: slow, listing routes
-that the product code decides by structure."""
+that the product code decides by structure, and library helpers that no
+command calls, kept as references for the paths that commands take."""
 
 
 def polys_below(ctx, degree):
@@ -219,8 +220,7 @@ def poly_count_S(params, all_classes=False, g2_deg_bound=None):
     """#S(X) in brute mode by the route census.count_S replaced: both boxes
     listed as Polys, and each class's g1 and g2 counts by Poly.__mod__
     against the class residues, per class."""
-    from drinfeldlab.census import (
-        DEFAULT_BRUTE_CAP, valid_congruence_classes)
+    from drinfeldlab.census import DEFAULT_BRUTE_CAP
     from drinfeldlab.errors import BruteCapExceeded, ParamsOutOfRange
     from drinfeldlab.polys import Poly
 
@@ -250,3 +250,167 @@ def poly_count_S(params, all_classes=False, g2_deg_bound=None):
         total += (sum(1 for g1 in g1_pool if g1 % m1 == r1)
                   * sum(1 for g2 in g2_pool if g2 % m2 == r2))
     return total
+
+
+class ReductionData:
+    """Reduction kind and height of a module at one prime."""
+
+    __slots__ = ("prime", "kind", "height")
+
+    def __init__(self, prime, kind, height):
+        self.prime = prime
+        self.kind = kind
+        self.height = height
+
+    def __repr__(self):
+        return f"ReductionData({self.prime!r}, {self.kind}, H={self.height})"
+
+
+def reduction_type(phi, lam):
+    """Classify the reduction at lam: good, stable of rank 1, or unstable.
+
+    Good means the leading coefficient is a lam-unit.  The rank-2 stable
+    detection implements the valuation-normalized twist: k = nu(g_1)/(q-1)
+    must be a nonnegative integer leaving the twisted leading coefficient
+    with positive valuation.  Anything else reports unstable.
+    """
+    from drinfeldlab.drinfeld import DrinfeldModule, reduction_height
+    from drinfeldlab.polys import valuation
+
+    if phi.rank == 1:
+        if valuation(phi.g1, lam) == 0:
+            return ReductionData(lam, "good", reduction_height(phi, lam))
+        return ReductionData(lam, "unstable", None)
+    q = phi.ctx.q
+    nu_lead = valuation(phi.g2, lam)
+    if nu_lead == 0:
+        return ReductionData(lam, "good", reduction_height(phi, lam))
+    if phi.g1.is_zero():
+        return ReductionData(lam, "unstable", None)
+    nu_g1 = valuation(phi.g1, lam)
+    if nu_g1 % (q - 1) != 0:
+        return ReductionData(lam, "unstable", None)
+    k = nu_g1 // (q - 1)
+    if nu_lead - k * (q * q - 1) <= 0:
+        return ReductionData(lam, "unstable", None)
+    g1_twisted = phi.g1 if k == 0 else phi.g1 // lam.gen ** (k * (q - 1))
+    rank1 = DrinfeldModule(phi.ctx, [g1_twisted])
+    return ReductionData(lam, "stable_rank_1", reduction_height(rank1, lam))
+
+
+def carlitz_twist_witness(h):
+    """g in A with g^(q-1) = h, or None when no such g exists."""
+    from drinfeldlab.errors import ZeroPolynomial
+    from drinfeldlab.polys import Poly, factor
+
+    if h.is_zero():
+        raise ZeroPolynomial("witness search needs a nonzero input")
+    ctx = h.ctx
+    q = ctx.q
+    if not h.is_monic():
+        return None
+    deg_h = len(h.coeffs) - 1
+    if deg_h % (q - 1) != 0:
+        return None
+    if deg_h == 0:
+        return Poly.one(ctx)
+    g = Poly.one(ctx)
+    for prime, mult in factor(h):
+        if mult % (q - 1) != 0:
+            return None
+        g = g * prime.gen ** (mult // (q - 1))
+    if g ** (q - 1) != h:
+        return None
+    return g
+
+
+def act(red, a, x):
+    """Evaluate the linearized polynomial phi_a of the reduced module red
+    (a drinfeld.ReducedModule) at a residue x."""
+    acc = red.ring.zero
+    for i, c in enumerate(red.of(a).coeffs):
+        if not c.is_zero():
+            acc = acc + c * x.frobenius(i)
+    return acc
+
+
+def det_level_check(phi, lam, a_mod):
+    """Whether b = det-side Frobenius value is congruent to lam mod a_mod.
+
+    For modules whose leading coefficient is minus a (q-1)-th power this is
+    the finite-level determinant comparison with the Carlitz module, where it
+    must always hold.
+    """
+    from drinfeldlab.errors import NotCoprime
+    from drinfeldlab.frobenius import _require_rank2, frob_general
+    from drinfeldlab.polys import gcd
+
+    _require_rank2(phi)
+    if not a_mod.is_monic() or len(a_mod.coeffs) - 1 < 1:
+        raise NotCoprime("level must be a monic polynomial of degree >= 1")
+    if not gcd(lam.gen, a_mod).is_one():
+        raise NotCoprime(f"{lam!r} divides the level {a_mod!r}")
+    cp = frob_general(phi, lam)
+    return ((cp.b - lam.gen) % a_mod).is_zero()
+
+
+def valid_congruence_classes(ctx, c1, c2):
+    """All (b1, b2) pairs admitted by the proof, lexicographic order."""
+    import itertools
+
+    from drinfeldlab.census import class_vectors
+    from drinfeldlab.polys import Poly
+
+    return [(Poly(ctx, b1), Poly(ctx, b2)) for b1, b2 in
+            itertools.product(*class_vectors(ctx, c1.val, c2.val))]
+
+
+def density_closed_form(params):
+    """q^-5 * q^(d2 X (1/(q-1) - 1)) / (1 - q^(-d2 X)) as an exact rational
+    (a Fraction)."""
+    from fractions import Fraction
+
+    from drinfeldlab.errors import ParamsOutOfRange
+
+    q = params.ctx.q
+    d2x = params.d2 * params.X
+    expo = Fraction(d2x, q - 1) - d2x
+    if expo.denominator != 1:
+        raise ParamsOutOfRange("closed form needs d2 X divisible by q-1")
+    num = Fraction(q) ** int(expo)
+    return Fraction(1, q ** 5) * num / (1 - Fraction(1, q ** d2x))
+
+
+def ht_deg(f):
+    """(ht_tau, deg_tau): lowest and highest nonzero tau indices."""
+    from drinfeldlab.errors import ZeroPolynomial
+
+    if f.is_zero():
+        raise ZeroPolynomial("ht/deg undefined for the zero skew polynomial")
+    ht = 0
+    while f.coeffs[ht].is_zero():
+        ht += 1
+    return ht, len(f.coeffs) - 1
+
+
+def as_linearized(f):
+    """The additive polynomial sum c_i x^(q^i) as (exponent, coefficient)
+    pairs with strictly increasing exponents."""
+    q = f.ring.q
+    return tuple((q ** i, c) for i, c in enumerate(f.coeffs)
+                 if not c.is_zero())
+
+
+def irreducible_count(q, n):
+    """Necklace formula (1/n) * sum_{d|n} mu(d) q^(n/d)."""
+    import math
+
+    from drinfeldlab import kernel
+
+    total = 0
+    for d in range(1, n + 1):
+        if n % d == 0:
+            primes = kernel.prime_divisors(d)
+            if math.prod(primes) == d:  # squarefree: mu(d) = (-1)^#primes
+                total += (-1) ** len(primes) * q ** (n // d)
+    return total // n

@@ -22,7 +22,7 @@ def test_layers_writes_the_bench_schema(tmp_path, monkeypatch, capsys):
     # The README commands run as subprocesses in test_cli.py
     readme = layers.readme_commands()
     assert 'drinfeldlab omega --q 5 --prime "T+4"' in readme
-    assert len(layers.LAYERS) == 37
+    assert len(layers.LAYERS) == 38
     for name in ("vfrobenius q=25 deg=16", "norm_to_base q=5 deg=16",
                  "norm_to_base q=127 deg=64", "is_square q=25",
                  "is_square q=243", "frob_general q=5 deg=1",
@@ -32,7 +32,8 @@ def test_layers_writes_the_bench_schema(tmp_path, monkeypatch, capsys):
                  "euler_poincare_oracle q=5 deg=4",
                  "euler_poincare_oracle q=25 deg=2",
                  "reduction_height q=5 deg=4", "reduction_height q=5 deg=7",
-                 "reduction_height q=127 deg=64", "HornerMap q=5 deg=4",
+                 "reduction_height q=127 deg=64",
+                 "reduction_height q=5 deg=63 g1=0", "HornerMap q=5 deg=4",
                  "HornerMap q=5 deg=12", "sieve q=5 deg=5",
                  "sieve q=7 deg=4", "sieve q=5 deg=6",
                  "lambda_scan q=5 deg=5"):
@@ -121,12 +122,15 @@ def test_charpoly_cases_print_their_values(capsys, monkeypatch):
     (a, b), oracle = map(json.loads, lines[1::2])
     assert len(b) == 2 and len(a) <= 1
     assert oracle == [(1 - sum(a) + b[0]) * pow(b[1], -1, 5) % 5, 1]
+    # g_1 = 0 at an odd-degree prime: supersingular, height 2
+    layers.layer_child("reduction_height q=5 deg=63 g1=0")
+    assert json.loads(capsys.readouterr().out.splitlines()[1]) == 2
 
 
 def test_enumeration_cases_print_their_values(capsys, monkeypatch):
     # one call each: the sieves list as many indices as the necklace
     # formula counts, and the degree-5 scan at q = 5 fails at 22 primes
-    from drinfeldlab.polys import irreducible_count
+    from oracles import irreducible_count
 
     monkeypatch.setattr(layers, "LAYER_FLOOR_S", 0)
     for name in ("sieve q=5 deg=5", "sieve q=7 deg=4", "sieve q=5 deg=6",

@@ -8,14 +8,17 @@ from drinfeldlab.census import (
     count_S,
     count_W,
     default_congruence_class,
-    density_closed_form,
     density_table,
-    valid_congruence_classes,
 )
 from drinfeldlab.errors import BruteCapExceeded, ParamsOutOfRange
 from drinfeldlab.fields import make_field
 from drinfeldlab.polys import parse_poly
-from oracles import poly_count_S, poly_count_W
+from oracles import (
+    density_closed_form,
+    poly_count_S,
+    poly_count_W,
+    valid_congruence_classes,
+)
 
 F5 = make_field(5)
 

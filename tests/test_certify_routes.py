@@ -25,14 +25,13 @@ from drinfeldlab.polys import (
     PrimeIdeal,
     enumerate_monic_irreducibles,
     eval_at,
-    irreducible_count,
     irreducible_indices,
     is_irreducible,
     parse_poly,
     poly_from_index,
 )
 from drinfeldlab.residues import ResidueRing, is_square_mod_prime, norm_to_base
-from oracles import walk_sieve
+from oracles import irreducible_count, walk_sieve
 
 F5 = make_field(5)
 F127 = make_field(127)

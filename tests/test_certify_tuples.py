@@ -20,7 +20,6 @@ import random
 import pytest
 
 from drinfeldlab import cli
-from drinfeldlab.census import valid_congruence_classes
 from drinfeldlab.criteria import (
     Certificate,
     in_lambda_set,
@@ -46,7 +45,7 @@ from drinfeldlab.polys import (
     valuation,
 )
 from drinfeldlab.residues import ResidueElement, ResidueRing, residue_inv
-from oracles import polys_below
+from oracles import polys_below, valid_congruence_classes
 
 
 # -- the object-level route ------------------------------------------------

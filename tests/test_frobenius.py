@@ -23,7 +23,6 @@ from drinfeldlab.errors import (
 from drinfeldlab.frobenius import (
     FrobCharpoly,
     det_generation_check,
-    det_level_check,
     euler_poincare_oracle,
     frob_deg1,
     frob_general,
@@ -40,7 +39,12 @@ from drinfeldlab.polys import (
 )
 from drinfeldlab.residues import ResidueRing
 from drinfeldlab.skew import SkewPoly, linear_solve_left
-from oracles import abelian_span, cofactor_charpoly, powmod_t_action
+from oracles import (
+    abelian_span,
+    cofactor_charpoly,
+    det_level_check,
+    powmod_t_action,
+)
 
 F5 = make_field(5)
 

@@ -78,7 +78,34 @@ def test_public_names_resolve_to_their_home_modules():
         home = sys.modules[value.__module__]
         assert home.__name__ in {f"drinfeldlab.{m}" for m in LIBRARY}, name
         assert getattr(home, name) is value, name
-    assert len(set(drinfeldlab.__all__)) == len(drinfeldlab.__all__) == 76
+    assert len(set(drinfeldlab.__all__)) == len(drinfeldlab.__all__) == 68
+
+
+# helpers that no command calls, now test oracles in tests/oracles.py, by
+# the module that used to hold them
+MOVED_TO_ORACLES = {
+    "census": ("density_closed_form", "valid_congruence_classes"),
+    "drinfeld": ("ReductionData", "carlitz_twist_witness", "reduction_type"),
+    "frobenius": ("det_level_check",),
+    "polys": ("irreducible_count",),
+    "skew": ("as_linearized", "ht_deg"),
+}
+
+
+def test_moved_oracles_leave_the_package():
+    import importlib
+
+    import oracles
+
+    for module, names in MOVED_TO_ORACLES.items():
+        home = importlib.import_module(f"drinfeldlab.{module}")
+        for name in names:
+            assert name not in drinfeldlab.__all__, name
+            assert not hasattr(drinfeldlab, name), name
+            assert not hasattr(home, name), name
+            assert callable(getattr(oracles, name)), name
+    assert not hasattr(drinfeldlab.drinfeld.ReducedModule, "act")
+    assert callable(oracles.act)
 
 
 def test_star_import_and_dir_list_every_public_name():

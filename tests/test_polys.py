@@ -30,14 +30,13 @@ from drinfeldlab.polys import (
     eval_at,
     factor,
     gcd,
-    irreducible_count,
     is_irreducible,
     parse_poly,
     poly_to_text,
     powmod,
     valuation,
 )
-from oracles import monic_polys
+from oracles import irreducible_count, monic_polys
 
 F5 = make_field(5)
 F25 = make_field(5, 2)

@@ -11,11 +11,10 @@ from drinfeldlab.skew import (
     PolyCoefficients,
     ResidueCoefficients,
     SkewPoly,
-    as_linearized,
-    ht_deg,
     linear_solve_left,
     skew_mul,
 )
+from oracles import as_linearized, ht_deg
 
 F5 = make_field(5)
 F25 = make_field(5, 2)

@@ -30,13 +30,11 @@ from drinfeldlab.drinfeld import (
     _horner,
     reduce_module,
     reduction_height,
-    reduction_type,
 )
 from drinfeldlab.fields import make_field
 from drinfeldlab.frobenius import frob_general
 from drinfeldlab.polys import Poly, PrimeIdeal, is_irreducible
-from drinfeldlab.skew import ht_deg
-from oracles import vmulmod_horner_rows
+from oracles import ht_deg, reduction_type, vmulmod_horner_rows
 
 F5 = make_field(5)
 
@@ -128,10 +126,10 @@ def test_flat_horner_edge_cases_match_the_object_route(ctx):
 @pytest.mark.parametrize("ctx", [F5, make_field(7), make_field(5, 2)],
                          ids=lambda c: f"q{c.q}")
 def test_reduction_height_forms_phi_lambda_to_tau_m_first(monkeypatch, ctx):
-    # one Horner capped at tau^m, and the full one only when all of those
-    # coefficients vanish (height 2); the height is still the first
-    # nonzero index of the full phi_lambda over m.  g_1 = 0 makes every
-    # odd-degree prime supersingular
+    # one Horner, capped at tau^m: when all of those coefficients vanish
+    # the height is 2, still the first nonzero index of the full
+    # phi_lambda over m.  g_1 = 0 makes every odd-degree prime
+    # supersingular
     rng = random.Random(680 + ctx.q)
     caps = []
     vhorner = kernel.vhorner
@@ -151,9 +149,23 @@ def test_reduction_height_forms_phi_lambda_to_tau_m_first(monkeypatch, ctx):
                 height = reduction_height(phi, lam)
                 assert height == next(
                     i for i, v in enumerate(full) if v) // deg
-                assert caps == ([deg] if height == 1 else [deg, None])
+                assert caps == [deg]
                 heights.add((len(gs), height))
     assert heights == {(1, 1), (2, 1), (2, 2)}
+
+
+def test_reduction_height_rank1_needs_a_nonzero_capped_block(monkeypatch):
+    # a rank-1 reduction has height 1, so an empty block up to tau^m is a
+    # bug, not a supersingular prime
+    from drinfeldlab.drinfeld import ReducedModule
+    from drinfeldlab.errors import InternalInconsistency
+
+    lam = PrimeIdeal(Poly(F5, (2, 0, 1)))
+    phi = DrinfeldModule(F5, [Poly(F5, (1,))])
+    assert reduction_height(phi, lam) == 1
+    monkeypatch.setattr(ReducedModule, "vectors", lambda self, a, cap=None: [])
+    with pytest.raises(InternalInconsistency):
+        reduction_height(phi, lam)
 
 
 @pytest.mark.parametrize("lam_text", [(1, 1), (2, 0, 1), (1, 1, 0, 1)],
