@@ -5,8 +5,10 @@ one `kernel.vfrobenius`, one `kernel.vhorner`, building a
 `kernel.HornerMap`, one `residues.norm_to_base`,
 `FieldCtx.is_square` over a whole field, one `frobenius.frob_general`, one
 `frobenius.euler_poincare_oracle`, one `drinfeld.reduction_height` (also
-at a supersingular prime), the prime sieve `polys.irreducible_indices`
-and one `criteria.lambda_scan`) at fixed sizes.
+at a supersingular prime), the prime sieve `polys.irreducible_indices`,
+the texts of its primes by `polys.index_texts`, one
+`criteria.lambda_scan` and one `drinfeld.carlitz_det_module`) at fixed
+sizes.
 
     python3 bench/layers.py --runs 15 --out BENCH_<n>.json
     python3 bench/layers.py --src ../parent/src --out parent.json \
@@ -58,7 +60,10 @@ LAYER_FLOOR_S = 0.02
 # build at q = 5, degrees 4 and 12, the charpoly workload's range; the
 # sieve at the certify workload's sizes (q, n) = (5, 5) and (7, 4) and one
 # step past them, (5, 6); the scan of `lambda-scan --q 5 --exact-deg 5
-# --find-counterexample`, the certify workload's largest enumeration job
+# --find-counterexample`, the certify workload's largest enumeration job;
+# the texts of the primes of the sieve at (7, 4), `primes --q 7
+# --exact-deg 4`; the module of `thm2` at q = 11, deg l = 4 and at the
+# corner q = 257, deg l = 16 of THM2_POWER_DEG_CAP
 LAYERS = {f"{op} q={p ** m} deg={d}": (op, p, m, d)
           for p, m, d in ((5, 1, 16), (5, 1, 64), (127, 1, 16),
                           (127, 1, 64), (5, 2, 16))
@@ -85,6 +90,10 @@ LAYERS.update({f"HornerMap q=5 deg={d}": ("HornerMap", 5, 1, d)
 LAYERS.update({f"sieve q={p} deg={d}": ("sieve", p, 1, d)
                for p, d in ((5, 5), (7, 4), (5, 6))})
 LAYERS["lambda_scan q=5 deg=5"] = ("lambda_scan", 5, 1, 5)
+LAYERS.update({f"{op} q={p} deg={d}": (op, p, 1, d)
+               for op, p, d in (("index_texts", 7, 4),
+                                ("carlitz_det_module", 11, 4),
+                                ("carlitz_det_module", 257, 16))})
 
 
 def readme_commands(readme=ROOT / "README.md"):
@@ -206,15 +215,35 @@ def _charpoly_call(ctx, rng, op, d):
 
 def _enumeration_call(ctx, op, d):
     """(call, its value as printed) of the sieve at degree d, printed as its
-    indices, or of the degree-d lambda_scan in find_counterexample mode,
-    printed as its records and summary."""
-    from drinfeldlab import criteria, polys
+    indices, of the texts of its primes, printed as they are (formed from
+    each prime's digits on a tree without `polys.index_texts`), or of the
+    degree-d lambda_scan in find_counterexample mode, printed as its
+    records and summary."""
+    from drinfeldlab import criteria, kernel, polys
 
     if op == "sieve":
         return (lambda: list(polys.irreducible_indices(ctx, d))), list
+    if op == "index_texts":
+        q, indices = ctx.q, list(polys.irreducible_indices(ctx, d))
+        texts = getattr(polys, "index_texts", lambda ctx, d, indices: (
+            (idx, polys.coeffs_to_text(ctx, kernel.vdigits(q ** d + idx, q)))
+            for idx in indices))
+        return (lambda: [text for _, text in texts(ctx, d, indices)]), list
     return (functools.partial(criteria.lambda_scan, ctx, d,
                               "find_counterexample"),
             lambda report: [report.records, report.as_dict()])
+
+
+def _det_module_call(ctx, rng, d):
+    """(call, its value as printed) of carlitz_det_module with g_1 = 1 and
+    a seeded monic g_2 of degree d, as `thm2` builds it from l = g_2,
+    printed as the coefficients of -g_2^(q-1)."""
+    from drinfeldlab import drinfeld, polys
+
+    g2 = polys.Poly(ctx, [rng.randrange(ctx.q) for _ in range(d)] + [1])
+    return (functools.partial(drinfeld.carlitz_det_module, ctx,
+                              polys.Poly.one(ctx), g2),
+            lambda phi: list(phi.g2.coeffs))
 
 
 def layer_child(name):
@@ -228,8 +257,10 @@ def layer_child(name):
     rng = random.Random(1000 * ctx.q + (d or 0))
     if op == "is_square":
         call, show = (lambda: list(map(ctx.is_square, range(ctx.q)))), list
-    elif op in ("sieve", "lambda_scan"):
+    elif op in ("sieve", "index_texts", "lambda_scan"):
         call, show = _enumeration_call(ctx, op, d)
+    elif op == "carlitz_det_module":
+        call, show = _det_module_call(ctx, rng, d)
     elif op == "norm_to_base":
         call, show = _norm_call(ctx, rng, d), int
     elif op in ("frob_general", "euler_poincare_oracle", "reduction_height",

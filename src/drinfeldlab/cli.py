@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import census, criteria, drinfeld, frobenius, groups, kernel, residues
+from . import census, criteria, drinfeld, frobenius, groups, residues
 from .errors import (
     BruteCapExceeded,
     DrinfeldLabError,
@@ -35,7 +35,7 @@ from .polys import (
     check_enumeration_cap,
     check_prime_degree,
     check_samples,
-    coeffs_to_text,
+    index_texts,
     irreducible_indices,
     parse_poly,
     poly_to_text,
@@ -101,13 +101,11 @@ def _primes(args):
 
 
 def _prime_records(ctx, sieves):
-    """One record per sieve index, its text read off the index's digits."""
+    """One record per sieve index, its text from `index_texts`."""
     q = ctx.q
     for d, indices in sieves:
-        top = q ** d
-        for idx in indices:
-            yield {"op": "prime", "q": q, "degree": d,
-                   "prime": coeffs_to_text(ctx, kernel.vdigits(top + idx, q))}
+        for _, text in index_texts(ctx, d, indices):
+            yield {"op": "prime", "q": q, "degree": d, "prime": text}
 
 
 def _omega(args):
@@ -476,6 +474,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(records, output, out):
+    """Write the records as jsonl, csv or pretty text.  Each record is
+    formatted whole before any of it is written, and a csv table before
+    its header, so a record that fails to encode writes nothing of
+    itself."""
     encode = COMPACT_JSON.encode
     if output == "jsonl":
         for rec in records:
@@ -485,7 +487,7 @@ def _emit(records, output, out):
         if not records:
             return
         keys = list(dict.fromkeys(k for rec in records for k in rec))
-        out.write(",".join(keys) + "\n")
+        lines = [",".join(keys)]
         for rec in records:
             row = []
             for k in keys:
@@ -499,14 +501,14 @@ def _emit(records, output, out):
                     row.append("")
                 else:
                     row.append(str(v))
-            out.write(",".join(row) + "\n")
+            lines.append(",".join(row))
+        out.write("\n".join(lines) + "\n")
     else:  # pretty
         for rec in records:
-            for k, v in rec.items():
-                if isinstance(v, (dict, list)):
-                    v = encode(v)
-                out.write(f"{k}: {v}\n")
-            out.write("\n")
+            text = "".join(
+                f"{k}: {encode(v) if isinstance(v, (dict, list)) else v}\n"
+                for k, v in rec.items())
+            out.write(text + "\n")
 
 
 def main(argv=None) -> int:

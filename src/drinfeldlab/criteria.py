@@ -37,13 +37,16 @@ from .polys import (
     check_enumeration_cap,
     check_samples,
     coeffs_to_text,
+    index_texts,
     irreducible_indices,
     parse_poly,
 )
 
-# theorem2_build expands l^(q-1) densely, at a cost quadratic in (q-1) deg l:
-# `thm2` takes 0.7 s at q = 1009, deg l = 4 and 0.6 s at q = 257, deg l = 16,
-# the bound itself (one subprocess run each, 2 vCPUs)
+# theorem2_build prints g2 = -l^(q-1), of (q - 1) deg l + 1 coefficients,
+# formed by one exact division l(T^q) / l: at the bound itself, a dense l,
+# `thm2` takes 0.08-0.09 s at q = 1009, deg l = 4 and at q = 257, deg l = 16,
+# the import 0.06 s of it, and the division 2-4 and 6-9 ms (min of 5 runs,
+# subprocess and in-process, two rounds, 2 vCPUs)
 THM2_POWER_DEG_CAP = 4096
 
 
@@ -201,7 +204,9 @@ def lambda_scan(ctx: FieldCtx, max_deg: int,
     Membership of a triple depends on g1 only through r1 = g1(c), and every
     winning pair is realized by the canonical g1 recorded in the verdict
     (r1 itself when nonzero, else T - c; its text formed once per pair).
-    A prime's values at every point are one `kernel.point_values` call.
+    A prime's text comes from `polys.index_texts`, its digits from
+    `kernel.vdigits`, and its values at every point from one
+    `kernel.point_values` call on those digits.
     """
     if mode not in ("affirm", "find_counterexample"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -224,7 +229,7 @@ def lambda_scan(ctx: FieldCtx, max_deg: int,
     counterexamples = []
     for deg in degrees:
         top = p ** deg
-        for idx in irreducible_indices(ctx, deg):
+        for idx, text in index_texts(ctx, deg, irreducible_indices(ctx, deg)):
             gen = kernel.vdigits(top + idx, p)
             nonsquare = [v not in squares for v in values(gen)]
             found = next(((c, r1) for c in range(p)
@@ -237,7 +242,6 @@ def lambda_scan(ctx: FieldCtx, max_deg: int,
                     g1_texts[found] = coeffs_to_text(
                         ctx, (r1,) if r1 else (ctx.neg(c), 1))
                 witness = {"c": c, "r1": r1, "g1": g1_texts[found]}
-            text = coeffs_to_text(ctx, gen)
             records.append({"prime": text, "degree": deg,
                             "passes": witness is not None,
                             "witness": witness})

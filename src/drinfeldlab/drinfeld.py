@@ -8,8 +8,6 @@ finite-characteristic picture over the residue field.
 
 from __future__ import annotations
 
-import functools
-
 from . import kernel, skew
 from .errors import (
     InternalInconsistency,
@@ -81,12 +79,19 @@ def carlitz_det_module(ctx: FieldCtx, g1: Poly, g2: Poly) -> DrinfeldModule:
     """Rank-2 module T + g1*tau - g2^(q-1)*tau^2.
 
     The leading coefficient is minus a (q-1)-th power, which makes the
-    determinant side isomorphic to the Carlitz module over F.
+    determinant side isomorphic to the Carlitz module over F.  Since
+    c^q = c on F_q, g2^q is g2(T^q), its coefficients spread q apart, so
+    g2^(q-1) is the one exact division g2(T^q) / g2; a remainder raises
+    InternalInconsistency.
     """
     if g2.is_zero():
         raise ZeroPolynomial("g2 must be nonzero")
-    lead = kernel.power(g2.coeffs, ctx.q - 1,
-                        functools.partial(kernel.vmul, ctx), [1])
+    spread = [0] * ((len(g2.coeffs) - 1) * ctx.q + 1)
+    spread[::ctx.q] = g2.coeffs
+    lead, rem = kernel.vdivmod(ctx, spread, g2.coeffs)
+    if rem:
+        raise InternalInconsistency(
+            "g2(T^q) is not a multiple of g2; this is a bug")
     return DrinfeldModule(ctx, [g1, Poly(ctx, kernel.vsub(ctx, (), lead))])
 
 

@@ -581,9 +581,32 @@ def coeffs_to_text(ctx: FieldCtx, coeffs) -> str:
     return "+".join(parts)
 
 
+def index_texts(ctx: FieldCtx, degree: int, indices):
+    """Yield (idx, text) for base-q indices of monic polynomials of the
+    given degree, the leading 1 left out, as `irreducible_indices` yields
+    them.  The text of the low floor(degree/2) digits is read from a table
+    of q^floor(degree/2) entries, at most the square root of the
+    enumeration cap; the text of the high ones, T^degree included, is
+    formed only when they change, so once per block of ascending indices."""
+    q, half = ctx.q, degree // 2
+    span, lead = q ** half, q ** (degree - half)
+    low = [""] + ["+" + coeffs_to_text(ctx, kernel.vdigits(lo, q))
+                  for lo in range(1, span)]
+    pad = [0] * half
+    last = high = None
+    for idx in indices:
+        top, lo = divmod(idx, span)
+        if top != last:
+            last = top
+            high = coeffs_to_text(ctx, pad + kernel.vdigits(lead + top, q))
+        yield idx, high + low[lo]
+
+
 # One encoder for every record a certificate or a command prints:
 # json.dumps with non-default separators builds a new encoder per call.
-COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+# Every record is a fresh tree, so no cycle check runs: a cyclic record
+# raises RecursionError inside `encode`, before any of it is written.
+COMPACT_JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 def poly_to_text(f: Poly) -> str:

@@ -298,6 +298,18 @@ def reduction_type(phi, lam):
     return ReductionData(lam, "stable_rank_1", reduction_height(rank1, lam))
 
 
+def power_lead(ctx, g2):
+    """g2^(q-1) as a coefficient list, by square-and-multiply on dense
+    products: the route drinfeld.carlitz_det_module's one exact division
+    g2(T^q) / g2 replaced."""
+    import functools
+
+    from drinfeldlab import kernel
+
+    return kernel.power(g2.coeffs, ctx.q - 1,
+                        functools.partial(kernel.vmul, ctx), [1])
+
+
 def carlitz_twist_witness(h):
     """g in A with g^(q-1) = h, or None when no such g exists."""
     from drinfeldlab.errors import ZeroPolynomial

@@ -22,7 +22,7 @@ def test_layers_writes_the_bench_schema(tmp_path, monkeypatch, capsys):
     # The README commands run as subprocesses in test_cli.py
     readme = layers.readme_commands()
     assert 'drinfeldlab omega --q 5 --prime "T+4"' in readme
-    assert len(layers.LAYERS) == 38
+    assert len(layers.LAYERS) == 41
     for name in ("vfrobenius q=25 deg=16", "norm_to_base q=5 deg=16",
                  "norm_to_base q=127 deg=64", "is_square q=25",
                  "is_square q=243", "frob_general q=5 deg=1",
@@ -36,7 +36,9 @@ def test_layers_writes_the_bench_schema(tmp_path, monkeypatch, capsys):
                  "reduction_height q=5 deg=63 g1=0", "HornerMap q=5 deg=4",
                  "HornerMap q=5 deg=12", "sieve q=5 deg=5",
                  "sieve q=7 deg=4", "sieve q=5 deg=6",
-                 "lambda_scan q=5 deg=5"):
+                 "lambda_scan q=5 deg=5", "index_texts q=7 deg=4",
+                 "carlitz_det_module q=11 deg=4",
+                 "carlitz_det_module q=257 deg=16"):
         assert name in layers.LAYERS
     every = layers.cases()
     assert list(every) == [layers.IMPORT_CASE, *readme, *layers.LAYERS]
@@ -129,18 +131,33 @@ def test_charpoly_cases_print_their_values(capsys, monkeypatch):
 
 def test_enumeration_cases_print_their_values(capsys, monkeypatch):
     # one call each: the sieves list as many indices as the necklace
-    # formula counts, and the degree-5 scan at q = 5 fails at 22 primes
+    # formula counts, the texts of the (7, 4) sieve's primes are the
+    # `primes` command's, and the degree-5 scan at q = 5 fails at 22 primes
+    from drinfeldlab.cli import main
     from oracles import irreducible_count
 
     monkeypatch.setattr(layers, "LAYER_FLOOR_S", 0)
     for name in ("sieve q=5 deg=5", "sieve q=7 deg=4", "sieve q=5 deg=6",
-                 "lambda_scan q=5 deg=5"):
+                 "index_texts q=7 deg=4", "lambda_scan q=5 deg=5"):
         layers.layer_child(name)
     lines = capsys.readouterr().out.splitlines()
-    *sieves, (records, summary) = map(json.loads, lines[1::2])
+    *sieves, texts, (records, summary) = map(json.loads, lines[1::2])
     assert list(map(len, sieves)) == [irreducible_count(5, 5),
                                       irreducible_count(7, 4),
                                       irreducible_count(5, 6)]
     assert all(s == sorted(set(s)) for s in sieves)
+    assert main(["primes", "--q", "7", "--exact-deg", "4"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert texts == [json.loads(line)["prime"] for line in printed]
     assert len(records) == summary["primes_scanned"] == 624
     assert len(summary["counterexamples"]) == 22
+
+
+def test_det_module_cases_print_their_values(capsys, monkeypatch):
+    # one call each: -g_2^(q-1) for a monic g_2 of degree d has degree
+    # (q - 1) d and leading coefficient -1
+    monkeypatch.setattr(layers, "LAYER_FLOOR_S", 0)
+    for q, d in ((11, 4), (257, 16)):
+        layers.layer_child(f"carlitz_det_module q={q} deg={d}")
+        coeffs = json.loads(capsys.readouterr().out.splitlines()[1])
+        assert len(coeffs) == (q - 1) * d + 1 and coeffs[-1] == q - 1

@@ -1,10 +1,11 @@
-"""The Rabin test, the square test and the prime sieve, against the routes
-they replaced.
+"""The Rabin test, the square test, the prime sieve and the sieve's prime
+texts, against the routes they replaced.
 
 `kernel.rabin` forms T^(q^i) mod f by Frobenius twists on the map a prime
 keeps from parse, `is_square_mod_prime` reads Euler's criterion off the norm,
 `kernel.vresultant` forms that norm as the resultant Res(f, x) by Euclid,
-with no map, and the sieve marks composite indices by affine families.  The
+with no map, the sieve marks composite indices by affine families, and
+`polys.index_texts` reads each prime's text off two halves of its index.  The
 square-and-multiply Rabin and Euler tests, the conjugate product by powmod
 and the product sieve are kept here as seeded oracles, and the cofactor
 walk in `oracles.py`.
@@ -13,6 +14,7 @@ walk in `oracles.py`.
 import itertools
 import operator
 import random
+import tracemalloc
 
 import pytest
 
@@ -23,8 +25,10 @@ from drinfeldlab.fields import is_square, make_field
 from drinfeldlab.polys import (
     Poly,
     PrimeIdeal,
+    coeffs_to_text,
     enumerate_monic_irreducibles,
     eval_at,
+    index_texts,
     irreducible_indices,
     is_irreducible,
     parse_poly,
@@ -316,6 +320,42 @@ def test_family_sieve_matches_the_cofactor_walk(field, max_deg, monkeypatch):
         got = list(irreducible_indices(ctx, d))
         assert got == want[d], d
         assert len(got) == irreducible_count(ctx.q, d)
+
+
+@pytest.mark.parametrize("q, d", [(5, d) for d in range(1, 7)]
+                         + [(7, 4), (11, 3)], ids=str)
+def test_index_texts_match_the_digit_route(q, d):
+    # each index's text against the route it replaced, the text of the
+    # index's digits: over every index of the degree, then over the
+    # sieve's sparse output
+    ctx = make_field(q)
+
+    def digit_route(indices):
+        return [(idx, coeffs_to_text(ctx, kernel.vdigits(q ** d + idx, q)))
+                for idx in indices]
+
+    every = range(q ** d)
+    assert list(index_texts(ctx, d, every)) == digit_route(every)
+    primes = list(irreducible_indices(ctx, d))
+    assert list(index_texts(ctx, d, primes)) == digit_route(primes)
+
+
+@pytest.mark.parametrize("q, d, indices, bound", [
+    (10007, 1, range(10007), 4_000),
+    (3163, 2, range(0, 3163 ** 2, 3164), 100 * 3163)], ids=str)
+def test_index_texts_hold_a_square_root_table(q, d, indices, bound):
+    # the table of low-digit texts has q^floor(d/2) entries: one at
+    # degree 1, q strings at degree 2 (one high-digit block per index
+    # here), never one per index
+    ctx = make_field(q)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in index_texts(ctx, d, indices))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == len(indices)
+    assert peak < bound
 
 
 def test_degree_64_omega_takes_one_powmod(monkeypatch):

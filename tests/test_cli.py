@@ -8,6 +8,7 @@ import random
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,42 @@ def test_internal_checks_exit_3(capsys, monkeypatch):
                          "4", "--prime", "T^2+2")
     assert code == 3
     assert out == "" and "not divisible" in err
+
+
+def test_thm2_division_remainder_exit_3(capsys, monkeypatch):
+    # carlitz_det_module forms l^(q-1) as the exact division l(T^q) / l;
+    # a division perturbed to leave a remainder is an internal
+    # inconsistency, and no record is written.  Only drinfeld's view of
+    # the kernel is perturbed, so the Rabin test and the triple check
+    # run as they are
+    vdivmod = kernel.vdivmod
+    off = types.SimpleNamespace(**vars(kernel))
+    off.vdivmod = lambda ctx, a, b: (vdivmod(ctx, a, b)[0], [1])
+    monkeypatch.setattr(drinfeld, "kernel", off)
+    code, out, err = run(capsys, "thm2", "--q", "5", "--l", "T", "--g1",
+                         "1", "--c", "3")
+    assert code == 3
+    assert out == "" and "not a multiple" in err
+
+
+@pytest.mark.parametrize("output", ["jsonl", "csv", "pretty"])
+def test_emit_writes_nothing_of_a_cyclic_record(output):
+    # the one encoder runs no cycle check, as every record is a fresh
+    # tree; a record that holds itself still raises, and it is formatted
+    # whole before any of it is written, so no partial line goes out
+    good = {"op": "prime", "q": 5, "degree": 1, "prime": "T"}
+    cyclic = {"op": "loop", "q": 5}
+    cyclic["self"] = cyclic
+    out = io.StringIO()
+    with pytest.raises((RecursionError, ValueError)):
+        cli._emit([cyclic], output, out)
+    assert out.getvalue() == ""
+    if output != "csv":  # a csv table is written whole or not at all
+        want = io.StringIO()
+        cli._emit([good], output, want)
+        with pytest.raises((RecursionError, ValueError)):
+            cli._emit([good, cyclic], output, out)
+        assert out.getvalue() == want.getvalue()
 
 
 def test_every_prime_flag_bounded_before_work(capsys, monkeypatch):

@@ -31,7 +31,7 @@ from drinfeldlab.polys import (
     valuation,
 )
 from drinfeldlab.skew import SkewPoly, skew_mul
-from oracles import act, carlitz_twist_witness, reduction_type
+from oracles import act, carlitz_twist_witness, power_lead, reduction_type
 
 F5 = make_field(5)
 
@@ -268,6 +268,29 @@ def test_carlitz_det_module_shape():
     phi = carlitz_det_module(F5, P("1"), P("T"))
     assert phi.g2 == -(P("T") ** 4)
     assert carlitz_twist_witness(-phi.g2) == P("T")
+
+
+@pytest.mark.parametrize("field", [(5, 1), (7, 1), (11, 1), (5, 2)],
+                         ids=str)
+def test_carlitz_det_module_matches_square_and_multiply(field):
+    # g2^(q-1) as the exact division g2(T^q) / g2, against dense
+    # square-and-multiply: a monic, a non-monic (2(T + 4), as in the
+    # acceptance suite), a reducible and a constant g2, then seeded ones
+    ctx = make_field(*field)
+    t = Poly.T(ctx)
+    g1 = t + 1
+    rng = random.Random(31 * ctx.q)
+    shapes = [t + 4, (t + 4) * 2, t * (t + 1) ** 2 * (t + 2),
+              Poly.constant(ctx, 3)]
+    while len(shapes) < 12:
+        g2 = Poly(ctx, [rng.randrange(ctx.q)
+                        for _ in range(rng.randrange(1, 6))])
+        if not g2.is_zero():
+            shapes.append(g2)
+    for g2 in shapes:
+        phi = carlitz_det_module(ctx, g1, g2)
+        assert phi.g1 == g1
+        assert phi.g2 == -Poly(ctx, power_lead(ctx, g2)), g2
 
 
 def test_thm1_shape_reduction_properties():
