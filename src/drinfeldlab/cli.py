@@ -7,6 +7,12 @@ computations that must agree disagreed: a bug in drinfeldlab, not in the
 input), 141 stdout closed before the records were written (a reader such as
 `head` exited; 141 is what a shell reports for SIGPIPE).
 
+A handler checks its flags and returns (code, records).  `main` writes each
+record as the iterable yields it (csv holds them for its header), so a scan
+returns a generator, and for code a function of the last record written,
+its summary.  An error raised while records stream exits 2 or 3, as one
+raised before the first record, and leaves the records written on stdout.
+
 `COMMANDS` maps each subcommand to its handler and flags, and `_TABLES`
 holds each command's option table, built from it once, at import.  A
 plain call (an optional `--output`, a command, then its flags spelled in
@@ -97,15 +103,9 @@ def _primes(args):
         degrees = range(1, args.max_deg + 1)
     # every degree is checked now; the records stream from the sieves
     sieves = [(d, irreducible_indices(ctx, d)) for d in degrees]
-    return 0, _prime_records(ctx, sieves)
-
-
-def _prime_records(ctx, sieves):
-    """One record per sieve index, its text from `index_texts`."""
-    q = ctx.q
-    for d, indices in sieves:
-        for _, text in index_texts(ctx, d, indices):
-            yield {"op": "prime", "q": q, "degree": d, "prime": text}
+    return 0, ({"op": "prime", "q": ctx.q, "degree": d, "prime": text}
+               for d, indices in sieves
+               for _, text in index_texts(ctx, d, indices))
 
 
 def _omega(args):
@@ -127,16 +127,15 @@ def _lambda_scan(args):
     if args.find_counterexample:
         if args.exact_deg is None:
             raise _Usage("--find-counterexample needs --exact-deg")
-        report = criteria.lambda_scan(ctx, args.exact_deg,
-                                      mode="find_counterexample")
-        records = report.records + [report.as_dict()]
-        return (0 if not report.all_pass else 1), records
-    if args.max_deg is None:
+        mode, degree = "find_counterexample", args.exact_deg
+    elif args.max_deg is None:
         raise _Usage("lambda-scan needs --max-deg (or --exact-deg with "
                      "--find-counterexample)")
-    report = criteria.lambda_scan(ctx, args.max_deg, mode="affirm")
-    records = report.records + [report.as_dict()]
-    return (0 if report.all_pass else 1), records
+    else:
+        mode, degree = "affirm", args.max_deg
+    # an affirm scan passes when every prime does, a hunt when one fails
+    return ((lambda s: 0 if s["all_pass"] == (mode == "affirm") else 1),
+            criteria.lambda_scan_records(ctx, degree, mode))
 
 
 def _module_from_args(ctx, args):
@@ -474,18 +473,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(records, output, out):
-    """Write the records as jsonl, csv or pretty text.  Each record is
-    formatted whole before any of it is written, and a csv table before
-    its header, so a record that fails to encode writes nothing of
-    itself."""
+    """Write the records as jsonl, csv or pretty text and return the last
+    one (None if there are none).  Each record is formatted whole before
+    any of it is written, and a csv table before its header, so a record
+    that fails to encode writes nothing of itself."""
     encode = COMPACT_JSON.encode
+    rec = None
     if output == "jsonl":
         for rec in records:
             out.write(encode(rec) + "\n")
     elif output == "csv":
         records = list(records)  # the header needs every record's keys
         if not records:
-            return
+            return None
         keys = list(dict.fromkeys(k for rec in records for k in rec))
         lines = [",".join(keys)]
         for rec in records:
@@ -509,6 +509,7 @@ def _emit(records, output, out):
                 f"{k}: {encode(v) if isinstance(v, (dict, list)) else v}\n"
                 for k, v in rec.items())
             out.write(text + "\n")
+    return rec
 
 
 def main(argv=None) -> int:
@@ -517,19 +518,18 @@ def main(argv=None) -> int:
     try:
         _check_q(args.command, args.q)
         code, records = args.handler(args)
+        last = _emit(records, args.output_override or args.output,
+                     sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        return EXIT_CLOSED_PIPE
     except InternalInconsistency as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except (_Usage, DrinfeldLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    output = args.output_override or args.output
-    try:
-        _emit(records, output, sys.stdout)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        return EXIT_CLOSED_PIPE
-    return code
+    return code(last) if callable(code) else code
 
 
 if __name__ == "__main__":

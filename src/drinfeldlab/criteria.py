@@ -165,41 +165,31 @@ def in_lambda_set(l: PrimeIdeal, g1: Poly, c: FqElement) -> Certificate:
 
 
 class LambdaScanReport:
-    """Per-prime verdicts for the existence scan behind the triple set."""
+    """A lambda scan's records and its summary, whose fields (q, mode,
+    all_pass, counterexamples, note, ...) read as attributes."""
 
-    __slots__ = ("q", "mode", "max_deg", "records", "counterexamples",
-                 "all_pass", "first_counterexample", "note")
+    __slots__ = ("records", "summary")
 
-    def __init__(self, q, mode, max_deg, records, counterexamples, note):
-        self.q = q
-        self.mode = mode
-        self.max_deg = max_deg
+    def __init__(self, records, summary):
         self.records = records
-        self.counterexamples = counterexamples
-        self.all_pass = not counterexamples
-        self.first_counterexample = (
-            counterexamples[0] if counterexamples else None)
-        self.note = note
+        self.summary = summary
+
+    def __getattr__(self, name):  # reached for the summary's fields only
+        try:
+            return object.__getattribute__(self, "summary")[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     def as_dict(self) -> dict:
-        return {
-            "op": "lambda_scan",
-            "q": self.q,
-            "mode": self.mode,
-            "max_deg": self.max_deg,
-            "primes_scanned": len(self.records),
-            "all_pass": self.all_pass,
-            "first_counterexample": self.first_counterexample,
-            "counterexamples": self.counterexamples,
-            "note": self.note,
-        }
+        return dict(self.summary)
 
 
-def lambda_scan(ctx: FieldCtx, max_deg: int,
-                mode: str = "affirm") -> LambdaScanReport:
+def lambda_scan_records(ctx: FieldCtx, max_deg: int, mode: str = "affirm"):
     """For each monic irreducible l (degree <= max_deg, or exactly max_deg in
     find_counterexample mode) decide whether some (c, r1) in F_q^2 makes
-    X^2 - r1 X + (T - c) irreducible mod l.
+    X^2 - r1 X + (T - c) irreducible mod l; yield each prime's record once
+    it is decided, then the summary.  The mode, field and cap are checked
+    before the first record, and only counterexamples' texts are kept.
 
     Membership of a triple depends on g1 only through r1 = g1(c), and every
     winning pair is realized by the canonical g1 recorded in the verdict
@@ -225,7 +215,7 @@ def lambda_scan(ctx: FieldCtx, max_deg: int,
     squares = {x * x % p for x in range(p)}
     values = kernel.point_values(p, max_deg)
     g1_texts = {}
-    records = []
+    scanned = 0
     counterexamples = []
     for deg in degrees:
         top = p ** deg
@@ -242,17 +232,26 @@ def lambda_scan(ctx: FieldCtx, max_deg: int,
                     g1_texts[found] = coeffs_to_text(
                         ctx, (r1,) if r1 else (ctx.neg(c), 1))
                 witness = {"c": c, "r1": r1, "g1": g1_texts[found]}
-            records.append({"prime": text, "degree": deg,
-                            "passes": witness is not None,
-                            "witness": witness})
-            if witness is None:
+            else:
                 counterexamples.append(text)
+            scanned += 1
+            yield {"prime": text, "degree": deg,
+                   "passes": witness is not None, "witness": witness}
     note = None
     if mode == "affirm" and counterexamples:
         note = ("affirm scan found failing primes under the l-reading of the "
                 "triple-set hypothesis")
-    return LambdaScanReport(ctx.q, mode, max_deg, records, counterexamples,
-                            note)
+    yield {"op": "lambda_scan", "q": ctx.q, "mode": mode, "max_deg": max_deg,
+           "primes_scanned": scanned, "all_pass": not counterexamples,
+           "first_counterexample": (counterexamples or [None])[0],
+           "counterexamples": counterexamples, "note": note}
+
+
+def lambda_scan(ctx: FieldCtx, max_deg: int,
+                mode: str = "affirm") -> LambdaScanReport:
+    """The records of `lambda_scan_records`, collected, and its summary."""
+    *records, summary = lambda_scan_records(ctx, max_deg, mode)
+    return LambdaScanReport(records, summary)
 
 
 def _theorem1(ctx, prime, g1, g2, c1: int, c2: int, witness_ok: bool,

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import random
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -28,12 +30,13 @@ from drinfeldlab.cli import main
 from drinfeldlab.drinfeld import DrinfeldModule
 from drinfeldlab.errors import (
     CapExceeded,
+    DrinfeldLabError,
     EnumerationCapExceeded,
     InternalInconsistency,
     ParamsOutOfRange,
 )
 from drinfeldlab.fields import make_field
-from drinfeldlab.polys import Poly, PrimeIdeal, parse_poly
+from drinfeldlab.polys import COMPACT_JSON, Poly, PrimeIdeal, parse_poly
 
 
 def run(capsys, *argv):
@@ -685,6 +688,107 @@ def test_closed_pipe_in_a_process_exits_141_silently():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+class _PipeClosingStdout:
+    """A stdout whose reader leaves after the first write."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_pipe_stops_the_scan(capsys, monkeypatch):
+    """lambda-scan decides a prime only when its record is asked for: a
+    reader that leaves after one record stops the scan at the second."""
+    decided = []
+    point_values = kernel.point_values
+
+    def counting(p, deg):
+        values = point_values(p, deg)
+
+        def counted(gen):
+            decided.append(gen)
+            return values(gen)
+        return counted
+
+    monkeypatch.setattr(kernel, "point_values", counting)
+    monkeypatch.setattr(sys, "stdout", _PipeClosingStdout())
+    # 4,088 primes of degree <= 5 over F_7
+    code = main(["lambda-scan", "--q", "7", "--max-deg", "5"])
+    assert code == cli.EXIT_CLOSED_PIPE
+    assert len(decided) == 2
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (InternalInconsistency, 3, "internal error: "),
+    (DrinfeldLabError, 2, "error: ")])
+def test_error_mid_stream_keeps_its_records(capsys, monkeypatch, error,
+                                            code, prefix):
+    """An error raised after records were written leaves them on stdout
+    and exits as it would before the first record, with no traceback."""
+    texts = cli.index_texts
+
+    def failing(ctx, degree, indices):
+        for n, item in enumerate(texts(ctx, degree, indices)):
+            if n == 3:
+                raise error("injected at the fourth prime")
+            yield item
+
+    monkeypatch.setattr(cli, "index_texts", failing)
+    got, out, err = run(capsys, "primes", "--q", "5", "--max-deg", "2")
+    assert got == code
+    assert [r["prime"] for r in records(out)] == ["T", "T+1", "T+2"]
+    assert err == prefix + "injected at the fourth prime\n"
+
+
+class _DigestStdout:
+    """A stdout that keeps only a digest of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+
+    def flush(self):
+        pass
+
+
+def test_lambda_scan_holds_no_records(monkeypatch):
+    """lambda-scan writes each record as its prime is decided: its traced
+    peak stays far below the 3,360 records it prints (the buffered scan
+    peaked near 1.5 MB), and it prints lambda_scan's records, then the
+    summary."""
+    report = criteria.lambda_scan(make_field(7), 5,
+                                  mode="find_counterexample")
+    want = hashlib.sha256("".join(
+        COMPACT_JSON.encode(rec) + "\n"
+        for rec in [*report.records, report.as_dict()]).encode())
+    assert len(report.records) == 3360
+    argv = ["lambda-scan", "--q", "7", "--exact-deg", "5",
+            "--find-counterexample"]
+    monkeypatch.setattr(sys, "stdout", _DigestStdout())
+    main(argv)  # warm-up: imports and first-use tables
+    sink = _DigestStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == (1 if report.all_pass else 0)
+    assert sink.digest.hexdigest() == want.hexdigest()
+    assert peak < 200 * 1024, peak
 
 
 def test_cli_edge_values_fuzz(capsys, monkeypatch):

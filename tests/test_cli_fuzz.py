@@ -1,6 +1,6 @@
-"""Seeded fuzzing of the group-lab commands (lemma-a1, pr-level2, det-gen)
-and of the certificate commands (omega, lambda, thm1-verify, thm2,
-obstruction).
+"""Seeded fuzzing of the group-lab commands (lemma-a1, pr-level2, det-gen),
+of the certificate commands (omega, lambda, thm1-verify, thm2,
+obstruction) and of the scans (primes, lambda-scan).
 
 Each flag draws its value from a pool of valid values, the bound, the
 bound + 1, negatives, 10^11, text and malformed polynomials.  Every argv
@@ -9,6 +9,8 @@ spelled `--flag=value`, which that table parse declines and leaves to
 argparse.  Each call must exit 0, 1 or 2 with no other exception leaving
 main, print nothing on exit 2 and a record otherwise, agree across the
 two paths and, given a record, print the same bytes when run again.
+An optional flag is left out now and then, a switch such as
+--find-counterexample given bare.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import random
 
 from drinfeldlab import cli, criteria, frobenius, groups
 from drinfeldlab.cli import main
+from drinfeldlab.polys import DEFAULT_ENUMERATION_CAP
 
 BIG = 10 ** 11
 # flag -> (valid values, the rest); a value is drawn from the first pool
@@ -65,22 +68,48 @@ CERTIFY_POOLS = {
     "--c": ELEMENTS, "--c1": ELEMENTS, "--c2": ELEMENTS,
 }
 CERTIFY_COMMANDS = ("omega", "lambda", "thm1-verify", "thm2", "obstruction")
+# the enumeration cap + 1 at each valid q: q^d <= 10^7 < q^(d + 1)
+PAST_CAP = {5: 11, 7: 9, 11: 7, 13: 7}
+
+
+def _degrees(drawn):
+    """A degree flag's pools; the past-cap value is the drawn q's."""
+    return (0, 1, 2, 3), (PAST_CAP.get(drawn.get("--q"), 11), -1, BIG, "deg")
+
+
+# a valid q stays at 13 or below and a valid degree at 3 or below: primes
+# --q 100003 --max-deg 1 prints 100,003 records, and a sieve near the cap
+# takes seconds
+SCAN_POOLS = {
+    **POOLS,
+    "--q": ((5, 7, 11, 13), (0, -5, cli.Q_CAP + 1, BIG, "five")),
+    "--max-deg": _degrees, "--exact-deg": _degrees,
+}
+SCAN_COMMANDS = ("primes", "lambda-scan")
+# `primes --max-deg 0` exits 0 with no record
+EMPTY_SUCCESS = frozenset({"primes"})
 
 
 def _argvs(rng, commands, pools):
-    """Seeded (command, [(flag, value), ...]) draws: every flag of the
-    command, now and then one left out or --output added."""
+    """Seeded (command, [(flag, value) or (switch,), ...]) draws: every
+    required flag of the command, now and then one left out, --output
+    now and then, and any other optional flag half the time."""
     for _ in range(CALLS):
         command = rng.choice(commands)
-        flags = []
-        for flag, _opts in cli._options(cli.COMMANDS[command][1]):
-            if flag == "--output" and rng.random() < 0.8:
+        flags, drawn = [], {}
+        for flag, opts in cli._options(cli.COMMANDS[command][1]):
+            skip = (0.8 if flag == "--output" else
+                    0.03 if opts.get("required") else 0.5)
+            if rng.random() < skip:
                 continue
-            if flag != "--output" and rng.random() < 0.03:
+            if opts.get("action") == "store_true":
+                flags.append((flag,))
                 continue
-            valid, rest = pools[flag]
-            pool = valid if rng.random() < 0.75 else rest
-            flags.append((flag, str(rng.choice(pool))))
+            valid, rest = (pools[flag](drawn) if callable(pools[flag])
+                           else pools[flag])
+            drawn[flag] = rng.choice(
+                valid if rng.random() < 0.75 else rest)
+            flags.append((flag, str(drawn[flag])))
         rng.shuffle(flags)
         yield command, flags
 
@@ -101,14 +130,17 @@ def _fuzz(argvs):
     codes = {0: 0, 1: 0, 2: 0}
     for command, flags in argvs:
         plain = [command] + [tok for flag in flags for tok in flag]
-        spelled = [command] + [f"{flag}={value}" for flag, value in flags]
+        spelled = [command] + ["=".join(flag) for flag in flags]
         assert cli._table_args(spelled) is None
         first = _run(plain)
         code, out = first
         assert code in (0, 1, 2), plain
         # a usage error prints nothing; a verdict prints its record, and
         # prints it again, byte for byte
-        assert (out == "") == (code == 2), plain
+        if command in EMPTY_SUCCESS:
+            assert code != 2 or out == "", plain
+        else:
+            assert (out == "") == (code == 2), plain
         assert _run(spelled) == first, plain
         if code != 2:
             assert _run(plain) == first, plain
@@ -128,4 +160,11 @@ def test_certify_commands_fuzzed():
     assert criteria.THM2_POWER_DEG_CAP >= 6 * 64
     codes = _fuzz(_argvs(random.Random(20), CERTIFY_COMMANDS,
                          CERTIFY_POOLS))
+    assert min(codes.values()) > 0, codes
+
+
+def test_scan_commands_fuzzed():
+    for q, past in PAST_CAP.items():
+        assert q ** (past - 1) <= DEFAULT_ENUMERATION_CAP < q ** past
+    codes = _fuzz(_argvs(random.Random(21), SCAN_COMMANDS, SCAN_POOLS))
     assert min(codes.values()) > 0, codes
