@@ -7,8 +7,8 @@ one `kernel.vfrobenius`, one `kernel.vhorner`, building a
 `frobenius.euler_poincare_oracle`, one `drinfeld.reduction_height` (also
 at a supersingular prime), the prime sieve `polys.irreducible_indices`,
 the texts of its primes by `polys.index_texts`, one
-`criteria.lambda_scan` and one `drinfeld.carlitz_det_module`) at fixed
-sizes.
+`criteria.lambda_scan`, one `drinfeld.carlitz_det_module` and the
+`polys.parse_poly` calls of one `frob` job) at fixed sizes.
 
     python3 bench/layers.py --runs 15 --out BENCH_<n>.json
     python3 bench/layers.py --src ../parent/src --out parent.json \
@@ -63,7 +63,8 @@ LAYER_FLOOR_S = 0.02
 # --find-counterexample`, the certify workload's largest enumeration job;
 # the texts of the primes of the sieve at (7, 4), `primes --q 7
 # --exact-deg 4`; the module of `thm2` at q = 11, deg l = 4 and at the
-# corner q = 257, deg l = 16 of THM2_POWER_DEG_CAP
+# corner q = 257, deg l = 16 of THM2_POWER_DEG_CAP; the parse of the
+# three texts of the seed-1 charpoly workload's first q = 7 job, PARSE_TEXTS
 LAYERS = {f"{op} q={p ** m} deg={d}": (op, p, m, d)
           for p, m, d in ((5, 1, 16), (5, 1, 64), (127, 1, 16),
                           (127, 1, 64), (5, 2, 16))
@@ -94,6 +95,8 @@ LAYERS.update({f"{op} q={p} deg={d}": (op, p, 1, d)
                for op, p, d in (("index_texts", 7, 4),
                                 ("carlitz_det_module", 11, 4),
                                 ("carlitz_det_module", 257, 16))})
+LAYERS["parse_poly q=7"] = ("parse_poly", 7, 1, None)
+PARSE_TEXTS = ("2*T^2", "5*T^2+2*T+1", "T^4+6*T^3+5*T^2+3*T+2")
 
 
 def readme_commands(readme=ROOT / "README.md"):
@@ -257,6 +260,11 @@ def layer_child(name):
     rng = random.Random(1000 * ctx.q + (d or 0))
     if op == "is_square":
         call, show = (lambda: list(map(ctx.is_square, range(ctx.q)))), list
+    elif op == "parse_poly":
+        from drinfeldlab.polys import parse_poly
+
+        call, show = (lambda: [parse_poly(ctx, text).coeffs
+                               for text in PARSE_TEXTS]), list
     elif op in ("sieve", "index_texts", "lambda_scan"):
         call, show = _enumeration_call(ctx, op, d)
     elif op == "carlitz_det_module":

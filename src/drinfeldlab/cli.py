@@ -92,8 +92,17 @@ def _field(args):
     return 0, [rec]
 
 
-def _primes(args):
+def _scan_field(args):
+    """The field of a scan, primes or lambda-scan, after which any given
+    --max-deg or --exact-deg below 1 is a usage error."""
     ctx = make_field(args.q)
+    if any(d is not None and d < 1 for d in (args.max_deg, args.exact_deg)):
+        raise _Usage("degree must be >= 1")
+    return ctx
+
+
+def _primes(args):
+    ctx = _scan_field(args)
     if args.exact_deg is None and args.max_deg is None:
         raise _Usage("primes needs --max-deg or --exact-deg")
     if args.exact_deg is not None:
@@ -123,7 +132,7 @@ def _lambda(args):
 
 
 def _lambda_scan(args):
-    ctx = make_field(args.q)
+    ctx = _scan_field(args)
     if args.find_counterexample:
         if args.exact_deg is None:
             raise _Usage("--find-counterexample needs --exact-deg")
@@ -158,9 +167,10 @@ def _frob(args):
     ctx = make_field(args.q)
     phi = _module_from_args(ctx, args)
     lam = _capped_prime(ctx, args.prime)
-    # frob_general raises InternalInconsistency unless the identity holds
+    # each raises InternalInconsistency on a check that fails
     cp = frobenius.frob_general(phi, lam)
-    rec = {
+    oracle = frobenius.checked_oracle(phi, cp)
+    return 0, [{
         "op": "frob",
         "q": ctx.q,
         "prime": poly_to_text(lam.gen),
@@ -170,24 +180,9 @@ def _frob(args):
         "b": poly_to_text(cp.b),
         "unit": cp.unit.val,
         "identity_holds": True,
-    }
-    # frob_general reads phi through drinfeld.ReducedModule and its Horner
-    # map; the oracle reduces phi_T by kernel.vmod itself and builds the
-    # T-action by running products, a mulmod a term and column by the
-    # factors T^(q^i) (from deg lam >= 2 only, each one powmod of the one
-    # before), touching no Frobenius or Horner map, then takes its
-    # charpoly by Hessenberg reduction: no step is shared, which keeps
-    # the check independent.  Above its residue-field bound it is
-    # skipped; any error it raises within the bound propagates, and so
-    # does a disagreement.
-    rec["oracle"] = rec["oracle_matches"] = None
-    if ctx.q ** lam.degree <= frobenius.DEFAULT_BRUTE_CAP:
-        oracle = frobenius.euler_poincare_oracle(phi, lam)
-        if oracle != (Poly.one(ctx) - cp.a + cp.b).monic():
-            raise InternalInconsistency(
-                "oracle and frob_general disagree; this is a bug")
-        rec["oracle"], rec["oracle_matches"] = poly_to_text(oracle), True
-    return 0, [rec]
+        "oracle": None if oracle is None else poly_to_text(oracle),
+        "oracle_matches": None if oracle is None else True,
+    }]
 
 
 def _thm1_verify(args):

@@ -13,7 +13,7 @@ phi_T by kernel.vmod itself, builds the T-action by running products
 (kernel.vmulmod by the factors T^(q^i), each from deg lam >= 2 on one
 kernel.vpowmod of the one before), touching no Frobenius or Horner map,
 and takes its characteristic polynomial by Hessenberg reduction
-(kernel.vcharpoly).
+(kernel.vcharpoly); checked_oracle alone checks a charpoly against it.
 """
 
 from __future__ import annotations
@@ -214,6 +214,21 @@ def euler_poincare_oracle(phi: DrinfeldModule, lam: PrimeIdeal) -> Poly:
                 term[0] = kernel.vmulmod(ctx, term[0], term[1], gen)
         cols.append(img + [0] * (m - len(img)))
     return Poly(ctx, kernel.vcharpoly(ctx, cols))
+
+
+def checked_oracle(phi: DrinfeldModule, cp: FrobCharpoly):
+    """euler_poincare_oracle at cp's prime, or None when q^deg exceeds
+    DEFAULT_BRUTE_CAP; raises InternalInconsistency unless it equals the
+    monic associate of 1 - a + b.  Any error the oracle raises
+    propagates."""
+    ctx = phi.ctx
+    if ctx.q ** cp.prime.degree > DEFAULT_BRUTE_CAP:
+        return None
+    oracle = euler_poincare_oracle(phi, cp.prime)
+    if oracle != (Poly.one(ctx) - cp.a + cp.b).monic():
+        raise InternalInconsistency(
+            "oracle and frob_general disagree; this is a bug")
+    return oracle
 
 
 def det_generation_check(p: PrimeIdeal, level: int, max_deg: int) -> bool:

@@ -27,6 +27,7 @@ from . import kernel
 from .errors import (
     CapExceeded,
     ContextMismatch,
+    InternalInconsistency,
     NotAField,
     NotInvertible,
     ParamsOutOfRange,
@@ -305,7 +306,7 @@ def _unit_generator(tab: _Tables) -> int:
     for x in sorted(tab.units):
         if _has_order(x, order, lambda a, b: MUL[a][b], 1, primes):
             return x
-    raise ValueError("unit group has no single generator")
+    raise InternalInconsistency("unit group has no single generator")
 
 
 def _primitive_companion(tab: _Tables):
@@ -323,7 +324,7 @@ def _primitive_companion(tab: _Tables):
             m = (0, s, 1, r)
             if _has_order(m, order, tab.mat_mul, tab.ident, primes):
                 return m
-    raise ValueError("no primitive companion matrix")
+    raise InternalInconsistency("no primitive companion matrix")
 
 
 def _transversal(tab: _Tables, base, gens, image):

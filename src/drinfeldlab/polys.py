@@ -506,10 +506,11 @@ def _equal_degree_split(g: Poly, d: int, rng):
 
 # -- text grammar (prime fields only) --
 
-_TERM_RE = re.compile(
-    r"^(?:(?P<c1>\d+)\*T\^(?P<k1>\d+)|(?P<c2>\d+)\*T|T\^(?P<k2>\d+)|T"
-    r"|(?P<c3>\d+))$")
-_SPLIT_RE = re.compile(r"(?=[+-])")
+# one term: a sign, then c*T^k, c*T, T^k, T or c; the text is cut before
+# each sign.  `$` also matches before a piece's trailing newline, so a
+# piece such as "T\n" reads as T.
+_TERM_RE = re.compile(r"([+-]?)(?:(?:(\d+)\*)?T(?:\^(\d+))?|(\d+))$")
+_PIECE_RE = re.compile(r"[+-]?[^+-]*")
 
 
 def parse_poly(ctx: FieldCtx, text: str) -> Poly:
@@ -525,39 +526,21 @@ def parse_poly(ctx: FieldCtx, text: str) -> Poly:
     if not text:
         raise ValueError("empty polynomial text")
     acc: dict[int, int] = {}
-    for raw in _SPLIT_RE.split(text):
-        if not raw:
-            continue
-        term = raw
-        sign = 1
-        if term[0] == "+":
-            term = term[1:]
-        elif term[0] == "-":
-            sign = -1
-            term = term[1:]
-        m = _TERM_RE.match(term)
+    for raw in filter(None, _PIECE_RE.findall(text)):
+        m = _TERM_RE.match(raw)
         if not m:
             raise ValueError(f"bad polynomial term {raw!r}")
-        if m.group("c1") is not None:
-            c, k = int(m.group("c1")), int(m.group("k1"))
-        elif m.group("c2") is not None:
-            c, k = int(m.group("c2")), 1
-        elif m.group("k2") is not None:
-            c, k = 1, int(m.group("k2"))
-        elif m.group("c3") is not None:
-            c, k = int(m.group("c3")), 0
-        else:
-            c, k = 1, 1
+        sign, c, k, const = m.groups()
+        c, k = (int(c or 1), int(k or 1)) if const is None else (int(const), 0)
         if k > PARSE_DEGREE_CAP:
             raise DegreeCapExceeded(
                 f"exponent {k} exceeds cap {PARSE_DEGREE_CAP}")
         if c >= ctx.p:
             raise ValueError(
                 f"coefficient {c} out of range 0..{ctx.p - 1}")
-        acc[k] = (acc.get(k, 0) + sign * c) % ctx.p
+        acc[k] = (acc.get(k, 0) + (-c if sign == "-" else c)) % ctx.p
     deg = max(acc) if acc else 0
-    coeffs = [acc.get(i, 0) for i in range(deg + 1)]
-    return Poly(ctx, coeffs)
+    return Poly(ctx, [acc.get(i, 0) for i in range(deg + 1)])
 
 
 def coeffs_to_text(ctx: FieldCtx, coeffs) -> str:

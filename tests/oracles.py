@@ -426,3 +426,55 @@ def irreducible_count(q, n):
             if math.prod(primes) == d:  # squarefree: mu(d) = (-1)^#primes
                 total += (-1) ** len(primes) * q ** (n // d)
     return total // n
+
+
+def parse_poly_by_alternatives(ctx, text):
+    """polys.parse_poly by the route its one term pattern replaced: the
+    text split before each sign, the sign stripped, then five term
+    alternatives and a five-way branch."""
+    import re
+
+    from drinfeldlab.errors import ContextMismatch, DegreeCapExceeded
+    from drinfeldlab.polys import PARSE_DEGREE_CAP, Poly
+
+    term_re = re.compile(
+        r"^(?:(?P<c1>\d+)\*T\^(?P<k1>\d+)|(?P<c2>\d+)\*T|T\^(?P<k2>\d+)|T"
+        r"|(?P<c3>\d+))$")
+    if ctx.m != 1:
+        raise ContextMismatch("text grammar is defined for prime fields only")
+    text = text.strip().replace(" ", "")
+    if not text:
+        raise ValueError("empty polynomial text")
+    acc = {}
+    for raw in re.split(r"(?=[+-])", text):
+        if not raw:
+            continue
+        term = raw
+        sign = 1
+        if term[0] == "+":
+            term = term[1:]
+        elif term[0] == "-":
+            sign = -1
+            term = term[1:]
+        m = term_re.match(term)
+        if not m:
+            raise ValueError(f"bad polynomial term {raw!r}")
+        if m.group("c1") is not None:
+            c, k = int(m.group("c1")), int(m.group("k1"))
+        elif m.group("c2") is not None:
+            c, k = int(m.group("c2")), 1
+        elif m.group("k2") is not None:
+            c, k = 1, int(m.group("k2"))
+        elif m.group("c3") is not None:
+            c, k = int(m.group("c3")), 0
+        else:
+            c, k = 1, 1
+        if k > PARSE_DEGREE_CAP:
+            raise DegreeCapExceeded(
+                f"exponent {k} exceeds cap {PARSE_DEGREE_CAP}")
+        if c >= ctx.p:
+            raise ValueError(
+                f"coefficient {c} out of range 0..{ctx.p - 1}")
+        acc[k] = (acc.get(k, 0) + sign * c) % ctx.p
+    deg = max(acc) if acc else 0
+    return Poly(ctx, [acc.get(i, 0) for i in range(deg + 1)])

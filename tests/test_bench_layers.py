@@ -22,7 +22,7 @@ def test_layers_writes_the_bench_schema(tmp_path, monkeypatch, capsys):
     # The README commands run as subprocesses in test_cli.py
     readme = layers.readme_commands()
     assert 'drinfeldlab omega --q 5 --prime "T+4"' in readme
-    assert len(layers.LAYERS) == 41
+    assert len(layers.LAYERS) == 42
     for name in ("vfrobenius q=25 deg=16", "norm_to_base q=5 deg=16",
                  "norm_to_base q=127 deg=64", "is_square q=25",
                  "is_square q=243", "frob_general q=5 deg=1",
@@ -38,7 +38,7 @@ def test_layers_writes_the_bench_schema(tmp_path, monkeypatch, capsys):
                  "sieve q=7 deg=4", "sieve q=5 deg=6",
                  "lambda_scan q=5 deg=5", "index_texts q=7 deg=4",
                  "carlitz_det_module q=11 deg=4",
-                 "carlitz_det_module q=257 deg=16"):
+                 "carlitz_det_module q=257 deg=16", "parse_poly q=7"):
         assert name in layers.LAYERS
     every = layers.cases()
     assert list(every) == [layers.IMPORT_CASE, *readme, *layers.LAYERS]

@@ -19,9 +19,14 @@ import tracemalloc
 import pytest
 
 from drinfeldlab import cli, kernel
-from drinfeldlab.criteria import in_lambda_set, in_omega_tilde, theorem2_build
+from drinfeldlab.criteria import (
+    _triple,
+    in_lambda_set,
+    in_omega_tilde,
+    theorem2_build,
+)
 from drinfeldlab.drinfeld import DrinfeldModule, ReducedModule, reduction_height
-from drinfeldlab.fields import is_square, make_field
+from drinfeldlab.fields import FqElement, is_square, make_field
 from drinfeldlab.polys import (
     Poly,
     PrimeIdeal,
@@ -34,7 +39,12 @@ from drinfeldlab.polys import (
     parse_poly,
     poly_from_index,
 )
-from drinfeldlab.residues import ResidueRing, is_square_mod_prime, norm_to_base
+from drinfeldlab.residues import (
+    ResidueRing,
+    is_square_mod_prime,
+    norm_to_base,
+    quadratic_is_irreducible,
+)
 from oracles import irreducible_count, walk_sieve
 
 F5 = make_field(5)
@@ -408,6 +418,61 @@ def test_norms_and_square_tests_build_no_frobenius_map(monkeypatch):
     assert built == []
     make_field(5, 2, (2, 0, 1))
     assert built == [(2, 0, 1)]
+
+
+def _triples(ctx, max_deg, count, seed):
+    """Seeded (l, g1, c): l a monic prime of degree 1..max_deg, g1 of
+    degree below 3, zero among them, and c in F_q."""
+    rng = random.Random(seed)
+    primes = [l for d in range(1, max_deg + 1)
+              for l in enumerate_monic_irreducibles(ctx, d)]
+    for _ in range(count):
+        g1 = Poly(ctx, [rng.randrange(ctx.q) for _ in range(rng.randrange(4))])
+        yield rng.choice(primes), g1, FqElement(ctx, rng.randrange(ctx.q))
+
+
+def _by_resultant(l, g1, c):
+    """Whether X^2 - g1(c) X + (T - c) is irreducible mod l, by the
+    discriminant's norm, the resultant with l (quadratic_is_irreducible)."""
+    ring = ResidueRing(l)
+    return quadratic_is_irreducible(
+        FqElement(c.ctx, kernel.veval(c.ctx, g1.coeffs, c.val)),
+        ring.element(Poly(c.ctx, (c.ctx.neg(c.val), 1))))
+
+
+@pytest.mark.parametrize("p, m, max_deg", [
+    (5, 1, 3), (7, 1, 3), (11, 1, 3), (13, 1, 3), (5, 2, 2), (7, 2, 2)])
+def test_triple_square_class_matches_the_resultant(p, m, max_deg):
+    # _triple reads the class of r1^2 - 4(T - c) off l(c + r1^2/4), over
+    # prime fields and F_{p^m} alike
+    ctx = make_field(p, m)
+    verdicts = set()
+    for l, g1, c in _triples(ctx, max_deg, 300, 100 * p + m):
+        r1, member, checks = _triple(l, g1, c)
+        want = _by_resultant(l, g1, c)
+        assert r1 == kernel.veval(ctx, g1.coeffs, c.val)
+        assert checks[1]["passed"] == want, (l, g1, c)
+        assert member == (checks[0]["passed"] and want), (l, g1, c)
+        verdicts.add(want)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("q", [5, 7, 11])
+def test_triple_certificates_take_no_resultant(q, monkeypatch):
+    # `lambda` and `thm2` decide the triple by one evaluation of l; the
+    # verdicts are those of the resultant route, taken before the patch
+    ctx = make_field(q)
+    cases = [(l, g1, c, _by_resultant(l, g1, c))
+             for l, g1, c in _triples(ctx, 3, 40, q)]
+
+    def refuse(*args):
+        raise AssertionError("a triple certificate took a resultant")
+
+    monkeypatch.setattr(kernel, "vresultant", refuse)
+    for l, g1, c, want in cases:
+        cert = in_lambda_set(l, g1, c)
+        _, cert2 = theorem2_build(l, g1, c)
+        assert cert.checks[1]["passed"] == cert2.checks[1]["passed"] == want
 
 
 def test_reduction_height_reads_the_vectors(monkeypatch):

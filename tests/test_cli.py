@@ -156,6 +156,24 @@ def test_lambda_scan_small(capsys):
     assert summary["all_pass"] is True
 
 
+def test_scans_read_every_degree_below_1_one_way(capsys):
+    # a --max-deg or --exact-deg below 1 is a usage error before any
+    # record, whichever flag names it and whatever else is given
+    for cmd in (["primes"], ["lambda-scan"],
+                ["lambda-scan", "--find-counterexample"]):
+        for flag in ("--max-deg", "--exact-deg"):
+            for degree in ("0", "-1", "-100000000000"):
+                assert run(capsys, *cmd, "--q", "5", flag, degree) == (
+                    2, "", "error: degree must be >= 1\n"), (cmd, flag)
+        assert run(capsys, *cmd, "--q", "5", "--exact-deg", "2",
+                   "--max-deg", "0") == (
+            2, "", "error: degree must be >= 1\n"), cmd
+    # the rule is the scans': thm1-search reads --max-deg 0 as no pool
+    code, out, _ = run(capsys, "thm1-search", "--q", "5", "--prime", "T^2+3",
+                       "--max-deg", "0", "--limit", "1")
+    assert code in (0, 1) and out
+
+
 def test_lambda_scan_find_counterexample_exit_zero(capsys):
     code, out, _ = run(capsys, "lambda-scan", "--q", "5", "--exact-deg", "5",
                        "--find-counterexample")
@@ -260,6 +278,22 @@ def test_internal_checks_exit_3(capsys, monkeypatch):
                          "4", "--prime", "T^2+2")
     assert code == 3
     assert out == "" and "not divisible" in err
+
+
+def test_group_branches_that_cannot_occur_exit_3(capsys, monkeypatch):
+    # every unit group met here is cyclic and every F_N^2 has a primitive
+    # element; a lab that finds neither has a bug, not a bad input
+    ring = residues.ResidueRing(parse_poly(make_field(5), "T"))
+    monkeypatch.setattr(groups, "_TABLE_CACHE", {})
+    tab = groups._tables(ring)
+    assert tab.log[1] == 0  # the generator found before the patch
+    monkeypatch.setattr(groups, "_has_order", lambda *args: False)
+    with pytest.raises(InternalInconsistency):
+        groups._primitive_companion(tab)
+    monkeypatch.setattr(groups, "_TABLE_CACHE", {})
+    assert run(capsys, "lemma-a1", "--q", "5", "--prime", "T", "--samples",
+               "1", "--seed", "1") == (
+        3, "", "internal error: unit group has no single generator\n")
 
 
 def test_thm2_division_remainder_exit_3(capsys, monkeypatch):

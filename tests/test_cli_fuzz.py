@@ -1,6 +1,7 @@
 """Seeded fuzzing of the group-lab commands (lemma-a1, pr-level2, det-gen),
 of the certificate commands (omega, lambda, thm1-verify, thm2,
-obstruction) and of the scans (primes, lambda-scan).
+obstruction), of the scans (primes, lambda-scan) and of the rest
+(thm1-search, frob, newton, density, field).
 
 Each flag draws its value from a pool of valid values, the bound, the
 bound + 1, negatives, 10^11, text and malformed polynomials.  Every argv
@@ -17,9 +18,9 @@ import contextlib
 import io
 import random
 
-from drinfeldlab import cli, criteria, frobenius, groups
+from drinfeldlab import census, cli, criteria, frobenius, groups
 from drinfeldlab.cli import main
-from drinfeldlab.polys import DEFAULT_ENUMERATION_CAP
+from drinfeldlab.polys import DEFAULT_ENUMERATION_CAP, SAMPLE_CAP
 
 BIG = 10 ** 11
 # flag -> (valid values, the rest); a value is drawn from the first pool
@@ -86,15 +87,41 @@ SCAN_POOLS = {
     "--max-deg": _degrees, "--exact-deg": _degrees,
 }
 SCAN_COMMANDS = ("primes", "lambda-scan")
-# `primes --max-deg 0` exits 0 with no record
-EMPTY_SUCCESS = frozenset({"primes"})
 
 
-def _argvs(rng, commands, pools):
+def _box_sizes(drawn):
+    """--x's pools: X_CAP and the largest X the drawn weights admit at the
+    drawn q, (d1 + d2) X bits(q) <= COUNT_BITS_CAP, each with the X one
+    above it."""
+    ints = [drawn.get(flag) for flag in ("--q", "--d1", "--d2")]
+    rest = [census.X_CAP, census.X_CAP + 1, 0, -1, BIG, "x"]
+    if all(isinstance(v, int) and v > 0 for v in ints):
+        q, d1, d2 = ints
+        top = census.COUNT_BITS_CAP // ((d1 + d2) * q.bit_length())
+        rest += [top, top + 1]
+    return (1, 2, 3), rest
+
+
+# thm1-search's limit at SAMPLE_CAP prints up to 10,000 certificates, and
+# frob and newton at a degree-64 prime take 0.06-0.14 s a run; field's
+# largest admitted q, 99,991, is left out (1.2 MB a run)
+REST_POOLS = {
+    **CERTIFY_POOLS,
+    "--max-deg": _degrees,
+    "--limit": ((0, 1, 2), (SAMPLE_CAP, SAMPLE_CAP + 1, -1, BIG, "many")),
+    "--d1": ((1, 2, 3), (0, -1, BIG, "one")),
+    "--d2": ((1, 4, 12), (4660, 0, -1, BIG, "two")),
+    "--x": _box_sizes,
+    "--mode": (("formula", "brute"), ("exact",)),
+}
+REST_COMMANDS = ("thm1-search", "frob", "newton", "density", "field")
+
+
+def _argvs(rng, commands, pools, calls=CALLS):
     """Seeded (command, [(flag, value) or (switch,), ...]) draws: every
     required flag of the command, now and then one left out, --output
     now and then, and any other optional flag half the time."""
-    for _ in range(CALLS):
+    for _ in range(calls):
         command = rng.choice(commands)
         flags, drawn = [], {}
         for flag, opts in cli._options(cli.COMMANDS[command][1]):
@@ -137,10 +164,7 @@ def _fuzz(argvs):
         assert code in (0, 1, 2), plain
         # a usage error prints nothing; a verdict prints its record, and
         # prints it again, byte for byte
-        if command in EMPTY_SUCCESS:
-            assert code != 2 or out == "", plain
-        else:
-            assert (out == "") == (code == 2), plain
+        assert (out == "") == (code == 2), plain
         assert _run(spelled) == first, plain
         if code != 2:
             assert _run(plain) == first, plain
@@ -167,4 +191,10 @@ def test_scan_commands_fuzzed():
     for q, past in PAST_CAP.items():
         assert q ** (past - 1) <= DEFAULT_ENUMERATION_CAP < q ** past
     codes = _fuzz(_argvs(random.Random(21), SCAN_COMMANDS, SCAN_POOLS))
+    assert min(codes.values()) > 0, codes
+
+
+def test_remaining_commands_fuzzed():
+    assert census.X_CAP == 100 and SAMPLE_CAP == 10_000
+    codes = _fuzz(_argvs(random.Random(22), REST_COMMANDS, REST_POOLS, 300))
     assert min(codes.values()) > 0, codes

@@ -36,7 +36,11 @@ from drinfeldlab.polys import (
     powmod,
     valuation,
 )
-from oracles import irreducible_count, monic_polys
+from oracles import (
+    irreducible_count,
+    monic_polys,
+    parse_poly_by_alternatives,
+)
 
 F5 = make_field(5)
 F25 = make_field(5, 2)
@@ -404,6 +408,36 @@ def test_parse_exponent_cap():
         parse_poly(F5, "T^1000000000")
     with pytest.raises(DegreeCapExceeded):
         parse_poly(F5, "T+3*T^600")
+
+
+def _parse_outcome(parse, ctx, text):
+    """The coefficients parse reads, or the type and text it raises."""
+    try:
+        return parse(ctx, text).coeffs
+    except Exception as exc:  # every error is compared, type and text
+        return type(exc), str(exc)
+
+
+def test_one_term_pattern_matches_the_five_alternatives():
+    # seeded strings over the grammar's own characters, doubled signs,
+    # stray '*' and '^', exponents past the cap and leading zeros among
+    # them, and over an alphabet with a tab, a newline (a piece's trailing
+    # newline reads as nothing), letters and a non-ASCII digit
+    grammar = "T0123456789^*+- "
+    wide = grammar + "\t\nxa\u0663"
+    rng = random.Random(33)
+    texts = ["++T", "T--1", "3T", "T^", "*T", "T^600", "007*T^002",
+             "T\n+1", "-", "+", "T^512", "T^513", "9*T^0", "0*T^3"]
+    for p, alphabet, n in ((7, grammar, 10_000), (5, wide, 5_000),
+                           (127, wide, 5_000)):
+        ctx = make_field(p)
+        cases = texts + ["".join(rng.choice(alphabet)
+                                 for _ in range(rng.randrange(13)))
+                         for _ in range(n)]
+        for text in cases:
+            assert (_parse_outcome(parse_poly, ctx, text)
+                    == _parse_outcome(parse_poly_by_alternatives, ctx,
+                                      text)), (p, text)
 
 
 def test_powmod_matches_naive():
