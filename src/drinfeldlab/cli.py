@@ -92,23 +92,14 @@ def _field(args):
     return 0, [rec]
 
 
-def _scan_field(args):
-    """The field of a scan, primes or lambda-scan, after which any given
-    --max-deg or --exact-deg below 1 is a usage error."""
-    ctx = make_field(args.q)
-    if any(d is not None and d < 1 for d in (args.max_deg, args.exact_deg)):
-        raise _Usage("degree must be >= 1")
-    return ctx
-
-
 def _primes(args):
-    ctx = _scan_field(args)
+    ctx = make_field(args.q)
     if args.exact_deg is None and args.max_deg is None:
         raise _Usage("primes needs --max-deg or --exact-deg")
     if args.exact_deg is not None:
         degrees = [args.exact_deg]
     else:
-        check_enumeration_cap(ctx, args.max_deg)
+        check_enumeration_cap(ctx, args.max_deg, least=1)
         degrees = range(1, args.max_deg + 1)
     # every degree is checked now; the records stream from the sieves
     sieves = [(d, irreducible_indices(ctx, d)) for d in degrees]
@@ -132,7 +123,7 @@ def _lambda(args):
 
 
 def _lambda_scan(args):
-    ctx = _scan_field(args)
+    ctx = make_field(args.q)
     if args.find_counterexample:
         if args.exact_deg is None:
             raise _Usage("--find-counterexample needs --exact-deg")

@@ -8,8 +8,8 @@ asserts that the stated hypotheses were checked.
 The public types (PrimeIdeal, Poly, FqElement, DrinfeldModule) are
 unwrapped once, at the boundary; the criteria compute on coefficient
 tuples.  Whether c - T is a square mod p is read off its norm p(c) in
-F_q, and the triple's discriminant r1^2 - 4(T - c) = 4(c' - T), with
-c' = c + r1^2/4, by the same test at c'.  Valuations run by
+F_q; the triple's discriminant is tested by `residues.is_square_mod_prime`
+on its norm, the resultant with the prime.  Valuations run by
 `kernel.vvaluation`, values and degree-1 traces by integer Horner, and
 the scan's values at every point by one packed sum per prime.  No residue
 ring or Frobenius map is built, and each text is formed once per
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import census, drinfeld, frobenius, kernel
+from . import census, drinfeld, frobenius, kernel, residues
 from .errors import (
     ContextMismatch,
     InsufficientPrimes,
@@ -126,34 +126,32 @@ def in_omega_tilde(p: PrimeIdeal) -> Certificate:
 
 
 def _triple(l: PrimeIdeal, g1: Poly, c: FqElement):
-    """(r1 = g1(c), membership, the checks recorded): membership is g1
-    outside l and X^2 - r1 X + (T - c) irreducible mod l, that is, its
-    discriminant 4(c' - T), c' = c + r1^2/4, a non-square mod l: as 4 is
-    a square, c' - T is one (_nonsquare_at)."""
+    """(r1 = g1(c), the discriminant r1^2 - 4(T - c) mod l, membership,
+    the checks recorded): membership is g1 outside l and
+    X^2 - r1 X + (T - c) irreducible mod l."""
     ctx = l.ctx
     if g1.ctx != ctx or c.ctx != ctx:
         raise ContextMismatch("triple components over different fields")
-    f = l.gen.coeffs
-    nu = _valuation(ctx, g1.coeffs, f)
-    r1 = kernel.veval(ctx, g1.coeffs, c.val)
-    shift = ctx.mul(ctx.mul(r1, r1), ctx.inv(4 % ctx.p))
-    quad_irred = _nonsquare_at(ctx, f, ctx.add(c.val, shift))
+    f, g = l.gen.coeffs, g1.coeffs
+    nu = _valuation(ctx, g, f)
+    r1 = kernel.veval(ctx, g, c.val)
+    # the discriminant has degree 1: its norm is one division step
+    disc, quad_irred = residues.vquadratic(
+        l.gen, r1, kernel.vmod(ctx, (ctx.neg(c.val), 1), f))
     checks = [
         {"check": "g1 outside the prime l", "passed": nu == 0,
          "valuation": _val_entry(nu)},
         {"check": "X^2 - r1*X + (T - c) irreducible mod l",
          "passed": quad_irred},
     ]
-    return r1, nu == 0 and quad_irred, checks
+    return r1, disc, nu == 0 and quad_irred, checks
 
 
 def in_lambda_set(l: PrimeIdeal, g1: Poly, c: FqElement) -> Certificate:
     """Membership test for the triple (l, g1, c): g1 outside l and
     X^2 - r1 X + (T - c) irreducible mod l, r1 = g1 mod (T - c)."""
-    r1, verified, checks = _triple(l, g1, c)
+    r1, disc, verified, checks = _triple(l, g1, c)
     ctx = l.ctx
-    disc = kernel.vsub(ctx, [ctx.mul(r1, r1)], kernel.vscale(
-        ctx, kernel.vmod(ctx, (ctx.neg(c.val), 1), l.gen.coeffs), 4 % ctx.p))
     return Certificate(
         kind="lambda_triple",
         q=ctx.q,
@@ -205,7 +203,7 @@ def lambda_scan_records(ctx: FieldCtx, max_deg: int, mode: str = "affirm"):
     if ctx.m != 1:
         raise ContextMismatch("lambda_scan records primes as text, which is "
                               "defined over prime fields only")
-    check_enumeration_cap(ctx, max_deg)
+    check_enumeration_cap(ctx, max_deg, least=1)
     degrees = (range(1, max_deg + 1) if mode == "affirm"
                else range(max_deg, max_deg + 1))
     # r1^2 - 4(T - c) = 4(c' - T) with c' = c + r1^2/4, and by reciprocity
@@ -364,7 +362,7 @@ def theorem2_build(l: PrimeIdeal, g1: Poly, c: FqElement):
     recording the degree-1 Frobenius trace comparisons a_lambda = g1(d)."""
     check_theorem2_prime(l.gen)
     ctx = l.ctx
-    r1, member, checks = _triple(l, g1, c)
+    r1, _, member, checks = _triple(l, g1, c)
     module = drinfeld.carlitz_det_module(ctx, g1, l.gen)
     l_text, g1_text = (coeffs_to_text(ctx, l.gen.coeffs),
                        coeffs_to_text(ctx, g1.coeffs))

@@ -300,10 +300,13 @@ def poly_from_index(ctx: FieldCtx, idx: int) -> Poly:
 
 
 def check_enumeration_cap(ctx: FieldCtx, degree: int,
-                          cap: int = DEFAULT_ENUMERATION_CAP):
+                          cap: int = DEFAULT_ENUMERATION_CAP, least: int = 0):
     """Raise EnumerationCapExceeded if degree has more than cap monic
-    candidates, ParamsOutOfRange if it is negative; a scan over degrees
-    1..d checks d before any work."""
+    candidates, DegreeZeroInput if it is below least (1 for the prime
+    scans), ParamsOutOfRange if it is negative; a scan over degrees 1..d
+    checks d before any work."""
+    if degree < least:
+        raise DegreeZeroInput(f"degree must be >= {least}")
     if degree < 0:
         raise ParamsOutOfRange(f"degree bound {degree} is negative")
     # the largest d with q^d <= cap, multiplied up: never q ** degree
@@ -346,9 +349,7 @@ def irreducible_indices(ctx: FieldCtx, degree: int,
     monic irreducibles of exactly the given degree, ascending.  The degree
     and the cap are checked here, before any work; the sieve runs when the
     iterator is first read."""
-    if degree < 1:
-        raise DegreeZeroInput("degree must be >= 1")
-    check_enumeration_cap(ctx, degree, cap)
+    check_enumeration_cap(ctx, degree, cap, least=1)
     return _sieve(ctx, degree)
 
 

@@ -2,14 +2,16 @@
 
 When the modulus is irreducible the ring is the field F_{q^n} and carries the
 norm down to F_q, the square test read off that norm (Euler's criterion
-x^((q^n-1)/2) = N(x)^((q-1)/2)), and the quadratic irreducibility test.
-Every norm is a resultant, N(x mod p) = Res(p, x), taken by Euclid in
-`kernel.vresultant` with no Frobenius map.  `quadratic_is_irreducible`
-tests the discriminant of X^2 - rX + s by `is_square_mod_prime`; the
-certificates call neither, reading their square classes off one
-evaluation.  Non-prime moduli (level p^2 work) support arithmetic only,
-and `generates_units` decides by the structure of (A/p^level)^* whether
-given units generate it, listing no unit.
+x^((q^n-1)/2) = N(x)^((q-1)/2)), and the quadratic irreducibility test
+that drives the certificate machinery.  Every norm is a resultant,
+N(x mod p) = Res(p, x), taken by Euclid in `kernel.vresultant` with no
+Frobenius map.  The quadratic test is a tuple routine (`vquadratic`) on
+the prime generator and reduced coefficient vectors, which the
+certificates call directly, and `quadratic_is_irreducible` wraps it for
+ResidueElements; `is_square_mod_prime` takes either a ResidueElement or,
+with the prime generator, a vector.  Non-prime moduli (level p^2 work)
+support arithmetic only, and `generates_units` decides by the structure of
+(A/p^level)^* whether given units generate it, listing no unit.
 
 Elements keep their fully reduced representative.  Products, powers and
 inverses run in `kernel` modulo the monic modulus, as F_{p^m} arithmetic
@@ -245,6 +247,17 @@ def generates_units(ctx, modp, level: int, units) -> bool:
     return len(rows) == rank
 
 
+def vquadratic(gen: Poly, r: int, s):
+    """(r^2 - 4s, whether X^2 - rX + s has no root) over the field A/(gen),
+    for a monic prime gen, an encoded r and a reduced s.  Irreducible iff
+    the discriminant is a non-square (q odd); zero, a double root, counts
+    as a square.  The constant 4 is scaled in as 4 mod p, an element of
+    the prime field."""
+    ctx = gen.ctx
+    disc = kernel.vsub(ctx, [ctx.mul(r, r)], kernel.vscale(ctx, s, 4 % ctx.p))
+    return disc, not is_square_mod_prime(disc, gen)
+
+
 def norm_to_base(x: ResidueElement) -> FqElement:
     """Field norm F_{q^n} -> F_q of x: the resultant Res(p, x) of the
     prime and the representative, by kernel.vresultant."""
@@ -255,20 +268,25 @@ def norm_to_base(x: ResidueElement) -> FqElement:
         ring.ctx, ring.modulus.coeffs, x.rep.coeffs))
 
 
-def is_square_mod_prime(x: ResidueElement) -> bool:
-    """Whether x is a square in the field A/p (zero counts): Euler's
-    criterion x^((q^n-1)/2) = N(x)^((q-1)/2) by the norm N(x) = Res(p, x)
-    (norm_to_base), one Euclid, not a powmod."""
-    return x.ring.ctx.is_square(norm_to_base(x).val)
+def is_square_mod_prime(x, gen: Poly = None) -> bool:
+    """Whether x is a square in the field A/p (zero counts), for x a
+    ResidueElement of a prime residue ring or, given the monic prime gen,
+    a vector.  Euler's criterion by the norm:
+    x^((q^n-1)/2) = N(x)^((q-1)/2), so x is a square iff N(x) =
+    Res(p, x) is one in F_q.  That costs one Euclid, not a powmod."""
+    if gen is None:
+        if not x.ring.is_prime:
+            raise NotAField("square test needs a prime modulus")
+        gen, x = x.ring.modulus, x.rep.coeffs
+    return gen.ctx.is_square(kernel.vresultant(gen.ctx, gen.coeffs, x))
 
 
 def quadratic_is_irreducible(r: FqElement, s: ResidueElement) -> bool:
     """Whether X^2 - r*X + s has no root over the prime residue ring:
-    whether its discriminant r^2 - 4s is a non-square (q odd); zero, a
-    double root, counts as a square."""
+    vquadratic on the ring's modulus."""
     ring = s.ring
     if not ring.is_prime:
         raise NotAField("quadratic test needs a prime modulus")
     if r.ctx != ring.ctx:
         raise RingMismatch("linear coefficient from a different base field")
-    return not is_square_mod_prime(s * -4 + r * r)
+    return vquadratic(ring.modulus, r.val, s.rep.coeffs)[1]

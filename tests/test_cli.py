@@ -157,17 +157,19 @@ def test_lambda_scan_small(capsys):
 
 
 def test_scans_read_every_degree_below_1_one_way(capsys):
-    # a --max-deg or --exact-deg below 1 is a usage error before any
-    # record, whichever flag names it and whatever else is given
-    for cmd in (["primes"], ["lambda-scan"],
-                ["lambda-scan", "--find-counterexample"]):
-        for flag in ("--max-deg", "--exact-deg"):
-            for degree in ("0", "-1", "-100000000000"):
-                assert run(capsys, *cmd, "--q", "5", flag, degree) == (
-                    2, "", "error: degree must be >= 1\n"), (cmd, flag)
-        assert run(capsys, *cmd, "--q", "5", "--exact-deg", "2",
-                   "--max-deg", "0") == (
-            2, "", "error: degree must be >= 1\n"), cmd
+    # a degree below 1 that a scan reads, from --max-deg or --exact-deg,
+    # is a usage error before any record
+    for cmd, flag in ((["primes"], "--max-deg"), (["primes"], "--exact-deg"),
+                      (["lambda-scan"], "--max-deg"),
+                      (["lambda-scan", "--find-counterexample"],
+                       "--exact-deg")):
+        for degree in ("0", "-1", "-100000000000"):
+            assert run(capsys, *cmd, "--q", "5", flag, degree) == (
+                2, "", "error: degree must be >= 1\n"), (cmd, flag)
+    # a flag the scan does not read stays unread
+    code, out, _ = run(capsys, "primes", "--q", "5", "--exact-deg", "1",
+                       "--max-deg", "0")
+    assert code == 0 and len(out.splitlines()) == 5
     # the rule is the scans': thm1-search reads --max-deg 0 as no pool
     code, out, _ = run(capsys, "thm1-search", "--q", "5", "--prime", "T^2+3",
                        "--max-deg", "0", "--limit", "1")
